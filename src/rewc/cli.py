@@ -12,12 +12,12 @@ import numpy as np
 
 from .checkpoint import load_network
 from .config import parse_config, parse_config_text
-from .data import load_mnist, synthetic_tasks
+from .data import load_mnist
 from .errors import ConfigError, RewcError
 from .fim import estimate_full_fim_layer
 from .linalg import diag_energy_ratio
 from .plots import heatmap_svg, lineplot_svg
-from .runner import run_experiment
+from .runner import build_tasks, run_experiment
 from .util import rng_for
 
 
@@ -109,10 +109,7 @@ def cmd_fim_probe(args):
         raw = load_mnist(cfg["mnist_dir"], pad_to_32=cfg["mnist_pad"])
         inputs, labels = raw.train_x, raw.train_y
     else:
-        seq = synthetic_tasks(
-            seed=cfg["seeds"][0], T=cfg["tasks"], classes_per_task=cfg["classes_per_task"],
-            dim=cfg["synth_dim"], separation=cfg["synth_separation"],
-        )
+        seq = build_tasks(cfg, cfg["seeds"][0])
         inputs = np.concatenate([t.train_x for t in seq])
         labels = np.concatenate([t.train_y for t in seq])
     if inputs.shape[1:] != net.input_shape:

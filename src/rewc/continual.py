@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CapacityError, DimensionError
 from .fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
 from .network import backward, forward, grow_head
@@ -167,7 +167,7 @@ def _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, index
                 net, task.train_x, index_map[plain_idx], method.fim_samples,
                 method.fim_mode, rng, task.train_y,
             )
-        except Exception as e:  # capacity or selection problems are diagnostic-only
+        except (CapacityError, DimensionError) as e:  # diagnostic-only problems
             rec["error"] = str(e)
             continue
         rec[key] = diag_energy_ratio(block.matrix)
@@ -197,6 +197,15 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
         raise DimensionError(
             f"head already has {net.head_classes} classes; task 1 needs {needed}"
         )
+    if method.name != "ft":
+        # Every task but the last is consolidated; its sample budget must fit.
+        for k, task in enumerate(tasks[:-1]):
+            n = task.train_x.shape[0]
+            if method.fim_samples > n:
+                raise DimensionError(
+                    f"fim_samples {method.fim_samples} exceeds the {n} training samples "
+                    f"of task {k}"
+                )
 
     anchor = None
     for k in range(T):

@@ -15,8 +15,3 @@ def rng_for(seed, *tags):
     entropy = [int(seed) & 0xFFFFFFFF]
     entropy.extend(zlib.crc32(str(t).encode("utf-8")) for t in tags)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")

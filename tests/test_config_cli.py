@@ -287,3 +287,32 @@ def test_plot_renders_stored_fim_heatmaps(tmp_path, capsys):
     plotted = capsys.readouterr().out.strip().splitlines()
     heatmaps = [p for p in plotted if "fim-task" in os.path.basename(p)]
     assert len(heatmaps) == 2  # before and after for the rotated layer
+
+
+def test_cli_probe_sees_the_image_stream_of_its_run(tmp_path, capsys):
+    cfgp = tmp_path / "img.cfg"
+    cfgp.write_text(
+        SMALL_RUN.format(out=tmp_path / "r").replace("seeds = 0,1", "seeds = 0")
+        .replace("synth_dim = 6", "synth_image = 4x4\nsynth_noise_cond = 5\ncheckpoints = true")
+    )
+    assert run_cli(["run", str(cfgp)]) == 0
+    capsys.readouterr()
+    ck = sorted((tmp_path / "r").glob("*-seed0-task1.rewc"))[0]
+    svg_out = tmp_path / "fim.svg"
+    rc = run_cli(["fim-probe", str(ck), "--layer", "1", "--samples", "40",
+                  "--data-config", str(cfgp), "--out", str(svg_out)])
+    assert rc == 0, capsys.readouterr().err
+    probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert 0.0 <= probe["diag_energy_ratio"] <= 1.0
+    assert svg_out.exists()
+
+
+def test_cli_oversized_fim_budget_fails_before_training(tmp_path, capsys):
+    cfgp = tmp_path / "big.cfg"
+    cfgp.write_text(
+        SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = ewc")
+        + "fim_samples = 5000\ncheckpoints = true\n"
+    )
+    assert run_cli(["run", str(cfgp)]) == 2
+    assert "fim_samples 5000 exceeds the 400 training samples of task 0" in capsys.readouterr().err
+    assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained

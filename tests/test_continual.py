@@ -181,3 +181,12 @@ def test_diagnostics_energy_ratios():
     entry = diag["diag_energy"]["0"]["0"]
     assert 0.0 < entry["before"] <= 1.0
     assert 0.0 < entry["after"] <= 1.0
+
+
+def test_fim_budget_checked_for_consolidated_tasks_only():
+    tasks = synthetic_tasks(seed=0, T=2, dim=6)
+    with pytest.raises(DimensionError, match="exceeds the 400 training samples of task 0"):
+        run_sequence(small_net(0), tasks, Method("rewc", fim_samples=401), Hyper(epochs=1))
+    # Fine-tuning never estimates a Fisher, and the last task is never consolidated.
+    run_sequence(small_net(0), tasks, Method("ft", lam=0.0, fim_samples=401), Hyper(epochs=1))
+    run_sequence(small_net(0), tasks[:1], Method("ewc", fim_samples=401), Hyper(epochs=1))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rewc.errors import DimensionError, SymmetryError
-from rewc.linalg import diag_energy_ratio, jacobi_eigh
+from rewc import linalg
+from rewc.errors import ConvergenceError, DimensionError, SymmetryError
+from rewc.linalg import CONVERGENCE_RTOL, _jacobi_sweeps, diag_energy_ratio, jacobi_eigh
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -92,6 +93,69 @@ def test_zero_and_single():
     assert np.array_equal(e.S, np.zeros(4))
     e1 = jacobi_eigh(np.array([[5.0]]))
     assert e1.S[0] == 5.0 and e1.U[0, 0] == 1.0
+
+
+def _relu_correlation(n=400, samples=200):
+    """Input correlation of ReLU features, rank <= ``samples``.  The defaults
+    match the first dense layer of LeNet on a 200-sample budget."""
+    rng = np.random.default_rng(n)
+    x = np.maximum(rng.normal(size=(samples, n)) @ rng.normal(size=(n, n)) / np.sqrt(n), 0.0)
+    return x.T @ x / samples
+
+
+def _small_relu_correlation():
+    return _relu_correlation(60, 30)
+
+
+def _zero_block_psd():
+    """PSD matrix with an exactly zero 8x8 block: eigenvalue 0 repeated 14 times."""
+    m = np.random.default_rng(21).normal(size=(12, 6))
+    a = np.zeros((20, 20))
+    a[:12, :12] = m @ m.T
+    return a
+
+
+def _assert_valid_eigh(e, a):
+    n = a.shape[0]
+    assert np.max(np.abs(e.U @ np.diag(e.S) @ e.U.T - a)) < 1e-9 * np.max(np.abs(a))
+    assert np.max(np.abs(e.U.T @ e.U - np.eye(n))) < 1e-10
+    assert np.all(np.diff(e.S) <= 0.0)
+
+
+@pytest.mark.parametrize("make", [_relu_correlation, _zero_block_psd])
+def test_lapack_start_matches_identity_start(make):
+    a = make()
+    e = jacobi_eigh(a)
+    ref = _jacobi_sweeps(a, np.eye(a.shape[0]))  # the cold-start Jacobi
+    assert np.max(np.abs(e.S - ref.S)) < 1e-10 * np.max(ref.S)
+    _assert_valid_eigh(e, a)
+    _assert_valid_eigh(ref, a)
+    # Well-separated leading eigenvalues: same vectors, same sign convention.
+    top = 3
+    assert np.all(-np.diff(ref.S[: top + 1]) > 1e-4 * ref.S[0])
+    assert np.max(np.abs(e.U[:, :top] - ref.U[:, :top])) < 1e-8
+
+
+@pytest.mark.parametrize("make", [_small_relu_correlation, _zero_block_psd])
+def test_sweeps_refine_a_perturbed_start(make):
+    a = make()
+    n = a.shape[0]
+    _, v = np.linalg.eigh(a)
+    q, _ = np.linalg.qr(np.eye(n) + 0.05 * np.random.default_rng(5).normal(size=(n, n)))
+    start = v @ q
+    w = start.T @ a @ start
+    off = np.max(np.abs(w - np.diag(np.diag(w))))
+    assert off > 1e6 * CONVERGENCE_RTOL * np.max(np.abs(a))
+    e = _jacobi_sweeps(a, start)
+    assert np.max(np.abs(e.S - np.linalg.eigvalsh(a)[::-1])) < 1e-10 * np.max(e.S)
+    _assert_valid_eigh(e, a)
+
+
+def test_exhausted_sweeps_raise(monkeypatch):
+    a = _zero_block_psd()
+    monkeypatch.setattr(linalg, "SWEEP_BUDGET", 1)
+    with pytest.raises(ConvergenceError, match="residual"):
+        _jacobi_sweeps(a, np.eye(a.shape[0]))
 
 
 def test_energy_ratio_basics():
