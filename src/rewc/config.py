@@ -4,11 +4,11 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .fim import FIM_MODES as _FIM_MODES
 
 _ARCHS = ("lenet", "mlp-784-10-10-10", "mlp-custom")
 _METHODS = ("ft", "ewc", "rewc")
 _SCOPES = ("conv_only", "fc_only", "all", "all_no_last")
-_FIM_MODES = ("sampled", "expected")
 _DATASETS = ("synthetic", "mnist")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
+from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
 from .network import backward, forward, grow_head
 from .optim import AdamState, adam_step
@@ -47,6 +47,8 @@ class Method:
             raise ValueError("fine-tuning must use lam=0")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
+        if self.fim_mode not in FIM_MODES:
+            raise ValueError(f"unknown FIM mode {self.fim_mode!r}")
 
 
 @dataclass

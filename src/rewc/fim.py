@@ -5,6 +5,11 @@ input, labels are drawn from the model's own softmax ("sampled" mode) or the
 expectation is enumerated over all classes weighted by their probabilities
 ("expected" mode).  Per-parameter entries are averages of squared
 log-likelihood gradients, so they are non-negative by construction.
+
+Both estimators run one batched forward pass per chunk of chosen inputs and
+one backward pass per chunk and label set, then reduce each trainable
+layer's recorded input and output gradient into per-example gradients
+(Goodfellow, arXiv 1510.01799).
 """
 
 import struct
@@ -55,6 +60,8 @@ class EwcAnchor:
 
 
 FULL_FIM_PARAM_CAP = 2000
+FIM_MODES = ("sampled", "expected")
+FIM_CHUNK = 64  # inputs per batched forward/backward pass of the estimators
 
 
 def select_samples(n, budget, rng, labels=None):
@@ -76,40 +83,69 @@ def select_samples(n, budget, rng, labels=None):
     return rng.choice(n, size=budget, replace=False)
 
 
-def _label_weight_stream(net, inputs, budget, mode, rng, labels):
-    """Yield ``(forward_cache, [(label, weight), ...])`` per chosen input, with
-    a fixed RNG consumption order shared by the diagonal and full-block
-    estimators so both see identical samples and label draws."""
+def _fim_pass(net, inputs, budget, mode, rng, labels):
+    """Yield ``(forward_cache, weights, gradient_set)`` per chunk of up to
+    ``FIM_CHUNK`` chosen inputs and label set, shared by the diagonal and
+    full-block estimators.
+
+    Labels are one draw per input in sample order (``sampled``) or every
+    class in turn, weighted by its probability (``expected``), so the RNG is
+    consumed exactly as by a loop over single samples.
+    """
+    if mode not in FIM_MODES:
+        raise ValueError(f"unknown FIM mode {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
     n = inputs.shape[0]
     if n == 0:
         raise DimensionError("empty dataset")
     idx = select_samples(n, budget, rng, labels)
-    for i in idx:
-        logits, cache = forward(net, inputs[i : i + 1])
-        p = softmax(logits)[0]
+    for start in range(0, len(idx), FIM_CHUNK):
+        logits, cache = forward(net, inputs[idx[start : start + FIM_CHUNK]])
+        p = softmax(logits)
+        b, classes = p.shape
         if mode == "sampled":
-            y = int(rng.choice(len(p), p=p))
-            yield cache, [(y, 1.0)]
-        elif mode == "expected":
-            yield cache, [(c, float(p[c])) for c in range(len(p))]
+            y = np.array([rng.choice(classes, p=row) for row in p])
+            yield cache, np.ones(b), backward(net, cache, y)[1]
         else:
-            raise ValueError(f"unknown FIM mode {mode!r}")
+            for c in range(classes):
+                yield cache, p[:, c], backward(net, cache, np.full(b, c))[1]
+
+
+def _example_weight_grads(layer, x, g, aux):
+    """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
+    and ``(n, kh*kw*d_in, d_out)`` for a convolution."""
+    if isinstance(layer, Dense):
+        return g[:, :, None] * x[:, None, :]
+    patches = aux[0]
+    n = patches.shape[0]
+    cols = patches.reshape(n, -1, patches.shape[-1])
+    return np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1]))
+
+
+def _example_bias_grads(g):
+    """Per-example bias gradients: output gradients summed over positions."""
+    return g.reshape(g.shape[0], -1, g.shape[-1]).sum(axis=1)
 
 
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
     acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
-    count = 0
-    for cache, pairs in _label_weight_stream(net, inputs, sample_budget, mode, rng, labels):
-        for y, w in pairs:
-            _, gset = backward(net, cache, np.array([y]))
-            for key, g in gset.grads.items():
-                acc[key] += w * (g * g)
-        count += 1
+    trainable = [(i, l) for i, l in enumerate(net.layers) if l.trainable]
+    for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
+        for i, layer in trainable:
+            x = gset.layer_inputs[i]
+            g = gset.layer_output_grads[i] * len(w)  # undo the batch-mean scaling
+            if isinstance(layer, Dense):
+                acc[f"{i}.W"] += (w[:, None] * g * g).T @ (x * x)
+            elif isinstance(layer, Conv2D):
+                ge = _example_weight_grads(layer, x, g, cache.aux[i])
+                acc[f"{i}.K"] += np.tensordot(w, ge * ge, axes=1).reshape(layer.K.shape)
+            if layer.b is not None:
+                gb = _example_bias_grads(g)
+                acc[f"{i}.b"] += w @ (gb * gb)
     for key in acc:
-        acc[key] /= count
+        acc[key] /= sample_budget
     return FimDiagonal(values=acc, layout_hash=layout_signature(net))
 
 
@@ -132,14 +168,12 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
         )
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
     acc = np.zeros((size, size))
-    count = 0
-    for cache, pairs in _label_weight_stream(net, inputs, sample_budget, mode, rng, labels):
-        for y, w in pairs:
-            _, gset = backward(net, cache, np.array([y]))
-            g = gset.grads[weight_key].ravel()
-            acc += w * np.outer(g, g)
-        count += 1
-    return FimBlock(layer_index=layer_index, matrix=acc / count)
+    for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
+        x = gset.layer_inputs[layer_index]
+        g = gset.layer_output_grads[layer_index] * len(w)  # undo the batch-mean scaling
+        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index]).reshape(len(w), size)
+        acc += (w[:, None] * ge).T @ ge
+    return FimBlock(layer_index=layer_index, matrix=acc / sample_budget)
 
 
 def make_anchor(net, fim, lam):

@@ -63,7 +63,7 @@ class Dense(Layer):
         grads = {"W": gW}
         if self.b is not None:
             grads["b"] = grad_out.sum(axis=0)
-        return grad_out @ self.W, grads
+        return (grad_out @ self.W if need_input_grad else None), grads
 
     def params(self):
         p = {"W": self.W}

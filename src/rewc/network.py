@@ -123,8 +123,8 @@ class ForwardCache:
 
 @dataclass
 class GradientSet:
-    """Gradients per trainable parameter, plus the per-layer activations and
-    output gradients needed by curvature and correlation estimators."""
+    """Gradients per trainable parameter, plus each trainable layer's input
+    and output gradient, which curvature and correlation estimators need."""
 
     grads: dict
     layer_inputs: dict = field(default_factory=dict)
@@ -175,15 +175,18 @@ def backward(net, cache, labels):
     grad[np.arange(n), labels] -= 1.0
     grad /= n
 
+    # Nothing below the lowest trainable layer has a parameter gradient, so
+    # backpropagation stops there (a rotated net starts with a frozen layer).
+    lowest = min(i for i, layer in enumerate(net.layers) if layer.trainable)
     gset = GradientSet(grads={})
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(net.layers) - 1, lowest - 1, -1):
         layer = net.layers[i]
         x = cache.inputs[i]
-        if isinstance(layer, (Dense, Conv2D)):
+        if layer.trainable:
             gset.layer_inputs[i] = x
             gset.layer_output_grads[i] = grad
         aux = cache.aux[i] if cache.aux is not None else None
-        grad, pgrads = layer.backward(x, grad, aux=aux, need_input_grad=i > 0)
+        grad, pgrads = layer.backward(x, grad, aux=aux, need_input_grad=i > lowest)
         if pgrads:
             for name, g in pgrads.items():
                 gset.grads[f"{i}.{name}"] = g

@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AlignmentError, DimensionError, StateError
+from .fim import select_samples
 from .layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense
 from .linalg import jacobi_eigh
 from .network import Network, backward, forward, layout_signature, softmax
@@ -91,8 +92,6 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     if n == 0:
         raise DimensionError("empty dataset")
     rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
-    from .fim import select_samples
-
     idx = select_samples(n, sample_budget, rng, labels)
     ids = rotatable_indices(net)
     cx = {}

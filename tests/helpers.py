@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 
+from rewc.fim import select_samples
 from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
-from rewc.network import Network, backward, forward, log_softmax
+from rewc.network import Network, backward, forward, log_softmax, softmax
 
 
 def mean_xent(net, x, y):
@@ -33,6 +34,40 @@ def fd_param_gradient(net, x, y, key, h=1e-5):
 def max_rel_error(analytic, numeric, floor=1e-6):
     scale = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def per_sample_fim_terms(net, inputs, budget, mode, rng, labels=None):
+    """Reference Fisher stream: one forward pass per chosen input and one
+    batch-1 backward pass per input and label; yields ``(weight, grads)``.
+    Consumes ``rng`` like the batched estimators: the sample choice, then one
+    label draw per input in sample order (sampled mode only)."""
+    idx = select_samples(len(inputs), budget, rng, labels)
+    for i in idx:
+        logits, cache = forward(net, inputs[i : i + 1])
+        p = softmax(logits)[0]
+        if mode == "sampled":
+            pairs = [(int(rng.choice(len(p), p=p)), 1.0)]
+        else:
+            pairs = [(c, float(p[c])) for c in range(len(p))]
+        for y, w in pairs:
+            yield w, backward(net, cache, np.array([y]))[1].grads
+
+
+def per_sample_diag_fim(net, inputs, budget, mode, rng, labels=None):
+    acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
+    for w, grads in per_sample_fim_terms(net, inputs, budget, mode, rng, labels):
+        for key, g in grads.items():
+            acc[key] += w * (g * g)
+    return {k: v / budget for k, v in acc.items()}
+
+
+def per_sample_full_fim(net, inputs, weight_key, budget, mode, rng, labels=None):
+    size = net.get_param(weight_key).size
+    acc = np.zeros((size, size))
+    for w, grads in per_sample_fim_terms(net, inputs, budget, mode, rng, labels):
+        g = grads[weight_key].ravel()
+        acc += w * np.outer(g, g)
+    return acc / budget
 
 
 def random_mlp(rng, with_fixed=False):

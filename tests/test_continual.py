@@ -25,6 +25,11 @@ def test_method_validation():
     assert m.scope.value == "fc_only"
 
 
+def test_unknown_fim_mode_rejected_at_construction():
+    with pytest.raises(ValueError, match="bogus"):
+        Method("ewc", fim_mode="bogus")
+
+
 def test_eval_matrix_shape_rules():
     m = EvalMatrix()
     m.add_row([0.5])

@@ -3,9 +3,16 @@ import os
 import numpy as np
 import pytest
 
-from helpers import random_mlp
+from helpers import (
+    per_sample_diag_fim,
+    per_sample_fim_terms,
+    per_sample_full_fim,
+    random_convnet,
+    random_mlp,
+)
 from rewc.errors import AlignmentError, CapacityError, DimensionError
 from rewc.fim import (
+    FULL_FIM_PARAM_CAP,
     estimate_diag_fim,
     estimate_full_fim_layer,
     ewc_penalty,
@@ -13,10 +20,14 @@ from rewc.fim import (
     make_anchor,
     save_fim,
 )
-from rewc.layers import Dense
+from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense
 from rewc.linalg import jacobi_eigh
-from rewc.network import Network, build_network, forward, grow_head
+from rewc.network import Network, backward, build_network, forward, grow_head, log_softmax
+from rewc.rotation import accumulate_correlations, rotate_conv_kernel, rotate_network
 from rewc.util import rng_for
+
+# 130 chosen inputs make two full chunks of 64 and a partial one of 2.
+BUDGET = 130
 
 
 def bernoulli_net():
@@ -223,3 +234,115 @@ def test_fim_snapshot_roundtrip(tmp_path):
     assert set(back.values) == set(fim.values)
     for k in fim.values:
         assert np.array_equal(back.values[k], fim.values[k])
+
+
+def rotated_convnet(seed):
+    """A conv net rotated under scope ``all``: a frozen 1x1 conv first,
+    bias-less sandwiched conv and dense layers, FixedDense, and conv- and
+    flat-shaped Bias layers. Returns the plain net, the rotated net, its
+    pairs and inputs."""
+    rng = np.random.default_rng(seed)
+    plain = random_convnet(rng)
+    x = rng.normal(size=(160,) + plain.input_shape)
+    stats = accumulate_correlations(plain, x, 120, np.random.default_rng(seed + 1))
+    rotated, pairs = rotate_network(plain, stats, "all")
+    assert isinstance(rotated.layers[0], FixedConv1x1)
+    assert {Bias, FixedDense} <= {type(l) for l in rotated.layers}
+    assert any(isinstance(l, Dense) and l.b is None for l in rotated.layers)
+    return plain, rotated, pairs, x
+
+
+def estimator_cases():
+    rng = np.random.default_rng(20)
+    mlp = random_mlp(rng)
+    yield "mlp", mlp, rng.normal(size=(160, mlp.input_shape[0]))
+    conv = random_convnet(rng)
+    yield "conv", conv, rng.normal(size=(160,) + conv.input_shape)
+    _, rotated, _, x = rotated_convnet(21)
+    yield "rotated", rotated, x
+
+
+def assert_rel_close(actual, expected, key, rtol=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale, key
+
+
+@pytest.mark.parametrize("mode", ["sampled", "expected"])
+def test_batched_diag_matches_per_sample_reference(mode):
+    for name, net, x in estimator_cases():
+        labels = np.arange(len(x)) % 2
+        got = estimate_diag_fim(net, x, BUDGET, mode, np.random.default_rng(5), labels)
+        ref = per_sample_diag_fim(net, x, BUDGET, mode, np.random.default_rng(5), labels)
+        assert set(got.values) == set(ref)
+        for key in ref:
+            assert_rel_close(got.values[key], ref[key], f"{name} {key}")
+
+
+@pytest.mark.parametrize("mode", ["sampled", "expected"])
+def test_batched_full_block_matches_per_sample_reference(mode):
+    for name, net, x in estimator_cases():
+        for i, layer in enumerate(net.layers):
+            if not isinstance(layer, (Dense, Conv2D)):
+                continue
+            key = f"{i}.W" if isinstance(layer, Dense) else f"{i}.K"
+            if net.get_param(key).size > FULL_FIM_PARAM_CAP:
+                continue
+            got = estimate_full_fim_layer(net, x, i, BUDGET, mode, np.random.default_rng(6))
+            ref = per_sample_full_fim(net, x, key, BUDGET, mode, np.random.default_rng(6))
+            assert_rel_close(got.matrix, ref, f"{name} {key}")
+
+
+def test_rotated_diag_fim_is_plain_gradients_rotated():
+    # EKFAC identity: the sandwiched layer's per-example gradient is the plain
+    # one seen through the rotation, U2^T G U1^T for a dense weight and
+    # U1 G U2 per slice for a kernel; the detached bias keeps its gradient.
+    plain, rotated, pairs, x = rotated_convnet(22)
+    got = estimate_diag_fim(rotated, x, BUDGET, "expected", np.random.default_rng(7))
+    plain_index = [i for i, l in enumerate(plain.layers) if isinstance(l, (Dense, Conv2D))]
+    oracle = {}
+    for w, grads in per_sample_fim_terms(plain, x, BUDGET, "expected", np.random.default_rng(7)):
+        for j, pair in zip(plain_index, pairs):
+            mid = pair.layer_index
+            if isinstance(plain.layers[j], Dense):
+                key, g = f"{mid}.W", pair.U2.T @ grads[f"{j}.W"] @ pair.U1.T
+            else:
+                key, g = f"{mid}.K", rotate_conv_kernel(grads[f"{j}.K"], pair.U1, pair.U2)
+            for k, v in ((key, g), (f"{mid + 2}.b", grads[f"{j}.b"])):
+                oracle[k] = oracle.get(k, 0.0) + w * v * v
+    assert set(oracle) == set(got.values)
+    for key, v in oracle.items():
+        assert_rel_close(got.values[key], v / BUDGET, key, rtol=1e-10)
+
+
+def full_depth_grads(net, cache, labels):
+    """Backpropagation down to the input, as before the cutoff."""
+    n = len(labels)
+    grad = np.exp(log_softmax(cache.logits))
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    grads = {}
+    for i in range(len(net.layers) - 1, -1, -1):
+        grad, pgrads = net.layers[i].backward(cache.inputs[i], grad, aux=cache.aux[i])
+        for name, g in (pgrads or {}).items():
+            grads[f"{i}.{name}"] = g
+    return grads
+
+
+def test_backward_stops_at_lowest_trainable_layer():
+    for name, net, x in estimator_cases():
+        labels = np.arange(16) % net.head_classes
+        _, cache = forward(net, x[:16])
+        _, gset = backward(net, cache, labels)
+        ref = full_depth_grads(net, cache, labels)
+        assert set(gset.grads) == set(ref)
+        for key in ref:
+            assert np.array_equal(gset.grads[key], ref[key]), f"{name} {key}"
+
+    _, rotated, _, x = rotated_convnet(21)
+
+    def frozen_input_backward(*args, **kwargs):
+        raise AssertionError("backward reached the frozen input rotation")
+
+    rotated.layers[0].backward = frozen_input_backward
+    _, cache = forward(rotated, x[:16])
+    backward(rotated, cache, np.zeros(16, dtype=int))
