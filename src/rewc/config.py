@@ -3,12 +3,13 @@
 import hashlib
 from dataclasses import dataclass, field
 
+from .continual import METHODS as _METHODS
 from .errors import ConfigError
 from .fim import FIM_MODES as _FIM_MODES
+from .rotation import RotationScope
 
 _ARCHS = ("lenet", "mlp-784-10-10-10", "mlp-custom")
-_METHODS = ("ft", "ewc", "rewc")
-_SCOPES = ("conv_only", "fc_only", "all", "all_no_last")
+_SCOPES = tuple(s.value for s in RotationScope)
 _DATASETS = ("synthetic", "mnist")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError
 from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
-from .network import backward, forward, grow_head
+from .network import CHUNK, backward, forward, grow_head
 from .optim import AdamState, adam_step
 from .rotation import (
     RotationScope,
@@ -107,18 +107,19 @@ def train_task(net, task, method, hyper, task_index, anchor=None):
     return net
 
 
-def evaluate_matrix(net, tasks, upto, batch_size=512):
+def evaluate_matrix(net, tasks, upto):
     """Accuracies on tasks ``0..upto-1``; argmax over the full head, ties to
-    the lowest class index."""
+    the lowest class index.  Test sets stream through ``CHUNK`` rows at a
+    time, so evaluation memory does not grow with the test-set size."""
     row = []
     for k in range(upto):
         task = tasks[k]
         correct = 0
         n = task.test_x.shape[0]
-        for start in range(0, n, batch_size):
-            logits, _ = forward(net, task.test_x[start : start + batch_size])
+        for start in range(0, n, CHUNK):
+            logits, _ = forward(net, task.test_x[start : start + CHUNK])
             pred = np.argmax(logits, axis=1)
-            correct += int((pred == task.test_y[start : start + batch_size]).sum())
+            correct += int((pred == task.test_y[start : start + CHUNK]).sum())
         row.append(correct / n)
     return row
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlignmentError, CapacityError, DataFormatError, DimensionError
 from .layers import Conv2D, Dense
-from .network import backward, forward, layout_signature, softmax
+from .network import CHUNK, backward, forward, layout_signature, softmax
 from .util import rng_for
 
 
@@ -61,7 +61,6 @@ class EwcAnchor:
 
 FULL_FIM_PARAM_CAP = 2000
 FIM_MODES = ("sampled", "expected")
-FIM_CHUNK = 64  # inputs per batched forward/backward pass of the estimators
 
 
 def select_samples(n, budget, rng, labels=None):
@@ -85,7 +84,7 @@ def select_samples(n, budget, rng, labels=None):
 
 def _fim_pass(net, inputs, budget, mode, rng, labels):
     """Yield ``(forward_cache, weights, gradient_set)`` per chunk of up to
-    ``FIM_CHUNK`` chosen inputs and label set, shared by the diagonal and
+    ``CHUNK`` chosen inputs and label set, shared by the diagonal and
     full-block estimators.
 
     Labels are one draw per input in sample order (``sampled``) or every
@@ -99,8 +98,8 @@ def _fim_pass(net, inputs, budget, mode, rng, labels):
     if n == 0:
         raise DimensionError("empty dataset")
     idx = select_samples(n, budget, rng, labels)
-    for start in range(0, len(idx), FIM_CHUNK):
-        logits, cache = forward(net, inputs[idx[start : start + FIM_CHUNK]])
+    for start in range(0, len(idx), CHUNK):
+        logits, cache = forward(net, inputs[idx[start : start + CHUNK]])
         p = softmax(logits)
         b, classes = p.shape
         if mode == "sampled":

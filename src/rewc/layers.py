@@ -235,54 +235,45 @@ class MeanPool2D(Layer):
         return MeanPool2D(self.size)
 
 
-class FixedDense(Layer):
-    """Dense map with a frozen matrix; never touched by the optimizer."""
-
-    kind = "fixed_dense"
+class FixedMatrix(Layer):
+    """Frozen square matrix applied along the trailing (feature or channel)
+    axis; never touched by the optimizer."""
 
     def __init__(self, U):
         self.U = np.asarray(U, dtype=np.float64)
         if self.U.ndim != 2 or self.U.shape[0] != self.U.shape[1]:
-            raise DimensionError("fixed dense matrix must be square")
+            raise DimensionError(f"{self.kind} matrix must be square")
 
     def forward(self, x):
         return x @ self.U.T
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
         return grad_out @ self.U, None
+
+    def clone(self):
+        return type(self)(self.U.copy())
+
+
+class FixedDense(FixedMatrix):
+    """Dense map with a frozen matrix."""
+
+    kind = "fixed_dense"
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.U.shape[1]:
             raise DimensionError("fixed dense width mismatch")
         return (self.U.shape[0],)
 
-    def clone(self):
-        return FixedDense(self.U.copy())
 
-
-class FixedConv1x1(Layer):
+class FixedConv1x1(FixedMatrix):
     """Frozen 1x1 convolution: applies a square matrix to every channel fiber."""
 
     kind = "fixed_conv1x1"
-
-    def __init__(self, U):
-        self.U = np.asarray(U, dtype=np.float64)
-        if self.U.ndim != 2 or self.U.shape[0] != self.U.shape[1]:
-            raise DimensionError("fixed 1x1 conv matrix must be square")
-
-    def forward(self, x):
-        return x @ self.U.T
-
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
-        return grad_out @ self.U, None
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.U.shape[1]:
             raise DimensionError("fixed 1x1 conv channel mismatch")
         return (in_shape[0], in_shape[1], self.U.shape[0])
-
-    def clone(self):
-        return FixedConv1x1(self.U.copy())
 
 
 class Bias(Layer):
@@ -319,8 +310,5 @@ class Bias(Layer):
         return Bias(self.b.copy())
 
 
-FIXED_KINDS = ("fixed_dense", "fixed_conv1x1")
-
-
 def is_fixed(layer):
-    return layer.kind in FIXED_KINDS
+    return isinstance(layer, FixedMatrix)

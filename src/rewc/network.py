@@ -10,6 +10,7 @@ from .layers import Bias, Conv2D, Dense, FixedDense, Flatten, MeanPool2D, ReLU, 
 from .util import rng_for
 
 HEAD_INIT_STD = 0.01
+CHUNK = 64  # rows per forward pass outside training: evaluation, Fisher, correlations
 
 
 class Network:
@@ -97,10 +98,6 @@ class Network:
             self.input_shape,
             rotation_pairs=list(self.rotation_pairs),
         )
-
-    def predict(self, x):
-        logits, _ = forward(self, x)
-        return logits
 
 
 def layout_signature(net):

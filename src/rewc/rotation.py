@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import AlignmentError, DimensionError, StateError
 from .fim import select_samples
-from .layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense
+from .layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, is_fixed
 from .linalg import jacobi_eigh
-from .network import Network, backward, forward, layout_signature, softmax
+from .network import CHUNK, Network, backward, forward, layout_signature, softmax
 from .util import rng_for
 
 ORTHOGONALITY_ATOL = 1e-8
@@ -77,7 +77,7 @@ def _draw_labels(probs, rng):
 
 
 def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=None,
-                            use_true_labels=False, batch_size=64):
+                            use_true_labels=False):
     """Input and output-gradient self-correlations for every rotatable layer.
 
     Gradients come from backpropagating the loss under labels drawn from the
@@ -103,8 +103,8 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
         cx[i] = np.zeros((d1, d1))
         cz[i] = np.zeros((d2, d2))
 
-    for start in range(0, len(idx), batch_size):
-        sel = idx[start : start + batch_size]
+    for start in range(0, len(idx), CHUNK):
+        sel = idx[start : start + CHUNK]
         xb = inputs[sel]
         b = xb.shape[0]
         logits, cache = forward(net, xb)
@@ -259,7 +259,7 @@ def combine_network(net, pairs):
     while i < len(layers):
         pair = by_mid.get(i + 1)
         if pair is None:
-            if isinstance(layers[i], (FixedDense, FixedConv1x1)):
+            if is_fixed(layers[i]):
                 raise StateError(f"fixed layer at {i} is not covered by any rotation pair")
             new_layers.append(layers[i].clone())
             i += 1
@@ -274,7 +274,7 @@ def combine_network(net, pairs):
         if isinstance(mid, Dense):
             new_layers.append(Dense(pair.U2 @ mid.W @ pair.U1, bias))
         else:
-            k = np.einsum("ij,abjk,kl->abil", pair.U1.T, mid.K, pair.U2.T)
+            k = rotate_conv_kernel(mid.K, pair.U1.T, pair.U2.T)
             new_layers.append(Conv2D(k, bias, mid.stride, mid.padding))
         i += consumed
 

@@ -163,6 +163,30 @@ def test_argmax_tie_breaks_low():
     assert row[0] == pytest.approx(2 / 6)  # everything predicted as class 0
 
 
+def test_evaluation_streams_test_set_in_chunks(monkeypatch):
+    import rewc.continual as continual
+    from rewc.network import CHUNK
+
+    task = synthetic_tasks(seed=41, T=1, classes_per_task=5, train_per_class=10,
+                           test_per_class=101, image_shape=(16, 16, 1))[0]
+    assert task.test_x.shape[0] >= 500
+    net = build_network("lenet", head_classes=5, input_shape=(16, 16, 1), seed=3)
+    train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=16, seed=0), 0)
+    full = np.mean(np.argmax(forward(net, task.test_x)[0], axis=1) == task.test_y)
+
+    rows = []
+
+    def recording_forward(net, x):
+        rows.append(x.shape[0])
+        return forward(net, x)
+
+    monkeypatch.setattr(continual, "forward", recording_forward)
+    row = evaluate_matrix(net, [task], 1)
+    assert sum(rows) == task.test_x.shape[0]
+    assert max(rows) <= CHUNK
+    assert row == [full]
+
+
 def test_head_grows_between_tasks():
     tasks = synthetic_tasks(seed=31, T=3, classes_per_task=2, dim=6)
     sizes = []
