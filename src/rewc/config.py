@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from .continual import METHODS as _METHODS
 from .errors import ConfigError
 from .fim import FIM_MODES as _FIM_MODES
+from .network import ARCHS as _ARCHS
 from .rotation import RotationScope
 
-_ARCHS = ("lenet", "mlp-784-10-10-10", "mlp-custom")
 _SCOPES = tuple(s.value for s in RotationScope)
 _DATASETS = ("synthetic", "mnist")
 

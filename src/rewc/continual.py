@@ -47,6 +47,8 @@ class Method:
             raise ValueError("fine-tuning must use lam=0")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
+        if self.fim_samples < 1:
+            raise ValueError("fim_samples must be at least 1")
         if self.fim_mode not in FIM_MODES:
             raise ValueError(f"unknown FIM mode {self.fim_mode!r}")
 

@@ -66,6 +66,8 @@ FIM_MODES = ("sampled", "expected")
 def select_samples(n, budget, rng, labels=None):
     """Indices of ``budget`` distinct samples; stratified per class when the
     budget divides evenly and every class is large enough."""
+    if budget < 1:
+        raise DimensionError(f"sample budget must be at least 1, got {budget}")
     if budget > n:
         raise DimensionError(f"sample budget {budget} exceeds dataset size {n}")
     if labels is not None:

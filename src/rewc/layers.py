@@ -122,7 +122,10 @@ class Conv2D(Layer):
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
         patches, xp = aux if aux is not None else self._patches(x)
         kh, kw, d1, d2 = self.K.shape
-        gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2]))
+        g2d = grad_out.reshape(-1, d2)
+        # (G^T P)^T lets BLAS read both operands in place; a tensordot over
+        # the patches would first copy them transposed.
+        gK = (g2d.T @ patches.reshape(-1, kh * kw * d1)).T
         grads = {"K": gK.reshape(self.K.shape)}
         if self.b is not None:
             grads["b"] = grad_out.sum(axis=(0, 1, 2))
@@ -130,11 +133,13 @@ class Conv2D(Layer):
             return None, grads
         s = self.stride
         n, h2, w2 = grad_out.shape[:3]
-        g2d = grad_out.reshape(-1, d2)
+        # One contiguous copy of the transposed kernel slices instead of a
+        # strided K[a, b].T operand in every GEMM.
+        Kt = np.ascontiguousarray(self.K.transpose(0, 1, 3, 2))
         gxp = np.zeros_like(xp)
         for a in range(kh):
             for b_ in range(kw):
-                block = (g2d @ self.K[a, b_].T).reshape(n, h2, w2, d1)
+                block = (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
                 gxp[:, a : a + s * h2 : s, b_ : b_ + s * w2 : s, :] += block
         if self.padding:
             p = self.padding
@@ -220,9 +225,10 @@ class MeanPool2D(Layer):
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
         s = self.size
-        g = grad_out / (s * s)
-        g = np.repeat(np.repeat(g, s, axis=1), s, axis=2)
-        return g, None
+        n, h, w, c = grad_out.shape
+        g = np.empty((n, h, s, w, s, c))
+        g[...] = (grad_out / (s * s))[:, :, None, :, None, :]
+        return g.reshape(n, h * s, w * s, c), None
 
     def out_shape(self, in_shape):
         h, w, c = in_shape
@@ -244,11 +250,15 @@ class FixedMatrix(Layer):
         if self.U.ndim != 2 or self.U.shape[0] != self.U.shape[1]:
             raise DimensionError(f"{self.kind} matrix must be square")
 
+    # Both passes multiply on the 2-D ``(-1, d)`` view: one GEMM instead of
+    # numpy's stacked N-D matmul over the leading axes.
     def forward(self, x):
-        return x @ self.U.T
+        d = self.U.shape[0]
+        return (x.reshape(-1, d) @ self.U.T).reshape(x.shape)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
-        return grad_out @ self.U, None
+        d = self.U.shape[0]
+        return (grad_out.reshape(-1, d) @ self.U).reshape(grad_out.shape), None
 
     def clone(self):
         return type(self)(self.U.copy())

@@ -11,6 +11,7 @@ from .util import rng_for
 
 HEAD_INIT_STD = 0.01
 CHUNK = 64  # rows per forward pass outside training: evaluation, Fisher, correlations
+ARCHS = ("lenet", "mlp-784-10-10-10", "mlp-custom")  # what build_network builds
 
 
 class Network:
@@ -107,6 +108,15 @@ def layout_signature(net):
         shape = "x".join(str(d) for d in net.get_param(key).shape)
         parts.append(f"{key}:{net.layers[i].kind}:{shape}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
+
+
+def parameter_digest(net):
+    """SHA-256 over the bytes of every trainable array, in ``trainable_keys()``
+    order: equal digests mean bit-identical parameters."""
+    h = hashlib.sha256()
+    for key, _, _ in net.trainable_keys():
+        h.update(net.get_param(key).tobytes())
+    return h.hexdigest()
 
 
 @dataclass
@@ -243,7 +253,7 @@ def build_network(arch, head_classes=None, input_shape=None, hidden=None, seed=0
         if head_classes is not None:
             widths[-1] = int(head_classes)
         return _build_mlp(widths, tuple(input_shape), rng, seed)
-    raise DimensionError(f"unknown architecture {arch!r}")
+    raise DimensionError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
 
 
 def _build_mlp(widths, input_shape, rng, seed):

@@ -11,7 +11,7 @@ from .config import ExperimentConfig
 from .continual import Hyper, Method, run_sequence
 from .data import disjoint_split, load_mnist, synthetic_tasks
 from .errors import ConfigError
-from .network import build_network
+from .network import build_network, parameter_digest
 
 SCHEMA_VERSION = 1
 
@@ -97,6 +97,7 @@ def run_single(cfg, seed):
         "per_step_avg": matrix.per_step_avg(),
         "final_per_task": matrix.final_row(),
         "final_avg": float(np.mean(matrix.final_row())),
+        "final_param_sha256": parameter_digest(net),
         "fim_median_per_task": diagnostics.get("fim_median", []),
         "diag_energy": diagnostics.get("diag_energy", {}),
         "timing": {

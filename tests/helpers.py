@@ -132,6 +132,46 @@ def conv_direct(x, K, b=None, stride=1, padding=0):
     return y
 
 
+def reference_conv_backward(layer, x, grad_out, aux=None, need_input_grad=True):
+    """The conv backward the engine used to run: a tensordot for the kernel
+    gradient and one GEMM per kernel slice with the strided ``K[a, b].T``."""
+    patches, xp = aux if aux is not None else layer._patches(x)
+    kh, kw, d1, d2 = layer.K.shape
+    gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2]))
+    grads = {"K": gK.reshape(layer.K.shape)}
+    if layer.b is not None:
+        grads["b"] = grad_out.sum(axis=(0, 1, 2))
+    if not need_input_grad:
+        return None, grads
+    s = layer.stride
+    n, h2, w2 = grad_out.shape[:3]
+    g2d = grad_out.reshape(-1, d2)
+    gxp = np.zeros_like(xp)
+    for a in range(kh):
+        for b_ in range(kw):
+            block = (g2d @ layer.K[a, b_].T).reshape(n, h2, w2, d1)
+            gxp[:, a : a + s * h2 : s, b_ : b_ + s * w2 : s, :] += block
+    if layer.padding:
+        p = layer.padding
+        gxp = gxp[:, p:-p, p:-p, :]
+    return gxp, grads
+
+
+def reference_meanpool_backward(layer, x, grad_out):
+    s = layer.size
+    g = grad_out / (s * s)
+    return np.repeat(np.repeat(g, s, axis=1), s, axis=2)
+
+
+def reference_fixed_forward(layer, x):
+    """Frozen-matrix forward as a stacked N-D matmul over the leading axes."""
+    return x @ layer.U.T
+
+
+def reference_fixed_backward(layer, x, grad_out):
+    return grad_out @ layer.U
+
+
 def make_idx_pair(images, labels):
     """Serialize uint8 images/labels into IDX byte blobs."""
     images = np.asarray(images, dtype=np.uint8)

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from rewc.checkpoint import save_network
+from rewc.checkpoint import load_network, save_network
 from rewc.cli import main
 from rewc.config import parse_config, parse_config_text
 from rewc.errors import ConfigError
-from rewc.network import build_network
+from rewc.network import build_network, parameter_digest
 from rewc.plots import heatmap_svg, lineplot_svg
 
 
@@ -215,6 +215,29 @@ def test_cli_plot_and_probe(tmp_path, capsys):
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert 0.0 <= probe["diag_energy_ratio"] <= 1.0
     assert svg_out.exists()
+
+
+def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
+    ck = tmp_path / "probe.rewc"
+    save_network(build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1), str(ck))
+    svg_out = tmp_path / "fim.svg"
+    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "0", "--out", str(svg_out)])
+    assert rc == 2
+    assert "sample budget must be at least 1" in capsys.readouterr().err
+    assert not svg_out.exists()
+
+
+def test_run_record_digest_is_the_final_network(tmp_path, capsys):
+    cfgp = tmp_path / "exp.cfg"
+    cfgp.write_text(
+        SMALL_RUN.format(out=tmp_path / "r").replace("seeds = 0,1", "seeds = 0")
+        + "checkpoints = true\n"
+    )
+    assert run_cli(["run", str(cfgp)]) == 0
+    record = json.load(open(capsys.readouterr().out.strip().splitlines()[0]))
+    # The last task is never consolidated, so its checkpoint is the final network.
+    ck = sorted((tmp_path / "r").glob("*-seed0-task1.rewc"))[0]
+    assert record["final_param_sha256"] == parameter_digest(load_network(str(ck)))
 
 
 def test_output_root_env_override(tmp_path, monkeypatch, capsys):

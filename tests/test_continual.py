@@ -30,6 +30,12 @@ def test_unknown_fim_mode_rejected_at_construction():
         Method("ewc", fim_mode="bogus")
 
 
+def test_empty_fim_budget_rejected_at_construction():
+    # Otherwise the first consolidation divides the Fisher by zero after a whole task.
+    with pytest.raises(ValueError, match="fim_samples"):
+        Method("ewc", fim_samples=0)
+
+
 def test_eval_matrix_shape_rules():
     m = EvalMatrix()
     m.add_row([0.5])

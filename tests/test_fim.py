@@ -76,6 +76,8 @@ def test_budget_exceeds_dataset():
         estimate_diag_fim(net, np.ones((3, 1)), sample_budget=4)
     with pytest.raises(DimensionError):
         estimate_diag_fim(net, np.ones((0, 1)), sample_budget=1)
+    with pytest.raises(DimensionError, match="at least 1"):
+        estimate_diag_fim(net, np.ones((3, 1)), sample_budget=0)
 
 
 def test_full_block_diag_consistency():

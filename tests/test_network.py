@@ -3,11 +3,19 @@ import os
 import numpy as np
 import pytest
 
-from helpers import conv_direct, random_convnet, random_mlp
+from helpers import (
+    conv_direct,
+    random_convnet,
+    random_mlp,
+    reference_conv_backward,
+    reference_fixed_backward,
+    reference_fixed_forward,
+    reference_meanpool_backward,
+)
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import DataFormatError, DimensionError, StateError
 from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
-from rewc.network import Network, build_network, forward, grow_head
+from rewc.network import Network, build_network, forward, grow_head, parameter_digest
 
 
 def test_identity_dense_forward():
@@ -59,6 +67,73 @@ def test_meanpool_forward_backward():
     assert np.allclose(g, 0.25)
 
 
+CHANNELS = (1, 3, 6, 16)
+
+
+def assert_close_to_largest(actual, expected, rtol=1e-12):
+    """Equal within ``rtol`` of the reference array's largest entry."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("batch", (1, 7, 64))
+def test_conv_backward_matches_reference_engine(batch):
+    # d_out != d_in throughout, so a transpose dropped from either GEMM fails.
+    rng = np.random.default_rng(batch)
+    for d1, d2 in zip(CHANNELS, CHANNELS[1:] + CHANNELS[:1]):
+        for k in (1, 3, 5):
+            for stride in (1, 2):
+                for padding in (0, 1):
+                    layer = Conv2D(rng.normal(size=(k, k, d1, d2)), rng.normal(size=d2),
+                                   stride, padding)
+                    x = rng.normal(size=(batch, 9, 8, d1))
+                    y, aux = layer.forward_cached(x)
+                    g = rng.normal(size=y.shape)
+                    ref_gx, ref = reference_conv_backward(layer, x, g, aux)
+                    gx, grads = layer.backward(x, g, aux)
+                    assert_close_to_largest(gx, ref_gx)
+                    assert_close_to_largest(grads["K"], ref["K"])
+                    assert np.array_equal(grads["b"], ref["b"])
+                    none, grads = layer.backward(x, g, need_input_grad=False)
+                    assert none is None
+                    assert_close_to_largest(grads["K"], ref["K"])
+
+
+def test_meanpool_backward_equals_reference_exactly():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3):
+        for batch in (1, 7, 64):
+            for c in CHANNELS:
+                x = rng.normal(size=(batch, 2 * size, 3 * size, c))
+                pool = MeanPool2D(size)
+                g = rng.normal(size=pool.forward(x).shape)
+                assert np.array_equal(pool.backward(x, g)[0],
+                                      reference_meanpool_backward(pool, x, g))
+
+
+def test_fixed_matrix_passes_match_reference():
+    rng = np.random.default_rng(4)
+    for batch in (1, 7, 64):
+        for d in CHANNELS:
+            U = rng.normal(size=(d, d))
+            for layer, x in ((FixedDense(U), rng.normal(size=(batch, d))),
+                             (FixedConv1x1(U), rng.normal(size=(batch, 10, 8, d)))):
+                g = rng.normal(size=x.shape)
+                assert_close_to_largest(layer.forward(x), reference_fixed_forward(layer, x))
+                assert_close_to_largest(layer.backward(x, g)[0],
+                                        reference_fixed_backward(layer, x, g))
+
+
+def test_parameter_digest_tracks_every_bit():
+    net = build_network("lenet", head_classes=5, seed=2)
+    digest = parameter_digest(net)
+    assert len(digest) == 64 and digest == parameter_digest(net.clone())
+    K = net.get_param("0.K").copy()
+    K[0, 0, 0, 0] = np.nextafter(K[0, 0, 0, 0], np.inf)
+    net.set_param("0.K", K)
+    assert parameter_digest(net) != digest
+
+
 def test_fixed_layers_have_no_params():
     q = np.eye(3)
     assert FixedDense(q).params() == {}
@@ -86,7 +161,7 @@ def test_custom_mlp_param_count():
 
 
 def test_unknown_arch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="mlp-custom"):
         build_network("resnet-50")
 
 
