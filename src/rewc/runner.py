@@ -100,6 +100,7 @@ def run_single(cfg, seed):
         "final_param_sha256": parameter_digest(net),
         "fim_median_per_task": diagnostics.get("fim_median", []),
         "diag_energy": diagnostics.get("diag_energy", {}),
+        "warnings": diagnostics["warnings"],
         "timing": {
             "total_seconds": time.perf_counter() - t0,
             "train_seconds": diagnostics.get("train_seconds", []),

@@ -6,7 +6,7 @@ import numpy as np
 
 from rewc.fim import select_samples
 from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
-from rewc.network import Network, backward, forward, log_softmax, softmax
+from rewc.network import CHUNK, Network, backward, forward, log_softmax, softmax
 
 
 def mean_xent(net, x, y):
@@ -68,6 +68,50 @@ def per_sample_full_fim(net, inputs, weight_key, budget, mode, rng, labels=None)
         g = grads[weight_key].ravel()
         acc += w * np.outer(g, g)
     return acc / budget
+
+
+def reference_draw_labels(probs, rng):
+    """The correlation pass's former label sampler: an unnormalised CDF and a
+    strict comparison, clipped to the last class."""
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(probs.shape[0])
+    return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
+
+
+def reference_accumulate_correlations(net, inputs, budget, rng, labels=None,
+                                      use_true_labels=False):
+    """The correlation engine before it moved onto the Fisher pass: its own
+    chunked forward/backward loop and sampler, with a ``tensordot`` for conv
+    layers.  Returns ``(input_corr, grad_corr)``, summed over the samples."""
+    idx = select_samples(len(inputs), budget, rng, labels)
+    ids = [i for i, l in enumerate(net.layers) if isinstance(l, (Dense, Conv2D))]
+    cx, cz = {}, {}
+    for i in ids:
+        layer = net.layers[i]
+        d1 = layer.W.shape[1] if isinstance(layer, Dense) else layer.K.shape[2]
+        d2 = layer.W.shape[0] if isinstance(layer, Dense) else layer.K.shape[3]
+        cx[i] = np.zeros((d1, d1))
+        cz[i] = np.zeros((d2, d2))
+    for start in range(0, len(idx), CHUNK):
+        sel = idx[start : start + CHUNK]
+        logits, cache = forward(net, inputs[sel])
+        if use_true_labels:
+            yb = np.asarray(labels)[sel]
+        else:
+            yb = reference_draw_labels(softmax(logits), rng)
+        _, gset = backward(net, cache, yb)
+        for i in ids:
+            x = gset.layer_inputs[i]
+            z = gset.layer_output_grads[i] * len(sel)
+            if x.ndim == 2:
+                cx[i] += x.T @ x
+                cz[i] += z.T @ z
+            else:
+                h1w1 = x.shape[1] * x.shape[2]
+                h2w2 = z.shape[1] * z.shape[2]
+                cx[i] += np.tensordot(x, x, axes=([0, 1, 2], [0, 1, 2])) / h1w1
+                cz[i] += np.tensordot(z, z, axes=([0, 1, 2], [0, 1, 2])) / h2w2
+    return cx, cz
 
 
 def random_mlp(rng, with_fixed=False):

@@ -339,3 +339,35 @@ def test_cli_oversized_fim_budget_fails_before_training(tmp_path, capsys):
     assert run_cli(["run", str(cfgp)]) == 2
     assert "fim_samples 5000 exceeds the 400 training samples of task 0" in capsys.readouterr().err
     assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
+
+
+def test_cli_bad_diag_layer_fails_before_training(tmp_path, capsys):
+    cfgp = tmp_path / "diag.cfg"
+    cfgp.write_text(
+        SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
+        + "diag_layers = 0,99\ncheckpoints = true\n"
+    )
+    assert run_cli(["run", str(cfgp)]) == 2
+    assert "diag_layers [99] out of range" in capsys.readouterr().err
+    assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
+
+
+def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):
+    # A huge step saturates the softmax, so every sampled log-likelihood
+    # gradient, and with it every Fisher entry, is exactly zero.
+    cfgp = tmp_path / "zero.cfg"
+    cfgp.write_text(
+        SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
+        .replace("seeds = 0,1", "seeds = 0") + "lr = 1e6\n"
+    )
+    assert run_cli(["run", str(cfgp)]) == 0
+    record = json.load(open(capsys.readouterr().out.split()[0]))
+    assert record["status"] == "ok"
+    assert record["schema_version"] == 1
+    assert record["fim_median_per_task"] == [0.0]
+    assert record["warnings"] == [
+        "task 0: the Fisher is zero everywhere, so its anchor protects nothing"
+    ]
+    cfgp.write_text(cfgp.read_text().replace("lr = 1e6", "lr = 1e-3"))
+    assert run_cli(["run", str(cfgp)]) == 0
+    assert json.load(open(capsys.readouterr().out.split()[0]))["warnings"] == []

@@ -13,6 +13,7 @@ from helpers import (
 from rewc.errors import AlignmentError, CapacityError, DimensionError
 from rewc.fim import (
     FULL_FIM_PARAM_CAP,
+    _sample_labels,
     estimate_diag_fim,
     estimate_full_fim_layer,
     ewc_penalty,
@@ -22,7 +23,15 @@ from rewc.fim import (
 )
 from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense
 from rewc.linalg import jacobi_eigh
-from rewc.network import Network, backward, build_network, forward, grow_head, log_softmax
+from rewc.network import (
+    Network,
+    backward,
+    build_network,
+    forward,
+    grow_head,
+    log_softmax,
+    softmax,
+)
 from rewc.rotation import accumulate_correlations, rotate_conv_kernel, rotate_network
 from rewc.util import rng_for
 
@@ -348,3 +357,27 @@ def test_backward_stops_at_lowest_trainable_layer():
     rotated.layers[0].backward = frozen_input_backward
     _, cache = forward(rotated, x[:16])
     backward(rotated, cache, np.zeros(16, dtype=int))
+
+
+@pytest.mark.parametrize("shape", ["flat", "peaked"])
+def test_vectorized_sampler_draws_as_row_by_row_choice(shape):
+    # Flat rows put CDF steps on exact ties; peaked rows have probabilities
+    # that underflow to 0 and steps within rounding of 1.
+    g = np.random.default_rng(19)
+    for classes in (2, 5, 10, 100):
+        if shape == "flat":
+            p = np.full((130, classes), 1.0 / classes)
+            p[::2] = softmax(g.normal(0, 0.1, (65, classes)))
+        else:
+            p = softmax(g.normal(0, 40, (130, classes)))
+        rng_vec, rng_loop = np.random.default_rng(classes), np.random.default_rng(classes)
+        got = _sample_labels(p, rng_vec)
+        want = [rng_loop.choice(classes, p=row) for row in p]
+        assert got.tolist() == want
+        assert rng_vec.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_sampler_rejects_non_finite_probabilities():
+    p = np.array([[0.5, 0.5], [np.nan, np.nan]])
+    with pytest.raises(DimensionError, match="not finite"):
+        _sample_labels(p, np.random.default_rng(0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_convnet, random_mlp
+from helpers import random_convnet, random_mlp, reference_accumulate_correlations
 from rewc.errors import AlignmentError, DimensionError, StateError
 from rewc.layers import Conv2D, Dense, FixedConv1x1, FixedDense
 from rewc.network import Network, backward, build_network, forward, layout_signature
@@ -26,7 +26,7 @@ def identity_stats(net, scale=1.0):
         d2 = layer.W.shape[0] if isinstance(layer, Dense) else layer.K.shape[3]
         cx[i] = np.eye(d1) * scale
         cz[i] = np.eye(d2) * scale
-    return CorrelationStats(cx, cz, count=1, net_signature=layout_signature(net), layer_ids=ids)
+    return CorrelationStats(cx, cz, count=1, net_signature=layout_signature(net))
 
 
 def test_whitened_inputs_give_identity_correlation():
@@ -90,7 +90,7 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
         d2 = net.layers[i].W.shape[0]
         cx[i] = np.diag(rng.permutation(np.arange(1.0, d1 + 1.0)))
         cz[i] = np.diag(rng.permutation(np.arange(1.0, d2 + 1.0)))
-    stats = CorrelationStats(cx, cz, 1, layout_signature(net), ids)
+    stats = CorrelationStats(cx, cz, 1, layout_signature(net))
     rot, pairs = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
     for p in pairs:
         for u in (p.U1, p.U2):
@@ -271,3 +271,30 @@ def test_state_and_alignment_errors():
 def test_rotation_pair_orthogonality_enforced():
     with pytest.raises(DimensionError):
         RotationPair(layer_index=1, U1=np.array([[1.0, 0.5], [0.0, 1.0]]), U2=np.eye(2))
+
+
+@pytest.mark.parametrize("maker", [random_mlp, random_convnet])
+@pytest.mark.parametrize("labelled", ["none", "stratified", "true"])
+def test_correlations_equal_reference_engine_bit_for_bit(maker, labelled):
+    # 130 samples: two full chunks and a partial one.
+    rng = np.random.default_rng(17)
+    net = maker(rng)
+    x = rng.normal(size=(160,) + net.input_shape)
+    labels = None if labelled == "none" else np.arange(160) % net.head_classes
+    true = labelled == "true"
+    rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    stats = accumulate_correlations(net, x, 130, rng_new, labels, use_true_labels=true)
+    cx, cz = reference_accumulate_correlations(net, x, 130, rng_ref, labels, true)
+    assert stats.count == 130
+    assert sorted(stats.input_corr) == sorted(cx) == sorted(stats.grad_corr)
+    for i in cx:
+        assert stats.input_corr[i].tobytes() == cx[i].tobytes()
+        assert stats.grad_corr[i].tobytes() == cz[i].tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_true_labels_need_labels():
+    net = random_mlp(np.random.default_rng(18))
+    x = np.zeros((10, net.input_shape[0]))
+    with pytest.raises(DimensionError, match="requires labels"):
+        accumulate_correlations(net, x, 5, np.random.default_rng(0), use_true_labels=True)
