@@ -145,6 +145,14 @@ def _validate(cfg, source):
         bad("dataset=mnist requires mnist_dir")
     if v["arch"] == "mlp-custom" and not v["mlp_hidden"]:
         bad("arch=mlp-custom requires mlp_hidden")
+    if v["classes_per_task"] < 1:
+        bad("classes_per_task must be >= 1")
+    if v["synth_dim"] < 1:
+        bad("synth_dim must be >= 1")
+    if v["synth_separation"] <= 0:
+        bad("synth_separation must be positive")
+    if any(w < 1 for w in v["mlp_hidden"]):
+        bad(f"mlp_hidden widths must be >= 1, got {v['mlp_hidden']}")
     if v["synth_noise_cond"] < 1:
         bad("synth_noise_cond must be >= 1")
     if v["synth_image"]:

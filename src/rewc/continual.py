@@ -14,14 +14,17 @@ import numpy as np
 from .errors import CapacityError, DimensionError
 from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
-from .network import CHUNK, backward, forward, grow_head
+from .layers import Conv2D
+from .network import CHUNK, Network, backward, forward, grow_head
 from .optim import AdamState, adam_step
 from .rotation import (
     RotationScope,
     accumulate_correlations,
     combine_network,
+    rotate_conv_kernel,
     rotate_network,
     rotated_layer_map,
+    walk_sandwiches,
 )
 from .util import rng_for
 
@@ -89,19 +92,69 @@ class EvalMatrix:
         return [list(r) for r in self.rows]
 
 
+class TrainingStep:
+    """The gradients of one training step, with every conv rotation sandwich
+    run as one convolution.
+
+    ``net`` keeps its layer list; the step runs ``self.net``, which shares
+    every other layer with it.  A sandwich ``FixedConv1x1(U1) · Conv2D(K') ·
+    FixedConv1x1(U2) · Bias(b)`` becomes one ``Conv2D`` with kernel
+    ``rotate_conv_kernel(K', U1ᵀ, U2ᵀ)`` and bias ``b``, the map
+    ``combine_network`` forms.  By the chain rule, ``K'`` gets
+    ``rotate_conv_kernel(gK, U1, U2)`` and ``b`` the conv's bias gradient.
+    Dense sandwiches stay as they are: forming ``U2 W' U1`` for a wide layer
+    costs more than its frozen passes at training batch sizes.
+    """
+
+    def __init__(self, net):
+        self.source = net
+        self.keys = {}  # step key -> net key, for the layers shared with net
+        self.fused = []  # (step index, net conv index, net Bias index or None, pair)
+        layers = []
+        for start, stop, pair in walk_sandwiches(net.layers, net.rotation_pairs):
+            if pair is not None and isinstance(net.layers[start + 1], Conv2D):
+                mid = net.layers[start + 1]
+                bias = start + 3 if stop - start == 4 else None
+                self.fused.append((len(layers), start + 1, bias, pair))
+                b = None if bias is None else net.layers[bias].b
+                layers.append(Conv2D(mid.K, b, mid.stride, mid.padding))
+                continue
+            for i in range(start, stop):
+                for name in net.layers[i].params():
+                    self.keys[f"{len(layers)}.{name}"] = f"{i}.{name}"
+                layers.append(net.layers[i])
+        self.net = Network(layers, net.head_classes, net.rng_seed, net.input_shape)
+
+    def gradients(self, x, labels):
+        """Mean cross-entropy gradients keyed like ``net``'s parameters."""
+        layers = self.source.layers
+        for j, mid, bias, pair in self.fused:
+            conv = self.net.layers[j]
+            conv.K = rotate_conv_kernel(layers[mid].K, pair.U1.T, pair.U2.T)
+            if bias is not None:
+                conv.b = layers[bias].b
+        _, cache = forward(self.net, x)
+        _, gset = backward(self.net, cache, labels)
+        grads = {self.keys[k]: g for k, g in gset.grads.items() if k in self.keys}
+        for j, mid, bias, pair in self.fused:
+            grads[f"{mid}.K"] = rotate_conv_kernel(gset.grads[f"{j}.K"], pair.U1, pair.U2)
+            if bias is not None:
+                grads[f"{bias}.b"] = gset.grads[f"{j}.b"]
+        return grads
+
+
 def train_task(net, task, method, hyper, task_index, anchor=None):
     """Minibatch Adam over one task, with the anchor penalty when present."""
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
+    step = TrainingStep(net)
     n = task.train_x.shape[0]
     use_penalty = anchor is not None and anchor.lam > 0.0
     for _ in range(hyper.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             sel = perm[start : start + hyper.batch_size]
-            logits, cache = forward(net, task.train_x[sel])
-            loss, gset = backward(net, cache, task.train_y[sel])
-            grads = gset.grads
+            grads = step.gradients(task.train_x[sel], task.train_y[sel])
             if use_penalty:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}

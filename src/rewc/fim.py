@@ -132,7 +132,9 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
 
 def _example_weight_grads(layer, x, g, aux):
     """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
-    and ``(n, kh*kw*d_in, d_out)`` for a convolution."""
+    and ``(n, kh*kw*d_in, d_out)`` for a convolution.  A convolution with a
+    bias has one more row, its bias gradient, read from the patch matrix's
+    ones column."""
     if isinstance(layer, Dense):
         return g[:, :, None] * x[:, None, :]
     patches = aux[0]
@@ -159,7 +161,11 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
                 acc[f"{i}.W"] += (w[:, None] * g * g).T @ (x * x)
             elif isinstance(layer, Conv2D):
                 ge = _example_weight_grads(layer, x, g, cache.aux[i])
-                acc[f"{i}.K"] += np.tensordot(w, ge * ge, axes=1).reshape(layer.K.shape)
+                sq = np.tensordot(w, ge * ge, axes=1)
+                acc[f"{i}.K"] += sq[: layer.K[..., 0].size].reshape(layer.K.shape)
+                if layer.b is not None:
+                    acc[f"{i}.b"] += sq[-1]
+                continue
             if layer.b is not None:
                 gb = _example_bias_grads(g)
                 acc[f"{i}.b"] += w @ (gb * gb)
@@ -190,7 +196,8 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
     for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
         x = gset.layer_inputs[layer_index]
         g = gset.layer_output_grads[layer_index] * len(w)  # undo the batch-mean scaling
-        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index]).reshape(len(w), size)
+        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index])
+        ge = ge[:, : size // ge.shape[2]].reshape(len(w), size)  # a conv's bias row dropped
         acc += (w[:, None] * ge).T @ ge
     return FimBlock(layer_index=layer_index, matrix=acc / sample_budget)
 

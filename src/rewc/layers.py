@@ -97,6 +97,12 @@ class Conv2D(Layer):
         self.padding = int(padding)
 
     def _patches(self, x):
+        """The im2col matrix ``(N, H2, W2, kh*kw*C)`` and the padded input.
+
+        With a bias the matrix has one more column, of ones, so that one
+        GEMM with ``[K; b]`` gives the output and one with the output
+        gradient gives ``[gK; gb]``.
+        """
         if self.padding:
             p = self.padding
             x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
@@ -106,29 +112,37 @@ class Conv2D(Layer):
         # (N, H2, W2, C, kh, kw) -> (N, H2, W2, kh, kw, C)
         win = win.transpose(0, 1, 2, 4, 5, 3)
         n, h2, w2 = win.shape[:3]
-        return win.reshape(n, h2, w2, -1), x
+        if self.b is None:
+            return win.reshape(n, h2, w2, -1), x
+        cols = kh * kw * x.shape[3]
+        patches = np.empty((n, h2, w2, cols + 1))
+        # Write the windows into the buffer's leading columns in place: a
+        # strided column slice handed to matmul would be copied whole.
+        np.copyto(np.reshape(patches[..., :cols], win.shape, copy=False), win)
+        patches[..., cols] = 1.0
+        return patches, x
 
     def forward(self, x):
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         patches, xp = self._patches(x)
-        kh, kw, d1, d2 = self.K.shape
-        y = patches @ self.K.reshape(kh * kw * d1, d2)
+        M = self.K.reshape(-1, self.K.shape[3])
         if self.b is not None:
-            y = y + self.b
-        return y, (patches, xp)
+            M = np.concatenate([M, self.b[None]])
+        return patches @ M, (patches, xp)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
         patches, xp = aux if aux is not None else self._patches(x)
         kh, kw, d1, d2 = self.K.shape
         g2d = grad_out.reshape(-1, d2)
         # (G^T P)^T lets BLAS read both operands in place; a tensordot over
-        # the patches would first copy them transposed.
-        gK = (g2d.T @ patches.reshape(-1, kh * kw * d1)).T
-        grads = {"K": gK.reshape(self.K.shape)}
+        # the patches would first copy them transposed.  Its last row is the
+        # bias gradient when the patches carry the ones column.
+        gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
+        grads = {"K": gM[: kh * kw * d1].reshape(self.K.shape)}
         if self.b is not None:
-            grads["b"] = grad_out.sum(axis=(0, 1, 2))
+            grads["b"] = gM[-1]
         if not need_input_grad:
             return None, grads
         s = self.stride

@@ -168,7 +168,7 @@ def rotate_conv_kernel(K, U1, U2):
         raise DimensionError(
             f"rotation dims {U1.shape}/{U2.shape} do not match kernel channels {d1}/{d2}"
         )
-    return np.einsum("ij,abjk,kl->abil", U1, K, U2)
+    return ((U1 @ K.reshape(-1, d1, d2)).reshape(-1, d2) @ U2).reshape(K.shape)
 
 
 def rotate_network(net, stats, scope, rotate_head=True):
@@ -217,35 +217,47 @@ def rotate_network(net, stats, scope, rotate_head=True):
     return rotated, pairs
 
 
+def walk_sandwiches(layers, pairs):
+    """Walk a layer list once, sandwich by sandwich.
+
+    Yields ``(start, stop, pair)``: with ``pair`` None, the plain layer
+    ``layers[start]`` (``stop = start + 1``); otherwise the sandwich
+    ``layers[start:stop]``, that is the input rotation, the layer, the output
+    rotation and, when ``stop - start == 4``, its detached ``Bias``.
+    """
+    by_mid = {p.layer_index: p for p in pairs}
+    i = 0
+    while i < len(layers):
+        pair = by_mid.get(i + 1)
+        if pair is None:
+            yield i, i + 1, None
+            i += 1
+            continue
+        _check_sandwich(layers[i], layers[i + 1], layers[i + 2], pair)
+        stop = i + 4 if i + 3 < len(layers) and isinstance(layers[i + 3], Bias) else i + 3
+        yield i, stop, pair
+        i = stop
+
+
 def combine_network(net, pairs):
     """Fuse rotation sandwiches back into plain layers (inverse of rotate)."""
     if not pairs:
         return net.clone()
-    by_mid = {p.layer_index: p for p in pairs}
     new_layers = []
-    i = 0
     layers = net.layers
-    while i < len(layers):
-        pair = by_mid.get(i + 1)
+    for start, stop, pair in walk_sandwiches(layers, pairs):
         if pair is None:
-            if is_fixed(layers[i]):
-                raise StateError(f"fixed layer at {i} is not covered by any rotation pair")
-            new_layers.append(layers[i].clone())
-            i += 1
+            if is_fixed(layers[start]):
+                raise StateError(f"fixed layer at {start} is not covered by any rotation pair")
+            new_layers.append(layers[start].clone())
             continue
-        wrap_in, mid, wrap_out = layers[i], layers[i + 1], layers[i + 2]
-        _check_sandwich(wrap_in, mid, wrap_out, pair)
-        bias = None
-        consumed = 3
-        if i + 3 < len(layers) and isinstance(layers[i + 3], Bias):
-            bias = layers[i + 3].b.copy()
-            consumed = 4
+        mid = layers[start + 1]
+        bias = layers[start + 3].b.copy() if stop - start == 4 else None
         if isinstance(mid, Dense):
             new_layers.append(Dense(pair.U2 @ mid.W @ pair.U1, bias))
         else:
             k = rotate_conv_kernel(mid.K, pair.U1.T, pair.U2.T)
             new_layers.append(Conv2D(k, bias, mid.stride, mid.padding))
-        i += consumed
 
     return Network(new_layers, net.head_classes, net.rng_seed, net.input_shape)
 

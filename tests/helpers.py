@@ -3,6 +3,7 @@
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rewc.fim import select_samples
 from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
@@ -176,11 +177,16 @@ def conv_direct(x, K, b=None, stride=1, padding=0):
     return y
 
 
-def reference_conv_backward(layer, x, grad_out, aux=None, need_input_grad=True):
-    """The conv backward the engine used to run: a tensordot for the kernel
-    gradient and one GEMM per kernel slice with the strided ``K[a, b].T``."""
-    patches, xp = aux if aux is not None else layer._patches(x)
+def reference_conv_backward(layer, x, grad_out, need_input_grad=True):
+    """The conv backward the engine used to run: a tensordot over its own
+    patch matrix (no ones column) for the kernel gradient, a sum over
+    positions for the bias gradient, and one GEMM per kernel slice with the
+    strided ``K[a, b].T``."""
     kh, kw, d1, d2 = layer.K.shape
+    p = layer.padding
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: layer.stride, :: layer.stride]
+    patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(win.shape[:3] + (-1,))
     gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2]))
     grads = {"K": gK.reshape(layer.K.shape)}
     if layer.b is not None:

@@ -91,6 +91,25 @@ def run_cli(args):
     return main(args)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("classes_per_task = 0", "classes_per_task"),
+    ("synth_dim = 0", "synth_dim"),
+    ("mlp_hidden = 0", "mlp_hidden"),
+    ("mlp_hidden = 16,-3", "mlp_hidden"),
+    ("synth_separation = 0", "synth_separation"),
+])
+def test_data_and_width_settings_rejected_at_parse_time(tmp_path, capsys, line, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(line)
+    out = tmp_path / "results"
+    kept = [l for l in SMALL_RUN.format(out=out).splitlines() if l.partition("=")[0].strip() != key]
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text("\n".join(kept + [line]) + "\n")
+    assert run_cli(["run", str(cfgp)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_end_to_end(tmp_path, capsys):
     cfgp = tmp_path / "exp.cfg"
     out = tmp_path / "results"

@@ -1,13 +1,25 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rewc.continual import EvalMatrix, Hyper, Method, evaluate_matrix, finalize_task, run_sequence, train_task
+from rewc.continual import (
+    EvalMatrix,
+    Hyper,
+    Method,
+    TrainingStep,
+    evaluate_matrix,
+    finalize_task,
+    run_sequence,
+    train_task,
+)
 from rewc.data import synthetic_tasks
 from rewc.errors import DimensionError
 from rewc.fim import ewc_penalty
-from rewc.layers import Dense
-from rewc.network import Network, build_network, forward, layout_signature
+from rewc.layers import Conv2D, Dense, FixedConv1x1, Flatten, ReLU
+from rewc.network import Network, backward, build_network, forward, layout_signature
 from rewc.optim import AdamState
+from rewc.rotation import accumulate_correlations, rotate_network
 
 
 def small_net(seed, head=2, dim=6, hidden=(16,)):
@@ -225,3 +237,60 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
     # Fine-tuning never estimates a Fisher, and the last task is never consolidated.
     run_sequence(small_net(0), tasks, Method("ft", lam=0.0, fim_samples=401), Hyper(epochs=1))
     run_sequence(small_net(0), tasks[:1], Method("ewc", fim_samples=401), Hyper(epochs=1))
+
+
+def rotated(net, scope, seed):
+    """``net`` rotated from correlations of random inputs."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(40,) + net.input_shape)
+    stats = accumulate_correlations(net, x, 40, rng)
+    return rotate_network(net, stats, scope, rotate_head=False)[0], x
+
+
+def strided_convnet(seed, conv_bias=True):
+    rng = np.random.default_rng(seed)
+    layers = [
+        Conv2D(rng.normal(0, 0.4, (3, 3, 2, 4)), rng.normal(0, 0.1, 4) if conv_bias else None,
+               stride=2, padding=1),
+        ReLU(),
+        Conv2D(rng.normal(0, 0.4, (3, 3, 4, 5)), None, stride=1, padding=1),
+        ReLU(),
+        Flatten(),
+        Dense(rng.normal(0, 0.3, (3, 4 * 4 * 5)), rng.normal(0, 0.1, 3)),
+    ]
+    return Network(layers, 3, seed, (8, 8, 2))
+
+
+@pytest.mark.parametrize("make, scope", [
+    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5), "all_no_last"),
+    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5), "conv_only"),
+    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 3), seed=6), "all_no_last"),
+    (lambda: strided_convnet(7), "all_no_last"),
+    (lambda: strided_convnet(8, conv_bias=False), "conv_only"),
+], ids=["lenet-all_no_last", "lenet-conv_only", "lenet-3-channels", "stride-2-padding-1",
+        "no-conv-bias"])
+def test_fused_step_gradients_match_the_unfused_engine(make, scope):
+    net, x = rotated(make(), scope, 11)
+    assert any(isinstance(l, FixedConv1x1) for l in net.layers)
+    y = np.arange(len(x)) % net.head_classes
+    _, cache = forward(net, x)
+    _, gset = backward(net, cache, y)
+    fused = TrainingStep(net).gradients(x, y)
+    assert fused.keys() == gset.grads.keys()
+    for key, g in gset.grads.items():
+        assert fused[key].shape == g.shape
+        assert np.max(np.abs(fused[key] - g)) <= 1e-12 * np.max(np.abs(g)), key
+
+
+def test_fused_step_runs_no_frozen_conv(monkeypatch):
+    net, x = rotated(build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
+                     "all_no_last", 12)
+    calls = []
+    original = FixedConv1x1.forward
+    monkeypatch.setattr(FixedConv1x1, "forward",
+                        lambda self, h: calls.append(1) or original(self, h))
+    task = SimpleNamespace(train_x=x, train_y=np.arange(len(x)) % 3)
+    before = net.parameter_snapshot()
+    train_task(net, task, Method("rewc", lam=10.0), Hyper(epochs=1, batch_size=16), 1)
+    assert calls == []
+    assert any(not np.array_equal(v, before[k]) for k, v in net.parameter_snapshot().items())

@@ -89,11 +89,11 @@ def test_conv_backward_matches_reference_engine(batch):
                     x = rng.normal(size=(batch, 9, 8, d1))
                     y, aux = layer.forward_cached(x)
                     g = rng.normal(size=y.shape)
-                    ref_gx, ref = reference_conv_backward(layer, x, g, aux)
+                    ref_gx, ref = reference_conv_backward(layer, x, g)
                     gx, grads = layer.backward(x, g, aux)
                     assert_close_to_largest(gx, ref_gx)
                     assert_close_to_largest(grads["K"], ref["K"])
-                    assert np.array_equal(grads["b"], ref["b"])
+                    assert_close_to_largest(grads["b"], ref["b"])
                     none, grads = layer.backward(x, g, need_input_grad=False)
                     assert none is None
                     assert_close_to_largest(grads["K"], ref["K"])
