@@ -67,6 +67,14 @@ class Hyper:
     diag_layers: tuple = ()
     store_fim_blocks: bool = False
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+
 
 class EvalMatrix:
     """Accuracy on each seen task's test set after every training stage."""

@@ -213,7 +213,7 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
     q, _ = np.linalg.qr(mix_rng.normal(size=(dim, dim)))
     svals = np.logspace(0.0, -np.log10(noise_cond), dim)
     svals *= np.sqrt(dim / np.sum(svals * svals))  # keep E[|noise|^2] = dim
-    mixing = q @ np.diag(svals)
+    mixing = q * svals  # equals q @ diag(svals) bit for bit: one nonzero product per entry
 
     tasks = []
     for t in range(T):

@@ -8,7 +8,10 @@ log-likelihood gradients, so they are non-negative by construction.
 
 All curvature estimates read one pass, ``_fim_pass``: one batched forward
 pass per chunk of chosen inputs and one backward pass per chunk and label
-set, with one label sampler.  The diagonal and full-block estimators reduce
+set, with one label sampler.  The backward pass is record-only
+(``network.backward(..., record_only=True)``): it keeps each trainable
+layer's input and output gradient and forms no parameter gradient, since
+no estimator reads one.  The diagonal and full-block estimators reduce
 each trainable layer's recorded input and output gradient into per-example
 gradients (Goodfellow, arXiv 1510.01799); ``rotation.accumulate_correlations``
 reduces the same records into the input and output-gradient correlations
@@ -122,12 +125,13 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
         p = softmax(logits)
         b, classes = p.shape
         if true_labels:
-            yield cache, np.ones(b), backward(net, cache, np.asarray(labels)[sel])[1]
+            label_sets = [(np.ones(b), np.asarray(labels)[sel])]
         elif mode == "sampled":
-            yield cache, np.ones(b), backward(net, cache, _sample_labels(p, rng))[1]
+            label_sets = [(np.ones(b), _sample_labels(p, rng))]
         else:
-            for c in range(classes):
-                yield cache, p[:, c], backward(net, cache, np.full(b, c))[1]
+            label_sets = ((p[:, c], np.full(b, c)) for c in range(classes))
+        for w, y in label_sets:
+            yield cache, w, backward(net, cache, y, record_only=True)[1]
 
 
 def _example_weight_grads(layer, x, g, aux):

@@ -7,7 +7,9 @@ so that ``y = W x`` for a single column vector ``x``.
 Each layer implements ``forward(x)`` and ``backward(x, grad_out)`` where
 ``x`` is the cached layer input from the matching forward pass.  ``backward``
 returns ``(grad_in, param_grads)`` with ``param_grads`` keyed like
-``params()``, or ``None`` for parameter-free layers.
+``params()``, or ``None`` for parameter-free layers and when called with
+``need_param_grads=False``; ``grad_in`` is ``None`` when called with
+``need_input_grad=False``.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ class Layer:
         """Forward plus whatever intermediate the backward pass can reuse."""
         return self.forward(x), None
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         raise NotImplementedError
 
     def params(self):
@@ -58,11 +60,12 @@ class Dense(Layer):
             y = y + self.b
         return y
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
-        gW = grad_out.T @ x
-        grads = {"W": gW}
-        if self.b is not None:
-            grads["b"] = grad_out.sum(axis=0)
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+        grads = None
+        if need_param_grads:
+            grads = {"W": grad_out.T @ x}
+            if self.b is not None:
+                grads["b"] = grad_out.sum(axis=0)
         return (grad_out @ self.W if need_input_grad else None), grads
 
     def params(self):
@@ -95,6 +98,10 @@ class Conv2D(Layer):
             raise DimensionError("conv bias length must equal out-channel count")
         self.stride = int(stride)
         self.padding = int(padding)
+        if self.stride < 1:
+            raise DimensionError(f"conv stride must be at least 1, got {self.stride}")
+        if self.padding < 0:
+            raise DimensionError(f"conv padding must be non-negative, got {self.padding}")
 
     def _patches(self, x):
         """The im2col matrix ``(N, H2, W2, kh*kw*C)`` and the padded input.
@@ -132,17 +139,19 @@ class Conv2D(Layer):
             M = np.concatenate([M, self.b[None]])
         return patches @ M, (patches, xp)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         patches, xp = aux if aux is not None else self._patches(x)
         kh, kw, d1, d2 = self.K.shape
         g2d = grad_out.reshape(-1, d2)
-        # (G^T P)^T lets BLAS read both operands in place; a tensordot over
-        # the patches would first copy them transposed.  Its last row is the
-        # bias gradient when the patches carry the ones column.
-        gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
-        grads = {"K": gM[: kh * kw * d1].reshape(self.K.shape)}
-        if self.b is not None:
-            grads["b"] = gM[-1]
+        grads = None
+        if need_param_grads:
+            # (G^T P)^T lets BLAS read both operands in place; a tensordot
+            # over the patches would first copy them transposed.  Its last row
+            # is the bias gradient when the patches carry the ones column.
+            gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
+            grads = {"K": gM[: kh * kw * d1].reshape(self.K.shape)}
+            if self.b is not None:
+                grads["b"] = gM[-1]
         if not need_input_grad:
             return None, grads
         s = self.stride
@@ -193,7 +202,7 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0.0)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         return grad_out * (x > 0.0), None
 
     def out_shape(self, in_shape):
@@ -209,7 +218,7 @@ class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         return grad_out.reshape(x.shape), None
 
     def out_shape(self, in_shape):
@@ -226,6 +235,8 @@ class MeanPool2D(Layer):
 
     def __init__(self, size=2):
         self.size = int(size)
+        if self.size < 1:
+            raise DimensionError(f"pool size must be at least 1, got {self.size}")
 
     def forward(self, x):
         n, h, w, c = x.shape
@@ -237,7 +248,7 @@ class MeanPool2D(Layer):
                     acc += x[:, a::s, b::s]
         return acc / (s * s)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         s = self.size
         n, h, w, c = grad_out.shape
         g = np.empty((n, h, s, w, s, c))
@@ -270,7 +281,7 @@ class FixedMatrix(Layer):
         d = self.U.shape[0]
         return (x.reshape(-1, d) @ self.U.T).reshape(x.shape)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         d = self.U.shape[0]
         return (grad_out.reshape(-1, d) @ self.U).reshape(grad_out.shape), None
 
@@ -318,7 +329,9 @@ class Bias(Layer):
     def forward(self, x):
         return x + self.b
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+        if not need_param_grads:
+            return grad_out, None
         axes = tuple(range(grad_out.ndim - 1))
         return grad_out, {"b": grad_out.sum(axis=axes)}
 

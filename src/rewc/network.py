@@ -165,8 +165,14 @@ def softmax(z):
     return np.exp(log_softmax(z))
 
 
-def backward(net, cache, labels):
-    """Mean cross-entropy loss and gradients for one cached forward pass."""
+def backward(net, cache, labels, record_only=False):
+    """Mean cross-entropy loss and gradients for one cached forward pass.
+
+    With ``record_only`` the pass keeps each trainable layer's input and
+    output gradient, forms no parameter gradient (``grads`` stays empty) and
+    stops on reaching the lowest trainable layer, without its ``backward``:
+    all that the curvature estimators read.
+    """
     if len(cache.inputs) != len(net.layers):
         raise StateError("forward cache does not match this network")
     labels = np.asarray(labels)
@@ -192,8 +198,11 @@ def backward(net, cache, labels):
         if layer.trainable:
             gset.layer_inputs[i] = x
             gset.layer_output_grads[i] = grad
+        if record_only and i == lowest:
+            break
         aux = cache.aux[i] if cache.aux is not None else None
-        grad, pgrads = layer.backward(x, grad, aux=aux, need_input_grad=i > lowest)
+        grad, pgrads = layer.backward(x, grad, aux=aux, need_input_grad=i > lowest,
+                                      need_param_grads=not record_only)
         if pgrads:
             for name, g in pgrads.items():
                 gset.grads[f"{i}.{name}"] = g

@@ -185,6 +185,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("index, field", [(0, "stride"), (2, "size")],
+                         ids=["conv-stride-0", "pool-size-0"])
+def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, index, field):
+    # Saving does not validate, so zeroing the field after construction
+    # writes a checkpoint that loading must refuse.
+    net = build_network("lenet", head_classes=4, seed=0)
+    setattr(net.layers[index], field, 0)
+    ck = tmp_path / "corrupt.rewc"
+    save_network(net, str(ck))
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_heatmap_svg_structure(tmp_path):
     path = tmp_path / "h.svg"
     heatmap_svg(np.eye(4), str(path))

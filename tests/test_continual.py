@@ -239,6 +239,14 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
     run_sequence(small_net(0), tasks[:1], Method("ewc", fim_samples=401), Hyper(epochs=1))
 
 
+@pytest.mark.parametrize("setting", [
+    {"epochs": 0}, {"batch_size": 0}, {"lr": 0.0}, {"lr": -1e-3},
+], ids=["epochs-0", "batch_size-0", "lr-0", "lr-negative"])
+def test_hyper_rejects_degenerate_training_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        Hyper(**setting)
+
+
 def rotated(net, scope, seed):
     """``net`` rotated from correlations of random inputs."""
     rng = np.random.default_rng(seed)

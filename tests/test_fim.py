@@ -359,6 +359,36 @@ def test_backward_stops_at_lowest_trainable_layer():
     backward(rotated, cache, np.zeros(16, dtype=int))
 
 
+def test_record_only_backward_keeps_records_and_forms_no_parameter_gradient():
+    for name, net, x in estimator_cases():
+        labels = np.arange(16) % net.head_classes
+        _, cache = forward(net, x[:16])
+        loss, full = backward(net, cache, labels)
+        lowest = min(i for i, l in enumerate(net.layers) if l.trainable)
+        called = []
+
+        def spy(i, layer_backward):
+            def record_only_backward(*args, **kwargs):
+                assert i != lowest, f"{name}: backward reached the lowest trainable layer"
+                assert kwargs["need_param_grads"] is False, f"{name}: layer {i}"
+                called.append(i)
+                return layer_backward(*args, **kwargs)
+            return record_only_backward
+
+        for i, layer in enumerate(net.layers):
+            layer.backward = spy(i, layer.backward)
+        rec_loss, rec = backward(net, cache, labels, record_only=True)
+        assert rec.grads == {}
+        assert rec_loss == loss
+        assert called == list(range(len(net.layers) - 1, lowest, -1))
+        assert set(rec.layer_inputs) == set(full.layer_inputs)
+        assert set(rec.layer_output_grads) == set(full.layer_output_grads)
+        for i in full.layer_inputs:
+            assert np.array_equal(rec.layer_inputs[i], full.layer_inputs[i]), f"{name} {i}"
+            assert np.array_equal(rec.layer_output_grads[i], full.layer_output_grads[i]), \
+                f"{name} {i}"
+
+
 @pytest.mark.parametrize("shape", ["flat", "peaked"])
 def test_vectorized_sampler_draws_as_row_by_row_choice(shape):
     # Flat rows put CDF steps on exact ties; peaked rows have probabilities

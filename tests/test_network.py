@@ -44,6 +44,13 @@ def test_construction_type_checks():
         Network([Dense(np.zeros((3, 4))), Dense(np.zeros((2, 5)))], 2, 0, (4,))
     with pytest.raises(DimensionError):
         Network([ReLU()], 1, 0, (3,))  # no dense head
+    K = np.zeros((3, 3, 1, 2))
+    with pytest.raises(DimensionError, match="stride"):
+        Conv2D(K, stride=0)
+    with pytest.raises(DimensionError, match="padding"):
+        Conv2D(K, padding=-1)
+    with pytest.raises(DimensionError, match="pool size"):
+        MeanPool2D(0)
 
 
 def test_conv_matches_direct_summation():
