@@ -1,19 +1,9 @@
-"""Binary network checkpoints.
+"""Binary network checkpoints (REWC), bit-exact on a round trip.
 
-Layout (all integers little-endian, all floats raw little-endian float64):
-
-    magic "REWC" | version u32 | rng_seed i64 | head_classes u32
-    | input ndim u8 | input dims u32...
-    | n_layers u32 | layer records...
-    | n_rotation_pairs u32 | pair records...
-
-Round-trips are bit-exact.
+README's "File formats" section gives the layout beside RFIM's and RDAT's.
 """
 
-import struct
-
-import numpy as np
-
+from .binfmt import Reader, Writer
 from .errors import DataFormatError
 from .layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
 from .network import Network
@@ -34,68 +24,40 @@ _KIND_TAGS = {
 }
 
 
-def _w_u32(f, *vals):
-    f.write(struct.pack("<" + "I" * len(vals), *vals))
-
-
-def _w_arr(f, arr):
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _r(f, fmt):
-    size = struct.calcsize(fmt)
-    buf = f.read(size)
-    if len(buf) != size:
-        raise DataFormatError("checkpoint truncated")
-    return struct.unpack(fmt, buf)
-
-
-def _r_arr(f, shape):
-    count = int(np.prod(shape)) if shape else 1
-    buf = f.read(8 * count)
-    if len(buf) != 8 * count:
-        raise DataFormatError("checkpoint truncated in array payload")
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def save_network(net, path):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        _w_u32(f, VERSION)
-        f.write(struct.pack("<q", net.rng_seed))
-        _w_u32(f, net.head_classes)
-        f.write(struct.pack("<B", len(net.input_shape)))
-        _w_u32(f, *net.input_shape)
-        _w_u32(f, len(net.layers))
+    with Writer(path, MAGIC, VERSION) as w:
+        w.pack("qI", net.rng_seed, net.head_classes)
+        w.dims(net.input_shape)
+        w.u32(len(net.layers))
         for layer in net.layers:
-            f.write(struct.pack("<B", _KIND_TAGS[layer.kind]))
-            _write_layer(f, layer)
-        _w_u32(f, len(net.rotation_pairs))
+            w.pack("B", _KIND_TAGS[layer.kind])
+            _write_layer(w, layer)
+        w.u32(len(net.rotation_pairs))
         for pair in net.rotation_pairs:
-            _w_u32(f, pair.layer_index, pair.U1.shape[0], pair.U2.shape[0])
-            _w_arr(f, pair.U1)
-            _w_arr(f, pair.U2)
+            w.u32(pair.layer_index, pair.U1.shape[0], pair.U2.shape[0])
+            w.payload(pair.U1)
+            w.payload(pair.U2)
 
 
-def _write_layer(f, layer):
+def _write_layer(w, layer):
     if isinstance(layer, Dense):
-        _w_u32(f, layer.W.shape[0], layer.W.shape[1], 0 if layer.b is None else 1)
-        _w_arr(f, layer.W)
+        w.u32(*layer.W.shape, 0 if layer.b is None else 1)
+        w.payload(layer.W)
         if layer.b is not None:
-            _w_arr(f, layer.b)
+            w.payload(layer.b)
     elif isinstance(layer, Conv2D):
-        _w_u32(f, *layer.K.shape, layer.stride, layer.padding, 0 if layer.b is None else 1)
-        _w_arr(f, layer.K)
+        w.u32(*layer.K.shape, layer.stride, layer.padding, 0 if layer.b is None else 1)
+        w.payload(layer.K)
         if layer.b is not None:
-            _w_arr(f, layer.b)
+            w.payload(layer.b)
     elif isinstance(layer, MeanPool2D):
-        _w_u32(f, layer.size)
+        w.u32(layer.size)
     elif isinstance(layer, (FixedDense, FixedConv1x1)):
-        _w_u32(f, layer.U.shape[0])
-        _w_arr(f, layer.U)
+        w.u32(layer.U.shape[0])
+        w.payload(layer.U)
     elif isinstance(layer, Bias):
-        _w_u32(f, layer.b.shape[0])
-        _w_arr(f, layer.b)
+        w.u32(layer.b.shape[0])
+        w.payload(layer.b)
     elif isinstance(layer, (ReLU, Flatten)):
         pass
     else:
@@ -103,54 +65,38 @@ def _write_layer(f, layer):
 
 
 def load_network(path):
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise DataFormatError("bad checkpoint magic (expected REWC)")
-        (version,) = _r(f, "<I")
-        if version != VERSION:
-            raise DataFormatError(f"unsupported checkpoint version {version}")
-        (seed,) = _r(f, "<q")
-        (head_classes,) = _r(f, "<I")
-        (ndim,) = _r(f, "<B")
-        input_shape = _r(f, "<" + "I" * ndim)
-        (n_layers,) = _r(f, "<I")
-        layers = [_read_layer(f) for _ in range(n_layers)]
-        (n_pairs,) = _r(f, "<I")
-        pairs = []
-        for _ in range(n_pairs):
-            idx, d1, d2 = _r(f, "<III")
-            u1 = _r_arr(f, (d1, d1))
-            u2 = _r_arr(f, (d2, d2))
-            pairs.append(RotationPair(layer_index=idx, U1=u1, U2=u2))
+    r = Reader(path, MAGIC, VERSION, "checkpoint")
+    seed, head_classes = r.unpack("qI")
+    input_shape = r.dims()
+    layers = [_read_layer(r) for _ in range(r.u32())]
+    pairs = []
+    for _ in range(r.u32()):
+        idx, d1, d2 = r.unpack("III")
+        pairs.append(RotationPair(idx, r.payload((d1, d1)), r.payload((d2, d2))))
     return Network(layers, head_classes, seed, input_shape, rotation_pairs=pairs)
 
 
-def _read_layer(f):
-    (tag,) = _r(f, "<B")
+def _read_layer(r):
+    (tag,) = r.unpack("B")
     if tag == _KIND_TAGS["dense"]:
-        d2, d1, has_b = _r(f, "<III")
-        w = _r_arr(f, (d2, d1))
-        b = _r_arr(f, (d2,)) if has_b else None
-        return Dense(w, b)
+        d2, d1, has_b = r.unpack("III")
+        return Dense(r.payload((d2, d1)), r.payload((d2,)) if has_b else None)
     if tag == _KIND_TAGS["conv2d"]:
-        kh, kw, d1, d2, stride, padding, has_b = _r(f, "<IIIIIII")
-        k = _r_arr(f, (kh, kw, d1, d2))
-        b = _r_arr(f, (d2,)) if has_b else None
-        return Conv2D(k, b, stride, padding)
+        kh, kw, d1, d2, stride, padding, has_b = r.unpack("IIIIIII")
+        k = r.payload((kh, kw, d1, d2))
+        return Conv2D(k, r.payload((d2,)) if has_b else None, stride, padding)
     if tag == _KIND_TAGS["relu"]:
         return ReLU()
     if tag == _KIND_TAGS["flatten"]:
         return Flatten()
     if tag == _KIND_TAGS["meanpool2d"]:
-        (size,) = _r(f, "<I")
-        return MeanPool2D(size)
+        return MeanPool2D(r.u32())
     if tag == _KIND_TAGS["fixed_dense"]:
-        (n,) = _r(f, "<I")
-        return FixedDense(_r_arr(f, (n, n)))
+        n = r.u32()
+        return FixedDense(r.payload((n, n)))
     if tag == _KIND_TAGS["fixed_conv1x1"]:
-        (n,) = _r(f, "<I")
-        return FixedConv1x1(_r_arr(f, (n, n)))
+        n = r.u32()
+        return FixedConv1x1(r.payload((n, n)))
     if tag == _KIND_TAGS["bias"]:
-        (n,) = _r(f, "<I")
-        return Bias(_r_arr(f, (n,)))
+        return Bias(r.payload((r.u32(),)))
     raise DataFormatError(f"unknown layer tag {tag}")

@@ -268,13 +268,12 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                     f"of task {k}"
                 )
     if method.name == "rewc":
-        # finalize_task maps these indices of the plain network to rotated ones.
-        plain = combine_network(net, net.rotation_pairs) if net.rotation_pairs else net
-        bad = [i for i in hyper.diag_layers if not 0 <= i < len(plain.layers)]
+        # finalize_task maps these indices of the plain network to rotated ones;
+        # each walked unit, sandwich or plain layer, is one plain layer.
+        n_plain = sum(1 for _ in walk_sandwiches(net.layers, net.rotation_pairs))
+        bad = [i for i in hyper.diag_layers if not 0 <= i < n_plain]
         if bad:
-            raise DimensionError(
-                f"diag_layers {bad} out of range for a {len(plain.layers)}-layer network"
-            )
+            raise DimensionError(f"diag_layers {bad} out of range for a {n_plain}-layer network")
 
     anchor = None
     for k in range(T):

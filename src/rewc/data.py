@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfmt import Reader, Writer
 from .errors import DataFormatError, DimensionError
 from .util import rng_for
 
@@ -241,51 +242,26 @@ RDAT_MAGIC = b"RDAT"
 RDAT_VERSION = 1
 
 
-def _write_array(f, arr):
-    arr = np.asarray(arr)
-    if arr.dtype == np.int64:
-        tag, dt = 1, "<i8"
-    else:
-        tag, dt = 0, "<f8"
-    f.write(struct.pack("<BB", tag, arr.ndim))
-    f.write(struct.pack("<" + "I" * arr.ndim, *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
-
-
-def _read_array(f):
-    tag, ndim = struct.unpack("<BB", f.read(2))
-    shape = struct.unpack("<" + "I" * ndim, f.read(4 * ndim))
-    dt = "<i8" if tag == 1 else "<f8"
-    count = int(np.prod(shape))
-    buf = f.read(8 * count)
-    if len(buf) != 8 * count:
-        raise DataFormatError("dataset cache truncated")
-    out = np.frombuffer(buf, dtype=dt).reshape(shape)
-    return out.astype(np.int64) if tag == 1 else out.astype(np.float64)
-
-
 def save_task_sequence(seq, path):
-    with open(path, "wb") as f:
-        f.write(RDAT_MAGIC)
-        f.write(struct.pack("<III", RDAT_VERSION, len(seq), seq.n_classes))
+    with Writer(path, RDAT_MAGIC, RDAT_VERSION) as w:
+        w.u32(len(seq), seq.n_classes)
         for t in seq:
-            f.write(struct.pack("<II", t.task_id, len(t.class_ids)))
-            f.write(struct.pack("<" + "I" * len(t.class_ids), *t.class_ids))
+            w.u32(t.task_id, len(t.class_ids), *t.class_ids)
             for arr in (t.train_x, t.train_y, t.test_x, t.test_y):
-                _write_array(f, arr)
+                w.array(arr, tagged=True)
 
 
 def load_task_sequence(path):
-    with open(path, "rb") as f:
-        if f.read(4) != RDAT_MAGIC:
-            raise DataFormatError("bad dataset cache magic (expected RDAT)")
-        version, n_tasks, n_classes = struct.unpack("<III", f.read(12))
-        if version != RDAT_VERSION:
-            raise DataFormatError(f"unsupported dataset cache version {version}")
-        tasks = []
-        for _ in range(n_tasks):
-            task_id, n_cls = struct.unpack("<II", f.read(8))
-            class_ids = struct.unpack("<" + "I" * n_cls, f.read(4 * n_cls))
-            arrays = [_read_array(f) for _ in range(4)]
-            tasks.append(TaskDataset(task_id, tuple(class_ids), *arrays))
+    """Read an RDAT cache; inputs must be float64 (tag 0), labels int64 (tag 1)."""
+    r = Reader(path, RDAT_MAGIC, RDAT_VERSION, "dataset cache")
+    n_tasks, n_classes = r.unpack("II")
+    tasks = []
+    for _ in range(n_tasks):
+        task_id, n_cls = r.unpack("II")
+        class_ids = r.unpack("I" * n_cls)
+        arrays = [r.array(tag) for tag in (0, 1, 0, 1)]  # train_x, train_y, test_x, test_y
+        for x, y in (arrays[:2], arrays[2:]):
+            if x.ndim == 0 or y.ndim != 1 or len(x) != len(y):
+                raise DataFormatError(f"task {task_id}: inputs {x.shape} but labels {y.shape}")
+        tasks.append(TaskDataset(task_id, class_ids, *arrays))
     return TaskSequence(tasks, n_classes)

@@ -18,12 +18,12 @@ reduces the same records into the input and output-gradient correlations
 (sampled labels, or the true ones).
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CapacityError, DataFormatError, DimensionError
+from .binfmt import Reader, Writer
+from .errors import AlignmentError, CapacityError, DimensionError
 from .layers import Conv2D, Dense
 from .network import CHUNK, backward, forward, layout_signature, softmax
 from .util import rng_for
@@ -263,42 +263,19 @@ FIM_VERSION = 1
 
 
 def save_fim(fim, path):
-    with open(path, "wb") as f:
-        f.write(FIM_MAGIC)
-        f.write(struct.pack("<I", FIM_VERSION))
-        h = fim.layout_hash.encode()
-        f.write(struct.pack("<I", len(h)))
-        f.write(h)
-        f.write(struct.pack("<I", len(fim.values)))
+    with Writer(path, FIM_MAGIC, FIM_VERSION) as w:
+        w.name(fim.layout_hash)
+        w.u32(len(fim.values))
         for key in sorted(fim.values):
-            kb = key.encode()
-            arr = fim.values[key]
-            f.write(struct.pack("<I", len(kb)))
-            f.write(kb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack("<" + "I" * arr.ndim, *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            w.name(key)
+            w.array(fim.values[key])
 
 
 def load_fim(path):
-    with open(path, "rb") as f:
-        if f.read(4) != FIM_MAGIC:
-            raise DataFormatError("bad FIM snapshot magic (expected RFIM)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != FIM_VERSION:
-            raise DataFormatError(f"unsupported FIM snapshot version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        layout_hash = f.read(hlen).decode()
-        (n,) = struct.unpack("<I", f.read(4))
-        values = {}
-        for _ in range(n):
-            (klen,) = struct.unpack("<I", f.read(4))
-            key = f.read(klen).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack("<" + "I" * ndim, f.read(4 * ndim))
-            count = int(np.prod(shape))
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise DataFormatError("FIM snapshot truncated")
-            values[key] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+    r = Reader(path, FIM_MAGIC, FIM_VERSION, "FIM snapshot")
+    layout_hash = r.name()
+    values = {}
+    for _ in range(r.u32()):
+        key = r.name()
+        values[key] = r.array()
     return FimDiagonal(values=values, layout_hash=layout_hash)

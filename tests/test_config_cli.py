@@ -183,6 +183,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     save_network(net, str(ck))
     assert run_cli(["fim-probe", str(ck), "--layer", "99"]) == 2
     capsys.readouterr()
+    # a truncated checkpoint: the reader names the truncation, no traceback
+    ck.write_bytes(ck.read_bytes()[:-5])
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checkpoint truncated" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("index, field", [(0, "stride"), (2, "size")],
