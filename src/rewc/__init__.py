@@ -39,7 +39,6 @@ from .network import (
 from .optim import AdamState, adam_step
 from .rotation import (
     CorrelationStats,
-    RotationPair,
     RotationScope,
     accumulate_correlations,
     combine_network,
@@ -61,7 +60,6 @@ __all__ = [
     "Method",
     "Network",
     "RawDataset",
-    "RotationPair",
     "RotationScope",
     "TaskDataset",
     "TaskSequence",

@@ -5,7 +5,8 @@ little-endian; names are UTF-8 with a u32 byte-length prefix; arrays are raw
 ``<f8`` (RDAT labels: ``<i8``).  A shaped array is ``ndim u8 | dims u32...``
 then its payload; an RDAT array puts a dtype tag u8 (0 float64, 1 int64) in
 front.  ``Reader`` is the one place that checks magic, version, short reads,
-name decoding and tags: each fault raises ``DataFormatError``.
+name decoding, tags and the end of the data (no byte may follow the last
+record): each fault raises ``DataFormatError``.
 """
 
 import struct
@@ -78,6 +79,12 @@ class Reader:
             raise DataFormatError(f"{self._what} truncated")
         self._pos += n
         return self._buf[self._pos - n : self._pos]
+
+    def end(self):
+        """Require that the whole file was read."""
+        extra = len(self._buf) - self._pos
+        if extra:
+            raise DataFormatError(f"{self._what} has {extra} bytes after its last record")
 
     def unpack(self, fmt):
         fmt = "<" + fmt

@@ -1,7 +1,7 @@
 """Sequential task training with plain fine-tuning, EWC, and rotated EWC.
 
-Per finished task the rotated variant fuses any existing rotation sandwich,
-recomputes fresh rotations from that task's data, estimates the diagonal
+Per finished task the rotated variant folds any existing rotation into the
+weights, recomputes fresh rotations from that task's data, estimates the diagonal
 curvature at the rotated parameters, and anchors there; the next task then
 trains in the rotated space.  Exactly one anchor is kept at any time.
 """
@@ -14,18 +14,9 @@ import numpy as np
 from .errors import CapacityError, DimensionError
 from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
-from .layers import Conv2D
-from .network import CHUNK, Network, backward, forward, grow_head
+from .network import CHUNK, backward, forward, grow_head
 from .optim import AdamState, adam_step
-from .rotation import (
-    RotationScope,
-    accumulate_correlations,
-    combine_network,
-    rotate_conv_kernel,
-    rotate_network,
-    rotated_layer_map,
-    walk_sandwiches,
-)
+from .rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
 from .util import rng_for
 
 METHODS = ("ft", "ewc", "rewc")
@@ -100,69 +91,19 @@ class EvalMatrix:
         return [list(r) for r in self.rows]
 
 
-class TrainingStep:
-    """The gradients of one training step, with every conv rotation sandwich
-    run as one convolution.
-
-    ``net`` keeps its layer list; the step runs ``self.net``, which shares
-    every other layer with it.  A sandwich ``FixedConv1x1(U1) · Conv2D(K') ·
-    FixedConv1x1(U2) · Bias(b)`` becomes one ``Conv2D`` with kernel
-    ``rotate_conv_kernel(K', U1ᵀ, U2ᵀ)`` and bias ``b``, the map
-    ``combine_network`` forms.  By the chain rule, ``K'`` gets
-    ``rotate_conv_kernel(gK, U1, U2)`` and ``b`` the conv's bias gradient.
-    Dense sandwiches stay as they are: forming ``U2 W' U1`` for a wide layer
-    costs more than its frozen passes at training batch sizes.
-    """
-
-    def __init__(self, net):
-        self.source = net
-        self.keys = {}  # step key -> net key, for the layers shared with net
-        self.fused = []  # (step index, net conv index, net Bias index or None, pair)
-        layers = []
-        for start, stop, pair in walk_sandwiches(net.layers, net.rotation_pairs):
-            if pair is not None and isinstance(net.layers[start + 1], Conv2D):
-                mid = net.layers[start + 1]
-                bias = start + 3 if stop - start == 4 else None
-                self.fused.append((len(layers), start + 1, bias, pair))
-                b = None if bias is None else net.layers[bias].b
-                layers.append(Conv2D(mid.K, b, mid.stride, mid.padding))
-                continue
-            for i in range(start, stop):
-                for name in net.layers[i].params():
-                    self.keys[f"{len(layers)}.{name}"] = f"{i}.{name}"
-                layers.append(net.layers[i])
-        self.net = Network(layers, net.head_classes, net.rng_seed, net.input_shape)
-
-    def gradients(self, x, labels):
-        """Mean cross-entropy gradients keyed like ``net``'s parameters."""
-        layers = self.source.layers
-        for j, mid, bias, pair in self.fused:
-            conv = self.net.layers[j]
-            conv.K = rotate_conv_kernel(layers[mid].K, pair.U1.T, pair.U2.T)
-            if bias is not None:
-                conv.b = layers[bias].b
-        _, cache = forward(self.net, x)
-        _, gset = backward(self.net, cache, labels)
-        grads = {self.keys[k]: g for k, g in gset.grads.items() if k in self.keys}
-        for j, mid, bias, pair in self.fused:
-            grads[f"{mid}.K"] = rotate_conv_kernel(gset.grads[f"{j}.K"], pair.U1, pair.U2)
-            if bias is not None:
-                grads[f"{bias}.b"] = gset.grads[f"{j}.b"]
-        return grads
-
-
 def train_task(net, task, method, hyper, task_index, anchor=None):
     """Minibatch Adam over one task, with the anchor penalty when present."""
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
-    step = TrainingStep(net)
     n = task.train_x.shape[0]
     use_penalty = anchor is not None and anchor.lam > 0.0
     for _ in range(hyper.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             sel = perm[start : start + hyper.batch_size]
-            grads = step.gradients(task.train_x[sel], task.train_y[sel])
+            _, cache = forward(net, task.train_x[sel])
+            grads = backward(net, cache, task.train_y[sel])[1].grads
+            del cache  # free the batch's activations before the next forward allocates its own
             if use_penalty:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}
@@ -194,22 +135,19 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
         return net, None
 
     if method.name == "rewc":
-        # Rotated EWC: fuse any previous sandwich, rotate fresh, anchor in the
-        # rotated space.
-        if net.rotation_pairs:
-            net = combine_network(net, net.rotation_pairs)
+        # Rotated EWC: fold any previous rotation into the weights, rotate
+        # fresh, anchor in the rotated space.
+        if net.is_rotated():
+            net = combine_network(net)
         rng_rot = rng_for(hyper.seed, "rotate", task_index)
         stats = accumulate_correlations(
             net, task.train_x, method.fim_samples, rng_rot, labels=task.train_y
         )
-        index_map = rotated_layer_map(net, method.scope, rotate_head=False)
         if diagnostics is not None and hyper.diag_layers:
-            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
-                                {i: i for i in index_map}, "before")
-        net, _ = rotate_network(net, stats, method.scope, rotate_head=False)
+            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "before")
+        net = rotate_network(net, stats, method.scope, rotate_head=False)
         if diagnostics is not None and hyper.diag_layers:
-            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method,
-                                index_map, "after")
+            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "after")
     rng_fim = rng_for(hyper.seed, "fim", task_index)
     fim = estimate_diag_fim(
         net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y
@@ -217,15 +155,15 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
     return net, make_anchor(net, fim, method.lam)
 
 
-def _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, index_map, key):
-    """Full-FIM diagonal-energy ratios for the requested (pre-rotation) layers."""
+def _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, key):
+    """Full-FIM diagonal-energy ratios for the requested layers."""
     entry = diagnostics.setdefault("diag_energy", {}).setdefault(str(task_index), {})
-    for plain_idx in hyper.diag_layers:
-        rec = entry.setdefault(str(plain_idx), {})
+    for idx in hyper.diag_layers:
+        rec = entry.setdefault(str(idx), {})
         try:
-            rng = rng_for(hyper.seed, "fim-diag", task_index, plain_idx, key)
+            rng = rng_for(hyper.seed, "fim-diag", task_index, idx, key)
             block = estimate_full_fim_layer(
-                net, task.train_x, index_map[plain_idx], method.fim_samples,
+                net, task.train_x, idx, method.fim_samples,
                 method.fim_mode, rng, task.train_y,
             )
         except (CapacityError, DimensionError) as e:  # diagnostic-only problems
@@ -241,7 +179,7 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
 
     Returns ``(net, EvalMatrix, diagnostics)``.  The network ends in whatever
     parameterization the method leaves it in after the final task (rotated
-    sandwiches included for the rotated method when more tasks were pending).
+    layers included for the rotated method when more tasks were pending).
     ``task_callback(k, net)``, when given, fires after each task's evaluation,
     e.g. to write checkpoints.
     """
@@ -268,12 +206,10 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                     f"of task {k}"
                 )
     if method.name == "rewc":
-        # finalize_task maps these indices of the plain network to rotated ones;
-        # each walked unit, sandwich or plain layer, is one plain layer.
-        n_plain = sum(1 for _ in walk_sandwiches(net.layers, net.rotation_pairs))
-        bad = [i for i in hyper.diag_layers if not 0 <= i < n_plain]
+        n = len(net.layers)
+        bad = [i for i in hyper.diag_layers if not 0 <= i < n]
         if bad:
-            raise DimensionError(f"diag_layers {bad} out of range for a {n_plain}-layer network")
+            raise DimensionError(f"diag_layers {bad} out of range for a {n}-layer network")
 
     anchor = None
     for k in range(T):

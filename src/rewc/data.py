@@ -264,4 +264,5 @@ def load_task_sequence(path):
             if x.ndim == 0 or y.ndim != 1 or len(x) != len(y):
                 raise DataFormatError(f"task {task_id}: inputs {x.shape} but labels {y.shape}")
         tasks.append(TaskDataset(task_id, class_ids, *arrays))
+    r.end()
     return TaskSequence(tasks, n_classes)

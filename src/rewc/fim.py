@@ -13,9 +13,10 @@ set, with one label sampler.  The backward pass is record-only
 layer's input and output gradient and forms no parameter gradient, since
 no estimator reads one.  The diagonal and full-block estimators reduce
 each trainable layer's recorded input and output gradient into per-example
-gradients (Goodfellow, arXiv 1510.01799); ``rotation.accumulate_correlations``
-reduces the same records into the input and output-gradient correlations
-(sampled labels, or the true ones).
+gradients (Goodfellow, arXiv 1510.01799) of the weight in the layer's own,
+possibly rotated, coordinates; ``rotation.accumulate_correlations`` reduces
+the same records into the input and output-gradient correlations (sampled
+labels, or the true ones).
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from .binfmt import Reader, Writer
 from .errors import AlignmentError, CapacityError, DimensionError
-from .layers import Conv2D, Dense
+from .layers import Conv2D, Dense, rotate_conv_kernel
 from .network import CHUNK, backward, forward, layout_signature, softmax
 from .util import rng_for
 
@@ -134,17 +135,35 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
             yield cache, w, backward(net, cache, y, record_only=True)[1]
 
 
-def _example_weight_grads(layer, x, g, aux):
+def _dense_factors(layer, x, g, aux, n):
+    """A dense layer's per-example weight gradient is the outer product of its
+    output gradient and input; both in the weight's coordinates: ``g U2`` and
+    the forward's cached ``x U1^T`` for a rotated layer.  ``g`` is the
+    batch-mean gradient, rescaled here by the batch size ``n``."""
+    if layer.rotated:
+        x, g = aux, g @ layer.U2
+    return x, g * n
+
+
+def _example_weight_grads(layer, x, g, aux, n):
     """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
-    and ``(n, kh*kw*d_in, d_out)`` for a convolution.  A convolution with a
-    bias has one more row, its bias gradient, read from the patch matrix's
-    ones column."""
+    and ``(n, kh*kw*d_in, d_out)`` for a convolution, from the batch-mean
+    output gradient ``g`` of ``n`` examples.  A convolution with a bias has
+    one more row, its bias gradient, read from the patch matrix's ones
+    column; a rotated convolution's kernel rows are mapped into its rotated
+    coordinates, and its bias row stays as it is."""
     if isinstance(layer, Dense):
+        x, g = _dense_factors(layer, x, g, aux, n)
         return g[:, :, None] * x[:, None, :]
     patches = aux[0]
-    n = patches.shape[0]
     cols = patches.reshape(n, -1, patches.shape[-1])
-    return np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1]))
+    g = g * n
+    ge = np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1]))
+    if layer.rotated:
+        rows = layer.K[..., 0].size
+        stacked = ge[:, :rows].reshape((-1,) + layer.K.shape[1:])  # the n kernels, stacked
+        ge[:, :rows] = rotate_conv_kernel(stacked, layer.U1, layer.U2).reshape(n, rows, -1)
+    return ge
 
 
 def _example_bias_grads(g):
@@ -160,18 +179,18 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
     for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
         for i, layer in trainable:
             x = gset.layer_inputs[i]
-            g = gset.layer_output_grads[i] * len(w)  # undo the batch-mean scaling
-            if isinstance(layer, Dense):
-                acc[f"{i}.W"] += (w[:, None] * g * g).T @ (x * x)
-            elif isinstance(layer, Conv2D):
-                ge = _example_weight_grads(layer, x, g, cache.aux[i])
+            g = gset.layer_output_grads[i]
+            if isinstance(layer, Conv2D):
+                ge = _example_weight_grads(layer, x, g, cache.aux[i], len(w))
                 sq = np.tensordot(w, ge * ge, axes=1)
                 acc[f"{i}.K"] += sq[: layer.K[..., 0].size].reshape(layer.K.shape)
                 if layer.b is not None:
                     acc[f"{i}.b"] += sq[-1]
                 continue
+            xw, gw = _dense_factors(layer, x, g, cache.aux[i], len(w))
+            acc[f"{i}.W"] += (w[:, None] * gw * gw).T @ (xw * xw)
             if layer.b is not None:
-                gb = _example_bias_grads(g)
+                gb = _example_bias_grads(g * len(w))  # undo the batch-mean scaling
                 acc[f"{i}.b"] += w @ (gb * gb)
     for key in acc:
         acc[key] /= sample_budget
@@ -199,8 +218,8 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
     acc = np.zeros((size, size))
     for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
         x = gset.layer_inputs[layer_index]
-        g = gset.layer_output_grads[layer_index] * len(w)  # undo the batch-mean scaling
-        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index])
+        g = gset.layer_output_grads[layer_index]
+        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index], len(w))
         ge = ge[:, : size // ge.shape[2]].reshape(len(w), size)  # a conv's bias row dropped
         acc += (w[:, None] * ge).T @ ge
     return FimBlock(layer_index=layer_index, matrix=acc / sample_budget)
@@ -278,4 +297,5 @@ def load_fim(path):
     for _ in range(r.u32()):
         key = r.name()
         values[key] = r.array()
+    r.end()
     return FimDiagonal(values=values, layout_hash=layout_hash)

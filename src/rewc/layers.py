@@ -10,17 +10,28 @@ returns ``(grad_in, param_grads)`` with ``param_grads`` keyed like
 ``params()``, or ``None`` for parameter-free layers and when called with
 ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
 ``need_input_grad=False``.
+
+A dense or conv layer may carry a rotation ``(U1, U2)``: two orthogonal
+matrices that reparameterize its weight, so that the layer computes
+``U2 W U1`` (per kernel slice for a convolution) plus its bias, which stays
+outside ``U2``.  Its ``W`` or ``K`` is then the weight in rotated
+coordinates, the parameter the optimizer and the Fisher see.
 """
+
+import copy
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
+ORTHOGONALITY_ATOL = 1e-8
+
 
 class Layer:
     kind = "base"
     trainable = False
+    rotated = False
 
     def forward(self, x):
         raise NotImplementedError
@@ -39,34 +50,96 @@ class Layer:
         raise NotImplementedError
 
     def clone(self):
-        raise NotImplementedError
+        """A copy that shares no array with this layer."""
+        new = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(new, name, value.copy())
+        return new
+
+
+def _rotation(U1, U2, d_in, d_out):
+    """The checked rotation ``(U1, U2)`` of a layer, or ``(None, None)``."""
+    if U1 is None and U2 is None:
+        return None, None
+    if U1 is None or U2 is None:
+        raise DimensionError("a rotation needs both U1 and U2")
+    out = []
+    for name, u, d in (("U1", U1, d_in), ("U2", U2, d_out)):
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (d, d):
+            raise DimensionError(f"{name} must be {d}x{d}, got {u.shape}")
+        err = np.max(np.abs(u.T @ u - np.eye(d)))
+        if err > ORTHOGONALITY_ATOL:
+            raise DimensionError(f"{name} is not orthogonal (deviation {err:.2e})")
+        out.append(u)
+    return tuple(out)
+
+
+def rotate_conv_kernel(K, U1, U2):
+    """Rotate every spatial slice of a kernel by the rotation matrices.
+
+    Slices are stored input-major ``(d1, d2)``; in operator orientation the
+    per-slice map becomes ``U2^T M U1^T``, matching the dense weight rule.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 4:
+        raise DimensionError("kernel must be 4-D")
+    d1, d2 = K.shape[2], K.shape[3]
+    if U1.shape != (d1, d1) or U2.shape != (d2, d2):
+        raise DimensionError(
+            f"rotation dims {U1.shape}/{U2.shape} do not match kernel channels {d1}/{d2}"
+        )
+    return ((U1 @ K.reshape(-1, d1, d2)).reshape(-1, d2) @ U2).reshape(K.shape)
 
 
 class Dense(Layer):
+    """``y = x W^T + b``; rotated, ``y = ((x U1^T) W^T) U2^T + b``, three GEMMs
+    with ``x U1^T`` kept for the backward pass and the Fisher."""
+
     kind = "dense"
     trainable = True
 
-    def __init__(self, W, b=None):
+    def __init__(self, W, b=None, U1=None, U2=None):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
         if self.W.ndim != 2:
             raise DimensionError(f"dense weight must be 2-D, got {self.W.shape}")
         if self.b is not None and self.b.shape != (self.W.shape[0],):
             raise DimensionError("dense bias length must equal output width")
+        self.U1, self.U2 = _rotation(U1, U2, self.W.shape[1], self.W.shape[0])
+
+    @property
+    def rotated(self):
+        return self.U1 is not None
 
     def forward(self, x):
-        y = x @ self.W.T
+        return self.forward_cached(x)[0]
+
+    def forward_cached(self, x):
+        if self.rotated:
+            h = x @ self.U1.T
+            y = (h @ self.W.T) @ self.U2.T
+        else:
+            h, y = None, x @ self.W.T
         if self.b is not None:
             y = y + self.b
-        return y
+        return y, h
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+        g = grad_out
+        if self.rotated:
+            x = aux if aux is not None else x @ self.U1.T
+            g = grad_out @ self.U2
         grads = None
         if need_param_grads:
-            grads = {"W": grad_out.T @ x}
+            grads = {"W": g.T @ x}
             if self.b is not None:
                 grads["b"] = grad_out.sum(axis=0)
-        return (grad_out @ self.W if need_input_grad else None), grads
+        if not need_input_grad:
+            return None, grads
+        gx = g @ self.W
+        return (gx @ self.U1 if self.rotated else gx), grads
 
     def params(self):
         p = {"W": self.W}
@@ -81,15 +154,16 @@ class Dense(Layer):
             )
         return (self.W.shape[0],)
 
-    def clone(self):
-        return Dense(self.W.copy(), None if self.b is None else self.b.copy())
-
 
 class Conv2D(Layer):
+    """Convolution by im2col; rotated, every pass runs one convolution with
+    the kernel ``rotate_conv_kernel(K, U1^T, U2^T)`` and maps the kernel
+    gradient back with ``rotate_conv_kernel(gK, U1, U2)``."""
+
     kind = "conv2d"
     trainable = True
 
-    def __init__(self, K, b=None, stride=1, padding=0):
+    def __init__(self, K, b=None, stride=1, padding=0, U1=None, U2=None):
         self.K = np.asarray(K, dtype=np.float64)
         if self.K.ndim != 4:
             raise DimensionError(f"conv kernel must be 4-D, got {self.K.shape}")
@@ -102,6 +176,15 @@ class Conv2D(Layer):
             raise DimensionError(f"conv stride must be at least 1, got {self.stride}")
         if self.padding < 0:
             raise DimensionError(f"conv padding must be non-negative, got {self.padding}")
+        self.U1, self.U2 = _rotation(U1, U2, self.K.shape[2], self.K.shape[3])
+
+    @property
+    def rotated(self):
+        return self.U1 is not None
+
+    def kernel(self):
+        """The kernel in plain coordinates, the one every pass convolves with."""
+        return rotate_conv_kernel(self.K, self.U1.T, self.U2.T) if self.rotated else self.K
 
     def _patches(self, x):
         """The im2col matrix ``(N, H2, W2, kh*kw*C)`` and the padded input.
@@ -134,14 +217,15 @@ class Conv2D(Layer):
 
     def forward_cached(self, x):
         patches, xp = self._patches(x)
-        M = self.K.reshape(-1, self.K.shape[3])
+        K = self.kernel()
+        M = K.reshape(-1, K.shape[3])
         if self.b is not None:
             M = np.concatenate([M, self.b[None]])
-        return patches @ M, (patches, xp)
+        return patches @ M, (patches, xp, K)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        patches, xp = aux if aux is not None else self._patches(x)
-        kh, kw, d1, d2 = self.K.shape
+        patches, xp, K = aux if aux is not None else self._patches(x) + (self.kernel(),)
+        kh, kw, d1, d2 = K.shape
         g2d = grad_out.reshape(-1, d2)
         grads = None
         if need_param_grads:
@@ -149,7 +233,8 @@ class Conv2D(Layer):
             # over the patches would first copy them transposed.  Its last row
             # is the bias gradient when the patches carry the ones column.
             gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
-            grads = {"K": gM[: kh * kw * d1].reshape(self.K.shape)}
+            gK = gM[: kh * kw * d1].reshape(K.shape)
+            grads = {"K": rotate_conv_kernel(gK, self.U1, self.U2) if self.rotated else gK}
             if self.b is not None:
                 grads["b"] = gM[-1]
         if not need_input_grad:
@@ -158,7 +243,7 @@ class Conv2D(Layer):
         n, h2, w2 = grad_out.shape[:3]
         # One contiguous copy of the transposed kernel slices instead of a
         # strided K[a, b].T operand in every GEMM.
-        Kt = np.ascontiguousarray(self.K.transpose(0, 1, 3, 2))
+        Kt = np.ascontiguousarray(K.transpose(0, 1, 3, 2))
         gxp = np.zeros_like(xp)
         for a in range(kh):
             for b_ in range(kw):
@@ -187,14 +272,6 @@ class Conv2D(Layer):
             raise DimensionError("conv kernel larger than padded input")
         return (h // self.stride + 1, w // self.stride + 1, self.K.shape[3])
 
-    def clone(self):
-        return Conv2D(
-            self.K.copy(),
-            None if self.b is None else self.b.copy(),
-            self.stride,
-            self.padding,
-        )
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -208,9 +285,6 @@ class ReLU(Layer):
     def out_shape(self, in_shape):
         return in_shape
 
-    def clone(self):
-        return ReLU()
-
 
 class Flatten(Layer):
     kind = "flatten"
@@ -223,9 +297,6 @@ class Flatten(Layer):
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
-
-    def clone(self):
-        return Flatten()
 
 
 class MeanPool2D(Layer):
@@ -261,91 +332,3 @@ class MeanPool2D(Layer):
         if h % s or w % s:
             raise DimensionError(f"pool size {s} does not divide input {in_shape}")
         return (h // s, w // s, c)
-
-    def clone(self):
-        return MeanPool2D(self.size)
-
-
-class FixedMatrix(Layer):
-    """Frozen square matrix applied along the trailing (feature or channel)
-    axis; never touched by the optimizer."""
-
-    def __init__(self, U):
-        self.U = np.asarray(U, dtype=np.float64)
-        if self.U.ndim != 2 or self.U.shape[0] != self.U.shape[1]:
-            raise DimensionError(f"{self.kind} matrix must be square")
-
-    # Both passes multiply on the 2-D ``(-1, d)`` view: one GEMM instead of
-    # numpy's stacked N-D matmul over the leading axes.
-    def forward(self, x):
-        d = self.U.shape[0]
-        return (x.reshape(-1, d) @ self.U.T).reshape(x.shape)
-
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        d = self.U.shape[0]
-        return (grad_out.reshape(-1, d) @ self.U).reshape(grad_out.shape), None
-
-    def clone(self):
-        return type(self)(self.U.copy())
-
-
-class FixedDense(FixedMatrix):
-    """Dense map with a frozen matrix."""
-
-    kind = "fixed_dense"
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.U.shape[1]:
-            raise DimensionError("fixed dense width mismatch")
-        return (self.U.shape[0],)
-
-
-class FixedConv1x1(FixedMatrix):
-    """Frozen 1x1 convolution: applies a square matrix to every channel fiber."""
-
-    kind = "fixed_conv1x1"
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[2] != self.U.shape[1]:
-            raise DimensionError("fixed 1x1 conv channel mismatch")
-        return (in_shape[0], in_shape[1], self.U.shape[0])
-
-
-class Bias(Layer):
-    """Trainable additive bias over the trailing (feature or channel) axis.
-
-    Used when a rotation sandwich moves a layer's bias outside the fixed
-    rotation, so the bias keeps receiving gradient and curvature estimates.
-    """
-
-    kind = "bias"
-    trainable = True
-
-    def __init__(self, b):
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.b.ndim != 1:
-            raise DimensionError("bias must be a vector")
-
-    def forward(self, x):
-        return x + self.b
-
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        if not need_param_grads:
-            return grad_out, None
-        axes = tuple(range(grad_out.ndim - 1))
-        return grad_out, {"b": grad_out.sum(axis=axes)}
-
-    def params(self):
-        return {"b": self.b}
-
-    def out_shape(self, in_shape):
-        if in_shape[-1] != self.b.shape[0]:
-            raise DimensionError("bias width mismatch")
-        return in_shape
-
-    def clone(self):
-        return Bias(self.b.copy())
-
-
-def is_fixed(layer):
-    return isinstance(layer, FixedMatrix)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, StateError
-from .layers import Bias, Conv2D, Dense, FixedDense, Flatten, MeanPool2D, ReLU, is_fixed
+from .layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from .util import rng_for
 
 HEAD_INIT_STD = 0.01
@@ -21,34 +21,21 @@ class Network:
     Shape compatibility of the whole chain is checked at construction.
     """
 
-    def __init__(self, layers, head_classes, rng_seed, input_shape, rotation_pairs=None):
+    def __init__(self, layers, head_classes, rng_seed, input_shape):
         self.layers = list(layers)
         self.head_classes = int(head_classes)
         self.rng_seed = int(rng_seed)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.rotation_pairs = list(rotation_pairs or [])
         self._validate()
 
     def _validate(self):
-        if not self.layers:
-            raise DimensionError("network needs at least one layer")
-        head_idx = None
-        for i in range(len(self.layers) - 1, -1, -1):
-            if isinstance(self.layers[i], Dense):
-                head_idx = i
-                break
-        if head_idx is None:
+        if not self.layers or not isinstance(self.layers[-1], Dense):
             raise DimensionError("network must end in a trainable dense head")
-        for layer in self.layers[head_idx + 1 :]:
-            # Only a rotation sandwich may trail the head.
-            if not isinstance(layer, (FixedDense, Bias)):
-                raise DimensionError("head may only be followed by its rotation sandwich")
-        if self.layers[head_idx].W.shape[0] != self.head_classes:
+        if self.layers[-1].W.shape[0] != self.head_classes:
             raise DimensionError(
                 f"head_classes={self.head_classes} but head has "
-                f"{self.layers[head_idx].W.shape[0]} rows"
+                f"{self.layers[-1].W.shape[0]} rows"
             )
-        self._head_index = head_idx
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
             try:
@@ -59,7 +46,7 @@ class Network:
 
     @property
     def head_index(self):
-        return self._head_index
+        return len(self.layers) - 1
 
     def trainable_keys(self):
         """Ordered ``(key, layer_index, name)`` for every trainable parameter."""
@@ -74,39 +61,28 @@ class Network:
         idx, name = key.split(".")
         return self.layers[int(idx)].params()[name]
 
-    def set_param(self, key, value):
-        idx, name = key.split(".")
-        layer = self.layers[int(idx)]
-        cur = layer.params()[name]
-        if cur.shape != value.shape:
-            raise DimensionError(f"cannot assign {value.shape} to {key} of shape {cur.shape}")
-        setattr(layer, name, np.asarray(value, dtype=np.float64))
-
     def parameter_snapshot(self):
         return {key: self.get_param(key).copy() for key, _, _ in self.trainable_keys()}
 
-    def num_trainable_params(self):
-        return sum(self.get_param(k).size for k, _, _ in self.trainable_keys())
-
-    def has_fixed_layers(self):
-        return any(is_fixed(l) for l in self.layers)
+    def is_rotated(self):
+        return any(l.rotated for l in self.layers)
 
     def clone(self):
         return Network(
-            [l.clone() for l in self.layers],
-            self.head_classes,
-            self.rng_seed,
-            self.input_shape,
-            rotation_pairs=list(self.rotation_pairs),
+            [l.clone() for l in self.layers], self.head_classes, self.rng_seed, self.input_shape
         )
 
 
 def layout_signature(net):
-    """Hash of the trainable-parameter layout (kinds and shapes, in order)."""
+    """Hash of the trainable-parameter layout (kinds and shapes, in order).
+
+    A rotated layer's kind is marked, so parameters in rotated coordinates
+    never align with the plain network's."""
     parts = []
     for key, i, name in net.trainable_keys():
         shape = "x".join(str(d) for d in net.get_param(key).shape)
-        parts.append(f"{key}:{net.layers[i].kind}:{shape}")
+        kind = net.layers[i].kind + ("@rotated" if net.layers[i].rotated else "")
+        parts.append(f"{key}:{kind}:{shape}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
 
@@ -121,11 +97,11 @@ def parameter_digest(net):
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs (plus reusable intermediates) and final logits."""
+    """Per-layer inputs, the intermediates each backward reuses, and final logits."""
 
     inputs: list
     logits: np.ndarray
-    aux: list = None
+    aux: list
 
 
 @dataclass
@@ -189,7 +165,7 @@ def backward(net, cache, labels, record_only=False):
     grad /= n
 
     # Nothing below the lowest trainable layer has a parameter gradient, so
-    # backpropagation stops there (a rotated net starts with a frozen layer).
+    # backpropagation stops there.
     lowest = min(i for i, layer in enumerate(net.layers) if layer.trainable)
     gset = GradientSet(grads={})
     for i in range(len(net.layers) - 1, lowest - 1, -1):
@@ -200,8 +176,7 @@ def backward(net, cache, labels, record_only=False):
             gset.layer_output_grads[i] = grad
         if record_only and i == lowest:
             break
-        aux = cache.aux[i] if cache.aux is not None else None
-        grad, pgrads = layer.backward(x, grad, aux=aux, need_input_grad=i > lowest,
+        grad, pgrads = layer.backward(x, grad, aux=cache.aux[i], need_input_grad=i > lowest,
                                       need_param_grads=not record_only)
         if pgrads:
             for name, g in pgrads.items():
@@ -213,9 +188,9 @@ def grow_head(net, new_classes):
     """Append output rows to the head; existing rows stay bit-identical."""
     if new_classes <= 0:
         raise DimensionError("new_classes must be positive")
-    if net.head_index != len(net.layers) - 1:
-        raise StateError("cannot grow a head that sits inside a rotation sandwich")
     head = net.layers[-1]
+    if head.rotated:
+        raise StateError("cannot grow a rotated head")
     rng = rng_for(net.rng_seed, "grow-head", net.head_classes, new_classes)
     extra_w = rng.normal(0.0, HEAD_INIT_STD, size=(new_classes, head.W.shape[1]))
     head.W = np.concatenate([head.W, extra_w], axis=0)

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rewc.fim import select_samples
-from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
+from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from rewc.network import CHUNK, Network, backward, forward, log_softmax, softmax
 
 
@@ -115,41 +115,49 @@ def reference_accumulate_correlations(net, inputs, budget, rng, labels=None,
     return cx, cz
 
 
-def random_mlp(rng, with_fixed=False):
+def random_rotation(rng, d_in, d_out, rotated=True):
+    """Random orthogonal ``(U1, U2)`` for a layer, or ``(None, None)``."""
+    if not rotated:
+        return None, None
+    return tuple(np.linalg.qr(rng.normal(size=(d, d)))[0] for d in (d_in, d_out))
+
+
+def random_mlp(rng, rotated=False):
+    """A random MLP; with ``rotated``, every dense layer but the head carries
+    a random rotation."""
     d_in = int(rng.integers(3, 9))
     widths = [int(rng.integers(3, 10)) for _ in range(int(rng.integers(1, 3)))]
     head = int(rng.integers(2, 5))
     layers = []
     d = d_in
     for w in widths:
-        layers += [Dense(rng.normal(0, 0.5, (w, d)), rng.normal(0, 0.1, w)), ReLU()]
+        layers += [Dense(rng.normal(0, 0.5, (w, d)), rng.normal(0, 0.1, w),
+                         *random_rotation(rng, d, w, rotated)), ReLU()]
         d = w
-    if with_fixed:
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        layers += [FixedDense(q), Bias(rng.normal(0, 0.1, d))]
     layers.append(Dense(rng.normal(0, 0.5, (head, d)), rng.normal(0, 0.1, head)))
     return Network(layers, head, 0, (d_in,))
 
 
-def random_convnet(rng, with_fixed=False, size=8):
+def random_convnet(rng, rotated=False, size=8):
+    """A random two-conv net; with ``rotated``, both convolutions carry a
+    random rotation."""
     c_in = int(rng.integers(1, 4))
     c1 = int(rng.integers(2, 6))
     c2 = int(rng.integers(2, 6))
     head = int(rng.integers(2, 5))
     padding = int(rng.integers(0, 2))
     layers = [
-        Conv2D(rng.normal(0, 0.4, (3, 3, c_in, c1)), rng.normal(0, 0.1, c1), 1, padding),
+        Conv2D(rng.normal(0, 0.4, (3, 3, c_in, c1)), rng.normal(0, 0.1, c1), 1, padding,
+               *random_rotation(rng, c_in, c1, rotated)),
         ReLU(),
         MeanPool2D(2) if (size + 2 * padding - 2) % 2 == 0 else ReLU(),
     ]
     h = size + 2 * padding - 2
     if isinstance(layers[-1], MeanPool2D):
         h //= 2
-    layers += [Conv2D(rng.normal(0, 0.4, (3, 3, c1, c2)), rng.normal(0, 0.1, c2)), ReLU()]
+    layers += [Conv2D(rng.normal(0, 0.4, (3, 3, c1, c2)), rng.normal(0, 0.1, c2), 1, 0,
+                      *random_rotation(rng, c1, c2, rotated)), ReLU()]
     h -= 2
-    if with_fixed:
-        q, _ = np.linalg.qr(rng.normal(size=(c2, c2)))
-        layers += [FixedConv1x1(q), Bias(rng.normal(0, 0.1, c2))]
     layers += [Flatten(), Dense(rng.normal(0, 0.3, (head, h * h * c2)), rng.normal(0, 0.1, head))]
     return Network(layers, head, 0, (size, size, c_in))
 
@@ -211,15 +219,6 @@ def reference_meanpool_backward(layer, x, grad_out):
     s = layer.size
     g = grad_out / (s * s)
     return np.repeat(np.repeat(g, s, axis=1), s, axis=2)
-
-
-def reference_fixed_forward(layer, x):
-    """Frozen-matrix forward as a stacked N-D matmul over the leading axes."""
-    return x @ layer.U.T
-
-
-def reference_fixed_backward(layer, x, grad_out):
-    return grad_out @ layer.U
 
 
 def make_idx_pair(images, labels):

@@ -18,13 +18,7 @@ from rewc.data import locate_mnist
 from rewc.fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from rewc.linalg import diag_energy_ratio, jacobi_eigh
 from rewc.network import backward, build_network, forward, grow_head
-from rewc.rotation import (
-    RotationScope,
-    accumulate_correlations,
-    combine_network,
-    rotate_network,
-    rotated_layer_map,
-)
+from rewc.rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
 from rewc.util import rng_for
 
 SCOPES = [RotationScope.CONV_ONLY, RotationScope.FC_ONLY, RotationScope.ALL,
@@ -42,11 +36,11 @@ def test_criterion_1_rotation_equivalence():
         stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
         scope = SCOPES[i % 4]
         rotate_head = (i % 3) != 0
-        rot, pairs = rotate_network(net, stats, scope, rotate_head=rotate_head)
+        rot = rotate_network(net, stats, scope, rotate_head=rotate_head)
         l0, _ = forward(net, x)
         l1, _ = forward(rot, x)
         worst_logit = max(worst_logit, float(np.max(np.abs(l0 - l1))))
-        back = combine_network(rot, pairs)
+        back = combine_network(rot)
         for la, lb in zip(net.layers, back.layers):
             for k, v in la.params().items():
                 worst_param = max(worst_param, float(np.max(np.abs(v - lb.params()[k]))))
@@ -65,8 +59,8 @@ def test_criterion_2_gradient_correctness():
     kinds_seen = set()
     for i in range(50):
         maker = random_mlp if i % 2 == 0 else random_convnet
-        net = maker(rng, with_fixed=(i % 4) < 2)
-        kinds_seen |= {l.kind for l in net.layers}
+        net = maker(rng, rotated=(i % 4) < 2)
+        kinds_seen |= {l.kind + (" rotated" if l.rotated else "") for l in net.layers}
         x = rng.normal(size=(3,) + net.input_shape)
         y = rng.integers(0, net.head_classes, 3)
         _, cache = forward(net, x)
@@ -96,7 +90,7 @@ def test_criterion_2_gradient_correctness():
             worst = max(worst, max_rel_error(np.array([pgrads[key].ravel()[j]]), np.array([fd])))
     elapsed = time.perf_counter() - t0
     expected_kinds = {"dense", "conv2d", "relu", "flatten", "meanpool2d",
-                      "fixed_dense", "fixed_conv1x1", "bias"}
+                      "dense rotated", "conv2d rotated"}
     assert expected_kinds <= kinds_seen, kinds_seen
     assert worst < 1e-4, worst
     assert elapsed < 120.0, elapsed
@@ -148,12 +142,15 @@ def test_criterion_4_factored_fim_diagonalization():
         y = rng.integers(0, net.head_classes, 40)
         stats = accumulate_correlations(net, x, sample_budget=40, rng=rng,
                                         labels=y, use_true_labels=True)
-        rot, pairs = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+        rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
         _, cache = forward(rot, x)
         _, gset = backward(rot, cache, y)
-        for p in pairs:
-            xin = gset.layer_inputs[p.layer_index]
-            z = gset.layer_output_grads[p.layer_index] * x.shape[0]
+        for i, layer in enumerate(rot.layers):
+            if not layer.rotated:
+                continue
+            # the layer's input and output gradient in its rotated coordinates
+            xin = gset.layer_inputs[i] @ layer.U1.T
+            z = gset.layer_output_grads[i] @ layer.U2 * x.shape[0]
             for c in (_spatial_corr(xin), _spatial_corr(z)):
                 off = c - np.diag(np.diag(c))
                 frac = float(np.sum(off * off) / np.sum(c * c))
@@ -188,9 +185,8 @@ def test_criterion_5_diag_energy_improvement_mnist():
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
         stats = accumulate_correlations(net, x, 200, rng_for(seed, "rot"), labels=y)
-        mapping = rotated_layer_map(net, RotationScope.ALL_NO_LAST, rotate_head=False)
-        rot, _ = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
-        after = estimate_full_fim_layer(rot, x, mapping[3], 200, "expected",
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
+        after = estimate_full_fim_layer(rot, x, 3, 200, "expected",
                                         rng_for(seed, "diag-after"), y)
         rb = diag_energy_ratio(before.matrix)
         ra = diag_energy_ratio(after.matrix)
@@ -272,15 +268,15 @@ def test_criterion_8_invariant_suite(tmp_path):
     pen, _ = ewc_penalty(net2, anchor)
     assert pen == 0.0
 
-    # single anchor and a single sandwich layer set, never stacked
+    # single anchor and a single rotation per layer, never stacked
     counts = []
     net3 = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=8)
     net3, _, _ = run_sequence(net3, rewc.synthetic_tasks(seed=43, T=3, classes_per_task=2, dim=6),
                               Method("rewc", lam=20.0), hyper,
                               task_callback=lambda k, n: counts.append(
-                                  sum(1 for l in n.layers if l.kind.startswith("fixed"))))
-    assert counts == [0, 2, 2]
-    assert len(net3.rotation_pairs) == 1
+                                  sum(1 for l in n.layers if l.rotated)))
+    assert counts == [0, 1, 1]
+    assert len(net3.layers) == 3 and net3.layers[0].rotated
 
     # lam=0 EWC is bitwise fine-tuning under shared seeds
     t2 = rewc.synthetic_tasks(seed=47, T=2, classes_per_task=2, dim=6)

@@ -12,7 +12,7 @@ from rewc.continual import Hyper, Method, run_sequence, train_task
 from rewc.fim import estimate_full_fim_layer
 from rewc.linalg import diag_energy_ratio
 from rewc.network import build_network, forward
-from rewc.rotation import RotationScope, accumulate_correlations, rotate_network, rotated_layer_map
+from rewc.rotation import RotationScope, accumulate_correlations, rotate_network
 from rewc.util import rng_for
 
 
@@ -29,25 +29,24 @@ def test_diag_energy_improvement_synthetic():
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
                                         labels=t.train_y)
-        mapping = rotated_layer_map(net, RotationScope.ALL_NO_LAST, rotate_head=False)
-        rot, _ = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
-        after = estimate_full_fim_layer(rot, t.train_x, mapping[2], 200, "expected",
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
+        after = estimate_full_fim_layer(rot, t.train_x, 2, 200, "expected",
                                         rng_for(seed, "diag-after"), t.train_y)
         gains.append(diag_energy_ratio(after.matrix) - diag_energy_ratio(before.matrix))
     assert sum(g >= 0.10 for g in gains) >= 2, gains
 
 
 def test_conv_continual_cycle_synthetic():
-    # full rotated-EWC cycle through a conv stack: rotate (incl. 1x1 conv
-    # sandwiches), anchor, train task 2 in rotated coords, evaluate
+    # full rotated-EWC cycle through a conv stack: rotate (conv layers
+    # included), anchor, train task 2 in rotated coords, evaluate
     tasks = rewc.synthetic_tasks(seed=5, T=2, classes_per_task=2, separation=12.0,
                                  image_shape=(16, 16, 1), noise_cond=10.0)
     net = build_network("lenet", head_classes=2, input_shape=(16, 16, 1), seed=1)
     method = Method("rewc", lam=100.0, scope=RotationScope.ALL_NO_LAST, fim_samples=100)
     net, matrix, _ = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32, seed=2))
-    assert net.has_fixed_layers()
-    kinds = {l.kind for l in net.layers}
-    assert "fixed_conv1x1" in kinds and "fixed_dense" in kinds
+    assert net.is_rotated()
+    rotated = {l.kind for l in net.layers if l.rotated}
+    assert rotated == {"conv2d", "dense"}
     assert matrix.rows[0][0] > 0.9        # task 1 learned
     assert matrix.rows[1][1] > 0.85       # task 2 learned in rotated coordinates
     assert all(0.0 <= a <= 1.0 for row in matrix.rows for a in row)

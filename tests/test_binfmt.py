@@ -7,6 +7,7 @@ build.
 
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from rewc.checkpoint import load_network, save_network
 from rewc.data import TaskDataset, TaskSequence, load_task_sequence, save_task_sequence
 from rewc.errors import DataFormatError
 from rewc.fim import FimDiagonal, load_fim, save_fim
-from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
+from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from rewc.network import Network
-from rewc.rotation import RotationPair
 
 
 def ramp(*shape, start=0):
@@ -45,23 +45,19 @@ def plain_net():
 
 
 def rotated_net():
+    """Written as 13 records: each rotated layer becomes its input rotation,
+    the layer without its bias (records 1 and 10), its output rotation and
+    its bias."""
     layers = [
-        FixedConv1x1(flip(1)),
-        Conv2D(ramp(3, 3, 1, 2), None, stride=1, padding=1),
-        FixedConv1x1(flip(2)),
-        Bias(ramp(2, start=5)),
+        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1, U1=flip(1), U2=flip(2)),
         ReLU(),
         MeanPool2D(2),
         Flatten(),
         Dense(ramp(4, 18), ramp(4, start=3)),
         ReLU(),
-        FixedDense(flip(4)),
-        Dense(ramp(3, 4, start=7)),
-        FixedDense(flip(3)),
-        Bias(ramp(3, start=1)),
+        Dense(ramp(3, 4, start=7), ramp(3, start=1), U1=flip(4), U2=flip(3)),
     ]
-    pairs = [RotationPair(1, flip(1), flip(2)), RotationPair(10, flip(4), flip(3))]
-    return Network(layers, 3, -7, (6, 6, 1), rotation_pairs=pairs)
+    return Network(layers, 3, -7, (6, 6, 1))
 
 
 def fim_snapshot():
@@ -165,3 +161,42 @@ def test_rdat_rejects_unequal_input_and_label_rows(tmp_path):
     path, _ = written(tmp_path, "rdat", seq)
     with pytest.raises(DataFormatError, match="labels"):
         load_task_sequence(path)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_trailing_bytes_raise_data_format_error(tmp_path, name):
+    path, data = written(tmp_path, name)
+    rewrite(path, data + bytes(9))
+    with pytest.raises(DataFormatError, match="9 bytes after its last record"):
+        FORMATS[name][1](path)
+
+
+# The rewc-rotated file ends with its two pair records, each
+# ``layer_index, d1, d2`` u32 then U1 and U2: (1, 1, 2) and (10, 4, 3).
+REWC_PAIR_SIZES = (12 + 8 * (1 * 1 + 2 * 2), 12 + 8 * (4 * 4 + 3 * 3))
+
+
+def pair_at(data, k):
+    return len(data) - sum(REWC_PAIR_SIZES[k:])
+
+
+@pytest.mark.parametrize("k, index", [(0, 4), (1, 8), (1, 13)],
+                         ids=["first-to-relu", "second-to-relu", "second-past-end"])
+def test_rewc_rejects_a_pair_that_names_no_rotated_layer(tmp_path, k, index):
+    path, data = written(tmp_path, "rewc-rotated")
+    at = pair_at(data, k)
+    assert struct.unpack_from("<I", data, at) == ((1, 10)[k],)
+    rewrite(path, data[:at] + struct.pack("<I", index) + data[at + 4:])
+    with pytest.raises(DataFormatError, match="rotation pair"):
+        load_network(path)
+
+
+def test_rewc_rejects_a_pair_whose_matrix_differs_from_its_layer(tmp_path):
+    # The first pair's U1 is the 1x1 matrix [[1.0]]; [[-1.0]] is orthogonal
+    # too, so only the comparison with the input rotation record catches it.
+    path, data = written(tmp_path, "rewc-rotated")
+    at = pair_at(data, 0) + 12
+    assert struct.unpack_from("<d", data, at) == (1.0,)
+    rewrite(path, data[:at] + struct.pack("<d", -1.0) + data[at + 8:])
+    with pytest.raises(DataFormatError, match="repeats other matrices"):
+        load_network(path)

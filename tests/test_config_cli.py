@@ -9,6 +9,7 @@ from rewc.checkpoint import load_network, save_network
 from rewc.cli import main
 from rewc.config import parse_config, parse_config_text
 from rewc.errors import ConfigError
+from rewc.linalg import diag_energy_ratio
 from rewc.network import build_network, parameter_digest
 from rewc.plots import heatmap_svg, lineplot_svg
 
@@ -91,6 +92,11 @@ def run_cli(args):
     return main(args)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 @pytest.mark.parametrize("line, key", [
     ("classes_per_task = 0", "classes_per_task"),
     ("synth_dim = 0", "synth_dim"),
@@ -117,10 +123,10 @@ def test_cli_run_end_to_end(tmp_path, capsys):
     assert run_cli(["run", str(cfgp)]) == 0
     paths = capsys.readouterr().out.strip().splitlines()
     assert len(paths) == 3  # 2 seeds + aggregate
-    agg = json.load(open([p for p in paths if "aggregate" in os.path.basename(p)][0]))
+    agg = read_json([p for p in paths if "aggregate" in os.path.basename(p)][0])
     assert agg["status"] == "ok"
     assert len(agg["final_per_task_mean"]) == 2
-    per_seed = json.load(open(paths[0]))
+    per_seed = read_json(paths[0])
     assert len(per_seed["eval_matrix"]) == 2
     assert len(per_seed["eval_matrix"][1]) == 2
     # fine-tuning forgets: task-1 accuracy drops from its initial value
@@ -140,8 +146,8 @@ def test_cli_run_deterministic_payloads(tmp_path):
         return payload
 
     for name in sorted(os.listdir(out_a)):
-        a = strip(json.load(open(out_a / name)))
-        b = strip(json.load(open(out_b / name)))
+        a = strip(read_json(out_a / name))
+        b = strip(read_json(out_b / name))
         assert a == b, name
 
 
@@ -150,8 +156,8 @@ def test_aggregate_means_recomputable(tmp_path, capsys):
     cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r"))
     run_cli(["run", str(cfgp)])
     paths = capsys.readouterr().out.strip().splitlines()
-    seeds = [json.load(open(p)) for p in paths if "seed" in os.path.basename(p)]
-    agg = json.load(open([p for p in paths if "aggregate" in os.path.basename(p)][0]))
+    seeds = [read_json(p) for p in paths if "seed" in os.path.basename(p)]
+    agg = read_json([p for p in paths if "aggregate" in os.path.basename(p)][0])
     finals = np.array([r["final_per_task"] for r in seeds])
     assert np.max(np.abs(finals.mean(axis=0) - np.array(agg["final_per_task_mean"]))) < 1e-12
 
@@ -257,6 +263,31 @@ def test_cli_plot_and_probe(tmp_path, capsys):
     assert svg_out.exists()
 
 
+def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path, capsys):
+    # A rotated layer keeps its index: --layer 0 is the first dense layer of
+    # the plain and of the rotated net alike.
+    from rewc.fim import estimate_full_fim_layer
+    from rewc.rotation import accumulate_correlations, rotate_network
+    from rewc.runner import build_tasks
+    from rewc.util import rng_for
+
+    cfg = parse_config_text("", source="<defaults>")
+    tasks = build_tasks(cfg, cfg["seeds"][0])
+    inputs = np.concatenate([t.train_x for t in tasks])
+    labels = np.concatenate([t.train_y for t in tasks])
+    net = build_network("mlp-custom", input_shape=inputs.shape[1:], hidden=[6, 4], seed=1)
+    stats = accumulate_correlations(net, inputs, 40, np.random.default_rng(0))
+    ck = tmp_path / "rotated.rewc"
+    save_network(rotate_network(net, stats, "all_no_last"), str(ck))
+    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
+                  "--out", str(tmp_path / "fim.svg")])
+    assert rc == 0, capsys.readouterr().err
+    probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40,
+                                    rng=rng_for(cfg["seeds"][0], "fim-probe"), labels=labels)
+    assert probe["diag_energy_ratio"] == diag_energy_ratio(block.matrix)
+
+
 def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
     ck = tmp_path / "probe.rewc"
     save_network(build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1), str(ck))
@@ -274,7 +305,7 @@ def test_run_record_digest_is_the_final_network(tmp_path, capsys):
         + "checkpoints = true\n"
     )
     assert run_cli(["run", str(cfgp)]) == 0
-    record = json.load(open(capsys.readouterr().out.strip().splitlines()[0]))
+    record = read_json(capsys.readouterr().out.strip().splitlines()[0])
     # The last task is never consolidated, so its checkpoint is the final network.
     ck = sorted((tmp_path / "r").glob("*-seed0-task1.rewc"))[0]
     assert record["final_param_sha256"] == parameter_digest(load_network(str(ck)))
@@ -312,7 +343,7 @@ def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
         runner.run_experiment(cfg)
     files = sorted(os.listdir(tmp_path / "fail"))
     assert any("seed0" in f for f in files)
-    agg = json.load(open(tmp_path / "fail" / [f for f in files if "aggregate" in f][0]))
+    agg = read_json(tmp_path / "fail" / [f for f in files if "aggregate" in f][0])
     assert agg["status"] == "failed"
     assert agg["seeds"] == [0]
 
@@ -401,7 +432,7 @@ def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):
         .replace("seeds = 0,1", "seeds = 0") + "lr = 1e6\n"
     )
     assert run_cli(["run", str(cfgp)]) == 0
-    record = json.load(open(capsys.readouterr().out.split()[0]))
+    record = read_json(capsys.readouterr().out.split()[0])
     assert record["status"] == "ok"
     assert record["schema_version"] == 1
     assert record["fim_median_per_task"] == [0.0]
@@ -410,4 +441,4 @@ def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):
     ]
     cfgp.write_text(cfgp.read_text().replace("lr = 1e6", "lr = 1e-3"))
     assert run_cli(["run", str(cfgp)]) == 0
-    assert json.load(open(capsys.readouterr().out.split()[0]))["warnings"] == []
+    assert read_json(capsys.readouterr().out.split()[0])["warnings"] == []

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from rewc.continual import (
     EvalMatrix,
     Hyper,
     Method,
-    TrainingStep,
     evaluate_matrix,
     finalize_task,
     run_sequence,
@@ -16,10 +13,8 @@ from rewc.continual import (
 from rewc.data import synthetic_tasks
 from rewc.errors import DimensionError
 from rewc.fim import ewc_penalty
-from rewc.layers import Conv2D, Dense, FixedConv1x1, Flatten, ReLU
-from rewc.network import Network, backward, build_network, forward, layout_signature
-from rewc.optim import AdamState
-from rewc.rotation import accumulate_correlations, rotate_network
+from rewc.layers import Dense
+from rewc.network import Network, build_network, forward, layout_signature
 
 
 def small_net(seed, head=2, dim=6, hidden=(16,)):
@@ -109,7 +104,7 @@ def test_anchor_penalty_zero_after_finalize():
         assert pen == 0.0
         assert all(np.all(g == 0.0) for g in grads.values())
         if name == "rewc":
-            assert net2.has_fixed_layers()
+            assert net2.is_rotated()
             assert anchor.layout_hash == layout_signature(net2)
 
 
@@ -138,16 +133,16 @@ def test_ft_finalize_is_noop():
 def test_rewc_sandwiches_do_not_accumulate():
     tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=2, batch_size=32, seed=4)
-    fixed_counts = []
+    rotated_counts = []
 
     def spy(k, net):
-        fixed_counts.append(sum(1 for l in net.layers if l.kind.startswith("fixed")))
+        rotated_counts.append(sum(1 for l in net.layers if l.rotated))
 
     net, _, _ = run_sequence(small_net(10), tasks, Method("rewc", lam=20.0), hyper,
                              task_callback=spy)
-    # one sandwich (2 fixed layers) around the single hidden layer, never stacked
-    assert fixed_counts == [0, 2, 2]
-    assert len(net.rotation_pairs) == 1
+    # one rotation, of the single hidden layer, never stacked
+    assert rotated_counts == [0, 1, 1]
+    assert len(net.layers) == 3 and net.layers[0].rotated
 
 
 def test_chance_level_untrained_head():
@@ -245,60 +240,3 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
 def test_hyper_rejects_degenerate_training_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
         Hyper(**setting)
-
-
-def rotated(net, scope, seed):
-    """``net`` rotated from correlations of random inputs."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(40,) + net.input_shape)
-    stats = accumulate_correlations(net, x, 40, rng)
-    return rotate_network(net, stats, scope, rotate_head=False)[0], x
-
-
-def strided_convnet(seed, conv_bias=True):
-    rng = np.random.default_rng(seed)
-    layers = [
-        Conv2D(rng.normal(0, 0.4, (3, 3, 2, 4)), rng.normal(0, 0.1, 4) if conv_bias else None,
-               stride=2, padding=1),
-        ReLU(),
-        Conv2D(rng.normal(0, 0.4, (3, 3, 4, 5)), None, stride=1, padding=1),
-        ReLU(),
-        Flatten(),
-        Dense(rng.normal(0, 0.3, (3, 4 * 4 * 5)), rng.normal(0, 0.1, 3)),
-    ]
-    return Network(layers, 3, seed, (8, 8, 2))
-
-
-@pytest.mark.parametrize("make, scope", [
-    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5), "all_no_last"),
-    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5), "conv_only"),
-    (lambda: build_network("lenet", head_classes=3, input_shape=(16, 16, 3), seed=6), "all_no_last"),
-    (lambda: strided_convnet(7), "all_no_last"),
-    (lambda: strided_convnet(8, conv_bias=False), "conv_only"),
-], ids=["lenet-all_no_last", "lenet-conv_only", "lenet-3-channels", "stride-2-padding-1",
-        "no-conv-bias"])
-def test_fused_step_gradients_match_the_unfused_engine(make, scope):
-    net, x = rotated(make(), scope, 11)
-    assert any(isinstance(l, FixedConv1x1) for l in net.layers)
-    y = np.arange(len(x)) % net.head_classes
-    _, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
-    fused = TrainingStep(net).gradients(x, y)
-    assert fused.keys() == gset.grads.keys()
-    for key, g in gset.grads.items():
-        assert fused[key].shape == g.shape
-        assert np.max(np.abs(fused[key] - g)) <= 1e-12 * np.max(np.abs(g)), key
-
-
-def test_fused_step_runs_no_frozen_conv(monkeypatch):
-    net, x = rotated(build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
-                     "all_no_last", 12)
-    calls = []
-    original = FixedConv1x1.forward
-    monkeypatch.setattr(FixedConv1x1, "forward",
-                        lambda self, h: calls.append(1) or original(self, h))
-    task = SimpleNamespace(train_x=x, train_y=np.arange(len(x)) % 3)
-    before = net.parameter_snapshot()
-    train_task(net, task, Method("rewc", lam=10.0), Hyper(epochs=1, batch_size=16), 1)
-    assert calls == []
-    assert any(not np.array_equal(v, before[k]) for k, v in net.parameter_snapshot().items())

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from rewc.errors import DataFormatError, DimensionError
 def write_pair(tmp_path, img, lab, tag=""):
     ip = os.path.join(tmp_path, f"img{tag}.idx")
     lp = os.path.join(tmp_path, f"lab{tag}.idx")
-    open(ip, "wb").write(img)
-    open(lp, "wb").write(lab)
+    Path(ip).write_bytes(img)
+    Path(lp).write_bytes(lab)
     return ip, lp
 
 
@@ -58,8 +59,8 @@ def test_idx_gzip_supported(tmp_path):
     img, lab = make_idx_pair(images, labels)
     ip = os.path.join(tmp_path, "img.idx.gz")
     lp = os.path.join(tmp_path, "lab.idx.gz")
-    open(ip, "wb").write(gzip.compress(img))
-    open(lp, "wb").write(gzip.compress(lab))
+    Path(ip).write_bytes(gzip.compress(img))
+    Path(lp).write_bytes(gzip.compress(lab))
     x, y = load_mnist_idx(ip, lp)
     assert x.shape == (3, 32, 32, 1)
 

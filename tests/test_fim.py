@@ -21,7 +21,7 @@ from rewc.fim import (
     make_anchor,
     save_fim,
 )
-from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense
+from rewc.layers import Conv2D, Dense
 from rewc.linalg import jacobi_eigh
 from rewc.network import (
     Network,
@@ -144,7 +144,7 @@ def test_penalty_direct_substitution():
 
     fim = FimDiagonal(values={"0.W": np.array([[0.01]])}, layout_hash=layout_signature(net))
     anchor = make_anchor(net, fim, 100.0)
-    net.set_param("0.W", np.array([[0.5]]))
+    net.layers[0].W = np.array([[0.5]])
     pen, grads = ewc_penalty(net, anchor)
     assert pen == pytest.approx(0.125, abs=1e-15)
     assert grads["0.W"][0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -248,19 +248,17 @@ def test_fim_snapshot_roundtrip(tmp_path):
 
 
 def rotated_convnet(seed):
-    """A conv net rotated under scope ``all``: a frozen 1x1 conv first,
-    bias-less sandwiched conv and dense layers, FixedDense, and conv- and
-    flat-shaped Bias layers. Returns the plain net, the rotated net, its
-    pairs and inputs."""
+    """A conv net rotated under scope ``all``: its convolutions and its dense
+    head, each with a bias, all rotated. Returns the plain net, the rotated
+    net and inputs."""
     rng = np.random.default_rng(seed)
     plain = random_convnet(rng)
     x = rng.normal(size=(160,) + plain.input_shape)
     stats = accumulate_correlations(plain, x, 120, np.random.default_rng(seed + 1))
-    rotated, pairs = rotate_network(plain, stats, "all")
-    assert isinstance(rotated.layers[0], FixedConv1x1)
-    assert {Bias, FixedDense} <= {type(l) for l in rotated.layers}
-    assert any(isinstance(l, Dense) and l.b is None for l in rotated.layers)
-    return plain, rotated, pairs, x
+    rotated = rotate_network(plain, stats, "all")
+    assert rotated.layers[0].rotated and rotated.layers[-1].rotated
+    assert all(l.b is not None for l in rotated.layers if l.rotated)
+    return plain, rotated, x
 
 
 def estimator_cases():
@@ -269,7 +267,7 @@ def estimator_cases():
     yield "mlp", mlp, rng.normal(size=(160, mlp.input_shape[0]))
     conv = random_convnet(rng)
     yield "conv", conv, rng.normal(size=(160,) + conv.input_shape)
-    _, rotated, _, x = rotated_convnet(21)
+    _, rotated, x = rotated_convnet(21)
     yield "rotated", rotated, x
 
 
@@ -303,26 +301,49 @@ def test_batched_full_block_matches_per_sample_reference(mode):
             assert_rel_close(got.matrix, ref, f"{name} {key}")
 
 
+def rotated_example_grads(rotated, grads):
+    """Per-example gradients of the plain network seen through each layer's
+    rotation (EKFAC's identity): U2^T G U1^T for a dense weight, U1 G U2 per
+    slice for a kernel; the bias, outside U2, keeps its gradient."""
+    out = {}
+    for key, g in grads.items():
+        layer = rotated.layers[int(key.split(".")[0])]
+        if key.endswith(".W"):
+            g = layer.U2.T @ g @ layer.U1.T
+        elif key.endswith(".K"):
+            g = rotate_conv_kernel(g, layer.U1, layer.U2)
+        out[key] = g
+    return out
+
+
 def test_rotated_diag_fim_is_plain_gradients_rotated():
-    # EKFAC identity: the sandwiched layer's per-example gradient is the plain
-    # one seen through the rotation, U2^T G U1^T for a dense weight and
-    # U1 G U2 per slice for a kernel; the detached bias keeps its gradient.
-    plain, rotated, pairs, x = rotated_convnet(22)
-    got = estimate_diag_fim(rotated, x, BUDGET, "expected", np.random.default_rng(7))
-    plain_index = [i for i, l in enumerate(plain.layers) if isinstance(l, (Dense, Conv2D))]
+    # Plain and rotated nets compute one function, so with one generator they
+    # draw the same samples and labels.  Every rotated layer's diagonal and
+    # full-block Fisher, and the logits, equal the plain net's seen through the
+    # rotation within 1e-12 of each array's largest entry.
+    plain, rotated, x = rotated_convnet(22)
+    assert_rel_close(forward(rotated, x)[0], forward(plain, x)[0], "logits")
+    for mode in ("sampled", "expected"):
+        check_rotated_fim(plain, rotated, x, mode)
+
+
+def check_rotated_fim(plain, rotated, x, mode):
+    got = estimate_diag_fim(rotated, x, BUDGET, mode, np.random.default_rng(7))
     oracle = {}
-    for w, grads in per_sample_fim_terms(plain, x, BUDGET, "expected", np.random.default_rng(7)):
-        for j, pair in zip(plain_index, pairs):
-            mid = pair.layer_index
-            if isinstance(plain.layers[j], Dense):
-                key, g = f"{mid}.W", pair.U2.T @ grads[f"{j}.W"] @ pair.U1.T
-            else:
-                key, g = f"{mid}.K", rotate_conv_kernel(grads[f"{j}.K"], pair.U1, pair.U2)
-            for k, v in ((key, g), (f"{mid + 2}.b", grads[f"{j}.b"])):
-                oracle[k] = oracle.get(k, 0.0) + w * v * v
+    blocks = {}
+    for w, grads in per_sample_fim_terms(plain, x, BUDGET, mode, np.random.default_rng(7)):
+        for key, g in rotated_example_grads(rotated, grads).items():
+            oracle[key] = oracle.get(key, 0.0) + w * g * g
+            if not key.endswith(".b") and g.size <= FULL_FIM_PARAM_CAP:
+                blocks[key] = blocks.get(key, 0.0) + w * np.outer(g, g)
     assert set(oracle) == set(got.values)
     for key, v in oracle.items():
-        assert_rel_close(got.values[key], v / BUDGET, key, rtol=1e-10)
+        assert_rel_close(got.values[key], v / BUDGET, f"{mode} {key}")
+    assert {"0.K", "3.K"} <= set(blocks)
+    for key, v in blocks.items():
+        block = estimate_full_fim_layer(rotated, x, int(key.split(".")[0]), BUDGET, mode,
+                                        np.random.default_rng(7))
+        assert_rel_close(block.matrix, v / BUDGET, f"{mode} {key} block")
 
 
 def full_depth_grads(net, cache, labels):
@@ -349,12 +370,15 @@ def test_backward_stops_at_lowest_trainable_layer():
         for key in ref:
             assert np.array_equal(gset.grads[key], ref[key]), f"{name} {key}"
 
-    _, rotated, _, x = rotated_convnet(21)
+    # Below the lowest trainable layer nothing runs, not even under a rotation.
+    _, rotated, x = rotated_convnet(21)
+    original = rotated.layers[0].backward
 
-    def frozen_input_backward(*args, **kwargs):
-        raise AssertionError("backward reached the frozen input rotation")
+    def lowest_backward(*args, **kwargs):
+        assert kwargs["need_input_grad"] is False
+        return original(*args, **kwargs)
 
-    rotated.layers[0].backward = frozen_input_backward
+    rotated.layers[0].backward = lowest_backward
     _, cache = forward(rotated, x[:16])
     backward(rotated, cache, np.zeros(16, dtype=int))
 

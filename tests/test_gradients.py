@@ -66,10 +66,10 @@ def test_random_mlp_finite_differences(seed):
         assert max_rel_error(gset.grads[key], fd) < 1e-4, key
 
 
-@pytest.mark.parametrize("with_fixed", [False, True])
-def test_conv_stack_finite_differences(with_fixed):
-    rng = np.random.default_rng(7 if with_fixed else 8)
-    net = random_convnet(rng, with_fixed=with_fixed)
+@pytest.mark.parametrize("rotated", [False, True])
+def test_conv_stack_finite_differences(rotated):
+    rng = np.random.default_rng(7 if rotated else 8)
+    net = random_convnet(rng, rotated=rotated)
     x = rng.normal(size=(3,) + net.input_shape)
     y = rng.integers(0, net.head_classes, 3)
     _, cache = forward(net, x)
@@ -80,8 +80,9 @@ def test_conv_stack_finite_differences(with_fixed):
 
 
 def test_gradients_flow_through_fixed_dense():
+    # The frozen dense maps are the rotation matrices inside a rotated layer.
     rng = np.random.default_rng(11)
-    net = random_mlp(rng, with_fixed=True)
+    net = random_mlp(rng, rotated=True)
     x = rng.normal(size=(4, net.input_shape[0]))
     y = rng.integers(0, net.head_classes, 4)
     _, cache = forward(net, x)

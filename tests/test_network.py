@@ -8,13 +8,11 @@ from helpers import (
     random_convnet,
     random_mlp,
     reference_conv_backward,
-    reference_fixed_backward,
-    reference_fixed_forward,
     reference_meanpool_backward,
 )
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import DataFormatError, DimensionError, StateError
-from rewc.layers import Bias, Conv2D, Dense, FixedConv1x1, FixedDense, Flatten, MeanPool2D, ReLU
+from rewc.layers import Conv2D, Dense, MeanPool2D, ReLU
 from rewc.network import Network, build_network, forward, grow_head, parameter_digest
 
 
@@ -118,34 +116,19 @@ def test_meanpool_backward_equals_reference_exactly():
                                       reference_meanpool_backward(pool, x, g))
 
 
-def test_fixed_matrix_passes_match_reference():
-    rng = np.random.default_rng(4)
-    for batch in (1, 7, 64):
-        for d in CHANNELS:
-            U = rng.normal(size=(d, d))
-            for layer, x in ((FixedDense(U), rng.normal(size=(batch, d))),
-                             (FixedConv1x1(U), rng.normal(size=(batch, 10, 8, d)))):
-                g = rng.normal(size=x.shape)
-                assert_close_to_largest(layer.forward(x), reference_fixed_forward(layer, x))
-                assert_close_to_largest(layer.backward(x, g)[0],
-                                        reference_fixed_backward(layer, x, g))
-
-
 def test_parameter_digest_tracks_every_bit():
     net = build_network("lenet", head_classes=5, seed=2)
     digest = parameter_digest(net)
     assert len(digest) == 64 and digest == parameter_digest(net.clone())
-    K = net.get_param("0.K").copy()
+    K = net.get_param("0.K")
     K[0, 0, 0, 0] = np.nextafter(K[0, 0, 0, 0], np.inf)
-    net.set_param("0.K", K)
     assert parameter_digest(net) != digest
 
 
-def test_fixed_layers_have_no_params():
-    q = np.eye(3)
-    assert FixedDense(q).params() == {}
-    assert FixedConv1x1(q).params() == {}
-    assert not FixedDense(q).trainable
+def test_rotations_are_not_parameters():
+    q = np.eye(3)[::-1]
+    assert Dense(np.zeros((3, 3)), np.zeros(3), q, q).params().keys() == {"W", "b"}
+    assert Conv2D(np.zeros((1, 1, 3, 3)), None, U1=q, U2=q).params().keys() == {"K"}
 
 
 def test_build_mlp_784_widths():
@@ -164,7 +147,8 @@ def test_build_determinism():
 
 def test_custom_mlp_param_count():
     net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
-    assert net.num_trainable_params() == 4 * 3 + 3 + 3 * 2 + 2
+    count = sum(net.get_param(k).size for k, _, _ in net.trainable_keys())
+    assert count == 4 * 3 + 3 + 3 * 2 + 2
 
 
 def test_unknown_arch():
@@ -218,8 +202,8 @@ def test_grow_head_deterministic():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
-    for maker, with_fixed in ((random_mlp, False), (random_mlp, True), (random_convnet, True)):
-        net = maker(rng, with_fixed=with_fixed)
+    for maker, rotated in ((random_mlp, False), (random_mlp, True), (random_convnet, True)):
+        net = maker(rng, rotated=rotated)
         path = os.path.join(tmp_path, "net.rewc")
         save_network(net, path)
         back = load_network(path)
@@ -229,10 +213,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert len(back.layers) == len(net.layers)
         for la, lb in zip(net.layers, back.layers):
             assert la.kind == lb.kind
+            assert la.rotated == lb.rotated
             for k, v in la.params().items():
                 assert np.array_equal(v, lb.params()[k])
-            if isinstance(la, (FixedDense, FixedConv1x1)):
-                assert np.array_equal(la.U, lb.U)
+            if la.rotated:
+                assert np.array_equal(la.U1, lb.U1) and np.array_equal(la.U2, lb.U2)
 
 
 def test_checkpoint_preserves_rotation_pairs(tmp_path):
@@ -241,16 +226,17 @@ def test_checkpoint_preserves_rotation_pairs(tmp_path):
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=2)
     x = np.random.default_rng(3).normal(size=(20, 5))
     stats = rewc.accumulate_correlations(net, x, sample_budget=20, rng=np.random.default_rng(0))
-    rot, pairs = rewc.rotate_network(net, stats, "all_no_last")
+    rot = rewc.rotate_network(net, stats, "all_no_last")
     path = os.path.join(tmp_path, "rot.rewc")
     save_network(rot, path)
     back = load_network(path)
-    assert len(back.rotation_pairs) == len(pairs)
-    for pa, pb in zip(pairs, back.rotation_pairs):
-        assert pa.layer_index == pb.layer_index
-        assert np.array_equal(pa.U1, pb.U1)
-        assert np.array_equal(pa.U2, pb.U2)
-    fused = rewc.combine_network(back, back.rotation_pairs)
+    assert [l.rotated for l in back.layers] == [l.rotated for l in rot.layers] \
+        == [True, False, False]
+    for la, lb in zip(rot.layers, back.layers):
+        if la.rotated:
+            assert np.array_equal(la.U1, lb.U1)
+            assert np.array_equal(la.U2, lb.U2)
+    fused = rewc.combine_network(back)
     l0, _ = forward(net, x)
     l1, _ = forward(fused, x)
     assert np.max(np.abs(l0 - l1)) < 1e-10
@@ -270,6 +256,6 @@ def test_grow_rotated_head_rejected():
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=2)
     x = np.random.default_rng(3).normal(size=(10, 5))
     stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(0))
-    rot, _ = rewc.rotate_network(net, stats, "all", rotate_head=True)
-    with pytest.raises(StateError):
+    rot = rewc.rotate_network(net, stats, "all", rotate_head=True)
+    with pytest.raises(StateError, match="rotated head"):
         grow_head(rot, 2)

@@ -49,12 +49,14 @@ def test_fixed_layers_untouched():
     net = rewc.build_network("mlp-custom", input_shape=(4,), hidden=[5, 2], seed=0)
     x = np.random.default_rng(0).normal(size=(10, 4))
     stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(1))
-    rot, pairs = rewc.rotate_network(net, stats, "all_no_last")
-    u_before = [l.U.copy() for l in rot.layers if hasattr(l, "U")]
+    rot = rewc.rotate_network(net, stats, "all_no_last")
+    # A rotated layer's frozen maps are its rotation matrices.
+    u_before = [u.copy() for l in rot.layers if l.rotated for u in (l.U1, l.U2)]
+    assert len(u_before) == 2
     state = AdamState(rot)
     grads = {k: np.ones_like(rot.get_param(k)) for k, _, _ in rot.trainable_keys()}
     adam_step(rot, grads, state, 0.1)
-    u_after = [l.U for l in rot.layers if hasattr(l, "U")]
+    u_after = [u for l in rot.layers if l.rotated for u in (l.U1, l.U2)]
     for b, a in zip(u_before, u_after):
         assert np.array_equal(b, a)
 
