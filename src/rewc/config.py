@@ -9,7 +9,10 @@ from .fim import FIM_MODES as _FIM_MODES
 from .network import ARCHS as _ARCHS
 from .rotation import RotationScope
 
-_SCOPES = tuple(s.value for s in RotationScope)
+# ``all`` stays in the library but not in configs: the incremental trainer
+# never rotates the growing head, so it rotates exactly what ``all_no_last`` does.
+_SCOPES = tuple(s.value for s in RotationScope if s is not RotationScope.ALL)
+_CONV_ARCHS = ("lenet",)  # the architectures with a convolution
 _DATASETS = ("synthetic", "mnist")
 
 
@@ -125,8 +128,14 @@ def _validate(cfg, source):
         bad(f"arch must be one of {_ARCHS}, got {v['arch']!r}")
     if v["method"] not in _METHODS:
         bad(f"method must be one of {_METHODS}, got {v['method']!r}")
+    if v["scope"] == RotationScope.ALL.value:
+        bad("scope = all rotates the same layers as all_no_last (the growing head is "
+            "never rotated); use scope = all_no_last")
     if v["scope"] not in _SCOPES:
         bad(f"scope must be one of {_SCOPES}, got {v['scope']!r}")
+    if v["method"] == "rewc" and v["scope"] == "conv_only" and v["arch"] not in _CONV_ARCHS:
+        bad(f"scope = conv_only selects no layer of arch {v['arch']}, which has no "
+            "convolution, so the run would be plain EWC; use method = ewc")
     if v["fim_mode"] not in _FIM_MODES:
         bad(f"fim_mode must be one of {_FIM_MODES}, got {v['fim_mode']!r}")
     if not v["seeds"]:

@@ -6,12 +6,14 @@ curvature at the rotated parameters, and anchors there; the next task then
 trains in the rotated space.  Exactly one anchor is kept at any time.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError
+from . import parallel
+from .errors import CapacityError, ConvergenceError, DimensionError
 from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
 from .network import CHUNK, backward, forward, grow_head
@@ -92,18 +94,28 @@ class EvalMatrix:
 
 
 def train_task(net, task, method, hyper, task_index, anchor=None):
-    """Minibatch Adam over one task, with the anchor penalty when present."""
+    """Minibatch Adam over one task, with the anchor penalty when present.
+
+    A step whose loss is not finite raises ``ConvergenceError``: the run has
+    diverged, and its accuracies would read as chance, not as forgetting."""
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
     n = task.train_x.shape[0]
     use_penalty = anchor is not None and anchor.lam > 0.0
-    for _ in range(hyper.epochs):
+    for epoch in range(hyper.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             sel = perm[start : start + hyper.batch_size]
             _, cache = forward(net, task.train_x[sel])
-            grads = backward(net, cache, task.train_y[sel])[1].grads
-            del cache  # free the batch's activations before the next forward allocates its own
+            loss, gset = backward(net, cache, task.train_y[sel])
+            if not math.isfinite(loss):
+                raise ConvergenceError(
+                    f"task {task_index}: the training loss is {loss} at epoch {epoch}, "
+                    f"step {start // hyper.batch_size}"
+                )
+            grads = gset.grads
+            # free the batch's activations before the next forward allocates its own
+            del cache, gset
             if use_penalty:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}
@@ -114,18 +126,21 @@ def train_task(net, task, method, hyper, task_index, anchor=None):
 def evaluate_matrix(net, tasks, upto):
     """Accuracies on tasks ``0..upto-1``; argmax over the full head, ties to
     the lowest class index.  Test sets stream through ``CHUNK`` rows at a
-    time, so evaluation memory does not grow with the test-set size."""
-    row = []
-    for k in range(upto):
-        task = tasks[k]
-        correct = 0
-        n = task.test_x.shape[0]
-        for start in range(0, n, CHUNK):
-            logits, _ = forward(net, task.test_x[start : start + CHUNK])
-            pred = np.argmax(logits, axis=1)
-            correct += int((pred == task.test_y[start : start + CHUNK]).sum())
-        row.append(correct / n)
-    return row
+    time on ``rewc.parallel``'s pool, so evaluation memory does not grow with
+    the test-set size."""
+    chunks = [(k, start) for k in range(upto)
+              for start in range(0, tasks[k].test_x.shape[0], CHUNK)]
+
+    def correct(chunk):
+        k, start = chunk
+        logits, _ = forward(net, tasks[k].test_x[start : start + CHUNK])
+        pred = np.argmax(logits, axis=1)
+        return int((pred == tasks[k].test_y[start : start + CHUNK]).sum())
+
+    hits = [0] * upto
+    for (k, _), c in zip(chunks, parallel.ordered_map(correct, chunks)):
+        hits[k] += c
+    return [hits[k] / tasks[k].test_x.shape[0] for k in range(upto)]
 
 
 def finalize_task(net, task, method, hyper, task_index, diagnostics=None):

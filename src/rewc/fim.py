@@ -8,10 +8,11 @@ log-likelihood gradients, so they are non-negative by construction.
 
 All curvature estimates read one pass, ``_fim_pass``: one batched forward
 pass per chunk of chosen inputs and one backward pass per chunk and label
-set, with one label sampler.  The backward pass is record-only
-(``network.backward(..., record_only=True)``): it keeps each trainable
-layer's input and output gradient and forms no parameter gradient, since
-no estimator reads one.  The diagonal and full-block estimators reduce
+set, with one label sampler, run on ``rewc.parallel``'s pool and reduced on
+the calling thread in (chunk, label set) order.  The backward pass is
+record-only (``network.backward(..., record_only=True)``): it keeps each
+trainable layer's input and output gradient and forms no parameter
+gradient, since no estimator reads one.  The diagonal and full-block estimators reduce
 each trainable layer's recorded input and output gradient into per-example
 gradients (Goodfellow, arXiv 1510.01799) of the weight in the layer's own,
 possibly rotated, coordinates; ``rotation.accumulate_correlations`` reduces
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .binfmt import Reader, Writer
 from .errors import AlignmentError, CapacityError, DimensionError
 from .layers import Conv2D, Dense, rotate_conv_kernel
@@ -91,25 +93,32 @@ def select_samples(n, budget, rng, labels=None):
     return rng.choice(n, size=budget, replace=False)
 
 
-def _sample_labels(p, rng):
-    """One label per row of the class probabilities ``p``: the same draws as
+def _sample_labels(p, u):
+    """One label per row of the class probabilities ``p`` from one uniform
+    per row: with ``u = rng.random(len(p))``, the same draws as
     ``rng.choice(C, p=row)`` row by row (normalised CDF, right-side search),
     leaving ``rng`` in the same state."""
     if not np.all(np.isfinite(p)):
         raise DimensionError("class probabilities are not finite")
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(p.shape[0])[:, None]).sum(axis=1)
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
-def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
-    """Yield ``(forward_cache, weights, gradient_set)`` per chunk of up to
-    ``CHUNK`` chosen inputs and label set; the one pass behind the diagonal
-    and full-block estimators and the rotation's correlations.
+def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False):
+    """Yield ``reduce(forward_cache, weights, gradient_set)`` per chunk of up
+    to ``CHUNK`` chosen inputs and label set, in that order; the one pass
+    behind the diagonal and full-block estimators and the rotation's
+    correlations.
 
     Labels are one draw per input in sample order (``sampled``), every class
     in turn weighted by its probability (``expected``), or, with
-    ``true_labels``, the given ``labels`` (weight 1, no draw).
+    ``true_labels``, the given ``labels`` (weight 1, no draw).  Every random
+    number is drawn here, on the calling thread.  Chunks run in waves of
+    ``parallel.WORKERS``: the wave's forwards, then each (chunk, label set)'s
+    record-only backward and ``reduce``, on the pool.  So at most one wave's
+    forward caches are alive at once, and ``reduce`` should return no more
+    than per-example-sized data.
     """
     if mode not in FIM_MODES:
         raise ValueError(f"unknown FIM mode {mode!r}")
@@ -120,19 +129,32 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, true_labels=False):
     if n == 0:
         raise DimensionError("empty dataset")
     idx = select_samples(n, budget, rng, labels)
-    for start in range(0, len(idx), CHUNK):
-        sel = idx[start : start + CHUNK]
-        logits, cache = forward(net, inputs[sel])
+    u = rng.random(len(idx)) if mode == "sampled" and not true_labels else None
+
+    def label_sets(start):
+        part = slice(start, start + CHUNK)
+        logits, cache = forward(net, inputs[idx[part]])
         p = softmax(logits)
         b, classes = p.shape
         if true_labels:
-            label_sets = [(np.ones(b), np.asarray(labels)[sel])]
+            sets = [(np.ones(b), np.asarray(labels)[idx[part]])]
         elif mode == "sampled":
-            label_sets = [(np.ones(b), _sample_labels(p, rng))]
+            sets = [(np.ones(b), _sample_labels(p, u[part]))]
         else:
-            label_sets = ((p[:, c], np.full(b, c)) for c in range(classes))
-        for w, y in label_sets:
-            yield cache, w, backward(net, cache, y, record_only=True)[1]
+            sets = [(p[:, c], np.full(b, c)) for c in range(classes)]
+        return [(cache, w, y) for w, y in sets]
+
+    def unit(job):
+        cache, w, y = job
+        return reduce(cache, w, backward(net, cache, y, record_only=True)[1])
+
+    def wave(starts):
+        jobs = [job for sets in parallel.ordered_map(label_sets, starts) for job in sets]
+        return parallel.ordered_map(unit, jobs)
+
+    step = CHUNK * parallel.WORKERS
+    for first in range(0, len(idx), step):
+        yield from wave(range(first, min(first + step, len(idx)), CHUNK))
 
 
 def _dense_factors(layer, x, g, aux, n):
@@ -174,24 +196,32 @@ def _example_bias_grads(g):
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
-    acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
     trainable = [(i, l) for i, l in enumerate(net.layers) if l.trainable]
-    for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
+
+    def squares(cache, w, gset):
+        """One unit's weighted sums of squared per-example gradients."""
+        out = {}
         for i, layer in trainable:
             x = gset.layer_inputs[i]
             g = gset.layer_output_grads[i]
             if isinstance(layer, Conv2D):
                 ge = _example_weight_grads(layer, x, g, cache.aux[i], len(w))
                 sq = np.tensordot(w, ge * ge, axes=1)
-                acc[f"{i}.K"] += sq[: layer.K[..., 0].size].reshape(layer.K.shape)
+                out[f"{i}.K"] = sq[: layer.K[..., 0].size].reshape(layer.K.shape)
                 if layer.b is not None:
-                    acc[f"{i}.b"] += sq[-1]
+                    out[f"{i}.b"] = sq[-1]
                 continue
             xw, gw = _dense_factors(layer, x, g, cache.aux[i], len(w))
-            acc[f"{i}.W"] += (w[:, None] * gw * gw).T @ (xw * xw)
+            out[f"{i}.W"] = (w[:, None] * gw * gw).T @ (xw * xw)
             if layer.b is not None:
                 gb = _example_bias_grads(g * len(w))  # undo the batch-mean scaling
-                acc[f"{i}.b"] += w @ (gb * gb)
+                out[f"{i}.b"] = w @ (gb * gb)
+        return out
+
+    acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
+    for terms in _fim_pass(net, inputs, sample_budget, mode, rng, labels, squares):
+        for key, term in terms.items():
+            acc[key] += term
     for key in acc:
         acc[key] /= sample_budget
     return FimDiagonal(values=acc, layout_hash=layout_signature(net))
@@ -215,13 +245,19 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
             f"layer has {size} weights; full-FIM diagnostics capped at {FULL_FIM_PARAM_CAP}"
         )
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
-    acc = np.zeros((size, size))
-    for cache, w, gset in _fim_pass(net, inputs, sample_budget, mode, rng, labels):
+
+    def weighted_grads(cache, w, gset):
+        """One unit's per-example gradients, weighted and plain; the caller
+        multiplies them, so no unit holds a ``size x size`` block."""
         x = gset.layer_inputs[layer_index]
         g = gset.layer_output_grads[layer_index]
         ge = _example_weight_grads(layer, x, g, cache.aux[layer_index], len(w))
         ge = ge[:, : size // ge.shape[2]].reshape(len(w), size)  # a conv's bias row dropped
-        acc += (w[:, None] * ge).T @ ge
+        return w[:, None] * ge, ge
+
+    acc = np.zeros((size, size))
+    for wge, ge in _fim_pass(net, inputs, sample_budget, mode, rng, labels, weighted_grads):
+        acc += wge.T @ ge
     return FimBlock(layer_index=layer_index, matrix=acc / sample_budget)
 
 

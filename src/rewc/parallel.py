@@ -1,0 +1,43 @@
+"""One thread pool for the chunked passes outside training.
+
+numpy releases the GIL inside BLAS calls and large array loops, so the
+independent units of the Fisher, correlation and evaluation passes (one
+forward per chunk, one record-only backward per chunk and label set) overlap
+on several cores.  ``ordered_map`` returns results in input order, and every
+caller accumulates them on its own thread in that order, so results are
+bit-identical for every pool size.  The pool is created on first use.
+"""
+
+import os
+
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this platform
+    WORKERS = os.cpu_count() or 1
+
+_pool = None  # (size, executor)
+
+
+def _executor():
+    """The pool, made again when ``WORKERS`` changed since it was made."""
+    global _pool
+    if _pool is None or _pool[0] != WORKERS:
+        # Imported here, so that importing rewc does not pay for it (about
+        # 8 ms: concurrent.futures brings in logging).
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (WORKERS, ThreadPoolExecutor(WORKERS, thread_name_prefix="rewc"))
+    return _pool[1]
+
+
+def ordered_map(fn, items):
+    """``[fn(x) for x in items]`` run on the pool.  Returns once every call
+    has ended; the first exception in input order reaches the caller with
+    its type."""
+    pool = _executor()
+    futures = [pool.submit(fn, x) for x in items]
+    for f in futures:
+        f.exception()  # waits for the call without raising its exception
+    return [f.result() for f in futures]

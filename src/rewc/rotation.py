@@ -74,14 +74,20 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
         raise StateError("correlations must be accumulated on an unrotated network")
     rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
     ids = rotatable_indices(net)
+
+    def correlations(_, w, gset):
+        """One unit's input and output-gradient correlations per layer."""
+        return [(_self_correlation(gset.layer_inputs[i]),
+                 # undo the batch-mean scaling
+                 _self_correlation(gset.layer_output_grads[i] * len(w))) for i in ids]
+
     cx = dict.fromkeys(ids, 0.0)
     cz = dict.fromkeys(ids, 0.0)
-    for _, w, gset in _fim_pass(net, inputs, sample_budget, "sampled", rng, labels,
-                                true_labels=use_true_labels):
-        for i in ids:
-            cx[i] += _self_correlation(gset.layer_inputs[i])
-            # undo the batch-mean scaling
-            cz[i] += _self_correlation(gset.layer_output_grads[i] * len(w))
+    for terms in _fim_pass(net, inputs, sample_budget, "sampled", rng, labels, correlations,
+                           true_labels=use_true_labels):
+        for i, (x, z) in zip(ids, terms):
+            cx[i] += x
+            cz[i] += z
     return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
 
 

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 
+from . import parallel
 from .checkpoint import save_network
 from .config import ExperimentConfig
 from .continual import Hyper, Method, run_sequence
@@ -14,6 +15,7 @@ from .errors import ConfigError
 from .network import build_network, parameter_digest
 
 SCHEMA_VERSION = 1
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def output_dir(cfg):
@@ -56,6 +58,23 @@ def build_net(cfg, tasks, seed):
             )
         return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
     return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
+
+
+def environment():
+    """What a run's bits and speed depend on beyond its config: the numpy and
+    BLAS builds, the BLAS thread variables as set (``None`` when unset), and
+    the size of the pool the passes outside training run on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dict form
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
+        "workers": parallel.WORKERS,
+    }
 
 
 def run_single(cfg, seed):
@@ -101,6 +120,7 @@ def run_single(cfg, seed):
         "fim_median_per_task": diagnostics.get("fim_median", []),
         "diag_energy": diagnostics.get("diag_energy", {}),
         "warnings": diagnostics["warnings"],
+        "env": environment(),
         "timing": {
             "total_seconds": time.perf_counter() - t0,
             "train_seconds": diagnostics.get("train_seconds", []),

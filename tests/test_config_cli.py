@@ -65,6 +65,27 @@ def test_semantic_validation():
         parse_config_text("scope = everything")
 
 
+def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
+    # The head is never rotated, so ``all`` is ``all_no_last``; and conv_only
+    # on a network without convolutions rotates nothing, which is plain EWC.
+    with pytest.raises(ConfigError, match="use scope = all_no_last"):
+        parse_config_text("scope = all")
+    for arch in ("mlp-custom", "mlp-784-10-10-10"):
+        with pytest.raises(ConfigError, match="use method = ewc"):
+            parse_config_text(f"method = rewc\narch = {arch}\nscope = conv_only")
+    # Scopes that select a layer, and scopes that no method reads, still parse.
+    parse_config_text("method = rewc\narch = lenet\nscope = conv_only")
+    parse_config_text("method = rewc\nscope = fc_only")
+    parse_config_text("method = ewc\nscope = conv_only")
+    out = tmp_path / "results"
+    cfgp = tmp_path / "alias.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=out).replace("method = ft", "method = rewc")
+                    + "scope = conv_only\n")
+    assert run_cli(["run", str(cfgp)]) == 1
+    assert "use method = ewc" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hash_ignores_outdir_only():
     a = parse_config_text("outdir = x")
     b = parse_config_text("outdir = y")
@@ -442,3 +463,43 @@ def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):
     cfgp.write_text(cfgp.read_text().replace("lr = 1e6", "lr = 1e-3"))
     assert run_cli(["run", str(cfgp)]) == 0
     assert read_json(capsys.readouterr().out.split()[0])["warnings"] == []
+
+
+def test_run_record_holds_the_environment(tmp_path, capsys, monkeypatch):
+    from rewc import parallel
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfgp = tmp_path / "env.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r").replace("seeds = 0,1", "seeds = 0"))
+    assert run_cli(["run", str(cfgp)]) == 0
+    env = read_json(capsys.readouterr().out.split()[0])["env"]
+    assert set(env) == {"numpy", "blas", "blas_version", "thread_env", "workers"}
+    assert env["numpy"] == np.__version__
+    assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["workers"] == parallel.WORKERS
+
+
+def test_cli_run_fails_on_a_diverged_task(tmp_path, capsys, monkeypatch):
+    import rewc.runner as runner
+
+    real = runner.build_net
+
+    def nan_net(cfg, tasks, seed):
+        net = real(cfg, tasks, seed)
+        net.layers[0].W[0, 0] = np.nan
+        return net
+
+    monkeypatch.setattr(runner, "build_net", nan_net)
+    cfgp = tmp_path / "nan.cfg"
+    out = tmp_path / "r"
+    cfgp.write_text(SMALL_RUN.format(out=out))
+    assert run_cli(["run", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: task 0: the training loss is nan at epoch 0, step 0\n"
+    files = os.listdir(out)
+    assert len(files) == 1  # no run record, only the aggregate
+    agg = read_json(out / files[0])
+    assert agg["status"] == "failed" and agg["seeds"] == []

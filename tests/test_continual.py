@@ -11,7 +11,7 @@ from rewc.continual import (
     train_task,
 )
 from rewc.data import synthetic_tasks
-from rewc.errors import DimensionError
+from rewc.errors import ConvergenceError, DimensionError
 from rewc.fim import ewc_penalty
 from rewc.layers import Dense
 from rewc.network import Network, build_network, forward, layout_signature
@@ -240,3 +240,12 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
 def test_hyper_rejects_degenerate_training_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
         Hyper(**setting)
+
+
+def test_non_finite_loss_fails_the_task_instead_of_recording_chance():
+    tasks = synthetic_tasks(seed=3, T=2, classes_per_task=2, dim=6)
+    net = small_net(0)
+    net.layers[0].W[0, 0] = np.nan
+    with pytest.raises(ConvergenceError,
+                       match=r"task 0: the training loss is nan at epoch 0, step 0"):
+        run_sequence(net, tasks, Method("ewc"), Hyper(epochs=2, batch_size=32))

@@ -425,7 +425,7 @@ def test_vectorized_sampler_draws_as_row_by_row_choice(shape):
         else:
             p = softmax(g.normal(0, 40, (130, classes)))
         rng_vec, rng_loop = np.random.default_rng(classes), np.random.default_rng(classes)
-        got = _sample_labels(p, rng_vec)
+        got = _sample_labels(p, rng_vec.random(len(p)))
         want = [rng_loop.choice(classes, p=row) for row in p]
         assert got.tolist() == want
         assert rng_vec.bit_generator.state == rng_loop.bit_generator.state
@@ -434,4 +434,4 @@ def test_vectorized_sampler_draws_as_row_by_row_choice(shape):
 def test_sampler_rejects_non_finite_probabilities():
     p = np.array([[0.5, 0.5], [np.nan, np.nan]])
     with pytest.raises(DimensionError, match="not finite"):
-        _sample_labels(p, np.random.default_rng(0))
+        _sample_labels(p, np.random.default_rng(0).random(len(p)))
