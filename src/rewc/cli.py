@@ -12,12 +12,11 @@ import numpy as np
 
 from .checkpoint import load_network
 from .config import parse_config, parse_config_text
-from .data import load_mnist
 from .errors import ConfigError, RewcError
 from .fim import estimate_full_fim_layer
 from .linalg import diag_energy_ratio
 from .plots import heatmap_svg, lineplot_svg
-from .runner import build_tasks, run_experiment
+from .runner import build_tasks, load_raw, run_experiment
 from .util import rng_for
 
 
@@ -105,8 +104,8 @@ def cmd_fim_probe(args):
         cfg = parse_config(args.data_config)
     else:
         cfg = parse_config_text("", source="<defaults>")
-    if cfg["dataset"] == "mnist":
-        raw = load_mnist(cfg["mnist_dir"], pad_to_32=cfg["mnist_pad"])
+    raw = load_raw(cfg)
+    if raw is not None:
         inputs, labels = raw.train_x, raw.train_y
     else:
         seq = build_tasks(cfg, cfg["seeds"][0])

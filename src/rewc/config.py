@@ -156,6 +156,9 @@ def _validate(cfg, source):
         bad("arch=mlp-custom requires mlp_hidden")
     if v["classes_per_task"] < 1:
         bad("classes_per_task must be >= 1")
+    if v["dataset"] == "synthetic" and v["tasks"] * v["classes_per_task"] < 2:
+        bad("a synthetic stream needs tasks * classes_per_task >= 2 classes, got "
+            f"{v['tasks'] * v['classes_per_task']}")
     if v["synth_dim"] < 1:
         bad("synth_dim must be >= 1")
     if v["synth_separation"] <= 0:

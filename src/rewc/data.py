@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .binfmt import Reader, Writer
 from .errors import DataFormatError, DimensionError
 from .util import rng_for
@@ -192,6 +193,12 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
     convolutional stacks can train on the stream; ``dim`` is then ignored.
     ``noise_cond`` > 1 gives all classes a shared anisotropic noise covariance
     (condition number ``noise_cond^2``), producing strongly correlated inputs.
+
+    The mixing matrix's QR runs on the calling thread. Each (split, class)
+    unit (a draw from its own ``synthetic-samples`` stream, mixed and shifted
+    by its class mean) then runs on ``rewc.parallel``'s pool and writes its
+    rows straight to their final place, so the arrays are bit-identical for
+    every pool size.
     """
     if separation <= 0:
         raise DimensionError("separation must be positive")
@@ -200,6 +207,8 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
     if image_shape is not None:
         dim = int(np.prod(image_shape))
     n_classes = T * classes_per_task
+    if n_classes < 2:
+        raise DimensionError(f"a synthetic stream needs at least 2 classes, got {n_classes}")
     rng = rng_for(seed, "synthetic-means")
     # Rescale a Gaussian draw so the closest pair sits exactly at `separation`;
     # keeps inputs O(separation) rather than O(separation * sqrt(dim)).
@@ -216,25 +225,50 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
     svals *= np.sqrt(dim / np.sum(svals * svals))  # keep E[|noise|^2] = dim
     mixing = q * svals  # equals q @ diag(svals) bit for bit: one nonzero product per entry
 
-    tasks = []
+    # Every large buffer is made here, on the calling thread: memory freed by
+    # a pool thread stays with the process and adds to its peak.
+    tasks, units = [], []  # unit: (split, class, count, final array, its rows)
     for t in range(T):
         classes = tuple(range(t * classes_per_task, (t + 1) * classes_per_task))
-        xs, ys = [], []
-        for split, count in (("train", train_per_class), ("test", test_per_class)):
-            bx, by = [], []
-            for c in classes:
-                srng = rng_for(seed, "synthetic-samples", split, c)
-                bx.append(means[c] + srng.normal(0.0, 1.0, size=(count, dim)) @ mixing.T)
-                by.append(np.full(count, c, dtype=np.int64))
-            xs.append(np.concatenate(bx))
-            ys.append(np.concatenate(by))
-        order = rng_for(seed, "synthetic-order", t).permutation(xs[0].shape[0])
-        train_x, train_y = xs[0][order], ys[0][order]
-        test_x, test_y = xs[1], ys[1]
+        labels = np.array(classes, dtype=np.int64)
+        order = rng_for(seed, "synthetic-order", t).permutation(len(classes) * train_per_class)
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))  # class-major train row j goes to row place[j]
+        train_x = np.empty((len(order), dim))
+        test_x = np.empty((len(classes) * test_per_class, dim))
+        for k, c in enumerate(classes):
+            units.append(("train", c, train_per_class, train_x,
+                          place[k * train_per_class : (k + 1) * train_per_class]))
+            units.append(("test", c, test_per_class, test_x,
+                          slice(k * test_per_class, (k + 1) * test_per_class)))
+        train_y = np.repeat(labels, train_per_class)[order]
+        test_y = np.repeat(labels, test_per_class)
         if image_shape is not None:
             train_x = train_x.reshape(-1, *image_shape)
             test_x = test_x.reshape(-1, *image_shape)
         tasks.append(TaskDataset(t, classes, train_x, train_y, test_x, test_y))
+
+    # Lanes balanced by row count, longest unit first: a lane runs its units
+    # one after another, so no short unit waits on a long one at a barrier.
+    lanes = [[] for _ in range(min(parallel.WORKERS, len(units)))]
+    rows = [0] * len(lanes)
+    for unit in sorted(units, key=lambda u: -u[2]):
+        i = rows.index(min(rows))
+        lanes[i].append(unit)
+        rows[i] += unit[2]
+    size = (max(train_per_class, test_per_class), dim)
+    buffers = [(np.empty(size), np.empty(size)) for _ in lanes]
+
+    def run_lane(i):
+        for split, c, count, out, at in lanes[i]:
+            z, y = buffers[i][0][:count], buffers[i][1][:count]
+            rng_for(seed, "synthetic-samples", split, c).standard_normal(out=z)
+            np.add(z, 0.0, out=z)  # as Generator.normal(0, 1): 0.0 + 1.0 * z, so -0.0 -> 0.0
+            np.matmul(z, mixing.T, out=y)
+            np.add(means[c], y, out=y)
+            out[at] = y
+
+    parallel.ordered_map(run_lane, range(len(lanes)))
     return TaskSequence(tasks, n_classes=n_classes)
 
 

@@ -19,8 +19,9 @@ class AdamState:
 
 
 def adam_step(net, grads, state, lr, beta1=BETA1, beta2=BETA2, eps=EPS):
-    """One bias-corrected Adam update; fixed layers are untouched by design
-    (they expose no trainable parameters)."""
+    """One bias-corrected Adam update of every trainable parameter that has
+    a gradient in ``grads``; a layer's rotation is not a parameter and is
+    never updated."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     state.t += 1

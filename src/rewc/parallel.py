@@ -1,10 +1,14 @@
-"""One thread pool for the chunked passes outside training.
+"""One thread pool for the chunked passes outside training and for
+synthetic data.
 
 numpy releases the GIL inside BLAS calls and large array loops, so the
 independent units of the Fisher, correlation and evaluation passes (one
-forward per chunk, one record-only backward per chunk and label set) overlap
-on several cores.  ``ordered_map`` returns results in input order, and every
-caller accumulates them on its own thread in that order, so results are
+forward per chunk, one record-only backward per chunk and label set) and of
+a synthetic stream (one draw and mixing GEMM per split and class) overlap on
+several cores.  Each random stream is consumed by exactly one unit, in
+serial order; large buffers are made on the calling thread.
+``ordered_map`` returns results in input order, and every caller
+accumulates them on its own thread in that order, so results are
 bit-identical for every pool size.  The pool is created on first use.
 """
 

@@ -39,8 +39,15 @@ def build_tasks(cfg, seed):
             image_shape=image_shape,
             noise_cond=cfg["synth_noise_cond"],
         )
-    raw = load_mnist(cfg["mnist_dir"], pad_to_32=cfg["mnist_pad"])
-    return disjoint_split(raw, cfg["tasks"], seed)
+    return disjoint_split(load_raw(cfg), cfg["tasks"], seed)
+
+
+def load_raw(cfg):
+    """The parsed MNIST files of an MNIST config; None for a synthetic one,
+    whose streams are generated per seed."""
+    if cfg["dataset"] != "mnist":
+        return None
+    return load_mnist(cfg["mnist_dir"], pad_to_32=cfg["mnist_pad"])
 
 
 def build_net(cfg, tasks, seed):
@@ -77,10 +84,14 @@ def environment():
     }
 
 
-def run_single(cfg, seed):
-    """One seeded run; returns the result record (timings included)."""
+def run_single(cfg, seed, raw=None):
+    """One seeded run; returns the result record (timings included).
+
+    ``raw``, from ``load_raw``, is split for this seed instead of parsing the
+    MNIST files again."""
     t0 = time.perf_counter()
-    tasks = build_tasks(cfg, seed)
+    tasks = build_tasks(cfg, seed) if raw is None else disjoint_split(raw, cfg["tasks"], seed)
+    data_seconds = time.perf_counter() - t0
     net = build_net(cfg, tasks, seed)
     method = Method(
         cfg["method"],
@@ -123,6 +134,7 @@ def run_single(cfg, seed):
         "env": environment(),
         "timing": {
             "total_seconds": time.perf_counter() - t0,
+            "data_seconds": data_seconds,
             "train_seconds": diagnostics.get("train_seconds", []),
         },
     }
@@ -174,8 +186,9 @@ def run_experiment(cfg):
     paths = []
     records = []
     try:
+        raw = load_raw(cfg)
         for seed in cfg["seeds"]:
-            record = run_single(cfg, seed)
+            record = run_single(cfg, seed, raw)
             records.append(record)
             paths.append(_write_json(record, os.path.join(outdir, f"{h}-seed{seed}.json")))
     except Exception:

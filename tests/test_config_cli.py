@@ -86,6 +86,15 @@ def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synthetic_stream_of_one_class_rejected_at_parse_time():
+    # One class has no closest pair to scale to synth_separation.
+    with pytest.raises(ConfigError, match=r"tasks \* classes_per_task >= 2 classes, got 1"):
+        parse_config_text("tasks = 1\nclasses_per_task = 1")
+    parse_config_text("tasks = 2\nclasses_per_task = 1")
+    parse_config_text("tasks = 1\nclasses_per_task = 2")
+    parse_config_text("dataset = mnist\nmnist_dir = d\ntasks = 1\nclasses_per_task = 1")
+
+
 def test_hash_ignores_outdir_only():
     a = parse_config_text("outdir = x")
     b = parse_config_text("outdir = y")
@@ -353,11 +362,11 @@ def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
     real = runner.run_single
     calls = []
 
-    def flaky(cfg_, seed):
+    def flaky(cfg_, seed, raw=None):
         calls.append(seed)
         if seed == 1:
             raise RuntimeError("simulated mid-run crash")
-        return real(cfg_, seed)
+        return real(cfg_, seed, raw)
 
     monkeypatch.setattr(runner, "run_single", flaky)
     with pytest.raises(RuntimeError):
@@ -503,3 +512,59 @@ def test_cli_run_fails_on_a_diverged_task(tmp_path, capsys, monkeypatch):
     assert len(files) == 1  # no run record, only the aggregate
     agg = read_json(out / files[0])
     assert agg["status"] == "failed" and agg["seeds"] == []
+
+
+def test_run_record_times_the_data(tmp_path, monkeypatch):
+    import time
+
+    import rewc.runner as runner
+
+    real = runner.synthetic_tasks
+
+    def slow(**kwargs):
+        time.sleep(0.05)
+        return real(**kwargs)
+
+    monkeypatch.setattr(runner, "synthetic_tasks", slow)
+    cfg = parse_config_text(SMALL_RUN.format(out=tmp_path / "r"))
+    timing = runner.run_single(cfg, 0)["timing"]
+    assert 0.05 <= timing["data_seconds"] < timing["total_seconds"]
+
+
+def write_fake_mnist(directory):
+    from helpers import make_idx_pair
+    from rewc.data import MNIST_FILES
+
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 60), ("test", 20)):
+        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        labels = np.tile(np.arange(10, dtype=np.uint8), n // 10)
+        img, lab = make_idx_pair(images, labels)
+        (directory / MNIST_FILES[f"{split}_images"]).write_bytes(img)
+        (directory / MNIST_FILES[f"{split}_labels"]).write_bytes(lab)
+
+
+def test_mnist_is_parsed_once_per_experiment(tmp_path, monkeypatch):
+    import rewc.runner as runner
+
+    write_fake_mnist(tmp_path)
+    cfg = parse_config_text(
+        f"dataset = mnist\nmnist_dir = {tmp_path}\nmnist_pad = false\narch = mlp-custom\n"
+        f"mlp_hidden = 8\nmethod = ewc\nfim_samples = 10\nepochs = 1\nbatch = 16\n"
+        f"seeds = 0,1\noutdir = {tmp_path / 'out'}\n")
+    real = runner.load_mnist
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "load_mnist", counted)
+    paths = runner.run_experiment(cfg)
+    assert len(calls) == 1
+    got = [read_json(p) for p in paths if "aggregate" not in p]
+    want = [json.loads(json.dumps(runner.run_single(cfg, seed))) for seed in (0, 1)]
+    assert len(calls) == 3  # run_single without raw parses the files itself
+    for g, w in zip(got, want):
+        assert g.pop("timing").keys() == w.pop("timing").keys()
+        assert g == w

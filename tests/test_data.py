@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -198,6 +199,78 @@ def test_synthetic_linearly_separable_in_50_steps():
             adam_step(net, gset.grads, state, 0.01)
         acc = np.mean(np.argmax(forward(net, task.test_x)[0], 1) == task.test_y)
         assert acc > 0.99, f"seed {seed}: {acc}"
+
+
+def test_synthetic_stream_needs_two_classes():
+    with pytest.raises(DimensionError, match="at least 2 classes"):
+        synthetic_tasks(seed=0, T=1, classes_per_task=1)
+    synthetic_tasks(seed=0, T=2, classes_per_task=1, dim=3)  # two classes are enough
+
+
+# SHA-256 of every array of two streams, recorded with this numpy/BLAS build
+# (at 1 and at 2 BLAS threads alike). Another build may round the mixing
+# matrix's QR or the GEMMs differently, so the pins hold only for this one.
+PIN_BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
+STREAM_PINS = {
+    # the lenet-* benchmark workloads' stream at seed 0
+    "lenet": {
+        (0, "train_x"): "0ea55896dba009d767820f03203f253050d8cf93dad7e223a8d848150d07bd48",
+        (0, "train_y"): "23dd7860420fab72edc45f3af0702ee471367a3846a7a7d31c84814ce19a5699",
+        (0, "test_x"): "7dfccc0d2369d0ffc656e1279a772800ffd4b445e9f7202fccc33519bb79d0b7",
+        (0, "test_y"): "9e22324c02ff9592cab4ee42ec0c15a48d236fb42835f753d2ff90720de87536",
+        (1, "train_x"): "69682f2ea058abceac0cfb211be28e083173e86de8c9f1ec2a4729184cdf3a63",
+        (1, "train_y"): "4ce7eeee03b8b8dad13052754ba43be65eafd022c46eb79c54fa2be7738ad5e3",
+        (1, "test_x"): "f92a9ddb9ea1fccbb38f4aee6e200285bcf2df8a075b13fc8714bd989c8c7354",
+        (1, "test_y"): "8ed3ab6fb190dfc2db5ae43450fc2b0531bec11629303ff9d184ec58d65339c8",
+    },
+    # configs/synthetic-t4.cfg at seed 0
+    "synthetic-t4": {
+        (0, "train_x"): "655c384e327afa2bf8b5f72338758e5716342ac146629be099b41840ec729791",
+        (0, "train_y"): "bb91c671eaebb29b97a1b93f8d65e5bd4d74c12821438ef8c02bd4bd16abf803",
+        (0, "test_x"): "720572a8f8c26b54dc3139a3d653e4552097d1ba818eeba2a5b06d9431be7ae1",
+        (0, "test_y"): "da7de8ed3cb85f901e20fb84187675ba29abbb01b815068e703ecf01cd740604",
+        (1, "train_x"): "c084e843c02c227ab2a8d3ce68c95bc958e5d637138c45cd790256f8e0f5d083",
+        (1, "train_y"): "20abee9c8bbd13088ee4c5669d6efb861fabf6579d6915240bf601c4a19e5891",
+        (1, "test_x"): "0a1fe40fa8363f096cc2f07b97a54cb312c68ade364cac691a2c85365604ba50",
+        (1, "test_y"): "17e5ab0cf1dd28bbb64b6551232270650bfee58b3b2903e191d5b7b9789d92b8",
+        (2, "train_x"): "ba2f31aff39578cb7ac64f153811d5c67a6fa857de61462f9aefc3d0f82fedce",
+        (2, "train_y"): "495a91d716eca389387c3feea900884e635df4f6af4d917c803c799d834e09f9",
+        (2, "test_x"): "2435f7fcd67d6f14b72eb7f50187ccab809e3f9a9a8124c5ad42167972187666",
+        (2, "test_y"): "bfef02eb827580035307228a2aaef65814f827094c55c85bcf91bb8ada1ffa36",
+        (3, "train_x"): "8eedda6fc8db970e4eaa564a415a052d7b774823c6e2fa010cb925a9b61a3194",
+        (3, "train_y"): "f047f93a560efa96c252ac7bb0f5b4f16f31ba6df36bceb27d25ad3bcc6a41b6",
+        (3, "test_x"): "7ad473ff7e24e6e8f8b47854279280980092f266e038358f1085642f527cb0d5",
+        (3, "test_y"): "91511fd4696f72d9b55cbb75180c32f234a0a8bbe52dae016d1ad076c9a2e5b6",
+    },
+}
+
+
+def pinned_stream(name):
+    if name == "lenet":
+        return synthetic_tasks(seed=0, T=2, classes_per_task=5, separation=30.0,
+                               image_shape=(32, 32, 1), noise_cond=20.0)
+    from rewc.config import parse_config
+    from rewc.runner import build_tasks
+
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "synthetic-t4.cfg")
+    return build_tasks(cfg, 0)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_synthetic_stream_bytes_are_pinned(name):
+    from rewc.runner import environment
+
+    env = environment()
+    build = {key: env[key] for key in PIN_BUILD}
+    if build != PIN_BUILD:
+        pytest.skip(f"pins were recorded with {PIN_BUILD}, this is {build}")
+    got = {}
+    for t in pinned_stream(name):
+        for field in ("train_x", "train_y", "test_x", "test_y"):
+            a = getattr(t, field)
+            assert a.flags.c_contiguous
+            got[(t.task_id, field)] = hashlib.sha256(a.tobytes()).hexdigest()
+    assert got == STREAM_PINS[name]
 
 
 def test_task_sequence_rejects_overlap():

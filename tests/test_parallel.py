@@ -1,5 +1,6 @@
-"""The pool behind the passes outside training gives the same bits at every
-size: each case runs with ``parallel.WORKERS`` at 1 and at 3."""
+"""The pool behind the passes outside training and the synthetic streams
+gives the same bits at every size: each case runs with ``parallel.WORKERS``
+at 1 and at 3."""
 
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 from helpers import random_convnet, random_mlp
 from rewc import fim, parallel
 from rewc.continual import evaluate_matrix
+from rewc.data import synthetic_tasks
 from rewc.errors import DimensionError
 from rewc.fim import _sample_labels, estimate_diag_fim, estimate_full_fim_layer, select_samples
 from rewc.network import CHUNK, forward, softmax
@@ -176,7 +178,11 @@ def test_many_threads_with_frequent_switches_give_the_same_bits(monkeypatch):
     _, net, x = next(nets())
 
     def estimate():
-        return estimate_diag_fim(net, x, BUDGET, "expected", np.random.default_rng(8)).values
+        values = estimate_diag_fim(net, x, BUDGET, "expected", np.random.default_rng(8)).values
+        stream = synthetic_tasks(seed=9, T=3, classes_per_task=3, dim=16, train_per_class=23,
+                                 test_per_class=7)
+        return dict(values, **{f"{t.task_id}.{name}": getattr(t, name) for t in stream
+                               for name in ("train_x", "train_y", "test_x", "test_y")})
 
     monkeypatch.setattr(parallel, "WORKERS", 1)
     want = estimate()
@@ -189,3 +195,18 @@ def test_many_threads_with_frequent_switches_give_the_same_bits(monkeypatch):
         sys.setswitchinterval(interval)
     for values in got:
         assert_same_dicts([want, values])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(T=2, classes_per_task=3, image_shape=(6, 6, 1), train_per_class=37,
+         test_per_class=11, noise_cond=20.0),
+    dict(T=3, classes_per_task=2, dim=9, train_per_class=13, test_per_class=29),
+], ids=["image", "mlp"])
+def test_synthetic_tasks_are_bit_identical_across_pool_sizes(pools, kwargs):
+    # train_per_class != test_per_class, so the lanes carry unequal rows.
+    streams = pools(lambda: synthetic_tasks(seed=5, **kwargs))
+    for a, b in zip(*streams):
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), (a.task_id, name)
