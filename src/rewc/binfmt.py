@@ -72,7 +72,9 @@ class Reader:
         self._pos = len(magic)
         found = self.u32()
         if found != version:
-            raise DataFormatError(f"unsupported {what} version {found}")
+            raise DataFormatError(
+                f"unsupported {what} version {found} (this build reads version {version})"
+            )
 
     def _take(self, n):
         if n > len(self._buf) - self._pos:

@@ -299,4 +299,7 @@ def load_task_sequence(path):
                 raise DataFormatError(f"task {task_id}: inputs {x.shape} but labels {y.shape}")
         tasks.append(TaskDataset(task_id, class_ids, *arrays))
     r.end()
-    return TaskSequence(tasks, n_classes)
+    try:
+        return TaskSequence(tasks, n_classes)
+    except DimensionError as e:
+        raise DataFormatError(f"malformed dataset cache: {e}") from e

@@ -110,7 +110,7 @@ def _scope_selects(net, scope, rotate_head):
 
 
 def rotation_matrices(stats, layer_index):
-    """Eigenbasis sandwich matrices (U1, U2) for one layer's correlations."""
+    """Eigenbasis rotation matrices (U1, U2) for one layer's correlations."""
     cx = stats.input_corr[layer_index] / stats.count
     cz = stats.grad_corr[layer_index] / stats.count
     if not (np.all(np.isfinite(cx)) and np.all(np.isfinite(cz))):

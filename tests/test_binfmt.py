@@ -12,11 +12,11 @@ import struct
 import numpy as np
 import pytest
 
-from rewc.checkpoint import load_network, save_network
+from rewc.checkpoint import _KIND_TAGS, load_network, save_network
 from rewc.data import TaskDataset, TaskSequence, load_task_sequence, save_task_sequence
 from rewc.errors import DataFormatError
 from rewc.fim import FimDiagonal, load_fim, save_fim
-from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
+from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU
 from rewc.network import Network
 
 
@@ -45,9 +45,8 @@ def plain_net():
 
 
 def rotated_net():
-    """Written as 13 records: each rotated layer becomes its input rotation,
-    the layer without its bias (records 1 and 10), its output rotation and
-    its bias."""
+    """Written as 7 records, one per layer: the rotated conv and dense layers
+    carry their U1 and U2 after their weight and bias."""
     layers = [
         Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1, U1=flip(1), U2=flip(2)),
         ReLU(),
@@ -75,12 +74,12 @@ def task_sequence():
     return TaskSequence(tasks, 5)
 
 
-# name: (save, load, object factory, SHA-256 of the file the parent format wrote)
+# name: (save, load, object factory, SHA-256 of the file written)
 FORMATS = {
     "rewc-plain": (save_network, load_network, plain_net,
-                   "267315f532644cf9ed311219d31579f8ff6ec6c04e674145493d8e6bd3f782f5"),
+                   "0a0e258e1f50863ed3fd6fa5074e6884e54aeecf32716735ace57484d8108636"),
     "rewc-rotated": (save_network, load_network, rotated_net,
-                     "f308c336053556b2425e16a8d5152c15350d3d21bdac5582de0d0094befb32d3"),
+                     "bd3bb97e2b39681215ff54ad3f46b0104454ea91c8e04986d537529045a5f0ec"),
     "rfim": (save_fim, load_fim, fim_snapshot,
              "c652d78aa06595b92933e6170542d5b23eca91db1904c7ef04b5440ad609959a"),
     "rdat": (save_task_sequence, load_task_sequence, task_sequence,
@@ -171,32 +170,101 @@ def test_trailing_bytes_raise_data_format_error(tmp_path, name):
         FORMATS[name][1](path)
 
 
-# The rewc-rotated file ends with its two pair records, each
-# ``layer_index, d1, d2`` u32 then U1 and U2: (1, 1, 2) and (10, 4, 3).
-REWC_PAIR_SIZES = (12 + 8 * (1 * 1 + 2 * 2), 12 + 8 * (4 * 4 + 3 * 3))
+# Offsets into both REWC fixtures: magic, version, rng_seed i64, then
+# head_classes u32, the 3-d input shape and the record count; the first record
+# is the conv layer, tag u8 then kh, kw, c_in, c_out, stride, padding,
+# has_bias and rotated u32, then K (3x3x1x2) and b (2), then U1 (1x1).
+REWC_HEAD_CLASSES_AT = 16
+REWC_CONV_FLAGS_AT = 20 + 1 + 4 * 3 + 4 + 1 + 4 * 6
+REWC_CONV_U1_AT = REWC_CONV_FLAGS_AT + 8 + 8 * (18 + 2)
 
 
-def pair_at(data, k):
-    return len(data) - sum(REWC_PAIR_SIZES[k:])
+def patched(tmp_path, name, at, fmt, old, new):
+    """Write fixture ``name`` with the ``fmt`` value ``old`` at ``at`` replaced by ``new``."""
+    path, data = written(tmp_path, name)
+    assert struct.unpack_from(fmt, data, at) == (old,)
+    size = struct.calcsize(fmt)
+    rewrite(path, data[:at] + struct.pack(fmt, new) + data[at + size:])
+    return path
 
 
-@pytest.mark.parametrize("k, index", [(0, 4), (1, 8), (1, 13)],
-                         ids=["first-to-relu", "second-to-relu", "second-past-end"])
-def test_rewc_rejects_a_pair_that_names_no_rotated_layer(tmp_path, k, index):
-    path, data = written(tmp_path, "rewc-rotated")
-    at = pair_at(data, k)
-    assert struct.unpack_from("<I", data, at) == ((1, 10)[k],)
-    rewrite(path, data[:at] + struct.pack("<I", index) + data[at + 4:])
-    with pytest.raises(DataFormatError, match="rotation pair"):
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_unsupported_version_names_the_version_this_build_reads(tmp_path, name):
+    path = patched(tmp_path, name, 4, "<I", 2 if name.startswith("rewc") else 1, 99)
+    with pytest.raises(DataFormatError, match=r"version 99 \(this build reads version"):
+        FORMATS[name][1](path)
+
+
+def test_rewc_rejects_a_head_that_does_not_match_head_classes(tmp_path):
+    path = patched(tmp_path, "rewc-plain", REWC_HEAD_CLASSES_AT, "<I", 3, 4)
+    with pytest.raises(DataFormatError, match="head_classes=4 but head has 3 rows"):
         load_network(path)
 
 
-def test_rewc_rejects_a_pair_whose_matrix_differs_from_its_layer(tmp_path):
-    # The first pair's U1 is the 1x1 matrix [[1.0]]; [[-1.0]] is orthogonal
-    # too, so only the comparison with the input rotation record catches it.
-    path, data = written(tmp_path, "rewc-rotated")
-    at = pair_at(data, 0) + 12
-    assert struct.unpack_from("<d", data, at) == (1.0,)
-    rewrite(path, data[:at] + struct.pack("<d", -1.0) + data[at + 8:])
-    with pytest.raises(DataFormatError, match="repeats other matrices"):
+def test_rewc_rejects_a_rotation_that_is_not_orthogonal(tmp_path):
+    # The conv layer's U1 is the 1x1 matrix [[1.0]].
+    path = patched(tmp_path, "rewc-rotated", REWC_CONV_U1_AT, "<d", 1.0, 2.0)
+    with pytest.raises(DataFormatError, match="not orthogonal"):
         load_network(path)
+
+
+@pytest.mark.parametrize("name, offset, old", [("rewc-plain", 0, 1), ("rewc-rotated", 0, 1),
+                                               ("rewc-plain", 4, 0), ("rewc-rotated", 4, 1)],
+                         ids=["plain-has-bias", "rotated-has-bias", "plain-rotated",
+                              "rotated-rotated"])
+def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, offset, old):
+    path = patched(tmp_path, name, REWC_CONV_FLAGS_AT + offset, "<I", old, 2)
+    with pytest.raises(DataFormatError, match="flag is 2, not 0 or 1"):
+        load_network(path)
+
+
+def test_rdat_rejects_classes_that_two_tasks_share(tmp_path):
+    # Task 0's first class id (0) becomes task 1's first (2); it sits after
+    # magic, version, task and class counts, task id and class count.
+    path = patched(tmp_path, "rdat", 24, "<I", 0, 2)
+    with pytest.raises(DataFormatError, match=r"task 1 reuses classes \[2\]"):
+        load_task_sequence(path)
+
+
+def concrete_layer_kinds():
+    found, todo = set(), [Layer]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls is not Layer:
+            found.add(cls.kind)
+    return found
+
+
+def test_every_layer_kind_is_saveable_and_round_trips_bit_exactly(tmp_path):
+    assert set(_KIND_TAGS) == concrete_layer_kinds()
+    layers = [
+        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1, U1=flip(1), U2=flip(2)),
+        ReLU(),
+        Conv2D(ramp(1, 1, 2, 3, start=3), stride=2),
+        MeanPool2D(2),
+        Flatten(),
+        Dense(ramp(4, 12), ramp(4, start=3)),
+        ReLU(),
+        Dense(ramp(3, 4, start=7), U1=flip(4), U2=flip(3)),
+    ]
+    net = Network(layers, 3, 5, (8, 8, 1))
+    assert {layer.kind for layer in net.layers} == set(_KIND_TAGS)
+    path = os.path.join(tmp_path, "all-kinds.rewc")
+    save_network(net, path)
+    back = load_network(path)
+    assert (back.rng_seed, back.head_classes, back.input_shape) == (5, 3, (8, 8, 1))
+    assert [type(layer) for layer in back.layers] == [type(layer) for layer in layers]
+    for a, b in zip(layers, back.layers):
+        assert vars(a).keys() == vars(b).keys()
+        for key, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == vars(b)[key].dtype
+                assert np.array_equal(value, vars(b)[key])
+            else:
+                assert value == vars(b)[key]
+    with open(path, "rb") as f:
+        first = f.read()
+    save_network(back, path)
+    with open(path, "rb") as f:
+        assert f.read() == first

@@ -227,6 +227,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_probe_rejects_a_version_1_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "old.rewc"
+    save_network(build_network("mlp-custom", input_shape=(8,), hidden=[4, 2], seed=0), str(ck))
+    data = ck.read_bytes()
+    assert data[:8] == b"REWC" + (2).to_bytes(4, "little")
+    ck.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unsupported checkpoint version 1 (this build reads version 2)\n"
+
+
 @pytest.mark.parametrize("index, field", [(0, "stride"), (2, "size")],
                          ids=["conv-stride-0", "pool-size-0"])
 def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, index, field):
