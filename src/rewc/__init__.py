@@ -9,9 +9,7 @@ from .data import (
     grouped_split,
     load_mnist,
     load_mnist_idx,
-    load_task_sequence,
     locate_mnist,
-    save_task_sequence,
     synthetic_tasks,
 )
 from .fim import (
@@ -21,9 +19,7 @@ from .fim import (
     estimate_diag_fim,
     estimate_full_fim_layer,
     ewc_penalty,
-    load_fim,
     make_anchor,
-    save_fim,
 )
 from .checkpoint import load_network, save_network
 from .linalg import EigenDecomposition, diag_energy_ratio, jacobi_eigh
@@ -80,19 +76,15 @@ __all__ = [
     "grow_head",
     "jacobi_eigh",
     "layout_signature",
-    "load_fim",
     "load_mnist",
     "load_mnist_idx",
     "load_network",
-    "load_task_sequence",
     "locate_mnist",
     "make_anchor",
     "rotate_conv_kernel",
     "rotate_network",
     "run_sequence",
-    "save_fim",
     "save_network",
-    "save_task_sequence",
     "softmax",
     "synthetic_tasks",
 ]

@@ -1,12 +1,18 @@
 """Binary network checkpoints (REWC), bit-exact on a round trip.
 
-README's "File formats" section gives the layout beside RFIM's and RDAT's.
-Each layer is one record: a kind tag and its fields.  A dense or conv record
-carries ``has_bias`` and ``rotated`` flags; its weight follows, then its bias
-and its rotation ``(U1, U2)`` when flagged.
+README's "File formats" section gives the layout.  A file opens with the
+4-byte magic and a u32 version; integers are little-endian and arrays raw
+``<f8``.  Each layer is one record: a kind tag and its fields.  A dense or
+conv record carries ``has_bias`` and ``rotated`` flags; its weight follows,
+then its bias and its rotation ``(U1, U2)`` when flagged.  ``Reader`` checks
+the magic, the version, every short read and the end of the data (no byte
+may follow the last record): each fault raises ``DataFormatError``.
 """
 
-from .binfmt import Reader, Writer
+import struct
+
+import numpy as np
+
 from .errors import DataFormatError, DimensionError
 from .layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from .network import Network
@@ -19,7 +25,7 @@ _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 
 def save_network(net, path):
-    with Writer(path, MAGIC, VERSION) as w:
+    with Writer(path) as w:
         w.pack("qI", net.rng_seed, net.head_classes)
         w.dims(net.input_shape)
         w.u32(len(net.layers))
@@ -48,7 +54,7 @@ def _write_record(w, layer):
 def load_network(path):
     """Read a checkpoint; a layer or network the constructors reject is a
     ``DataFormatError`` too."""
-    r = Reader(path, MAGIC, VERSION, "checkpoint")
+    r = Reader(path)
     seed, head_classes = r.unpack("qI")
     input_shape = r.dims()
     try:
@@ -95,3 +101,73 @@ def _arrays(r, shape, d_in, d_out, has_b, rotated):
     if not rotated:
         return weight, b, None, None
     return weight, b, r.payload((d_in, d_in)), r.payload((d_out, d_out))
+
+
+class Writer:
+    """Writes one checkpoint, header first; use as a context manager."""
+
+    def __init__(self, path):
+        self._f = open(path, "wb")
+        self._f.write(MAGIC)
+        self.u32(VERSION)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def pack(self, fmt, *vals):
+        self._f.write(struct.pack("<" + fmt, *vals))
+
+    def u32(self, *vals):
+        self.pack("I" * len(vals), *vals)
+
+    def dims(self, shape):
+        self.pack("B", len(shape))
+        self.u32(*shape)
+
+    def payload(self, arr):
+        self._f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+class Reader:
+    """Reads one whole checkpoint and checks its header."""
+
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            self._buf = memoryview(f.read())
+        if self._buf[: len(MAGIC)] != MAGIC:
+            raise DataFormatError(f"bad checkpoint magic (expected {MAGIC.decode()})")
+        self._pos = len(MAGIC)
+        found = self.u32()
+        if found != VERSION:
+            raise DataFormatError(
+                f"unsupported checkpoint version {found} (this build reads version {VERSION})"
+            )
+
+    def _take(self, n):
+        if n > len(self._buf) - self._pos:
+            raise DataFormatError("checkpoint truncated")
+        self._pos += n
+        return self._buf[self._pos - n : self._pos]
+
+    def end(self):
+        """Require that the whole file was read."""
+        extra = len(self._buf) - self._pos
+        if extra:
+            raise DataFormatError(f"checkpoint has {extra} bytes after its last record")
+
+    def unpack(self, fmt):
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
+
+    def u32(self):
+        return self.unpack("I")[0]
+
+    def dims(self):
+        return self.unpack("I" * self.unpack("B")[0])
+
+    def payload(self, shape):
+        count = np.prod(shape, dtype=object)  # a Python int: u32 dims cannot overflow it
+        return np.frombuffer(self._take(8 * count), dtype="<f8").astype(np.float64).reshape(shape)

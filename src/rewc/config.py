@@ -138,8 +138,17 @@ def _validate(cfg, source):
             "convolution, so the run would be plain EWC; use method = ewc")
     if v["fim_mode"] not in _FIM_MODES:
         bad(f"fim_mode must be one of {_FIM_MODES}, got {v['fim_mode']!r}")
+    if v["diag_layers"] and v["method"] != "rewc":
+        bad(f"diag_layers is read only under method = rewc, not {v['method']}; "
+            "remove diag_layers or use method = rewc")
+    if v["store_fim_blocks"] and not v["diag_layers"]:
+        bad("store_fim_blocks = true stores the blocks of diag_layers, which is empty; "
+            "set diag_layers or remove store_fim_blocks")
     if not v["seeds"]:
         bad("seeds must be non-empty")
+    if len(set(v["seeds"])) != len(v["seeds"]):
+        bad(f"seeds {v['seeds']} repeat a seed, whose record would be written and "
+            "counted twice; list each seed once")
     if v["tasks"] < 1:
         bad("tasks must be >= 1")
     if v["epochs"] < 1 or v["batch"] < 1:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .binfmt import Reader, Writer
 from .errors import DataFormatError, DimensionError
 from .util import rng_for
 
@@ -55,9 +54,8 @@ class TaskDataset:
 class TaskSequence:
     """Ordered tasks with pairwise-disjoint class sets."""
 
-    def __init__(self, tasks, n_classes):
+    def __init__(self, tasks):
         self.tasks = list(tasks)
-        self.n_classes = int(n_classes)
         seen = set()
         for t in self.tasks:
             overlap = seen & set(t.class_ids)
@@ -169,7 +167,7 @@ def grouped_split(raw, groups, seed):
                 test_y=raw.test_y[te],
             )
         )
-    return TaskSequence(tasks, n_classes=raw.n_classes)
+    return TaskSequence(tasks)
 
 
 def disjoint_split(raw, T, seed):
@@ -269,37 +267,4 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
             out[at] = y
 
     parallel.ordered_map(run_lane, range(len(lanes)))
-    return TaskSequence(tasks, n_classes=n_classes)
-
-
-RDAT_MAGIC = b"RDAT"
-RDAT_VERSION = 1
-
-
-def save_task_sequence(seq, path):
-    with Writer(path, RDAT_MAGIC, RDAT_VERSION) as w:
-        w.u32(len(seq), seq.n_classes)
-        for t in seq:
-            w.u32(t.task_id, len(t.class_ids), *t.class_ids)
-            for arr in (t.train_x, t.train_y, t.test_x, t.test_y):
-                w.array(arr, tagged=True)
-
-
-def load_task_sequence(path):
-    """Read an RDAT cache; inputs must be float64 (tag 0), labels int64 (tag 1)."""
-    r = Reader(path, RDAT_MAGIC, RDAT_VERSION, "dataset cache")
-    n_tasks, n_classes = r.unpack("II")
-    tasks = []
-    for _ in range(n_tasks):
-        task_id, n_cls = r.unpack("II")
-        class_ids = r.unpack("I" * n_cls)
-        arrays = [r.array(tag) for tag in (0, 1, 0, 1)]  # train_x, train_y, test_x, test_y
-        for x, y in (arrays[:2], arrays[2:]):
-            if x.ndim == 0 or y.ndim != 1 or len(x) != len(y):
-                raise DataFormatError(f"task {task_id}: inputs {x.shape} but labels {y.shape}")
-        tasks.append(TaskDataset(task_id, class_ids, *arrays))
-    r.end()
-    try:
-        return TaskSequence(tasks, n_classes)
-    except DimensionError as e:
-        raise DataFormatError(f"malformed dataset cache: {e}") from e
+    return TaskSequence(tasks)

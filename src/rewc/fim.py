@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .binfmt import Reader, Writer
 from .errors import AlignmentError, CapacityError, DimensionError
 from .layers import Conv2D, Dense, rotate_conv_kernel
 from .network import CHUNK, backward, forward, layout_signature, softmax
@@ -311,27 +310,3 @@ def ewc_penalty(net, anchor):
             g = padded
         grads[key] = g
     return penalty, grads
-
-
-FIM_MAGIC = b"RFIM"
-FIM_VERSION = 1
-
-
-def save_fim(fim, path):
-    with Writer(path, FIM_MAGIC, FIM_VERSION) as w:
-        w.name(fim.layout_hash)
-        w.u32(len(fim.values))
-        for key in sorted(fim.values):
-            w.name(key)
-            w.array(fim.values[key])
-
-
-def load_fim(path):
-    r = Reader(path, FIM_MAGIC, FIM_VERSION, "FIM snapshot")
-    layout_hash = r.name()
-    values = {}
-    for _ in range(r.u32()):
-        key = r.name()
-        values[key] = r.array()
-    r.end()
-    return FimDiagonal(values=values, layout_hash=layout_hash)

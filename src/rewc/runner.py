@@ -57,13 +57,11 @@ def build_net(cfg, tasks, seed):
     if arch == "mlp-custom":
         hidden = list(cfg["mlp_hidden"]) + [head]
         return build_network(arch, input_shape=input_shape, hidden=hidden, seed=seed)
-    if arch == "mlp-784-10-10-10":
-        if int(np.prod(input_shape)) != 784:
-            raise ConfigError(
-                "arch mlp-784-10-10-10 needs 784 input features "
-                "(use mnist_pad=false for MNIST)"
-            )
-        return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
+    if arch == "mlp-784-10-10-10" and int(np.prod(input_shape)) != 784:
+        raise ConfigError(
+            "arch mlp-784-10-10-10 needs 784 input features "
+            "(use mnist_pad=false for MNIST)"
+        )
     return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
 
 
@@ -128,14 +126,14 @@ def run_single(cfg, seed, raw=None):
         "final_per_task": matrix.final_row(),
         "final_avg": float(np.mean(matrix.final_row())),
         "final_param_sha256": parameter_digest(net),
-        "fim_median_per_task": diagnostics.get("fim_median", []),
+        "fim_median_per_task": diagnostics["fim_median"],
         "diag_energy": diagnostics.get("diag_energy", {}),
         "warnings": diagnostics["warnings"],
         "env": environment(),
         "timing": {
             "total_seconds": time.perf_counter() - t0,
             "data_seconds": data_seconds,
-            "train_seconds": diagnostics.get("train_seconds", []),
+            "train_seconds": diagnostics["train_seconds"],
         },
     }
     return record

@@ -1,4 +1,4 @@
-"""The REWC, RFIM and RDAT file formats: pinned bytes and the error contract.
+"""The REWC checkpoint format: pinned bytes and the error contract.
 
 Every fixture is built from ``np.arange`` ramps and signed permutations, with
 no RNG and no LAPACK, so the written bytes do not depend on the numpy or BLAS
@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from rewc.checkpoint import _KIND_TAGS, load_network, save_network
-from rewc.data import TaskDataset, TaskSequence, load_task_sequence, save_task_sequence
-from rewc.errors import DataFormatError
-from rewc.fim import FimDiagonal, load_fim, save_fim
+from rewc.errors import DataFormatError, DimensionError
 from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU
 from rewc.network import Network
 
@@ -59,38 +57,19 @@ def rotated_net():
     return Network(layers, 3, -7, (6, 6, 1))
 
 
-def fim_snapshot():
-    values = {"0.K": ramp(3, 3, 1, 2) ** 2, "0.b": ramp(2) ** 2, "4.W": ramp(4, 18) ** 2}
-    return FimDiagonal(values=values, layout_hash="ramp-µ")
-
-
-def task_sequence():
-    tasks = [
-        TaskDataset(0, (0, 1), ramp(4, 3), np.arange(4, dtype=np.int64) % 2,
-                    ramp(2, 3, start=9), np.array([1, 0], dtype=np.int64)),
-        TaskDataset(1, (2, 3, 4), ramp(3, 2, 2, 1, start=4), np.array([2, 4, 3], dtype=np.int64),
-                    ramp(1, 2, 2, 1), np.array([3], dtype=np.int64)),
-    ]
-    return TaskSequence(tasks, 5)
-
-
 # name: (save, load, object factory, SHA-256 of the file written)
 FORMATS = {
     "rewc-plain": (save_network, load_network, plain_net,
                    "0a0e258e1f50863ed3fd6fa5074e6884e54aeecf32716735ace57484d8108636"),
     "rewc-rotated": (save_network, load_network, rotated_net,
                      "bd3bb97e2b39681215ff54ad3f46b0104454ea91c8e04986d537529045a5f0ec"),
-    "rfim": (save_fim, load_fim, fim_snapshot,
-             "c652d78aa06595b92933e6170542d5b23eca91db1904c7ef04b5440ad609959a"),
-    "rdat": (save_task_sequence, load_task_sequence, task_sequence,
-             "0797cecb7eb5caef9ceafc7b1df9d626fa2765992af45fd759a3ea15dcb351ce"),
 }
 
 
-def written(tmp_path, name, obj=None):
+def written(tmp_path, name):
     save, _, make, _ = FORMATS[name]
     path = os.path.join(tmp_path, name)
-    save(make() if obj is None else obj, path)
+    save(make(), path)
     with open(path, "rb") as f:
         return path, f.read()
 
@@ -115,51 +94,6 @@ def test_every_truncation_raises_data_format_error(tmp_path, name):
         rewrite(path, data[:k])
         with pytest.raises(DataFormatError):
             load(path)
-
-
-RFIM_HASH_AT = 12  # magic, version, hash length
-RFIM_FIRST_KEY_AT = RFIM_HASH_AT + len("ramp-µ".encode()) + 8  # hash, count, key length
-
-
-@pytest.mark.parametrize("offset", [RFIM_HASH_AT, RFIM_FIRST_KEY_AT], ids=["layout-hash", "key"])
-def test_rfim_rejects_a_name_that_is_not_utf8(tmp_path, offset):
-    path, data = written(tmp_path, "rfim")
-    rewrite(path, data[:offset] + b"\xff" + data[offset + 1:])
-    with pytest.raises(DataFormatError, match="UTF-8"):
-        load_fim(path)
-
-
-# Task 0 of task_sequence(): magic, version, task and class counts, task id,
-# class count and two class ids, then the tagged train_x record.
-RDAT_TRAIN_X_TAG_AT = 4 + 12 + 8 + 8
-RDAT_TRAIN_Y_TAG_AT = RDAT_TRAIN_X_TAG_AT + 2 + 2 * 4 + 8 * 12
-
-
-def test_rdat_rejects_an_unknown_array_tag(tmp_path):
-    path, data = written(tmp_path, "rdat")
-    at = RDAT_TRAIN_X_TAG_AT
-    rewrite(path, data[:at] + b"\x07" + data[at + 1:])
-    with pytest.raises(DataFormatError, match="tag 7"):
-        load_task_sequence(path)
-
-
-@pytest.mark.parametrize("at, tag", [(RDAT_TRAIN_Y_TAG_AT, b"\x00"),
-                                     (RDAT_TRAIN_X_TAG_AT, b"\x01")],
-                         ids=["float-labels", "integer-inputs"])
-def test_rdat_rejects_a_mistyped_array(tmp_path, at, tag):
-    path, data = written(tmp_path, "rdat")
-    assert data[at:at + 1] != tag
-    rewrite(path, data[:at] + tag + data[at + 1:])
-    with pytest.raises(DataFormatError, match="tag"):
-        load_task_sequence(path)
-
-
-def test_rdat_rejects_unequal_input_and_label_rows(tmp_path):
-    seq = task_sequence()
-    seq.tasks[1].test_y = np.array([3, 2], dtype=np.int64)
-    path, _ = written(tmp_path, "rdat", seq)
-    with pytest.raises(DataFormatError, match="labels"):
-        load_task_sequence(path)
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
@@ -218,12 +152,41 @@ def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, offset, old
         load_network(path)
 
 
-def test_rdat_rejects_classes_that_two_tasks_share(tmp_path):
-    # Task 0's first class id (0) becomes task 1's first (2); it sits after
-    # magic, version, task and class counts, task id and class count.
-    path = patched(tmp_path, "rdat", 24, "<I", 0, 2)
-    with pytest.raises(DataFormatError, match=r"task 1 reuses classes \[2\]"):
-        load_task_sequence(path)
+REWC_FIRST_TAG_AT = 37  # the header, then the record count u32
+REWC_PLAIN_DENSE_AT = REWC_CONV_FLAGS_AT + 8 + 8 * (18 + 2) + 1 + 1 + 4 + 1 + 1  # d_out
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_rewc_rejects_a_file_without_its_magic(tmp_path, name):
+    path, data = written(tmp_path, name)
+    rewrite(path, b"REWD" + data[4:])
+    with pytest.raises(DataFormatError, match="bad checkpoint magic"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("tag", [0, 6, 255], ids=["zero", "version-1-fixed-dense", "max"])
+def test_rewc_rejects_an_unknown_layer_tag(tmp_path, tag):
+    path = patched(tmp_path, "rewc-plain", REWC_FIRST_TAG_AT, "<B", _KIND_TAGS["conv2d"], tag)
+    with pytest.raises(DataFormatError, match=f"unknown layer tag {tag}"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("at, old", [(REWC_FIRST_TAG_AT + 1, 3), (REWC_PLAIN_DENSE_AT, 4)],
+                         ids=["conv-kh", "dense-d_out"])
+def test_rewc_reads_a_huge_dimension_as_truncated(tmp_path, at, old):
+    # The largest u32: the payload it implies runs far past the end of the file.
+    path = patched(tmp_path, "rewc-plain", at, "<I", old, 2**32 - 1)
+    with pytest.raises(DataFormatError, match="checkpoint truncated"):
+        load_network(path)
+
+
+def test_rewc_chains_the_constructor_error_it_replaces(tmp_path):
+    # The last double is the head's U2[2, 2], an exact 0.0.
+    _, data = written(tmp_path, "rewc-rotated")
+    path = patched(tmp_path, "rewc-rotated", len(data) - 8, "<d", 0.0, 0.5)
+    with pytest.raises(DataFormatError, match="not orthogonal") as caught:
+        load_network(path)
+    assert isinstance(caught.value.__cause__, DimensionError)
 
 
 def concrete_layer_kinds():

@@ -95,6 +95,47 @@ def test_synthetic_stream_of_one_class_rejected_at_parse_time():
     parse_config_text("dataset = mnist\nmnist_dir = d\ntasks = 1\nclasses_per_task = 1")
 
 
+@pytest.mark.parametrize("text, fix", [
+    ("method = ft\ndiag_layers = 0", "use method = rewc"),
+    ("method = ewc\ndiag_layers = 0,2", "use method = rewc"),
+    ("method = rewc\nstore_fim_blocks = true", "set diag_layers"),
+    ("seeds = 0,0", "list each seed once"),
+    ("seeds = 3,1,3", "list each seed once"),
+], ids=["ft-diag-layers", "ewc-diag-layers", "blocks-without-layers", "seed-twice",
+        "seed-twice-apart"])
+def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
+    # Each is dropped without a word at run time, or (a repeated seed)
+    # overwrites its record and counts it twice in the aggregate.
+    with pytest.raises(ConfigError, match=fix):
+        parse_config_text(text)
+    parse_config_text("method = rewc\ndiag_layers = 0\nstore_fim_blocks = true\nseeds = 0,1")
+
+
+@pytest.mark.parametrize("arch, shape, kwargs", [
+    ("lenet", (16, 16, 1), {"head_classes": 3, "input_shape": (16, 16, 1)}),
+    ("mlp-784-10-10-10", (28, 28, 1), {"head_classes": 3, "input_shape": (28, 28, 1)}),
+    ("mlp-784-10-10-10", (32, 32, 1), None),
+    ("mlp-custom", (5,), {"input_shape": (5,), "hidden": [6, 3]}),
+], ids=["lenet", "mlp-784", "mlp-784-padded", "mlp-custom"])
+def test_build_net_sizes_the_head_from_the_first_task(arch, shape, kwargs):
+    from rewc.data import TaskDataset, TaskSequence
+    from rewc.runner import build_net
+
+    def task(task_id, classes):
+        x, y = np.zeros((len(classes),) + shape), np.array(classes)
+        return TaskDataset(task_id, classes, x, y, x, y)
+
+    cfg = parse_config_text(f"arch = {arch}\nmlp_hidden = 6")
+    tasks = TaskSequence([task(0, (1, 2)), task(1, (3, 4))])
+    if kwargs is None:
+        with pytest.raises(ConfigError, match=r"784 input features \(use mnist_pad=false"):
+            build_net(cfg, tasks, seed=4)
+        return
+    net = build_net(cfg, tasks, seed=4)
+    assert net.head_classes == 3
+    assert parameter_digest(net) == parameter_digest(build_network(arch, seed=4, **kwargs))
+
+
 def test_hash_ignores_outdir_only():
     a = parse_config_text("outdir = x")
     b = parse_config_text("outdir = y")

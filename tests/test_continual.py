@@ -159,7 +159,7 @@ def test_memorize_tiny_task():
     x = rng.normal(size=(10, 4)) * 3.0
     y = np.array([0, 1] * 5)
     task = TaskDataset(0, (0, 1), x, y, x, y)
-    tasks = TaskSequence([task], 2)
+    tasks = TaskSequence([task])
     hyper = Hyper(epochs=300, batch_size=10, lr=0.01, seed=0)
     _, mat, _ = run_sequence(small_net(12, dim=4, hidden=(32,)), tasks, Method("ft", lam=0.0), hyper)
     assert mat.rows[0][0] == 1.0
@@ -171,7 +171,7 @@ def test_argmax_tie_breaks_low():
 
     x = np.ones((6, 4))
     y = np.array([0, 0, 1, 1, 2, 2])
-    tasks = TaskSequence([TaskDataset(0, (0, 1, 2), x, y, x, y)], 3)
+    tasks = TaskSequence([TaskDataset(0, (0, 1, 2), x, y, x, y)])
     row = evaluate_matrix(net, tasks, 1)
     assert row[0] == pytest.approx(2 / 6)  # everything predicted as class 0
 

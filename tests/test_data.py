@@ -13,8 +13,6 @@ from rewc.data import (
     disjoint_split,
     grouped_split,
     load_mnist_idx,
-    load_task_sequence,
-    save_task_sequence,
     synthetic_tasks,
 )
 from rewc.errors import DataFormatError, DimensionError
@@ -146,7 +144,6 @@ def test_grouped_split_custom_groups():
 
 def test_synthetic_counts_and_ids():
     seq = synthetic_tasks(seed=0, T=2, classes_per_task=2, dim=5)
-    assert seq.n_classes == 4
     assert seq[0].class_ids == (0, 1) and seq[1].class_ids == (2, 3)
     for t in seq:
         assert t.train_x.shape == (400, 5)
@@ -277,22 +274,4 @@ def test_task_sequence_rejects_overlap():
     t0 = TaskDataset(0, (0, 1), np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 3)), np.array([0, 1]))
     t1 = TaskDataset(1, (1, 2), np.zeros((2, 3)), np.array([1, 2]), np.zeros((2, 3)), np.array([1, 2]))
     with pytest.raises(DimensionError):
-        TaskSequence([t0, t1], 3)
-
-
-def test_task_sequence_cache_roundtrip(tmp_path):
-    seq = synthetic_tasks(seed=5, T=3, classes_per_task=2, dim=4)
-    path = os.path.join(tmp_path, "seq.rdat")
-    save_task_sequence(seq, path)
-    back = load_task_sequence(path)
-    assert len(back) == len(seq) and back.n_classes == seq.n_classes
-    for ta, tb in zip(seq, back):
-        assert ta.task_id == tb.task_id and ta.class_ids == tb.class_ids
-        assert np.array_equal(ta.train_x, tb.train_x)
-        assert np.array_equal(ta.train_y, tb.train_y)
-        assert np.array_equal(ta.test_x, tb.test_x)
-        assert np.array_equal(ta.test_y, tb.test_y)
-    with open(path, "r+b") as f:
-        f.write(b"XXXX")
-    with pytest.raises(DataFormatError):
-        load_task_sequence(path)
+        TaskSequence([t0, t1])

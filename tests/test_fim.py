@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -17,9 +15,7 @@ from rewc.fim import (
     estimate_diag_fim,
     estimate_full_fim_layer,
     ewc_penalty,
-    load_fim,
     make_anchor,
-    save_fim,
 )
 from rewc.layers import Conv2D, Dense
 from rewc.linalg import jacobi_eigh
@@ -231,20 +227,6 @@ def test_grown_head_rows_carry_no_penalty():
     assert grads[head_key].shape == net.get_param(head_key).shape
     assert np.all(grads[head_key][4:] == 0.0)
     assert np.all(grads[f"{net.head_index}.b"][4:] == 0.0)
-
-
-def test_fim_snapshot_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    net = random_mlp(rng)
-    x = rng.normal(size=(10, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
-    path = os.path.join(tmp_path, "snap.rfim")
-    save_fim(fim, path)
-    back = load_fim(path)
-    assert back.layout_hash == fim.layout_hash
-    assert set(back.values) == set(fim.values)
-    for k in fim.values:
-        assert np.array_equal(back.values[k], fim.values[k])
 
 
 def rotated_convnet(seed):

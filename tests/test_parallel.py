@@ -2,6 +2,8 @@
 gives the same bits at every size: each case runs with ``parallel.WORKERS``
 at 1 and at 3."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import random_convnet, random_mlp
+import rewc
 from rewc import fim, parallel
 from rewc.continual import evaluate_matrix
 from rewc.data import synthetic_tasks
@@ -22,6 +25,24 @@ from rewc.rotation import accumulate_correlations
 POOL_SIZES = (1, 3)
 BUDGET = 230  # four chunks, the last partial: one full wave of 3 and one of 1
 assert BUDGET % CHUNK
+
+
+def fresh_import(expr):
+    """``expr`` evaluated after ``import sys, rewc`` in a fresh interpreter:
+    this one has long since made the pool and imported every module."""
+    code = f"import sys, rewc\nprint(repr({expr}))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rewc.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_defers_the_pool():
+    assert fresh_import("'concurrent.futures' in sys.modules") == "False"
+
+
+def test_every_export_resolves():
+    assert fresh_import("[n for n in rewc.__all__ if not hasattr(rewc, n)]") == "[]"
 
 
 @pytest.fixture
