@@ -6,6 +6,7 @@ curvature at the rotated parameters, and anchors there; the next task then
 trains in the rotated space.  Exactly one anchor is kept at any time.
 """
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -96,26 +97,48 @@ class EvalMatrix:
 def train_task(net, task, method, hyper, task_index, anchor=None):
     """Minibatch Adam over one task, with the anchor penalty when present.
 
-    A step whose loss is not finite raises ``ConvergenceError``: the run has
-    diverged, and its accuracies would read as chance, not as forgetting."""
+    When the first layer does input-only work (``Layer.prepares``), the next
+    batch is gathered and that work done on ``rewc.parallel``'s pool while
+    the current step runs.  The arrays are the ones a serial loop computes,
+    so the result is bit-identical.  A step whose loss is not finite raises
+    ``ConvergenceError``: the run has diverged, and its accuracies would read
+    as chance, not as forgetting."""
+    n = task.train_x.shape[0]
+    if n == 0:
+        raise DimensionError(f"task {task_index} has no training samples")
+    if len(task.train_y) != n:
+        raise DimensionError(
+            f"task {task_index} has {n} training inputs but {len(task.train_y)} labels"
+        )
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
-    n = task.train_x.shape[0]
     use_penalty = anchor is not None and anchor.lam > 0.0
-    for epoch in range(hyper.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            sel = perm[start : start + hyper.batch_size]
-            _, cache = forward(net, task.train_x[sel])
-            loss, gset = backward(net, cache, task.train_y[sel])
+    first = net.layers[0]
+
+    def steps():
+        for epoch in range(hyper.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, hyper.batch_size):
+                yield epoch, start // hyper.batch_size, perm[start : start + hyper.batch_size]
+
+    def load(step):
+        epoch, i, sel = step
+        x = np.asarray(task.train_x[sel], dtype=np.float64)
+        return epoch, i, x, first.prepare(x), task.train_y[sel]
+
+    batches = (parallel.prefetched(load, steps()) if first.prepares
+               else (load(step) for step in steps()))
+    with contextlib.closing(batches):  # on an error, waits for the job in flight
+        for epoch, i, x, prepared, y in batches:
+            _, cache = forward(net, x, prepared)
+            loss, gset = backward(net, cache, y)
             if not math.isfinite(loss):
                 raise ConvergenceError(
-                    f"task {task_index}: the training loss is {loss} at epoch {epoch}, "
-                    f"step {start // hyper.batch_size}"
+                    f"task {task_index}: the training loss is {loss} at epoch {epoch}, step {i}"
                 )
             grads = gset.grads
             # free the batch's activations before the next forward allocates its own
-            del cache, gset
+            del cache, gset, x, prepared
             if use_penalty:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}

@@ -5,11 +5,20 @@ kernels are ``(kh, kw, d_in, d_out)``.  Dense weights are ``(d_out, d_in)``
 so that ``y = W x`` for a single column vector ``x``.
 
 Each layer implements ``forward(x)`` and ``backward(x, grad_out)`` where
-``x`` is the cached layer input from the matching forward pass.  ``backward``
-returns ``(grad_in, param_grads)`` with ``param_grads`` keyed like
-``params()``, or ``None`` for parameter-free layers and when called with
-``need_param_grads=False``; ``grad_in`` is ``None`` when called with
+``x`` is the cached layer input from the matching forward pass.
+``forward_cached(x)`` also returns what the backward pass can reuse, its
+``aux``: a ReLU's mask, a conv layer's im2col matrix.  A ReLU's backward
+needs nothing else, so a network's forward cache does not keep its input.
+``backward`` returns ``(grad_in, param_grads)`` with ``param_grads`` keyed
+like ``params()``, or ``None`` for parameter-free layers and when called
+with ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
 ``need_input_grad=False``.
+
+``prepare(x)`` is the part of a forward pass that reads the input alone,
+never the weights, and ``forward_prepared(prepare(x))`` equals
+``forward_cached(x)``.  A layer that has such work sets ``prepares``
+(today only ``Conv2D``: its im2col), so that training can build a batch's
+first-layer input while the step before it runs.
 
 A dense or conv layer may carry a rotation ``(U1, U2)``: two orthogonal
 matrices that reparameterize its weight, so that the layer computes
@@ -32,6 +41,8 @@ class Layer:
     kind = "base"
     trainable = False
     rotated = False
+    prepares = False  # whether prepare does any work
+    keeps_input = True  # whether the forward cache keeps the input for backward
 
     def forward(self, x):
         raise NotImplementedError
@@ -39,6 +50,14 @@ class Layer:
     def forward_cached(self, x):
         """Forward plus whatever intermediate the backward pass can reuse."""
         return self.forward(x), None
+
+    def prepare(self, x):
+        """The input-only work of ``forward_cached(x)``; none by default."""
+        return x
+
+    def forward_prepared(self, prepared):
+        """``forward_cached(x)`` from ``prepare(x)``."""
+        return self.forward_cached(prepared)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         raise NotImplementedError
@@ -162,6 +181,7 @@ class Conv2D(Layer):
 
     kind = "conv2d"
     trainable = True
+    prepares = True
 
     def __init__(self, K, b=None, stride=1, padding=0, U1=None, U2=None):
         self.K = np.asarray(K, dtype=np.float64)
@@ -186,7 +206,7 @@ class Conv2D(Layer):
         """The kernel in plain coordinates, the one every pass convolves with."""
         return rotate_conv_kernel(self.K, self.U1.T, self.U2.T) if self.rotated else self.K
 
-    def _patches(self, x):
+    def prepare(self, x):
         """The im2col matrix ``(N, H2, W2, kh*kw*C)`` and the padded input.
 
         With a bias the matrix has one more column, of ones, so that one
@@ -216,7 +236,10 @@ class Conv2D(Layer):
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
-        patches, xp = self._patches(x)
+        return self.forward_prepared(self.prepare(x))
+
+    def forward_prepared(self, prepared):
+        patches, xp = prepared
         K = self.kernel()
         M = K.reshape(-1, K.shape[3])
         if self.b is not None:
@@ -224,7 +247,7 @@ class Conv2D(Layer):
         return patches @ M, (patches, xp, K)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        patches, xp, K = aux if aux is not None else self._patches(x) + (self.kernel(),)
+        patches, xp, K = aux if aux is not None else self.prepare(x) + (self.kernel(),)
         kh, kw, d1, d2 = K.shape
         g2d = grad_out.reshape(-1, d2)
         grads = None
@@ -275,12 +298,16 @@ class Conv2D(Layer):
 
 class ReLU(Layer):
     kind = "relu"
+    keeps_input = False  # its backward reads the mask from the forward pass
 
     def forward(self, x):
         return np.maximum(x, 0.0)
 
+    def forward_cached(self, x):
+        return self.forward(x), x > 0.0
+
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        return grad_out * (x > 0.0), None
+        return grad_out * (aux if aux is not None else x > 0.0), None
 
     def out_shape(self, in_shape):
         return in_shape

@@ -97,7 +97,9 @@ def parameter_digest(net):
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs, the intermediates each backward reuses, and final logits."""
+    """Per-layer inputs (``None`` where a layer's backward reads only its
+    intermediate, as a ReLU's does), the intermediates each backward reuses,
+    and final logits."""
 
     inputs: list
     logits: np.ndarray
@@ -114,8 +116,10 @@ class GradientSet:
     layer_output_grads: dict = field(default_factory=dict)
 
 
-def forward(net, x):
-    """Run the chain; returns ``(logits, cache)``."""
+def forward(net, x, prepared=None):
+    """Run the chain; returns ``(logits, cache)``.  ``prepared``, when given,
+    is ``net.layers[0].prepare(x)``, made ahead of time; the first layer
+    then starts from it."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise DimensionError(
@@ -124,9 +128,12 @@ def forward(net, x):
     inputs = []
     aux = []
     h = x
-    for layer in net.layers:
-        inputs.append(h)
-        h, a = layer.forward_cached(h)
+    for i, layer in enumerate(net.layers):
+        inputs.append(h if layer.keeps_input else None)
+        if i == 0 and prepared is not None:
+            h, a = layer.forward_prepared(prepared)
+        else:
+            h, a = layer.forward_cached(h)
         aux.append(a)
     return h, ForwardCache(inputs=inputs, logits=h, aux=aux)
 

@@ -1,5 +1,5 @@
-"""One thread pool for the chunked passes outside training and for
-synthetic data.
+"""One thread pool for the chunked passes outside training, for synthetic
+data and for the input pipeline of training.
 
 numpy releases the GIL inside BLAS calls and large array loops, so the
 independent units of the Fisher, correlation and evaluation passes (one
@@ -9,7 +9,10 @@ several cores.  Each random stream is consumed by exactly one unit, in
 serial order; large buffers are made on the calling thread.
 ``ordered_map`` returns results in input order, and every caller
 accumulates them on its own thread in that order, so results are
-bit-identical for every pool size.  The pool is created on first use.
+bit-identical for every pool size.  ``prefetched`` runs one job ahead of
+its caller: training gathers the next batch and builds its first-layer
+input (``Layer.prepare``) there while the current step runs.  The pool is
+created on first use.
 """
 
 import os
@@ -45,3 +48,23 @@ def ordered_map(fn, items):
     for f in futures:
         f.exception()  # waits for the call without raising its exception
     return [f.result() for f in futures]
+
+
+def prefetched(fn, items):
+    """Yields ``fn(x)`` for each of ``items`` in order, running the next
+    item's call on the pool while the caller works on the current one.
+    ``items`` is read on the calling thread.  A call's exception reaches the
+    caller with its type.  Closing the generator (``contextlib.closing``)
+    waits for the call in flight, so a caller that stops early, also by an
+    exception, leaves no job running."""
+    pool = _executor()
+    jobs = (pool.submit(fn, x) for x in items)
+    job = next(jobs, None)
+    try:
+        while job is not None:
+            out = job.result()
+            job = next(jobs, None)
+            yield out
+    finally:
+        if job is not None:
+            job.exception()  # waits for the call without raising its exception

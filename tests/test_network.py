@@ -116,6 +116,22 @@ def test_meanpool_backward_equals_reference_exactly():
                                       reference_meanpool_backward(pool, x, g))
 
 
+def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, 4, 3, 2))
+    x[0, 0, 0] = 0.0  # the boundary: no gradient
+    relu = ReLU()
+    y, mask = relu.forward_cached(x)
+    g = rng.normal(size=x.shape)
+    assert np.array_equal(mask, x > 0.0)
+    assert relu.backward(x, g)[0].tobytes() == (g * (x > 0.0)).tobytes()
+    assert relu.backward(None, g, mask)[0].tobytes() == (g * (x > 0.0)).tobytes()
+    net = build_network("lenet", head_classes=5, seed=2)
+    _, cache = forward(net, rng.normal(size=(3, 32, 32, 1)))
+    for layer, kept in zip(net.layers, cache.inputs):
+        assert (kept is None) == isinstance(layer, ReLU)
+
+
 def test_parameter_digest_tracks_every_bit():
     net = build_network("lenet", head_classes=5, seed=2)
     digest = parameter_digest(net)

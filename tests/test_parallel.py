@@ -1,6 +1,6 @@
-"""The pool behind the passes outside training and the synthetic streams
-gives the same bits at every size: each case runs with ``parallel.WORKERS``
-at 1 and at 3."""
+"""The pool behind the passes outside training, the synthetic streams and
+the training input pipeline gives the same bits at every size: each case
+runs with ``parallel.WORKERS`` at 1 and at 3."""
 
 import os
 import subprocess
@@ -15,12 +15,16 @@ import pytest
 from helpers import random_convnet, random_mlp
 import rewc
 from rewc import fim, parallel
-from rewc.continual import evaluate_matrix
+from rewc.continual import Hyper, Method, evaluate_matrix, train_task
 from rewc.data import synthetic_tasks
-from rewc.errors import DimensionError
-from rewc.fim import _sample_labels, estimate_diag_fim, estimate_full_fim_layer, select_samples
-from rewc.network import CHUNK, forward, softmax
+from rewc.errors import ConvergenceError, DimensionError
+from rewc.fim import (_sample_labels, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty,
+                      make_anchor, select_samples)
+from rewc.layers import Conv2D
+from rewc.network import CHUNK, backward, forward, parameter_digest, softmax
+from rewc.optim import AdamState, adam_step
 from rewc.rotation import accumulate_correlations
+from rewc.util import rng_for
 
 POOL_SIZES = (1, 3)
 BUDGET = 230  # four chunks, the last partial: one full wave of 3 and one of 1
@@ -231,3 +235,155 @@ def test_synthetic_tasks_are_bit_identical_across_pool_sizes(pools, kwargs):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape
             assert x.tobytes() == y.tobytes(), (a.task_id, name)
+
+
+def serial_train(net, task, hyper, task_index, anchor):
+    """``train_task`` as a plain loop: gather, forward, backward, penalty,
+    Adam, one step after the other on this thread."""
+    rng = rng_for(hyper.seed, "shuffle", task_index)
+    state = AdamState(net)
+    n = len(task.train_x)
+    for _ in range(hyper.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            sel = perm[start : start + hyper.batch_size]
+            _, cache = forward(net, task.train_x[sel])
+            _, gset = backward(net, cache, task.train_y[sel])
+            grads = gset.grads
+            if anchor is not None:
+                _, pgrads = ewc_penalty(net, anchor)
+                grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}
+            adam_step(net, grads, state, hyper.lr)
+
+
+def training_case(name):
+    """A network, a 70-sample task (the last batch of 16 partial) and an
+    anchor: an EWC anchor on the rotated conv net, none on the others."""
+    rng = np.random.default_rng(31)
+    net = {"conv": lambda: random_convnet(rng), "mlp": lambda: random_mlp(rng),
+           "rotated-conv-ewc": lambda: random_convnet(rng, rotated=True)}[name]()
+    x = rng.normal(size=(70,) + net.input_shape)
+    task = SimpleNamespace(train_x=x, train_y=np.arange(70) % net.head_classes)
+    anchor = None
+    if name == "rotated-conv-ewc":
+        diag = estimate_diag_fim(net, x, 50, "sampled", np.random.default_rng(0), task.train_y)
+        anchor = make_anchor(net, diag, lam=50.0)
+        for layer in net.layers:  # move the weights off the anchor
+            for p in layer.params().values():
+                p += rng.normal(0, 0.01, p.shape)
+    return net, task, anchor
+
+
+@pytest.mark.parametrize("name", ["conv", "rotated-conv-ewc", "mlp"])
+def test_train_task_is_bit_identical_across_pool_sizes_and_to_a_serial_loop(pools, name):
+    hyper = Hyper(epochs=2, batch_size=16, lr=1e-2, seed=4)
+    net, task, anchor = training_case(name)
+    want = net.clone()
+    serial_train(want, task, hyper, 1, anchor)
+
+    def train():
+        trained = net.clone()
+        train_task(trained, task, Method("ewc"), hyper, 1, anchor)
+        return parameter_digest(trained)
+
+    assert pools(train) == [parameter_digest(want)] * len(POOL_SIZES)
+    assert parameter_digest(want) != parameter_digest(net)
+
+
+@pytest.mark.parametrize("name, pooled", [("conv", True), ("mlp", False)])
+def test_only_a_first_layer_with_input_only_work_is_prefetched(monkeypatch, name, pooled):
+    net, task, _ = training_case(name)
+    first = net.layers[0]
+    assert first.prepares == pooled
+    threads = []
+
+    def prepare(x):
+        threads.append(threading.current_thread().name)
+        return type(first).prepare(first, x)
+
+    monkeypatch.setattr(first, "prepare", prepare, raising=False)
+    train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=2, batch_size=16), 0)
+    assert len(threads) == 2 * 5
+    assert all(t.startswith("rewc") == pooled for t in threads), threads
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (3, 2)])
+def test_conv_forward_prepared_equals_forward_cached(bias, stride, padding):
+    rng = np.random.default_rng(stride * 10 + padding)
+    layer = Conv2D(rng.normal(size=(3, 2, 2, 4)), rng.normal(size=4) if bias else None,
+                   stride, padding)
+    x = rng.normal(size=(5, 9, 8, 2))
+    y, (patches, xp, K) = layer.forward_cached(x)
+    y2, (patches2, xp2, K2) = layer.forward_prepared(layer.prepare(x))
+    for a, b in ((y, y2), (patches, patches2), (xp, xp2), (K, K2)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_prefetched_keeps_order_and_reraises_the_first_error(pools):
+    def slow_echo(i):
+        time.sleep(0.002 * (5 - i % 5))  # later items finish first
+        return i, threading.current_thread().name
+
+    for results in pools(lambda: list(parallel.prefetched(slow_echo, range(10)))):
+        assert [i for i, _ in results] == list(range(10))
+        assert all(name.startswith("rewc") for _, name in results)
+
+    def fail_from_two(i):
+        if i >= 2:
+            raise DimensionError(f"item {i}")
+        return i
+
+    def run():
+        seen = []
+        with pytest.raises(DimensionError, match="item 2"):
+            for i in parallel.prefetched(fail_from_two, range(5)):
+                seen.append(i)
+        return seen
+
+    assert pools(run) == [[0, 1]] * len(POOL_SIZES)
+
+
+def test_a_convergence_error_leaves_no_job_running(pools):
+    net, task, _ = training_case("conv")
+    net.layers[-1].W[0, 0] = np.nan  # the loss is nan at the first step
+    first = net.layers[0]
+    started, running = [], []
+    lock = threading.Lock()
+
+    def slow_prepare(x):
+        with lock:
+            started.append(1)
+            running.append(1)
+        time.sleep(0.05)  # still running when the first step fails
+        with lock:
+            running.pop()
+        return type(first).prepare(first, x)
+
+    first.prepare = slow_prepare
+
+    def train():
+        started.clear()
+        with pytest.raises(ConvergenceError, match="epoch 0, step 0"):
+            train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=16), 0)
+        return len(started), len(running)
+
+    # The second batch's job was in flight when the first step failed, and
+    # train_task waited for it.
+    assert pools(train) == [(2, 0)] * len(POOL_SIZES)
+
+
+@pytest.mark.parametrize("rows, labels, match", [
+    (0, 0, "task 2 has no training samples"),
+    (70, 69, "task 2 has 70 training inputs but 69 labels"),
+], ids=["empty", "label-count"])
+def test_train_task_fails_before_the_first_step(monkeypatch, rows, labels, match):
+    net, task, _ = training_case("conv")
+    task = SimpleNamespace(train_x=task.train_x[:rows], train_y=task.train_y[:labels])
+    digest = parameter_digest(net)
+    jobs = []
+    monkeypatch.setattr(parallel, "prefetched", lambda *a: jobs.append(a))
+    with pytest.raises(DimensionError, match=match):
+        train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=16), 2)
+    assert parameter_digest(net) == digest
+    assert jobs == []
