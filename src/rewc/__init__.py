@@ -9,7 +9,6 @@ from .data import (
     grouped_split,
     load_mnist,
     load_mnist_idx,
-    locate_mnist,
     synthetic_tasks,
 )
 from .fim import (
@@ -79,7 +78,6 @@ __all__ = [
     "load_mnist",
     "load_mnist_idx",
     "load_network",
-    "locate_mnist",
     "make_anchor",
     "rotate_conv_kernel",
     "rotate_network",

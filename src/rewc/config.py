@@ -9,9 +9,7 @@ from .fim import FIM_MODES as _FIM_MODES
 from .network import ARCHS as _ARCHS
 from .rotation import RotationScope
 
-# ``all`` stays in the library but not in configs: the incremental trainer
-# never rotates the growing head, so it rotates exactly what ``all_no_last`` does.
-_SCOPES = tuple(s.value for s in RotationScope if s is not RotationScope.ALL)
+_SCOPES = tuple(s.value for s in RotationScope)
 _CONV_ARCHS = ("lenet",)  # the architectures with a convolution
 _DATASETS = ("synthetic", "mnist")
 
@@ -128,7 +126,7 @@ def _validate(cfg, source):
         bad(f"arch must be one of {_ARCHS}, got {v['arch']!r}")
     if v["method"] not in _METHODS:
         bad(f"method must be one of {_METHODS}, got {v['method']!r}")
-    if v["scope"] == RotationScope.ALL.value:
+    if v["scope"] == "all":
         bad("scope = all rotates the same layers as all_no_last (the growing head is "
             "never rotated); use scope = all_no_last")
     if v["scope"] not in _SCOPES:

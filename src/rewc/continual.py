@@ -94,6 +94,17 @@ class EvalMatrix:
         return [list(r) for r in self.rows]
 
 
+def _check_task(task, task_index):
+    """A task can be trained only with samples, and one label per input."""
+    n = task.train_x.shape[0]
+    if n == 0:
+        raise DimensionError(f"task {task_index} has no training samples")
+    if len(task.train_y) != n:
+        raise DimensionError(
+            f"task {task_index} has {n} training inputs but {len(task.train_y)} labels"
+        )
+
+
 def train_task(net, task, method, hyper, task_index, anchor=None):
     """Minibatch Adam over one task, with the anchor penalty when present.
 
@@ -103,13 +114,8 @@ def train_task(net, task, method, hyper, task_index, anchor=None):
     so the result is bit-identical.  A step whose loss is not finite raises
     ``ConvergenceError``: the run has diverged, and its accuracies would read
     as chance, not as forgetting."""
+    _check_task(task, task_index)
     n = task.train_x.shape[0]
-    if n == 0:
-        raise DimensionError(f"task {task_index} has no training samples")
-    if len(task.train_y) != n:
-        raise DimensionError(
-            f"task {task_index} has {n} training inputs but {len(task.train_y)} labels"
-        )
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
     use_penalty = anchor is not None and anchor.lam > 0.0
@@ -183,7 +189,7 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
         )
         if diagnostics is not None and hyper.diag_layers:
             _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "before")
-        net = rotate_network(net, stats, method.scope, rotate_head=False)
+        net = rotate_network(net, stats, method.scope)
         if diagnostics is not None and hyper.diag_layers:
             _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "after")
     rng_fim = rng_for(hyper.seed, "fim", task_index)
@@ -224,6 +230,8 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
     T = len(tasks)
     if T == 0:
         raise DimensionError("task sequence is empty")
+    for k, task in enumerate(tasks):
+        _check_task(task, k)
     diagnostics = {"train_seconds": [], "fim_median": [], "warnings": []}
     matrix = EvalMatrix()
 

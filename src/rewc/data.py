@@ -132,23 +132,6 @@ def load_mnist(directory, pad_to_32=True):
     return RawDataset(train_x, train_y, test_x, test_y, n_classes=10)
 
 
-def locate_mnist():
-    """Directory holding MNIST IDX files, or None.
-
-    Checked in order: $REWC_MNIST_DIR, ./data/mnist, /root/data/mnist.
-    """
-    candidates = [os.environ.get("REWC_MNIST_DIR"), "data/mnist", "/root/data/mnist"]
-    for d in candidates:
-        if not d:
-            continue
-        name = MNIST_FILES["train_images"]
-        if os.path.exists(os.path.join(d, name)) or os.path.exists(
-            os.path.join(d, name + ".gz")
-        ):
-            return d
-    return None
-
-
 def grouped_split(raw, groups, seed):
     """Split a dataset into tasks given explicit per-task class groups."""
     tasks = []

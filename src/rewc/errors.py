@@ -14,7 +14,7 @@ class SymmetryError(RewcError, ValueError):
 
 
 class ConvergenceError(RewcError, RuntimeError):
-    """An iterative routine exhausted its budget without converging."""
+    """A numerical result failed its check: an uncertified eigenbasis, a diverged loss."""
 
 
 class StateError(RewcError, RuntimeError):

@@ -36,7 +36,6 @@ from .util import rng_for
 class RotationScope(Enum):
     CONV_ONLY = "conv_only"
     FC_ONLY = "fc_only"
-    ALL = "all"
     ALL_NO_LAST = "all_no_last"
 
 
@@ -91,22 +90,16 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
 
 
-def _scope_selects(net, scope, rotate_head):
-    ids = rotatable_indices(net)
-    head = net.head_index
+def _scope_selects(net, scope):
+    """The scope's layers; never the classification head, which keeps growing."""
+    ids = [i for i in rotatable_indices(net) if i != net.head_index]
     if scope == RotationScope.CONV_ONLY:
-        sel = [i for i in ids if isinstance(net.layers[i], Conv2D)]
-    elif scope == RotationScope.FC_ONLY:
-        sel = [i for i in ids if isinstance(net.layers[i], Dense)]
-    elif scope == RotationScope.ALL:
-        sel = list(ids)
-    elif scope == RotationScope.ALL_NO_LAST:
-        sel = [i for i in ids if i != head]
-    else:
-        raise ValueError(f"unknown rotation scope {scope!r}")
-    if not rotate_head:
-        sel = [i for i in sel if i != head]
-    return sel
+        return [i for i in ids if isinstance(net.layers[i], Conv2D)]
+    if scope == RotationScope.FC_ONLY:
+        return [i for i in ids if isinstance(net.layers[i], Dense)]
+    if scope == RotationScope.ALL_NO_LAST:
+        return ids
+    raise ValueError(f"unknown rotation scope {scope!r}")
 
 
 def rotation_matrices(stats, layer_index):
@@ -115,20 +108,19 @@ def rotation_matrices(stats, layer_index):
     cz = stats.grad_corr[layer_index] / stats.count
     if not (np.all(np.isfinite(cx)) and np.all(np.isfinite(cz))):
         raise DimensionError(f"non-finite correlations at layer {layer_index}")
-    e1 = jacobi_eigh(0.5 * (cx + cx.T))
-    e2 = jacobi_eigh(0.5 * (cz + cz.T))
+    e1 = jacobi_eigh(cx)
+    e2 = jacobi_eigh(cz)
     return e1.U.T.copy(), e2.U.copy()
 
 
-def rotate_network(net, stats, scope, rotate_head=True):
-    """Give each selected layer the rotation of its correlations.
+def rotate_network(net, stats, scope):
+    """Give each layer the scope selects the rotation of its correlations.
 
     Returns the rotated network: the same layer list, each selected layer's
     weight in rotated coordinates and its bias outside the output rotation,
-    so the forward function is preserved up to roundoff.
-    ``rotate_head=False`` keeps the classification head untouched under
-    every scope, which the incremental trainer relies on because the head
-    keeps growing.
+    so the forward function is preserved up to roundoff.  No scope selects
+    the classification head: it grows between tasks, and a rotated head
+    cannot grow.
     """
     if net.is_rotated():
         raise StateError("network is already rotated; combine it first")
@@ -136,7 +128,7 @@ def rotate_network(net, stats, scope, rotate_head=True):
         raise AlignmentError("correlation stats were computed on a different network")
     if isinstance(scope, str):
         scope = RotationScope(scope)
-    selected = set(_scope_selects(net, scope, rotate_head))
+    selected = set(_scope_selects(net, scope))
 
     layers = []
     for i, layer in enumerate(net.layers):

@@ -1,0 +1,25 @@
+"""Settings shared by every test module."""
+
+import shutil
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Property tests draw the same cases on every run and keep no example database.
+settings.register_profile("rewc", derandomize=True, database=None, deadline=None)
+settings.load_profile("rewc")
+
+_hypothesis_home = None
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from source files, at
+    # collection time; keep that cache out of the checkout, for this test run only.
+    global _hypothesis_home
+    _hypothesis_home = tempfile.mkdtemp(prefix="rewc-hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_hypothesis_home, ignore_errors=True)

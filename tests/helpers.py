@@ -1,10 +1,12 @@
 """Shared test utilities: oracles and small random network factories."""
 
+import os
 import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from rewc.data import MNIST_FILES
 from rewc.fim import select_samples
 from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from rewc.network import CHUNK, Network, backward, forward, log_softmax, softmax
@@ -138,9 +140,10 @@ def random_mlp(rng, rotated=False):
     return Network(layers, head, 0, (d_in,))
 
 
-def random_convnet(rng, rotated=False, size=8):
-    """A random two-conv net; with ``rotated``, both convolutions carry a
-    random rotation."""
+def random_convnet(rng, rotated=False, size=8, hidden_dense=False):
+    """A random two-conv net; ``hidden_dense`` puts a dense layer between the
+    flatten and the head.  With ``rotated``, every layer but the head carries
+    a random rotation."""
     c_in = int(rng.integers(1, 4))
     c1 = int(rng.integers(2, 6))
     c2 = int(rng.integers(2, 6))
@@ -158,7 +161,14 @@ def random_convnet(rng, rotated=False, size=8):
     layers += [Conv2D(rng.normal(0, 0.4, (3, 3, c1, c2)), rng.normal(0, 0.1, c2), 1, 0,
                       *random_rotation(rng, c1, c2, rotated)), ReLU()]
     h -= 2
-    layers += [Flatten(), Dense(rng.normal(0, 0.3, (head, h * h * c2)), rng.normal(0, 0.1, head))]
+    d = h * h * c2
+    layers.append(Flatten())
+    if hidden_dense:
+        w = int(rng.integers(3, 8))
+        layers += [Dense(rng.normal(0, 0.3, (w, d)), rng.normal(0, 0.1, w),
+                         *random_rotation(rng, d, w, rotated)), ReLU()]
+        d = w
+    layers.append(Dense(rng.normal(0, 0.3, (head, d)), rng.normal(0, 0.1, head)))
     return Network(layers, head, 0, (size, size, c_in))
 
 
@@ -229,3 +239,14 @@ def make_idx_pair(images, labels):
     img = struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
     lab = struct.pack(">II", 0x00000801, len(labels)) + labels.tobytes()
     return img, lab
+
+
+def locate_mnist():
+    """Directory holding the MNIST IDX files, or None: $REWC_MNIST_DIR, then
+    ./data/mnist."""
+    name = MNIST_FILES["train_images"]
+    for d in (os.environ.get("REWC_MNIST_DIR"), "data/mnist"):
+        if d and (os.path.exists(os.path.join(d, name))
+                  or os.path.exists(os.path.join(d, name + ".gz"))):
+            return d
+    return None

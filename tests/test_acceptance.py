@@ -12,17 +12,25 @@ import numpy as np
 import pytest
 
 import rewc
-from helpers import fd_param_gradient, max_rel_error, random_convnet, random_mlp
+from helpers import fd_param_gradient, locate_mnist, max_rel_error, random_convnet, random_mlp
 from rewc.continual import Hyper, Method, run_sequence, train_task
-from rewc.data import locate_mnist
 from rewc.fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from rewc.linalg import diag_energy_ratio, jacobi_eigh
 from rewc.network import backward, build_network, forward, grow_head
 from rewc.rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
 from rewc.util import rng_for
 
-SCOPES = [RotationScope.CONV_ONLY, RotationScope.FC_ONLY, RotationScope.ALL,
-          RotationScope.ALL_NO_LAST]
+
+def random_convnet_with_hidden_dense(rng):
+    return random_convnet(rng, hidden_dense=True)
+
+
+# The (network, scope) pairs a config accepts: conv_only needs a convolution.
+CASES = [(random_mlp, RotationScope.FC_ONLY),
+         (random_convnet_with_hidden_dense, RotationScope.CONV_ONLY),
+         (random_mlp, RotationScope.ALL_NO_LAST),
+         (random_convnet_with_hidden_dense, RotationScope.FC_ONLY),
+         (random_convnet_with_hidden_dense, RotationScope.ALL_NO_LAST)]
 
 
 def test_criterion_1_rotation_equivalence():
@@ -31,12 +39,12 @@ def test_criterion_1_rotation_equivalence():
     worst_logit = 0.0
     worst_param = 0.0
     for i in range(500):
-        net = random_mlp(rng) if i % 2 == 0 else random_convnet(rng)
+        maker, scope = CASES[i % len(CASES)]
+        net = maker(rng)
         x = rng.normal(size=(20,) + net.input_shape)
         stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-        scope = SCOPES[i % 4]
-        rotate_head = (i % 3) != 0
-        rot = rotate_network(net, stats, scope, rotate_head=rotate_head)
+        rot = rotate_network(net, stats, scope)
+        assert rot.is_rotated(), (maker.__name__, scope)
         l0, _ = forward(net, x)
         l1, _ = forward(rot, x)
         worst_logit = max(worst_logit, float(np.max(np.abs(l0 - l1))))
@@ -134,7 +142,7 @@ def test_criterion_4_factored_fim_diagonalization():
     rng = np.random.default_rng(4004)
     worst = 0.0
     for i in range(6):
-        net = random_mlp(rng) if i % 2 == 0 else random_convnet(rng)
+        net = random_mlp(rng) if i % 2 == 0 else random_convnet(rng, hidden_dense=True)
         mix = rng.normal(size=(net.input_shape[-1],) * 2) if len(net.input_shape) == 1 else None
         x = rng.normal(size=(40,) + net.input_shape)
         if mix is not None:
@@ -142,7 +150,7 @@ def test_criterion_4_factored_fim_diagonalization():
         y = rng.integers(0, net.head_classes, 40)
         stats = accumulate_correlations(net, x, sample_budget=40, rng=rng,
                                         labels=y, use_true_labels=True)
-        rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         _, cache = forward(rot, x)
         _, gset = backward(rot, cache, y)
         for i, layer in enumerate(rot.layers):
@@ -185,7 +193,7 @@ def test_criterion_5_diag_energy_improvement_mnist():
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
         stats = accumulate_correlations(net, x, 200, rng_for(seed, "rot"), labels=y)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         after = estimate_full_fim_layer(rot, x, 3, 200, "expected",
                                         rng_for(seed, "diag-after"), y)
         rb = diag_energy_ratio(before.matrix)

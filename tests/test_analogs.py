@@ -29,7 +29,7 @@ def test_diag_energy_improvement_synthetic():
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
                                         labels=t.train_y)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST, rotate_head=False)
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         after = estimate_full_fim_layer(rot, t.train_x, 2, 200, "expected",
                                         rng_for(seed, "diag-after"), t.train_y)
         gains.append(diag_energy_ratio(after.matrix) - diag_energy_ratio(before.matrix))

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rewc import continual
 from rewc.continual import (
     EvalMatrix,
     Hyper,
@@ -232,6 +235,16 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
     # Fine-tuning never estimates a Fisher, and the last task is never consolidated.
     run_sequence(small_net(0), tasks, Method("ft", lam=0.0, fim_samples=401), Hyper(epochs=1))
     run_sequence(small_net(0), tasks[:1], Method("ewc", fim_samples=401), Hyper(epochs=1))
+
+
+def test_bad_task_rejected_before_the_first_task_trains(monkeypatch):
+    tasks = list(synthetic_tasks(seed=0, T=2, dim=6))
+    tasks[1] = dataclasses.replace(tasks[1], train_y=tasks[1].train_y[:-1])
+    trained = []
+    monkeypatch.setattr(continual, "train_task", lambda *a, **k: trained.append(a))
+    with pytest.raises(DimensionError, match="task 1 has 400 training inputs but 399 labels"):
+        run_sequence(small_net(0), tasks, Method("ewc"), Hyper(epochs=1))
+    assert trained == []
 
 
 @pytest.mark.parametrize("setting", [

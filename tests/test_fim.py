@@ -230,15 +230,15 @@ def test_grown_head_rows_carry_no_penalty():
 
 
 def rotated_convnet(seed):
-    """A conv net rotated under scope ``all``: its convolutions and its dense
-    head, each with a bias, all rotated. Returns the plain net, the rotated
-    net and inputs."""
+    """A conv net rotated under scope ``all_no_last``: its convolutions and
+    its hidden dense layer, each with a bias, rotated; the head plain.
+    Returns the plain net, the rotated net and inputs."""
     rng = np.random.default_rng(seed)
-    plain = random_convnet(rng)
+    plain = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(160,) + plain.input_shape)
     stats = accumulate_correlations(plain, x, 120, np.random.default_rng(seed + 1))
-    rotated = rotate_network(plain, stats, "all")
-    assert rotated.layers[0].rotated and rotated.layers[-1].rotated
+    rotated = rotate_network(plain, stats, "all_no_last")
+    assert [l.kind for l in rotated.layers if l.rotated] == ["conv2d", "conv2d", "dense"]
     assert all(l.b is not None for l in rotated.layers if l.rotated)
     return plain, rotated, x
 
@@ -286,13 +286,14 @@ def test_batched_full_block_matches_per_sample_reference(mode):
 def rotated_example_grads(rotated, grads):
     """Per-example gradients of the plain network seen through each layer's
     rotation (EKFAC's identity): U2^T G U1^T for a dense weight, U1 G U2 per
-    slice for a kernel; the bias, outside U2, keeps its gradient."""
+    slice for a kernel; the bias, outside U2, and an unrotated layer keep
+    their gradients."""
     out = {}
     for key, g in grads.items():
         layer = rotated.layers[int(key.split(".")[0])]
-        if key.endswith(".W"):
+        if layer.rotated and key.endswith(".W"):
             g = layer.U2.T @ g @ layer.U1.T
-        elif key.endswith(".K"):
+        elif layer.rotated and key.endswith(".K"):
             g = rotate_conv_kernel(g, layer.U1, layer.U2)
         out[key] = g
     return out

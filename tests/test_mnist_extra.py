@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import rewc
+from helpers import locate_mnist
 from rewc.continual import Hyper, Method, train_task
-from rewc.data import locate_mnist
 from rewc.fim import estimate_diag_fim
 from rewc.network import build_network
 from rewc.util import rng_for

@@ -7,6 +7,7 @@ from helpers import (
     conv_direct,
     random_convnet,
     random_mlp,
+    random_rotation,
     reference_conv_backward,
     reference_meanpool_backward,
 )
@@ -267,11 +268,10 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_grow_rotated_head_rejected():
-    import rewc
-
-    net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=2)
-    x = np.random.default_rng(3).normal(size=(10, 5))
-    stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(0))
-    rot = rewc.rotate_network(net, stats, "all", rotate_head=True)
+    # No scope rotates the head, but a hand-built network or a loaded
+    # checkpoint can carry one.
+    rng = np.random.default_rng(3)
+    head = Dense(rng.normal(size=(3, 5)), rng.normal(size=3), *random_rotation(rng, 5, 3))
+    net = Network([Dense(rng.normal(size=(5, 4)), None), ReLU(), head], 3, 2, (4,))
     with pytest.raises(StateError, match="rotated head"):
-        grow_head(rot, 2)
+        grow_head(net, 2)

@@ -87,7 +87,7 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
         cx[i] = np.diag(rng.permutation(np.arange(1.0, d1 + 1.0)))
         cz[i] = np.diag(rng.permutation(np.arange(1.0, d2 + 1.0)))
     stats = CorrelationStats(cx, cz, 1, layout_signature(net))
-    rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     for layer in rot.layers:
         if not layer.rotated:
             continue
@@ -104,21 +104,16 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
 @pytest.mark.parametrize("scope,expected_kinds", [
     (RotationScope.CONV_ONLY, {"conv2d"}),
     (RotationScope.FC_ONLY, {"dense"}),
-    (RotationScope.ALL, {"conv2d", "dense"}),
     (RotationScope.ALL_NO_LAST, {"conv2d", "dense"}),
 ])
 def test_scope_selection(scope, expected_kinds):
     rng = np.random.default_rng(7)
-    net = random_convnet(rng)
+    net = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(25,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=25, rng=rng)
-    rot = rotate_network(net, stats, scope, rotate_head=True)
-    rotated_kinds = {l.kind for l in rot.layers if l.rotated}
-    assert rotated_kinds <= expected_kinds
-    if scope == RotationScope.ALL_NO_LAST:
-        assert not rot.layers[rot.head_index].rotated
-    if scope == RotationScope.ALL:
-        assert rot.layers[rot.head_index].rotated
+    rot = rotate_network(net, stats, scope)
+    assert {l.kind for l in rot.layers if l.rotated} == expected_kinds
+    assert not rot.layers[rot.head_index].rotated
     l0, _ = forward(net, x[:5])
     l1, _ = forward(rot, x[:5])
     assert np.max(np.abs(l0 - l1)) < 1e-8
@@ -148,11 +143,10 @@ def test_rotated_space_correlations_are_diagonal():
 
 def test_combine_inverts_rotation_exactly():
     rng = np.random.default_rng(9)
-    for maker in (random_mlp, random_convnet):
-        net = maker(rng)
+    for net in (random_mlp(rng), random_convnet(rng, hidden_dense=True)):
         x = rng.normal(size=(30,) + net.input_shape)
         stats = accumulate_correlations(net, x, sample_budget=30, rng=rng)
-        rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         back = combine_network(rot)
         for la, lb in zip(net.layers, back.layers):
             assert la.kind == lb.kind
@@ -230,21 +224,21 @@ def test_trainable_parameter_count_preserved():
     net = random_convnet(rng)
     x = rng.normal(size=(20,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     count = sum(net.get_param(k).size for k, _, _ in net.trainable_keys())
     assert sum(rot.get_param(k).size for k, _, _ in rot.trainable_keys()) == count
 
 
 def test_rotated_layers_keep_their_places():
     rng = np.random.default_rng(15)
-    net = random_convnet(rng)
+    net = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(20,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     assert [l.kind for l in rot.layers] == [l.kind for l in net.layers]
     assert [k for k, _, _ in rot.trainable_keys()] == [k for k, _, _ in net.trainable_keys()]
-    for la, lb in zip(net.layers, rot.layers):
-        assert lb.rotated == isinstance(la, (Dense, Conv2D))
+    for i, (la, lb) in enumerate(zip(net.layers, rot.layers)):
+        assert lb.rotated == (isinstance(la, (Dense, Conv2D)) and i != net.head_index)
         if lb.rotated:
             assert np.array_equal(lb.b, la.b)  # the bias stays outside the rotation
     assert layout_signature(rot) != layout_signature(net)
@@ -255,14 +249,14 @@ def test_state_and_alignment_errors():
     net = random_mlp(rng)
     x = rng.normal(size=(15, net.input_shape[0]))
     stats = accumulate_correlations(net, x, sample_budget=15, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL, rotate_head=True)
+    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     with pytest.raises(StateError):
         accumulate_correlations(rot, x, sample_budget=5, rng=rng)
     with pytest.raises(StateError):
-        rotate_network(rot, stats, RotationScope.ALL)
+        rotate_network(rot, stats, RotationScope.ALL_NO_LAST)
     other = random_mlp(np.random.default_rng(99))
     with pytest.raises(AlignmentError):
-        rotate_network(other, stats, RotationScope.ALL)
+        rotate_network(other, stats, RotationScope.ALL_NO_LAST)
 
 
 def test_rotation_pair_orthogonality_enforced():
@@ -325,7 +319,7 @@ def assert_close_to_largest(actual, expected, what, rtol=1e-12):
 
 NETS = {
     "mlp": lambda rng: random_mlp(rng),
-    "convnet": lambda rng: random_convnet(rng),
+    "convnet": lambda rng: random_convnet(rng, hidden_dense=True),
     "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
     "lenet-3-channels": lambda rng: build_network("lenet", head_classes=3,
                                                   input_shape=(16, 16, 3), seed=6),
@@ -334,10 +328,9 @@ NETS = {
 }
 
 
-@pytest.mark.parametrize("rotate_head", [True, False], ids=["head-rotated", "head-plain"])
 @pytest.mark.parametrize("scope", list(RotationScope), ids=lambda s: s.value)
 @pytest.mark.parametrize("name", sorted(NETS))
-def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, rotate_head):
+def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope):
     # A rotated layer's parameter is W' with W = U2 W' U1 (per kernel slice
     # for a conv), so by the chain rule its gradient is the plain network's
     # mapped: U2^T gW U1^T, rotate_conv_kernel(gK, U1, U2); the bias, outside
@@ -347,7 +340,7 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, rotate_he
     x = rng.normal(size=(24,) + net.input_shape)
     y = np.arange(len(x)) % net.head_classes
     stats = accumulate_correlations(net, x, 24, rng)
-    rot = rotate_network(net, stats, scope, rotate_head=rotate_head)
+    rot = rotate_network(net, stats, scope)
     plain = combine_network(rot)
     l_rot, cache = forward(rot, x)
     l_plain, plain_cache = forward(plain, x)
