@@ -237,12 +237,25 @@ def test_fim_budget_checked_for_consolidated_tasks_only():
     run_sequence(small_net(0), tasks[:1], Method("ewc", fim_samples=401), Hyper(epochs=1))
 
 
-def test_bad_task_rejected_before_the_first_task_trains(monkeypatch):
+BAD_TASKS = {
+    "no-samples": (lambda t: dataclasses.replace(t, train_x=t.train_x[:0], train_y=t.train_y[:0]),
+                   "has no training samples"),
+    "label-short": (lambda t: dataclasses.replace(t, train_y=t.train_y[:-1]),
+                    "has 400 training inputs but 399 labels"),
+    "label-extra": (lambda t: dataclasses.replace(t, train_y=np.append(t.train_y, 0)),
+                    "has 400 training inputs but 401 labels"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TASKS))
+@pytest.mark.parametrize("k", [0, 1])
+def test_bad_task_rejected_before_the_first_task_trains(monkeypatch, k, bad):
     tasks = list(synthetic_tasks(seed=0, T=2, dim=6))
-    tasks[1] = dataclasses.replace(tasks[1], train_y=tasks[1].train_y[:-1])
+    spoil, message = BAD_TASKS[bad]
+    tasks[k] = spoil(tasks[k])
     trained = []
-    monkeypatch.setattr(continual, "train_task", lambda *a, **k: trained.append(a))
-    with pytest.raises(DimensionError, match="task 1 has 400 training inputs but 399 labels"):
+    monkeypatch.setattr(continual, "train_task", lambda *a, **kw: trained.append(a))
+    with pytest.raises(DimensionError, match=f"task {k} {message}"):
         run_sequence(small_net(0), tasks, Method("ewc"), Hyper(epochs=1))
     assert trained == []
 

@@ -111,6 +111,21 @@ def _zero_block_psd():
     return a
 
 
+def _full_rank_psd():
+    m = np.random.default_rng(23).normal(size=(30, 30))
+    return m @ m.T
+
+
+def _repeated_eigenvalue_psd():
+    """3 I plus a rank-2 term: eigenvalue 3 repeated 23 times."""
+    m = np.random.default_rng(25).normal(size=(25, 2))
+    return 3.0 * np.eye(25) + m @ m.T
+
+
+def _shuffled_diagonal():
+    return np.diag(np.random.default_rng(27).permutation(np.arange(1.0, 19.0)))
+
+
 def _assert_valid_eigh(e, a):
     n = a.shape[0]
     assert np.max(np.abs(e.U @ np.diag(e.S) @ e.U.T - a)) < 1e-9 * np.max(np.abs(a))
@@ -118,7 +133,8 @@ def _assert_valid_eigh(e, a):
     assert np.all(np.diff(e.S) <= 0.0)
 
 
-@pytest.mark.parametrize("make", [_relu_correlation, _zero_block_psd])
+@pytest.mark.parametrize("make", [_relu_correlation, _zero_block_psd, _full_rank_psd,
+                                  _repeated_eigenvalue_psd, _shuffled_diagonal])
 def test_certified_basis_is_an_eigendecomposition(make):
     a = make()
     e = jacobi_eigh(a)
@@ -126,8 +142,10 @@ def test_certified_basis_is_an_eigendecomposition(make):
     assert np.max(np.abs(e.S - np.linalg.eigvalsh(a)[::-1])) < 1e-10 * np.max(e.S)
 
 
-def test_uncertified_basis_raises(monkeypatch):
-    a = _relu_correlation(60, 30)
+@pytest.mark.parametrize("make", [lambda: _relu_correlation(60, 30), _zero_block_psd],
+                         ids=["relu-correlation", "zero-block"])
+def test_uncertified_basis_raises(monkeypatch, make):
+    a = make()
     n = a.shape[0]
     q, _ = np.linalg.qr(np.eye(n) + 0.05 * np.random.default_rng(5).normal(size=(n, n)))
     eigh = np.linalg.eigh

@@ -12,6 +12,7 @@ from rewc.rotation import (
     combine_network,
     rotate_conv_kernel,
     rotate_network,
+    rotation_matrices,
 )
 
 
@@ -101,18 +102,31 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
     assert np.max(np.abs(l0 - l1)) < 1e-12
 
 
+SCOPE_NETS = {
+    "convnet": lambda rng: random_convnet(rng, hidden_dense=True),
+    "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
+    "mlp": lambda rng: random_mlp(rng),
+}
+
+
 @pytest.mark.parametrize("scope,expected_kinds", [
     (RotationScope.CONV_ONLY, {"conv2d"}),
     (RotationScope.FC_ONLY, {"dense"}),
     (RotationScope.ALL_NO_LAST, {"conv2d", "dense"}),
 ])
-def test_scope_selection(scope, expected_kinds):
+@pytest.mark.parametrize("name", sorted(SCOPE_NETS))
+def test_scope_selection(name, scope, expected_kinds):
+    # Every layer of a selected kind is rotated, except the head; an MLP has
+    # no conv layer, so conv_only leaves it as it is.
     rng = np.random.default_rng(7)
-    net = random_convnet(rng, hidden_dense=True)
+    net = SCOPE_NETS[name](rng)
     x = rng.normal(size=(25,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=25, rng=rng)
     rot = rotate_network(net, stats, scope)
-    assert {l.kind for l in rot.layers if l.rotated} == expected_kinds
+    expected = [i for i, l in enumerate(net.layers)
+                if l.kind in expected_kinds and i != net.head_index]
+    assert [i for i, l in enumerate(rot.layers) if l.rotated] == expected
+    assert (len(expected) == 0) == (name == "mlp" and scope == RotationScope.CONV_ONLY)
     assert not rot.layers[rot.head_index].rotated
     l0, _ = forward(net, x[:5])
     l1, _ = forward(rot, x[:5])
@@ -328,9 +342,22 @@ NETS = {
 }
 
 
+def with_rotated_head(net, stats):
+    """``net`` with its head rotated by the head's correlations.  No scope
+    selects the head, but a loaded checkpoint or a hand-built network can
+    carry a rotated one."""
+    i = net.head_index
+    head = net.layers[i]
+    u1, u2 = rotation_matrices(stats, i)
+    layers = [l.clone() for l in net.layers]
+    layers[i] = Dense(u2.T @ head.W @ u1.T, head.b.copy(), u1, u2)
+    return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
+
+
+@pytest.mark.parametrize("head_rotated", [True, False], ids=["head-rotated", "head-plain"])
 @pytest.mark.parametrize("scope", list(RotationScope), ids=lambda s: s.value)
 @pytest.mark.parametrize("name", sorted(NETS))
-def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope):
+def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rotated):
     # A rotated layer's parameter is W' with W = U2 W' U1 (per kernel slice
     # for a conv), so by the chain rule its gradient is the plain network's
     # mapped: U2^T gW U1^T, rotate_conv_kernel(gK, U1, U2); the bias, outside
@@ -341,6 +368,9 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope):
     y = np.arange(len(x)) % net.head_classes
     stats = accumulate_correlations(net, x, 24, rng)
     rot = rotate_network(net, stats, scope)
+    if head_rotated:
+        rot = with_rotated_head(rot, stats)
+    assert rot.layers[rot.head_index].rotated == head_rotated
     plain = combine_network(rot)
     l_rot, cache = forward(rot, x)
     l_plain, plain_cache = forward(plain, x)
