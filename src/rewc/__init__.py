@@ -1,6 +1,6 @@
 """Continual learning with elastic weight consolidation in rotated spaces."""
 
-from .continual import EvalMatrix, Hyper, Method, evaluate_matrix, finalize_task, run_sequence
+from .continual import Hyper, Method, SequenceResult, evaluate_matrix, finalize_task, run_sequence
 from .data import (
     RawDataset,
     TaskDataset,
@@ -13,7 +13,6 @@ from .data import (
 )
 from .fim import (
     EwcAnchor,
-    FimBlock,
     FimDiagonal,
     estimate_diag_fim,
     estimate_full_fim_layer,
@@ -47,15 +46,14 @@ __all__ = [
     "AdamState",
     "CorrelationStats",
     "EigenDecomposition",
-    "EvalMatrix",
     "EwcAnchor",
-    "FimBlock",
     "FimDiagonal",
     "Hyper",
     "Method",
     "Network",
     "RawDataset",
     "RotationScope",
+    "SequenceResult",
     "TaskDataset",
     "TaskSequence",
     "accumulate_correlations",

@@ -62,7 +62,7 @@ def cmd_plot(args):
     results = _load_results(args.results)
     wrote = []
 
-    series = {}
+    curves = []
     for path, rec in results:
         steps = rec.get("per_step_avg_mean") or rec.get("per_step_avg")
         if not steps:
@@ -72,7 +72,12 @@ def cmd_plot(args):
         lam = rec.get("config", {}).get("lambda")
         if label != "ft" and lam is not None:
             label = f"{label} lam={lam:g}"
-        series[label] = [float(s) for s in steps]
+        label += " mean" if "per_step_avg_mean" in rec else f" seed {rec.get('seed')}"
+        curves.append((label, rec.get("config_hash", "")[:8], [float(s) for s in steps]))
+    # One curve per file: a label that two files share gets its config hash.
+    labels = [label for label, _, _ in curves]
+    series = {label if labels.count(label) == 1 else f"{label} {h}": steps
+              for label, h, steps in curves}
     if series:
         wrote.append(lineplot_svg(series, os.path.join(args.outdir, "accuracy-vs-tasks.svg"),
                                   title="average accuracy over seen tasks"))
@@ -119,8 +124,8 @@ def cmd_fim_probe(args):
         net, inputs, args.layer, min(args.samples, inputs.shape[0]),
         rng=rng_for(cfg["seeds"][0], "fim-probe"), labels=labels,
     )
-    ratio = diag_energy_ratio(block.matrix)
-    heatmap_svg(block.matrix, args.out, title=f"layer {args.layer} FIM")
+    ratio = diag_energy_ratio(block)
+    heatmap_svg(block, args.out, title=f"layer {args.layer} FIM")
     print(json.dumps({"layer": args.layer, "diag_energy_ratio": ratio, "svg": args.out}))
     return 0
 

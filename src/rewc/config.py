@@ -1,11 +1,11 @@
 """Flat key=value experiment configuration with typed validation."""
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
-from .continual import METHODS as _METHODS
+from .continual import Hyper, Method
 from .errors import ConfigError
-from .fim import FIM_MODES as _FIM_MODES
 from .network import ARCHS as _ARCHS
 from .rotation import RotationScope
 
@@ -23,6 +23,13 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _parse_int_list(s):
     s = s.strip()
     if not s:
@@ -36,19 +43,19 @@ _SCHEMA = {
     "mnist_dir": (str, ""),
     "mnist_pad": (_parse_bool, True),
     "synth_dim": (int, 8),
-    "synth_separation": (float, 10.0),
-    "synth_noise_cond": (float, 1.0),
+    "synth_separation": (_parse_float, 10.0),
+    "synth_noise_cond": (_parse_float, 1.0),
     "synth_image": (str, ""),
     "classes_per_task": (int, 2),
     "tasks": (int, 2),
     "arch": (str, "mlp-custom"),
     "mlp_hidden": (_parse_int_list, [32]),
     "method": (str, "ewc"),
-    "lambda": (float, 100.0),
+    "lambda": (_parse_float, 100.0),
     "scope": (str, "all_no_last"),
     "epochs": (int, 5),
     "batch": (int, 64),
-    "lr": (float, 0.001),
+    "lr": (_parse_float, 0.001),
     "seeds": (_parse_int_list, [0, 1, 2]),
     "fim_samples": (int, 200),
     "fim_mode": (str, "sampled"),
@@ -76,6 +83,19 @@ class ExperimentConfig:
 
     def as_dict(self):
         return dict(self.values)
+
+    def method(self):
+        """The continual-learning method this config runs (ft ignores ``lambda``)."""
+        v = self.values
+        return Method(v["method"], lam=0.0 if v["method"] == "ft" else v["lambda"],
+                      scope=v["scope"], fim_samples=v["fim_samples"], fim_mode=v["fim_mode"])
+
+    def hyper(self, seed):
+        """The training settings of this config's run at ``seed``."""
+        v = self.values
+        return Hyper(epochs=v["epochs"], batch_size=v["batch"], lr=v["lr"], seed=seed,
+                     diag_layers=tuple(v["diag_layers"]),
+                     store_fim_blocks=v["store_fim_blocks"])
 
 
 def parse_config_text(text, source="<config>"):
@@ -124,8 +144,6 @@ def _validate(cfg, source):
         bad(f"dataset must be one of {_DATASETS}, got {v['dataset']!r}")
     if v["arch"] not in _ARCHS:
         bad(f"arch must be one of {_ARCHS}, got {v['arch']!r}")
-    if v["method"] not in _METHODS:
-        bad(f"method must be one of {_METHODS}, got {v['method']!r}")
     if v["scope"] == "all":
         bad("scope = all rotates the same layers as all_no_last (the growing head is "
             "never rotated); use scope = all_no_last")
@@ -134,8 +152,11 @@ def _validate(cfg, source):
     if v["method"] == "rewc" and v["scope"] == "conv_only" and v["arch"] not in _CONV_ARCHS:
         bad(f"scope = conv_only selects no layer of arch {v['arch']}, which has no "
             "convolution, so the run would be plain EWC; use method = ewc")
-    if v["fim_mode"] not in _FIM_MODES:
-        bad(f"fim_mode must be one of {_FIM_MODES}, got {v['fim_mode']!r}")
+    try:
+        cfg.method()
+        cfg.hyper(seed=0)
+    except ValueError as e:
+        bad(str(e))
     if v["diag_layers"] and v["method"] != "rewc":
         bad(f"diag_layers is read only under method = rewc, not {v['method']}; "
             "remove diag_layers or use method = rewc")
@@ -149,14 +170,6 @@ def _validate(cfg, source):
             "counted twice; list each seed once")
     if v["tasks"] < 1:
         bad("tasks must be >= 1")
-    if v["epochs"] < 1 or v["batch"] < 1:
-        bad("epochs and batch must be >= 1")
-    if v["lr"] <= 0:
-        bad("lr must be positive")
-    if v["lambda"] < 0:
-        bad("lambda must be non-negative")
-    if v["fim_samples"] < 1:
-        bad("fim_samples must be >= 1")
     if v["dataset"] == "mnist" and not v["mnist_dir"]:
         bad("dataset=mnist requires mnist_dir")
     if v["arch"] == "mlp-custom" and not v["mlp_hidden"]:

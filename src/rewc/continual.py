@@ -9,7 +9,7 @@ trains in the rotated space.  Exactly one anchor is kept at any time.
 import contextlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,17 +37,19 @@ class Method:
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}")
+            raise ValueError(f"method must be one of {METHODS}, got {self.name!r}")
         if isinstance(self.scope, str):
             self.scope = RotationScope(self.scope)
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.name == "ft" and self.lam != 0.0:
-            raise ValueError("fine-tuning must use lam=0")
+            raise ValueError("fine-tuning must use lambda = 0")
         if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+            raise ValueError("lambda must be non-negative")
         if self.fim_samples < 1:
             raise ValueError("fim_samples must be at least 1")
         if self.fim_mode not in FIM_MODES:
-            raise ValueError(f"unknown FIM mode {self.fim_mode!r}")
+            raise ValueError(f"fim_mode must be one of {FIM_MODES}, got {self.fim_mode!r}")
 
 
 @dataclass
@@ -66,46 +68,39 @@ class Hyper:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
-class EvalMatrix:
-    """Accuracy on each seen task's test set after every training stage."""
+@dataclass
+class SequenceResult:
+    """What one task sequence produced.
 
-    def __init__(self):
-        self.rows = []
+    ``eval_matrix[t][k]`` is task ``k``'s test accuracy after training task
+    ``t``.  ``train_seconds`` has one entry per task; ``fim_median`` (the
+    anchor Fisher's median, None under ft) one per consolidated task.
+    ``diag_energy`` is ``{task: {layer: {"before", "after", ...}}}`` under
+    rewc with ``diag_layers``, else empty.
+    """
 
-    def add_row(self, accs):
-        accs = [float(a) for a in accs]
-        if len(accs) != len(self.rows) + 1:
-            raise DimensionError("evaluation row must cover exactly the seen tasks")
-        if any(a < 0.0 or a > 1.0 for a in accs):
-            raise DimensionError("accuracies must lie in [0, 1]")
-        self.rows.append(accs)
-
-    def per_step_avg(self):
-        return [float(np.mean(r)) for r in self.rows]
-
-    def final_row(self):
-        return list(self.rows[-1])
-
-    def as_lists(self):
-        return [list(r) for r in self.rows]
+    net: object
+    eval_matrix: list = field(default_factory=list)
+    train_seconds: list = field(default_factory=list)
+    fim_median: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)
+    diag_energy: dict = field(default_factory=dict)
 
 
-def _check_task(task, task_index):
-    """A task can be trained only with samples, and one label per input."""
-    n = task.train_x.shape[0]
+def _check_split(x, y, split, task_index):
+    """A split can be used only with samples, and one label per input."""
+    n = x.shape[0]
     if n == 0:
-        raise DimensionError(f"task {task_index} has no training samples")
-    if len(task.train_y) != n:
-        raise DimensionError(
-            f"task {task_index} has {n} training inputs but {len(task.train_y)} labels"
-        )
+        raise DimensionError(f"task {task_index} has no {split} samples")
+    if len(y) != n:
+        raise DimensionError(f"task {task_index} has {n} {split} inputs but {len(y)} labels")
 
 
-def train_task(net, task, method, hyper, task_index, anchor=None):
+def train_task(net, task, hyper, task_index, anchor=None):
     """Minibatch Adam over one task, with the anchor penalty when present.
 
     When the first layer does input-only work (``Layer.prepares``), the next
@@ -114,7 +109,7 @@ def train_task(net, task, method, hyper, task_index, anchor=None):
     so the result is bit-identical.  A step whose loss is not finite raises
     ``ConvergenceError``: the run has diverged, and its accuracies would read
     as chance, not as forgetting."""
-    _check_task(task, task_index)
+    _check_split(task.train_x, task.train_y, "training", task_index)
     n = task.train_x.shape[0]
     rng = rng_for(hyper.seed, "shuffle", task_index)
     state = AdamState(net)
@@ -172,9 +167,10 @@ def evaluate_matrix(net, tasks, upto):
     return [hits[k] / tasks[k].test_x.shape[0] for k in range(upto)]
 
 
-def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
-    """Post-task consolidation; returns the training-ready network and the
-    (single) anchor for the next task, or None for fine-tuning."""
+def finalize_task(net, task, method, hyper, task_index):
+    """Post-task consolidation of the trained ``net``, which it leaves as it
+    is; returns the training-ready network and the (single) anchor for the
+    next task, or None for fine-tuning."""
     if method.name == "ft":
         return net, None
 
@@ -187,11 +183,7 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
         stats = accumulate_correlations(
             net, task.train_x, method.fim_samples, rng_rot, labels=task.train_y
         )
-        if diagnostics is not None and hyper.diag_layers:
-            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "before")
         net = rotate_network(net, stats, method.scope)
-        if diagnostics is not None and hyper.diag_layers:
-            _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, "after")
     rng_fim = rng_for(hyper.seed, "fim", task_index)
     fim = estimate_diag_fim(
         net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y
@@ -199,41 +191,47 @@ def finalize_task(net, task, method, hyper, task_index, diagnostics=None):
     return net, make_anchor(net, fim, method.lam)
 
 
-def _energy_diagnostics(net, task, hyper, task_index, diagnostics, method, key):
-    """Full-FIM diagonal-energy ratios for the requested layers."""
-    entry = diagnostics.setdefault("diag_energy", {}).setdefault(str(task_index), {})
+def _energy_ratios(before, after, task, method, hyper, task_index):
+    """Full-FIM diagonal-energy ratios of ``hyper.diag_layers`` on the plain
+    network ``before`` a rotation and the rotated one ``after`` it:
+    ``{layer: {"before", "after"}}``, plus each block under ``store_fim_blocks``
+    (up to 400 rows), or ``{"error": message}`` for a layer whose block cannot
+    be built."""
+    out = {}
     for idx in hyper.diag_layers:
-        rec = entry.setdefault(str(idx), {})
-        try:
-            rng = rng_for(hyper.seed, "fim-diag", task_index, idx, key)
-            block = estimate_full_fim_layer(
-                net, task.train_x, idx, method.fim_samples,
-                method.fim_mode, rng, task.train_y,
-            )
-        except (CapacityError, DimensionError) as e:  # diagnostic-only problems
-            rec["error"] = str(e)
-            continue
-        rec[key] = diag_energy_ratio(block.matrix)
-        if hyper.store_fim_blocks and block.matrix.shape[0] <= 400:
-            rec[key + "_matrix"] = block.matrix.tolist()
+        entry = {}
+        for stage, net in (("before", before), ("after", after)):
+            rng = rng_for(hyper.seed, "fim-diag", task_index, idx, stage)
+            try:
+                block = estimate_full_fim_layer(
+                    net, task.train_x, idx, method.fim_samples, method.fim_mode, rng,
+                    task.train_y,
+                )
+            except (CapacityError, DimensionError) as e:  # diagnostic-only problems
+                entry = {"error": str(e)}
+                break
+            entry[stage] = diag_energy_ratio(block)
+            if hyper.store_fim_blocks and block.shape[0] <= 400:
+                entry[stage + "_matrix"] = block.tolist()
+        out[str(idx)] = entry
+    return out
 
 
 def run_sequence(net, tasks, method, hyper, task_callback=None):
-    """Train tasks in order, evaluating after each stage.
+    """Train tasks in order, evaluating after each stage; returns a
+    ``SequenceResult``.
 
-    Returns ``(net, EvalMatrix, diagnostics)``.  The network ends in whatever
-    parameterization the method leaves it in after the final task (rotated
-    layers included for the rotated method when more tasks were pending).
-    ``task_callback(k, net)``, when given, fires after each task's evaluation,
-    e.g. to write checkpoints.
+    Its network ends in whatever parameterization the method leaves it in
+    after the final task (rotated layers included for the rotated method
+    when more tasks were pending).  ``task_callback(k, net)``, when given,
+    fires after each task's evaluation, e.g. to write checkpoints.
     """
     T = len(tasks)
     if T == 0:
         raise DimensionError("task sequence is empty")
     for k, task in enumerate(tasks):
-        _check_task(task, k)
-    diagnostics = {"train_seconds": [], "fim_median": [], "warnings": []}
-    matrix = EvalMatrix()
+        _check_split(task.train_x, task.train_y, "training", k)
+        _check_split(task.test_x, task.test_y, "test", k)
 
     needed = max(tasks[0].class_ids) + 1
     if net.head_classes < needed:
@@ -251,28 +249,36 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                     f"fim_samples {method.fim_samples} exceeds the {n} training samples "
                     f"of task {k}"
                 )
-    if method.name == "rewc":
+    diagnose = method.name == "rewc" and bool(hyper.diag_layers)
+    if diagnose:
         n = len(net.layers)
         bad = [i for i in hyper.diag_layers if not 0 <= i < n]
         if bad:
             raise DimensionError(f"diag_layers {bad} out of range for a {n}-layer network")
 
+    result = SequenceResult(net)
     anchor = None
     for k in range(T):
         t0 = time.perf_counter()
-        train_task(net, tasks[k], method, hyper, k, anchor)
-        diagnostics["train_seconds"].append(time.perf_counter() - t0)
-        matrix.add_row(evaluate_matrix(net, tasks, upto=k + 1))
+        train_task(net, tasks[k], hyper, k, anchor)
+        result.train_seconds.append(time.perf_counter() - t0)
+        result.eval_matrix.append(evaluate_matrix(net, tasks, upto=k + 1))
         if task_callback is not None:
             task_callback(k, net)
         if k + 1 < T:
-            net, anchor = finalize_task(net, tasks[k], method, hyper, k, diagnostics)
-            diagnostics["fim_median"].append(anchor.fim.median() if anchor else None)
+            trained = net
+            net, anchor = finalize_task(trained, tasks[k], method, hyper, k)
+            if diagnose:
+                plain = combine_network(trained) if trained.is_rotated() else trained
+                result.diag_energy[str(k)] = _energy_ratios(plain, net, tasks[k], method,
+                                                           hyper, k)
+            result.fim_median.append(anchor.fim.median() if anchor else None)
             if anchor and not any(v.any() for v in anchor.fim.values.values()):
-                diagnostics["warnings"].append(
+                result.warnings.append(
                     f"task {k}: the Fisher is zero everywhere, so its anchor protects nothing"
                 )
             needed = max(tasks[k + 1].class_ids) + 1
             if needed > net.head_classes:
                 grow_head(net, needed - net.head_classes)
-    return net, matrix, diagnostics
+    result.net = net
+    return result

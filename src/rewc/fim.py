@@ -43,14 +43,6 @@ class FimDiagonal:
 
 
 @dataclass
-class FimBlock:
-    """Full curvature matrix over one layer's flattened weights (diagnostic)."""
-
-    layer_index: int
-    matrix: np.ndarray
-
-
-@dataclass
 class EwcAnchor:
     """Previous-task parameter snapshot with its curvature and strength."""
 
@@ -187,11 +179,6 @@ def _example_weight_grads(layer, x, g, aux, n):
     return ge
 
 
-def _example_bias_grads(g):
-    """Per-example bias gradients: output gradients summed over positions."""
-    return g.reshape(g.shape[0], -1, g.shape[-1]).sum(axis=1)
-
-
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
@@ -213,7 +200,7 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
             xw, gw = _dense_factors(layer, x, g, cache.aux[i], len(w))
             out[f"{i}.W"] = (w[:, None] * gw * gw).T @ (xw * xw)
             if layer.b is not None:
-                gb = _example_bias_grads(g * len(w))  # undo the batch-mean scaling
+                gb = g * len(w)  # per-example bias gradients: undo the batch-mean scaling
                 out[f"{i}.b"] = w @ (gb * gb)
         return out
 
@@ -228,7 +215,8 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
 
 def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="sampled",
                             rng=None, labels=None):
-    """Full FIM over one layer's flattened weights; diagnostic scale only."""
+    """Full FIM over one layer's flattened weights, as a ``size x size``
+    matrix; diagnostic scale only."""
     if not 0 <= layer_index < len(net.layers):
         raise DimensionError(f"layer index {layer_index} out of range")
     layer = net.layers[layer_index]
@@ -257,7 +245,7 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
     acc = np.zeros((size, size))
     for wge, ge in _fim_pass(net, inputs, sample_budget, mode, rng, labels, weighted_grads):
         acc += wge.T @ ge
-    return FimBlock(layer_index=layer_index, matrix=acc / sample_budget)
+    return acc / sample_budget
 
 
 def make_anchor(net, fim, lam):

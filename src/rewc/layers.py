@@ -4,11 +4,13 @@ All arrays are float64.  Images are channels-last ``(N, H, W, C)``; conv
 kernels are ``(kh, kw, d_in, d_out)``.  Dense weights are ``(d_out, d_in)``
 so that ``y = W x`` for a single column vector ``x``.
 
-Each layer implements ``forward(x)`` and ``backward(x, grad_out)`` where
-``x`` is the cached layer input from the matching forward pass.
-``forward_cached(x)`` also returns what the backward pass can reuse, its
-``aux``: a ReLU's mask, a conv layer's im2col matrix.  A ReLU's backward
-needs nothing else, so a network's forward cache does not keep its input.
+Each layer implements ``forward(x)`` and ``backward(x, grad_out, aux)``
+where ``x`` is the cached layer input from the matching forward pass.
+``forward_cached(x)`` also returns what the backward pass reads, its
+``aux``: a ReLU's mask, a conv layer's im2col matrix, a rotated dense
+layer's rotated input.  ``backward`` must be given that ``aux``.  A ReLU's
+backward needs nothing else, so a network's forward cache does not keep its
+input.
 ``backward`` returns ``(grad_in, param_grads)`` with ``param_grads`` keyed
 like ``params()``, or ``None`` for parameter-free layers and when called
 with ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
@@ -148,7 +150,7 @@ class Dense(Layer):
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         g = grad_out
         if self.rotated:
-            x = aux if aux is not None else x @ self.U1.T
+            x = aux
             g = grad_out @ self.U2
         grads = None
         if need_param_grads:
@@ -247,7 +249,7 @@ class Conv2D(Layer):
         return patches @ M, (patches, xp, K)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        patches, xp, K = aux if aux is not None else self.prepare(x) + (self.kernel(),)
+        patches, xp, K = aux
         kh, kw, d1, d2 = K.shape
         g2d = grad_out.reshape(-1, d2)
         grads = None
@@ -307,7 +309,7 @@ class ReLU(Layer):
         return self.forward(x), x > 0.0
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        return grad_out * (aux if aux is not None else x > 0.0), None
+        return grad_out * aux, None
 
     def out_shape(self, in_shape):
         return in_shape

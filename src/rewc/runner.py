@@ -9,7 +9,7 @@ import numpy as np
 from . import parallel
 from .checkpoint import save_network
 from .config import ExperimentConfig
-from .continual import Hyper, Method, run_sequence
+from .continual import run_sequence
 from .data import disjoint_split, load_mnist, synthetic_tasks
 from .errors import ConfigError
 from .network import build_network, parameter_digest
@@ -91,21 +91,6 @@ def run_single(cfg, seed, raw=None):
     tasks = build_tasks(cfg, seed) if raw is None else disjoint_split(raw, cfg["tasks"], seed)
     data_seconds = time.perf_counter() - t0
     net = build_net(cfg, tasks, seed)
-    method = Method(
-        cfg["method"],
-        lam=0.0 if cfg["method"] == "ft" else cfg["lambda"],
-        scope=cfg["scope"],
-        fim_samples=cfg["fim_samples"],
-        fim_mode=cfg["fim_mode"],
-    )
-    hyper = Hyper(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        lr=cfg["lr"],
-        seed=seed,
-        diag_layers=tuple(cfg["diag_layers"]),
-        store_fim_blocks=cfg["store_fim_blocks"],
-    )
     callback = None
     if cfg["checkpoints"]:
         outdir = output_dir(cfg)
@@ -113,7 +98,8 @@ def run_single(cfg, seed, raw=None):
         def callback(k, net_k):
             save_network(net_k, os.path.join(outdir, f"{cfg.hash()}-seed{seed}-task{k}.rewc"))
 
-    net, matrix, diagnostics = run_sequence(net, tasks, method, hyper, task_callback=callback)
+    result = run_sequence(net, tasks, cfg.method(), cfg.hyper(seed), task_callback=callback)
+    matrix = result.eval_matrix
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "run",
@@ -121,19 +107,19 @@ def run_single(cfg, seed, raw=None):
         "config_hash": cfg.hash(),
         "config": cfg.as_dict(),
         "seed": seed,
-        "eval_matrix": matrix.as_lists(),
-        "per_step_avg": matrix.per_step_avg(),
-        "final_per_task": matrix.final_row(),
-        "final_avg": float(np.mean(matrix.final_row())),
-        "final_param_sha256": parameter_digest(net),
-        "fim_median_per_task": diagnostics["fim_median"],
-        "diag_energy": diagnostics.get("diag_energy", {}),
-        "warnings": diagnostics["warnings"],
+        "eval_matrix": matrix,
+        "per_step_avg": [float(np.mean(row)) for row in matrix],
+        "final_per_task": list(matrix[-1]),
+        "final_avg": float(np.mean(matrix[-1])),
+        "final_param_sha256": parameter_digest(result.net),
+        "fim_median_per_task": result.fim_median,
+        "diag_energy": result.diag_energy,
+        "warnings": result.warnings,
         "env": environment(),
         "timing": {
             "total_seconds": time.perf_counter() - t0,
             "data_seconds": data_seconds,
-            "train_seconds": diagnostics["train_seconds"],
+            "train_seconds": result.train_seconds,
         },
     }
     return record

@@ -187,8 +187,7 @@ def test_criterion_5_diag_energy_improvement_mnist():
         from rewc.data import TaskDataset
 
         task = TaskDataset(0, tuple(range(10)), x, y, raw.test_x, raw.test_y)
-        train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=5, batch_size=64, seed=seed),
-                   0, None)
+        train_task(net, task, Hyper(epochs=5, batch_size=64, seed=seed), 0, None)
         # layer 3 is the second dense layer (10x10 weights)
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
@@ -196,8 +195,8 @@ def test_criterion_5_diag_energy_improvement_mnist():
         rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         after = estimate_full_fim_layer(rot, x, 3, 200, "expected",
                                         rng_for(seed, "diag-after"), y)
-        rb = diag_energy_ratio(before.matrix)
-        ra = diag_energy_ratio(after.matrix)
+        rb = diag_energy_ratio(before)
+        ra = diag_energy_ratio(after)
         gains.append(ra - rb)
         print(f"  seed {seed}: diag energy {rb:.3f} -> {ra:.3f}")
     elapsed = time.perf_counter() - t0
@@ -223,10 +222,10 @@ def test_criterion_6_disjoint_mnist_t2():
             net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=seed)
             method = Method(name, lam=lam, scope=RotationScope.ALL_NO_LAST,
                             fim_samples=200, fim_mode="sampled")
-            _, matrix, _ = run_sequence(net, tasks, method,
-                                        Hyper(epochs=5, batch_size=64, lr=1e-3, seed=seed))
-            rows.append(matrix.final_row())
-            print(f"  {name} seed {seed}: final {['%.3f' % a for a in matrix.final_row()]}")
+            final = run_sequence(net, tasks, method,
+                                 Hyper(epochs=5, batch_size=64, lr=1e-3, seed=seed)).eval_matrix[-1]
+            rows.append(final)
+            print(f"  {name} seed {seed}: final {['%.3f' % a for a in final]}")
         finals[name] = np.mean(rows, axis=0)
     elapsed = time.perf_counter() - t0
     ft_t1, ewc_t1 = finals["ft"][0], finals["ewc"][0]
@@ -250,9 +249,9 @@ def test_criterion_7_four_task_sequence():
                                          separation=10.0, noise_cond=20.0)
             net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
             method = Method(name, lam=lam, scope=RotationScope.ALL_NO_LAST)
-            _, matrix, _ = run_sequence(net, tasks, method,
-                                        Hyper(epochs=10, batch_size=32, seed=seed))
-            rows.append(matrix.per_step_avg())
+            matrix = run_sequence(net, tasks, method,
+                                  Hyper(epochs=10, batch_size=32, seed=seed)).eval_matrix
+            rows.append([np.mean(row) for row in matrix])
         per_step[name] = np.mean(rows, axis=0)
         print(f"  {name}: per-step {['%.3f' % a for a in per_step[name]]}")
     elapsed = time.perf_counter() - t0
@@ -269,7 +268,7 @@ def test_criterion_8_invariant_suite(tmp_path):
     tasks = rewc.synthetic_tasks(seed=41, T=2, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=2, batch_size=32, seed=7)
     net = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=7)
-    train_task(net, tasks[0], Method("rewc", lam=40.0), hyper, 0, None)
+    train_task(net, tasks[0], hyper, 0, None)
     from rewc.continual import finalize_task
 
     net2, anchor = finalize_task(net, tasks[0], Method("rewc", lam=40.0), hyper, 0)
@@ -279,20 +278,20 @@ def test_criterion_8_invariant_suite(tmp_path):
     # single anchor and a single rotation per layer, never stacked
     counts = []
     net3 = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=8)
-    net3, _, _ = run_sequence(net3, rewc.synthetic_tasks(seed=43, T=3, classes_per_task=2, dim=6),
-                              Method("rewc", lam=20.0), hyper,
-                              task_callback=lambda k, n: counts.append(
-                                  sum(1 for l in n.layers if l.rotated)))
+    net3 = run_sequence(net3, rewc.synthetic_tasks(seed=43, T=3, classes_per_task=2, dim=6),
+                        Method("rewc", lam=20.0), hyper,
+                        task_callback=lambda k, n: counts.append(
+                            sum(1 for l in n.layers if l.rotated))).net
     assert counts == [0, 1, 1]
     assert len(net3.layers) == 3 and net3.layers[0].rotated
 
     # lam=0 EWC is bitwise fine-tuning under shared seeds
     t2 = rewc.synthetic_tasks(seed=47, T=2, classes_per_task=2, dim=6)
-    _, ft, _ = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
-                            t2, Method("ft", lam=0.0), hyper)
-    _, e0, _ = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
-                            t2, Method("ewc", lam=0.0), hyper)
-    assert ft.as_lists() == e0.as_lists()
+    ft = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
+                      t2, Method("ft", lam=0.0), hyper)
+    e0 = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
+                      t2, Method("ewc", lam=0.0), hyper)
+    assert ft.eval_matrix == e0.eval_matrix
 
     # head growth preserves old-class logits bit-exactly
     net4 = build_network("mlp-custom", input_shape=(6,), hidden=[16, 3], seed=10)

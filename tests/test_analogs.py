@@ -23,8 +23,7 @@ def test_diag_energy_improvement_synthetic():
                                      separation=12.0, noise_cond=15.0)
         t = tasks[0]
         net = build_network("mlp-custom", input_shape=(20,), hidden=[10, 10, 10], seed=seed)
-        train_task(net, t, Method("ft", lam=0.0), Hyper(epochs=5, batch_size=32, seed=seed),
-                   0, None)
+        train_task(net, t, Hyper(epochs=5, batch_size=32, seed=seed), 0, None)
         before = estimate_full_fim_layer(net, t.train_x, 2, 200, "expected",
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
@@ -32,7 +31,7 @@ def test_diag_energy_improvement_synthetic():
         rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         after = estimate_full_fim_layer(rot, t.train_x, 2, 200, "expected",
                                         rng_for(seed, "diag-after"), t.train_y)
-        gains.append(diag_energy_ratio(after.matrix) - diag_energy_ratio(before.matrix))
+        gains.append(diag_energy_ratio(after) - diag_energy_ratio(before))
     assert sum(g >= 0.10 for g in gains) >= 2, gains
 
 
@@ -43,13 +42,14 @@ def test_conv_continual_cycle_synthetic():
                                  image_shape=(16, 16, 1), noise_cond=10.0)
     net = build_network("lenet", head_classes=2, input_shape=(16, 16, 1), seed=1)
     method = Method("rewc", lam=100.0, scope=RotationScope.ALL_NO_LAST, fim_samples=100)
-    net, matrix, _ = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32, seed=2))
+    result = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32, seed=2))
+    net, matrix = result.net, result.eval_matrix
     assert net.is_rotated()
     rotated = {l.kind for l in net.layers if l.rotated}
     assert rotated == {"conv2d", "dense"}
-    assert matrix.rows[0][0] > 0.9        # task 1 learned
-    assert matrix.rows[1][1] > 0.85       # task 2 learned in rotated coordinates
-    assert all(0.0 <= a <= 1.0 for row in matrix.rows for a in row)
+    assert matrix[0][0] > 0.9        # task 1 learned
+    assert matrix[1][1] > 0.85       # task 2 learned in rotated coordinates
+    assert all(0.0 <= a <= 1.0 for row in matrix for a in row)
 
 
 def test_ft_ewc_rewc_ordering_t2_synthetic():
@@ -62,9 +62,9 @@ def test_ft_ewc_rewc_ordering_t2_synthetic():
             tasks = rewc.synthetic_tasks(seed=seed, T=2, classes_per_task=2, dim=8,
                                          separation=10.0, noise_cond=20.0)
             net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
-            _, m, _ = run_sequence(net, tasks, Method(name, lam=lam),
-                                   Hyper(epochs=10, batch_size=32, seed=seed))
-            rows.append(m.final_row())
+            result = run_sequence(net, tasks, Method(name, lam=lam),
+                                  Hyper(epochs=10, batch_size=32, seed=seed))
+            rows.append(result.eval_matrix[-1])
         finals[name] = np.mean(rows, axis=0)
     assert finals["ft"][0] < 0.3                           # plain tuning forgets
     assert finals["rewc"][0] > finals["ft"][0] + 0.03      # rotated anchor retains
@@ -89,7 +89,8 @@ def test_mnist_pipeline_with_fake_idx(tmp_path):
     tasks = disjoint_split(raw, 2, seed=0)
     assert tasks[0].class_ids == (0, 1, 2, 3, 4)
     net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=0)
-    net, matrix, _ = run_sequence(net, tasks, Method("rewc", lam=100.0, fim_samples=50),
-                                  Hyper(epochs=1, batch_size=64, seed=0))
-    assert len(matrix.rows) == 2 and len(matrix.rows[1]) == 2
+    result = run_sequence(net, tasks, Method("rewc", lam=100.0, fim_samples=50),
+                          Hyper(epochs=1, batch_size=64, seed=0))
+    net, matrix = result.net, result.eval_matrix
+    assert len(matrix) == 2 and len(matrix[1]) == 2
     assert net.head_classes == 10

@@ -8,9 +8,11 @@ import pytest
 from rewc.checkpoint import load_network, save_network
 from rewc.cli import main
 from rewc.config import parse_config, parse_config_text
+from rewc.continual import Hyper, Method
 from rewc.errors import ConfigError
 from rewc.linalg import diag_energy_ratio
 from rewc.network import build_network, parameter_digest
+from rewc import plots
 from rewc.plots import heatmap_svg, lineplot_svg
 
 
@@ -63,6 +65,33 @@ def test_semantic_validation():
         parse_config_text("dataset = mnist")
     with pytest.raises(ConfigError, match="scope"):
         parse_config_text("scope = everything")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("method = sgd", "method"),
+    ("lambda = -1", "lambda"),
+    ("epochs = 0", "epochs"),
+    ("batch = 0", "batch"),
+    ("lr = 0", "lr"),
+    ("fim_samples = 0", "fim_samples"),
+    ("fim_mode = exact", "fim_mode"),
+])
+def test_range_errors_name_the_config_key(line, key):
+    # Method and Hyper check these ranges; the parser reports their message.
+    with pytest.raises(ConfigError, match=rf"<config>: {key}"):
+        parse_config_text(line)
+
+
+def test_config_builds_the_method_and_hyper_it_runs():
+    cfg = parse_config_text("method = ft\nlambda = 5\nbatch = 7\nepochs = 2\nlr = 0.5\n"
+                            "fim_mode = expected\nfim_samples = 9\nscope = fc_only")
+    assert cfg.method() == Method("ft", lam=0.0, scope="fc_only", fim_samples=9,
+                                  fim_mode="expected")
+    assert cfg.hyper(4) == Hyper(epochs=2, batch_size=7, lr=0.5, seed=4)
+    cfg = parse_config_text("method = rewc\nlambda = 5\ndiag_layers = 2,0\n"
+                            "store_fim_blocks = true")
+    assert cfg.method() == Method("rewc", lam=5.0)
+    assert cfg.hyper(0) == Hyper(diag_layers=(2, 0), store_fim_blocks=True)
 
 
 def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
@@ -184,6 +213,33 @@ def test_data_and_width_settings_rejected_at_parse_time(tmp_path, capsys, line, 
     cfgp.write_text("\n".join(kept + [line]) + "\n")
     assert run_cli(["run", str(cfgp)]) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("lambda = nan", "lambda"),
+    ("lambda = inf", "lambda"),
+    ("lambda = -inf", "lambda"),
+    ("lr = inf", "lr"),
+    ("lr = nan", "lr"),
+    ("synth_separation = inf", "synth_separation"),
+    ("synth_noise_cond = nan", "synth_noise_cond"),
+])
+def test_non_finite_numbers_rejected_before_training(tmp_path, capsys, monkeypatch, line, key):
+    # NaN fails every range check's comparison: lambda = nan trained as
+    # fine-tuning, and lr = inf diverged only after a whole task.
+    import rewc.continual as continual
+
+    trained = []
+    monkeypatch.setattr(continual, "train_task", lambda *a, **kw: trained.append(a))
+    with pytest.raises(ConfigError, match=rf"<config>:2: bad value for {key}: not a finite number"):
+        parse_config_text(f"method = ewc\n{line}\n")
+    out = tmp_path / "results"
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=out).replace("method = ft", "method = ewc") + line + "\n")
+    assert run_cli(["run", str(cfgp)]) == 1
+    assert f"bad value for {key}: not a finite number" in capsys.readouterr().err
+    assert trained == []
     assert not out.exists()
 
 
@@ -324,6 +380,51 @@ def test_lineplot_svg_structure(tmp_path):
     assert "ewc" in svg and "rewc" in svg
 
 
+def plotted_series(path):
+    """``{label: [accuracy, ...]}`` read back from an accuracy plot."""
+    svg = path.read_text()
+    lines = re.findall(r'<polyline class="series"[^>]*stroke="([^"]+)"[^>]*points="([^"]+)"', svg)
+    labels = dict(re.findall(r'<text [^>]*fill="([^"]+)">([^<]+)</text>', svg))
+    y0, span = plots._PLOT_H - plots._MARGIN, plots._PLOT_H - 2 * plots._MARGIN
+    return {labels[color]: [(y0 - float(p.split(",")[1])) / span for p in pts.split()]
+            for color, pts in lines}
+
+
+def test_plot_draws_one_curve_per_file(tmp_path, capsys):
+    # Every file once got the same label, so the last one drawn replaced the rest.
+    cfgp = tmp_path / "exp.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = ewc")
+                    .replace("seeds = 0,1", "seeds = 0,1,2").replace("epochs = 3", "epochs = 1"))
+    assert run_cli(["run", str(cfgp)]) == 0
+    paths = capsys.readouterr().out.split()
+    assert run_cli(["plot", *paths, "--outdir", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    series = plotted_series(tmp_path / "p" / "accuracy-vs-tasks.svg")
+    assert sorted(series) == ["ewc lam=100 mean"] + [f"ewc lam=100 seed {s}" for s in (0, 1, 2)]
+    agg = read_json(paths[-1])
+    assert series["ewc lam=100 mean"][-1] == pytest.approx(agg["per_step_avg_mean"][-1], abs=1e-4)
+    for path in paths[:-1]:
+        rec = read_json(path)
+        assert series[f"ewc lam=100 seed {rec['seed']}"] == pytest.approx(rec["per_step_avg"],
+                                                                          abs=1e-4)
+
+
+def test_plot_labels_a_repeated_curve_with_its_config_hash(tmp_path, capsys):
+    paths = []
+    for epochs in (1, 2):
+        cfgp = tmp_path / f"e{epochs}.cfg"
+        cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r").replace("seeds = 0,1", "seeds = 0")
+                        .replace("epochs = 3", f"epochs = {epochs}"))
+        assert run_cli(["run", str(cfgp)]) == 0
+        paths.append(capsys.readouterr().out.split()[0])
+    assert run_cli(["plot", *paths, "--outdir", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    series = plotted_series(tmp_path / "p" / "accuracy-vs-tasks.svg")
+    hashes = [read_json(p)["config_hash"][:8] for p in paths]
+    assert hashes[0] != hashes[1]
+    assert sorted(series) == sorted(f"ft seed 0 {h}" for h in hashes)
+
+
 def test_cli_plot_and_probe(tmp_path, capsys):
     cfgp = tmp_path / "exp.cfg"
     cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r"))
@@ -367,7 +468,7 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40,
                                     rng=rng_for(cfg["seeds"][0], "fim-probe"), labels=labels)
-    assert probe["diag_energy_ratio"] == diag_energy_ratio(block.matrix)
+    assert probe["diag_energy_ratio"] == diag_energy_ratio(block)
 
 
 def test_cli_probe_rejects_empty_budget(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from rewc import continual
 from rewc.continual import (
-    EvalMatrix,
     Hyper,
     Method,
     evaluate_matrix,
@@ -17,7 +16,7 @@ from rewc.data import synthetic_tasks
 from rewc.errors import ConvergenceError, DimensionError
 from rewc.fim import ewc_penalty
 from rewc.layers import Dense
-from rewc.network import Network, build_network, forward, layout_signature
+from rewc.network import Network, build_network, forward, layout_signature, parameter_digest
 
 
 def small_net(seed, head=2, dim=6, hidden=(16,)):
@@ -31,6 +30,10 @@ def test_method_validation():
         Method("sgd")
     with pytest.raises(ValueError):
         Method("ewc", lam=-3.0)
+    for lam in (np.nan, np.inf):
+        # NaN fails every comparison: the penalty would be dropped, as under ft.
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            Method("rewc", lam=lam)
     m = Method("rewc", scope="fc_only")
     assert m.scope.value == "fc_only"
 
@@ -46,44 +49,32 @@ def test_empty_fim_budget_rejected_at_construction():
         Method("ewc", fim_samples=0)
 
 
-def test_eval_matrix_shape_rules():
-    m = EvalMatrix()
-    m.add_row([0.5])
-    with pytest.raises(DimensionError):
-        m.add_row([0.5])  # must now have 2 entries
-    with pytest.raises(DimensionError):
-        m.add_row([0.5, 1.5])
-    m.add_row([0.25, 0.75])
-    assert m.per_step_avg() == [0.5, 0.5]
-    assert m.final_row() == [0.25, 0.75]
-
-
 def test_single_task_equals_plain_training():
     tasks = synthetic_tasks(seed=3, T=1, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=3, batch_size=32, seed=1)
-    net1, mat, _ = run_sequence(small_net(1), tasks, Method("ft", lam=0.0), hyper)
-    assert len(mat.rows) == 1 and len(mat.rows[0]) == 1
+    mat = run_sequence(small_net(1), tasks, Method("ft", lam=0.0), hyper).eval_matrix
+    assert len(mat) == 1 and len(mat[0]) == 1
     net2 = small_net(1)
-    train_task(net2, tasks[0], Method("ft", lam=0.0), hyper, 0, None)
+    train_task(net2, tasks[0], hyper, 0, None)
     row = evaluate_matrix(net2, tasks, 1)
-    assert mat.rows[0][0] == row[0]
+    assert mat[0][0] == row[0]
 
 
 def test_ft_forgets_ewc_retains():
     tasks = synthetic_tasks(seed=7, T=2, classes_per_task=2, dim=8, noise_cond=6.0)
     hyper = Hyper(epochs=6, batch_size=32, seed=5)
-    _, ft, _ = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ft", lam=0.0), hyper)
-    _, ewc, _ = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ewc", lam=300.0), hyper)
-    assert ft.rows[1][0] < 0.6  # task 1 collapses under plain fine-tuning
-    assert ewc.rows[1][0] > ft.rows[1][0] + 0.1
+    ft = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ft", lam=0.0), hyper)
+    ewc = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ewc", lam=300.0), hyper)
+    assert ft.eval_matrix[1][0] < 0.6  # task 1 collapses under plain fine-tuning
+    assert ewc.eval_matrix[1][0] > ft.eval_matrix[1][0] + 0.1
 
 
 def test_lambda_zero_ewc_is_bitwise_ft():
     tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=2, batch_size=32, seed=9)
-    _, ft, _ = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
-    _, e0, _ = run_sequence(small_net(4), tasks, Method("ewc", lam=0.0), hyper)
-    assert ft.as_lists() == e0.as_lists()
+    ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
+    e0 = run_sequence(small_net(4), tasks, Method("ewc", lam=0.0), hyper)
+    assert ft.eval_matrix == e0.eval_matrix
 
 
 def test_lambda_zero_rewc_matches_ft_evaluation():
@@ -91,9 +82,9 @@ def test_lambda_zero_rewc_matches_ft_evaluation():
     # differ, so only the task-1 row (trained before any rotation) must match.
     tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=2, batch_size=32, seed=9)
-    _, ft, _ = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
-    _, r0, _ = run_sequence(small_net(4), tasks, Method("rewc", lam=0.0), hyper)
-    assert ft.rows[0] == r0.rows[0]
+    ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
+    r0 = run_sequence(small_net(4), tasks, Method("rewc", lam=0.0), hyper)
+    assert ft.eval_matrix[0] == r0.eval_matrix[0]
 
 
 def test_anchor_penalty_zero_after_finalize():
@@ -101,7 +92,7 @@ def test_anchor_penalty_zero_after_finalize():
     hyper = Hyper(epochs=2, batch_size=32, seed=3)
     for name in ("ewc", "rewc"):
         net = small_net(6)
-        train_task(net, tasks[0], Method(name, lam=50.0), hyper, 0, None)
+        train_task(net, tasks[0], hyper, 0, None)
         net2, anchor = finalize_task(net, tasks[0], Method(name, lam=50.0), hyper, 0)
         pen, grads = ewc_penalty(net2, anchor)
         assert pen == 0.0
@@ -115,11 +106,45 @@ def test_rewc_finalize_preserves_function():
     tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
     hyper = Hyper(epochs=2, batch_size=32, seed=2)
     net = small_net(8)
-    train_task(net, tasks[0], Method("rewc", lam=10.0), hyper, 0, None)
+    train_task(net, tasks[0], hyper, 0, None)
     before, _ = forward(net, tasks[0].test_x)
     net2, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), hyper, 0)
     after, _ = forward(net2, tasks[0].test_x)
     assert np.max(np.abs(before - after)) < 1e-8
+
+
+def test_finalize_task_leaves_the_trained_network_as_it_is():
+    tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
+    hyper = Hyper(epochs=1, batch_size=32, seed=2)
+    net = small_net(8)
+    train_task(net, tasks[0], hyper, 0, None)
+    for _ in range(2):  # a plain network, then a rotated one, which is combined
+        layers = [l.clone() for l in net.layers]
+        digest = parameter_digest(net)
+        out, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), hyper, 0)
+        assert out is not net and out.is_rotated()
+        assert parameter_digest(net) == digest
+        for a, b in zip(layers, net.layers):
+            assert a.rotated == b.rotated
+            if a.rotated:
+                assert np.array_equal(a.U1, b.U1) and np.array_equal(a.U2, b.U2)
+        net = out
+
+
+def test_sequence_result_covers_every_task():
+    tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, dim=6)
+    hyper = Hyper(epochs=1, batch_size=32, seed=4, diag_layers=(0, 1))
+    kept = []
+    result = run_sequence(small_net(10), tasks, Method("rewc", lam=20.0), hyper,
+                          task_callback=lambda k, n: kept.append(n))
+    assert [len(row) for row in result.eval_matrix] == [1, 2, 3]
+    assert len(result.train_seconds) == 3 and len(result.fim_median) == 2
+    assert result.net is kept[-1] and result.warnings == []
+    # Layer 1 is a ReLU: its block cannot be built, and it records why.
+    assert sorted(result.diag_energy) == ["0", "1"]
+    for entry in result.diag_energy.values():
+        assert set(entry["0"]) == {"before", "after"}
+        assert entry["1"] == {"error": "layer 1 (relu) has no weight matrix"}
 
 
 def test_ft_finalize_is_noop():
@@ -141,8 +166,8 @@ def test_rewc_sandwiches_do_not_accumulate():
     def spy(k, net):
         rotated_counts.append(sum(1 for l in net.layers if l.rotated))
 
-    net, _, _ = run_sequence(small_net(10), tasks, Method("rewc", lam=20.0), hyper,
-                             task_callback=spy)
+    net = run_sequence(small_net(10), tasks, Method("rewc", lam=20.0), hyper,
+                       task_callback=spy).net
     # one rotation, of the single hidden layer, never stacked
     assert rotated_counts == [0, 1, 1]
     assert len(net.layers) == 3 and net.layers[0].rotated
@@ -164,8 +189,8 @@ def test_memorize_tiny_task():
     task = TaskDataset(0, (0, 1), x, y, x, y)
     tasks = TaskSequence([task])
     hyper = Hyper(epochs=300, batch_size=10, lr=0.01, seed=0)
-    _, mat, _ = run_sequence(small_net(12, dim=4, hidden=(32,)), tasks, Method("ft", lam=0.0), hyper)
-    assert mat.rows[0][0] == 1.0
+    result = run_sequence(small_net(12, dim=4, hidden=(32,)), tasks, Method("ft", lam=0.0), hyper)
+    assert result.eval_matrix[0][0] == 1.0
 
 
 def test_argmax_tie_breaks_low():
@@ -187,7 +212,7 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
                            test_per_class=101, image_shape=(16, 16, 1))[0]
     assert task.test_x.shape[0] >= 500
     net = build_network("lenet", head_classes=5, input_shape=(16, 16, 1), seed=3)
-    train_task(net, task, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=16, seed=0), 0)
+    train_task(net, task, Hyper(epochs=1, batch_size=16, seed=0), 0)
     full = np.mean(np.argmax(forward(net, task.test_x)[0], axis=1) == task.test_y)
 
     rows = []
@@ -206,9 +231,8 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
 def test_head_grows_between_tasks():
     tasks = synthetic_tasks(seed=31, T=3, classes_per_task=2, dim=6)
     sizes = []
-    net, _, _ = run_sequence(small_net(13), tasks, Method("ft", lam=0.0),
-                             Hyper(epochs=1, batch_size=64, seed=0),
-                             task_callback=lambda k, n: sizes.append(n.head_classes))
+    run_sequence(small_net(13), tasks, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=64, seed=0),
+                 task_callback=lambda k, n: sizes.append(n.head_classes))
     assert sizes == [2, 4, 6]
 
 
@@ -222,8 +246,8 @@ def test_oversized_initial_head_rejected():
 def test_diagnostics_energy_ratios():
     tasks = synthetic_tasks(seed=37, T=2, classes_per_task=2, dim=6, noise_cond=10.0)
     hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0,))
-    _, _, diag = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper)
-    entry = diag["diag_energy"]["0"]["0"]
+    result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper)
+    entry = result.diag_energy["0"]["0"]
     assert 0.0 < entry["before"] <= 1.0
     assert 0.0 < entry["after"] <= 1.0
 
@@ -244,6 +268,13 @@ BAD_TASKS = {
                     "has 400 training inputs but 399 labels"),
     "label-extra": (lambda t: dataclasses.replace(t, train_y=np.append(t.train_y, 0)),
                     "has 400 training inputs but 401 labels"),
+    # Evaluation would divide by zero, or compare misaligned labels, after training.
+    "no-test-samples": (lambda t: dataclasses.replace(t, test_x=t.test_x[:0], test_y=t.test_y[:0]),
+                        "has no test samples"),
+    "test-label-short": (lambda t: dataclasses.replace(t, test_y=t.test_y[:-1]),
+                         "has 200 test inputs but 199 labels"),
+    "test-label-extra": (lambda t: dataclasses.replace(t, test_y=np.append(t.test_y, 0)),
+                         "has 200 test inputs but 201 labels"),
 }
 
 
@@ -261,8 +292,8 @@ def test_bad_task_rejected_before_the_first_task_trains(monkeypatch, k, bad):
 
 
 @pytest.mark.parametrize("setting", [
-    {"epochs": 0}, {"batch_size": 0}, {"lr": 0.0}, {"lr": -1e-3},
-], ids=["epochs-0", "batch_size-0", "lr-0", "lr-negative"])
+    {"epochs": 0}, {"batch_size": 0}, {"lr": 0.0}, {"lr": -1e-3}, {"lr": np.inf}, {"lr": np.nan},
+], ids=["epochs-0", "batch_size-0", "lr-0", "lr-negative", "lr-inf", "lr-nan"])
 def test_hyper_rejects_degenerate_training_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
         Hyper(**setting)

@@ -92,17 +92,17 @@ def test_full_block_diag_consistency():
     layer_idx = net.trainable_keys()[0][1]
     diag = estimate_diag_fim(net, x, sample_budget=15, rng=rng_for(9, "t"))
     block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=15, rng=rng_for(9, "t"))
-    assert np.max(np.abs(np.diag(block.matrix) - diag.values[f"{layer_idx}.W"].ravel())) < 1e-12
+    assert np.max(np.abs(np.diag(block) - diag.values[f"{layer_idx}.W"].ravel())) < 1e-12
 
 
 def test_single_sample_block_rank():
     net = build_network("mlp-custom", input_shape=(3,), hidden=[4, 3], seed=1)
     x = np.random.default_rng(5).normal(size=(1, 3))
     block = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="expected")
-    assert np.linalg.matrix_rank(block.matrix, tol=1e-12) <= 3
+    assert np.linalg.matrix_rank(block, tol=1e-12) <= 3
     sampled = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="sampled",
                                       rng=np.random.default_rng(0))
-    assert np.linalg.matrix_rank(sampled.matrix, tol=1e-12) <= 1
+    assert np.linalg.matrix_rank(sampled, tol=1e-12) <= 1
 
 
 def test_block_is_psd_under_eigensolver():
@@ -111,7 +111,7 @@ def test_block_is_psd_under_eigensolver():
     x = rng.normal(size=(20, net.input_shape[0]))
     layer_idx = net.trainable_keys()[0][1]
     block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=10, rng=rng)
-    e = jacobi_eigh(block.matrix)
+    e = jacobi_eigh(block)
     assert np.all(e.S >= -1e-8)
 
 
@@ -280,7 +280,7 @@ def test_batched_full_block_matches_per_sample_reference(mode):
                 continue
             got = estimate_full_fim_layer(net, x, i, BUDGET, mode, np.random.default_rng(6))
             ref = per_sample_full_fim(net, x, key, BUDGET, mode, np.random.default_rng(6))
-            assert_rel_close(got.matrix, ref, f"{name} {key}")
+            assert_rel_close(got, ref, f"{name} {key}")
 
 
 def rotated_example_grads(rotated, grads):
@@ -326,7 +326,7 @@ def check_rotated_fim(plain, rotated, x, mode):
     for key, v in blocks.items():
         block = estimate_full_fim_layer(rotated, x, int(key.split(".")[0]), BUDGET, mode,
                                         np.random.default_rng(7))
-        assert_rel_close(block.matrix, v / BUDGET, f"{mode} {key} block")
+        assert_rel_close(block, v / BUDGET, f"{mode} {key} block")
 
 
 def full_depth_grads(net, cache, labels):
