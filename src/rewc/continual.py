@@ -17,7 +17,7 @@ from . import parallel
 from .errors import CapacityError, ConvergenceError, DimensionError
 from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from .linalg import diag_energy_ratio
-from .network import CHUNK, backward, forward, grow_head
+from .network import CHUNK, Network, backward, forward, grow_head
 from .optim import AdamState, adam_step
 from .rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
 from .util import rng_for
@@ -83,7 +83,7 @@ class SequenceResult:
     rewc with ``diag_layers``, else empty.
     """
 
-    net: object
+    net: Network
     eval_matrix: list = field(default_factory=list)
     train_seconds: list = field(default_factory=list)
     fim_median: list = field(default_factory=list)

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import parallel
 from .checkpoint import save_network
-from .config import ExperimentConfig
 from .continual import run_sequence
 from .data import disjoint_split, load_mnist, synthetic_tasks
 from .errors import ConfigError

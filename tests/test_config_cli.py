@@ -65,21 +65,11 @@ def test_semantic_validation():
         parse_config_text("dataset = mnist")
     with pytest.raises(ConfigError, match="scope"):
         parse_config_text("scope = everything")
-
-
-@pytest.mark.parametrize("line, key", [
-    ("method = sgd", "method"),
-    ("lambda = -1", "lambda"),
-    ("epochs = 0", "epochs"),
-    ("batch = 0", "batch"),
-    ("lr = 0", "lr"),
-    ("fim_samples = 0", "fim_samples"),
-    ("fim_mode = exact", "fim_mode"),
-])
-def test_range_errors_name_the_config_key(line, key):
-    # Method and Hyper check these ranges; the parser reports their message.
-    with pytest.raises(ConfigError, match=rf"<config>: {key}"):
-        parse_config_text(line)
+    # Method and Hyper check these ranges; the message still names the key.
+    for line in ("lambda = -1", "epochs = 0", "batch = 0", "lr = 0", "fim_samples = 0",
+                 "fim_mode = exact"):
+        with pytest.raises(ConfigError, match=rf"<config>: {line.split()[0]}"):
+            parse_config_text(line)
 
 
 def test_config_builds_the_method_and_hyper_it_runs():

@@ -131,22 +131,6 @@ def test_finalize_task_leaves_the_trained_network_as_it_is():
         net = out
 
 
-def test_sequence_result_covers_every_task():
-    tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=1, batch_size=32, seed=4, diag_layers=(0, 1))
-    kept = []
-    result = run_sequence(small_net(10), tasks, Method("rewc", lam=20.0), hyper,
-                          task_callback=lambda k, n: kept.append(n))
-    assert [len(row) for row in result.eval_matrix] == [1, 2, 3]
-    assert len(result.train_seconds) == 3 and len(result.fim_median) == 2
-    assert result.net is kept[-1] and result.warnings == []
-    # Layer 1 is a ReLU: its block cannot be built, and it records why.
-    assert sorted(result.diag_energy) == ["0", "1"]
-    for entry in result.diag_energy.values():
-        assert set(entry["0"]) == {"before", "after"}
-        assert entry["1"] == {"error": "layer 1 (relu) has no weight matrix"}
-
-
 def test_ft_finalize_is_noop():
     tasks = synthetic_tasks(seed=19, T=2, classes_per_task=2, dim=6)
     net = small_net(9)
@@ -244,12 +228,22 @@ def test_oversized_initial_head_rejected():
 
 
 def test_diagnostics_energy_ratios():
-    tasks = synthetic_tasks(seed=37, T=2, classes_per_task=2, dim=6, noise_cond=10.0)
-    hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0,))
-    result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper)
-    entry = result.diag_energy["0"]["0"]
-    assert 0.0 < entry["before"] <= 1.0
-    assert 0.0 < entry["after"] <= 1.0
+    # Three tasks: the second consolidation starts from a rotated network.
+    tasks = synthetic_tasks(seed=37, T=3, classes_per_task=2, dim=6, noise_cond=10.0)
+    hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0, 1))
+    kept = []
+    result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper,
+                          task_callback=lambda k, n: kept.append(n))
+    assert [len(row) for row in result.eval_matrix] == [1, 2, 3]
+    assert len(result.train_seconds) == 3 and len(result.fim_median) == 2
+    assert result.net is kept[-1] and result.warnings == []
+    assert sorted(result.diag_energy) == ["0", "1"]
+    for entry in result.diag_energy.values():
+        assert set(entry["0"]) == {"before", "after"}
+        assert 0.0 < entry["0"]["before"] <= 1.0
+        assert 0.0 < entry["0"]["after"] <= 1.0
+        # Layer 1 is a ReLU: its block cannot be built, and it records why.
+        assert entry["1"] == {"error": "layer 1 (relu) has no weight matrix"}
 
 
 def test_fim_budget_checked_for_consolidated_tasks_only():
