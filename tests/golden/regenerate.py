@@ -1,4 +1,4 @@
-"""Regenerate ``tests/golden/records.json``: the run records of four short
+"""Regenerate ``tests/golden/records.json``: the run records of five short
 runs, without their ``timing``, at one BLAS thread.
 
     python tests/golden/regenerate.py                 # rewrite the committed file
@@ -6,8 +6,10 @@ runs, without their ``timing``, at one BLAS thread.
     python tests/golden/regenerate.py --threads 2 --out PATH
 
 The cases are ``configs/synthetic-t4.cfg`` at seed 0 under ft, ewc and rewc,
-and a 3-task 16x16 LeNet stream under rewc with diagonal-energy layers (one
-of them, conv2, is over the full-Fisher cap and records its error).  Each
+a 3-task 16x16 LeNet stream under rewc with diagonal-energy layers (one
+of them, conv2, is over the full-Fisher cap and records its error), and the
+same stream under ewc with the expected Fisher, which enumerates every
+class, the conv bias row included.  Each
 entry keeps the config text it ran, the test-split size of every task and
 the record.  ``tests/test_golden.py`` runs this script and compares.  A
 change that moves a result on purpose reruns it and says in CHANGES.md what
@@ -38,11 +40,16 @@ seeds = 0
 """
 
 
+def _override(text, drop=(), **values):
+    """Config ``text`` without the keys in ``drop``, with ``values`` set last."""
+    skip = set(drop) | set(values)
+    kept = [l for l in text.splitlines() if l.partition("=")[0].strip() not in skip]
+    return "\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
 def _synthetic_t4(method):
     with open(os.path.join(ROOT, "configs", "synthetic-t4.cfg"), encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    kept = [l for l in lines if l.partition("=")[0].strip() not in ("method", "seeds")]
-    return "\n".join(kept + [f"method = {method}", "seeds = 0"]) + "\n"
+        return _override(f.read(), method=method, seeds=0)
 
 
 CASES = {
@@ -50,6 +57,8 @@ CASES = {
     "synthetic-t4-ewc": _synthetic_t4("ewc"),
     "synthetic-t4-rewc": _synthetic_t4("rewc"),
     "lenet-16-rewc-diag": LENET_STREAM,
+    "lenet-16-ewc-expected": _override(LENET_STREAM, drop=("diag_layers",), method="ewc",
+                                       fim_mode="expected"),
 }
 
 
