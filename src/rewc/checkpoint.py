@@ -3,8 +3,9 @@
 README's "File formats" section gives the layout.  A file opens with the
 4-byte magic and a u32 version; integers are little-endian and arrays raw
 ``<f8``.  Each layer is one record: a kind tag and its fields.  A dense or
-conv record carries ``has_bias`` and ``rotated`` flags; its weight follows,
-then its bias and its rotation ``(U1, U2)`` when flagged.  ``Reader`` checks
+conv record carries its weight's shape and a ``rotated`` flag; its weight
+and bias follow, then its rotation ``(U1, U2)`` when flagged.  Other kinds
+have no fields.  ``Reader`` checks
 the magic, the version, every short read and the end of the data (no byte
 may follow the last record): each fault raises ``DataFormatError``.
 """
@@ -18,7 +19,7 @@ from .layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from .network import Network
 
 MAGIC = b"REWC"
-VERSION = 2
+VERSION = 3
 
 _KIND_TAGS = {"dense": 1, "conv2d": 2, "relu": 3, "flatten": 4, "meanpool2d": 5}
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
@@ -35,17 +36,10 @@ def save_network(net, path):
 
 
 def _write_record(w, layer):
-    if isinstance(layer, MeanPool2D):
-        w.u32(layer.size)
     if not isinstance(layer, (Dense, Conv2D)):
         return
-    flags = (int(layer.b is not None), int(layer.rotated))
-    if isinstance(layer, Dense):
-        weight = layer.W
-        w.u32(*weight.shape, *flags)
-    else:
-        weight = layer.K
-        w.u32(*weight.shape, layer.stride, layer.padding, *flags)
+    weight = layer.W if isinstance(layer, Dense) else layer.K
+    w.u32(*weight.shape, int(layer.rotated))
     for arr in (weight, layer.b, layer.U1, layer.U2):
         if arr is not None:
             w.payload(arr)
@@ -69,35 +63,33 @@ def _read_record(r):
     (tag,) = r.unpack("B")
     kind = _TAG_KINDS.get(tag)
     if kind == "dense":
-        d_out, d_in, has_b, rotated = _fields(r, 2)
-        return Dense(*_arrays(r, (d_out, d_in), d_in, d_out, has_b, rotated))
+        d_out, d_in, rotated = _fields(r, 2)
+        return Dense(*_arrays(r, (d_out, d_in), d_in, d_out, rotated))
     if kind == "conv2d":
-        kh, kw, c_in, c_out, stride, padding, has_b, rotated = _fields(r, 6)
-        K, b, U1, U2 = _arrays(r, (kh, kw, c_in, c_out), c_in, c_out, has_b, rotated)
-        return Conv2D(K, b, stride, padding, U1, U2)
+        kh, kw, c_in, c_out, rotated = _fields(r, 4)
+        return Conv2D(*_arrays(r, (kh, kw, c_in, c_out), c_in, c_out, rotated))
     if kind == "relu":
         return ReLU()
     if kind == "flatten":
         return Flatten()
     if kind == "meanpool2d":
-        return MeanPool2D(r.u32())
+        return MeanPool2D()
     raise DataFormatError(f"unknown layer tag {tag}")
 
 
 def _fields(r, n):
-    """``n`` u32 fields, then the ``has_bias`` and ``rotated`` flags, each 0 or 1."""
-    fields = r.unpack("I" * (n + 2))
-    for name, flag in zip(("has_bias", "rotated"), fields[n:]):
-        if flag > 1:
-            raise DataFormatError(f"checkpoint {name} flag is {flag}, not 0 or 1")
+    """``n`` u32 fields, then the ``rotated`` flag, 0 or 1."""
+    fields = r.unpack("I" * (n + 1))
+    if fields[n] > 1:
+        raise DataFormatError(f"checkpoint rotated flag is {fields[n]}, not 0 or 1")
     return fields
 
 
-def _arrays(r, shape, d_in, d_out, has_b, rotated):
-    """A weight of ``shape``, then its bias and its rotation ``(U1, U2)``, each
-    ``None`` when its flag is 0."""
+def _arrays(r, shape, d_in, d_out, rotated):
+    """A weight of ``shape`` and its bias, then its rotation ``(U1, U2)``, or
+    ``None, None`` when the layer is not rotated."""
     weight = r.payload(shape)
-    b = r.payload((d_out,)) if has_b else None
+    b = r.payload((d_out,))
     if not rotated:
         return weight, b, None, None
     return weight, b, r.payload((d_in, d_in)), r.payload((d_out, d_out))

@@ -84,6 +84,7 @@ def cmd_plot(args):
 
     for path, rec in results:
         diag = rec.get("diag_energy") or {}
+        run = f"{rec.get('config_hash', '')[:8]}-seed{rec.get('seed')}"
         found = False
         for task_key, layers in diag.items():
             for layer_key, entry in layers.items():
@@ -92,7 +93,7 @@ def cmd_plot(args):
                     if mat is None:
                         continue
                     found = True
-                    name = f"fim-task{task_key}-layer{layer_key}-{stage}.svg"
+                    name = f"fim-{run}-task{task_key}-layer{layer_key}-{stage}.svg"
                     wrote.append(heatmap_svg(mat, os.path.join(args.outdir, name),
                                              title=f"task {task_key} layer {layer_key} {stage}"))
         if diag and not found:
@@ -104,6 +105,8 @@ def cmd_plot(args):
 
 
 def cmd_fim_probe(args):
+    """Probe on the stream and with the seed of the run that saved the
+    checkpoint: its network's ``rng_seed`` is that run's seed."""
     net = load_network(args.checkpoint)
     if args.data_config:
         cfg = parse_config(args.data_config)
@@ -113,7 +116,7 @@ def cmd_fim_probe(args):
     if raw is not None:
         inputs, labels = raw.train_x, raw.train_y
     else:
-        seq = build_tasks(cfg, cfg["seeds"][0])
+        seq = build_tasks(cfg, net.rng_seed)
         inputs = np.concatenate([t.train_x for t in seq])
         labels = np.concatenate([t.train_y for t in seq])
     if inputs.shape[1:] != net.input_shape:
@@ -122,7 +125,7 @@ def cmd_fim_probe(args):
         )
     block = estimate_full_fim_layer(
         net, inputs, args.layer, min(args.samples, inputs.shape[0]),
-        rng=rng_for(cfg["seeds"][0], "fim-probe"), labels=labels,
+        rng=rng_for(net.rng_seed, "fim-probe"), labels=labels,
     )
     ratio = diag_energy_ratio(block)
     heatmap_svg(block, args.out, title=f"layer {args.layer} FIM")

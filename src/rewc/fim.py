@@ -160,11 +160,11 @@ def _dense_factors(layer, x, g, aux, n):
 
 def _example_weight_grads(layer, x, g, aux, n):
     """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
-    and ``(n, kh*kw*d_in, d_out)`` for a convolution, from the batch-mean
-    output gradient ``g`` of ``n`` examples.  A convolution with a bias has
-    one more row, its bias gradient, read from the patch matrix's ones
-    column; a rotated convolution's kernel rows are mapped into its rotated
-    coordinates, and its bias row stays as it is."""
+    and ``(n, kh*kw*d_in + 1, d_out)`` for a convolution, from the batch-mean
+    output gradient ``g`` of ``n`` examples.  A convolution's last row is its
+    bias gradient, read from the patch matrix's ones column; a rotated
+    convolution's kernel rows are mapped into its rotated coordinates, and
+    its bias row stays as it is."""
     if isinstance(layer, Dense):
         x, g = _dense_factors(layer, x, g, aux, n)
         return g[:, :, None] * x[:, None, :]
@@ -193,15 +193,13 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
             if isinstance(layer, Conv2D):
                 ge = _example_weight_grads(layer, x, g, cache.aux[i], len(w))
                 sq = np.tensordot(w, ge * ge, axes=1)
-                out[f"{i}.K"] = sq[: layer.K[..., 0].size].reshape(layer.K.shape)
-                if layer.b is not None:
-                    out[f"{i}.b"] = sq[-1]
+                out[f"{i}.K"] = sq[:-1].reshape(layer.K.shape)
+                out[f"{i}.b"] = sq[-1]
                 continue
             xw, gw = _dense_factors(layer, x, g, cache.aux[i], len(w))
             out[f"{i}.W"] = (w[:, None] * gw * gw).T @ (xw * xw)
-            if layer.b is not None:
-                gb = g * len(w)  # per-example bias gradients: undo the batch-mean scaling
-                out[f"{i}.b"] = w @ (gb * gb)
+            gb = g * len(w)  # per-example bias gradients: undo the batch-mean scaling
+            out[f"{i}.b"] = w @ (gb * gb)
         return out
 
     acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}

@@ -16,6 +16,10 @@ like ``params()``, or ``None`` for parameter-free layers and when called
 with ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
 ``need_input_grad=False``.
 
+Every dense and conv layer has a bias.  A convolution moves its kernel one
+pixel at a time over the unpadded input, and mean pooling averages 2x2
+windows: the only layers that ``network.build_network`` builds.
+
 ``prepare(x)`` is the part of a forward pass that reads the input alone,
 never the weights, and ``forward_prepared(prepare(x))`` equals
 ``forward_cached(x)``.  A layer that has such work sets ``prepares``
@@ -121,12 +125,12 @@ class Dense(Layer):
     kind = "dense"
     trainable = True
 
-    def __init__(self, W, b=None, U1=None, U2=None):
+    def __init__(self, W, b, U1=None, U2=None):
         self.W = np.asarray(W, dtype=np.float64)
-        self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
         if self.W.ndim != 2:
             raise DimensionError(f"dense weight must be 2-D, got {self.W.shape}")
-        if self.b is not None and self.b.shape != (self.W.shape[0],):
+        if self.b.shape != (self.W.shape[0],):
             raise DimensionError("dense bias length must equal output width")
         self.U1, self.U2 = _rotation(U1, U2, self.W.shape[1], self.W.shape[0])
 
@@ -143,30 +147,21 @@ class Dense(Layer):
             y = (h @ self.W.T) @ self.U2.T
         else:
             h, y = None, x @ self.W.T
-        if self.b is not None:
-            y = y + self.b
-        return y, h
+        return y + self.b, h
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         g = grad_out
         if self.rotated:
             x = aux
             g = grad_out @ self.U2
-        grads = None
-        if need_param_grads:
-            grads = {"W": g.T @ x}
-            if self.b is not None:
-                grads["b"] = grad_out.sum(axis=0)
+        grads = {"W": g.T @ x, "b": grad_out.sum(axis=0)} if need_param_grads else None
         if not need_input_grad:
             return None, grads
         gx = g @ self.W
         return (gx @ self.U1 if self.rotated else gx), grads
 
     def params(self):
-        p = {"W": self.W}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
+        return {"W": self.W, "b": self.b}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.W.shape[1]:
@@ -185,19 +180,13 @@ class Conv2D(Layer):
     trainable = True
     prepares = True
 
-    def __init__(self, K, b=None, stride=1, padding=0, U1=None, U2=None):
+    def __init__(self, K, b, U1=None, U2=None):
         self.K = np.asarray(K, dtype=np.float64)
         if self.K.ndim != 4:
             raise DimensionError(f"conv kernel must be 4-D, got {self.K.shape}")
-        self.b = None if b is None else np.asarray(b, dtype=np.float64)
-        if self.b is not None and self.b.shape != (self.K.shape[3],):
+        self.b = np.asarray(b, dtype=np.float64)
+        if self.b.shape != (self.K.shape[3],):
             raise DimensionError("conv bias length must equal out-channel count")
-        self.stride = int(stride)
-        self.padding = int(padding)
-        if self.stride < 1:
-            raise DimensionError(f"conv stride must be at least 1, got {self.stride}")
-        if self.padding < 0:
-            raise DimensionError(f"conv padding must be non-negative, got {self.padding}")
         self.U1, self.U2 = _rotation(U1, U2, self.K.shape[2], self.K.shape[3])
 
     @property
@@ -209,30 +198,22 @@ class Conv2D(Layer):
         return rotate_conv_kernel(self.K, self.U1.T, self.U2.T) if self.rotated else self.K
 
     def prepare(self, x):
-        """The im2col matrix ``(N, H2, W2, kh*kw*C)`` and the padded input.
+        """The im2col matrix ``(N, H2, W2, kh*kw*C + 1)``.
 
-        With a bias the matrix has one more column, of ones, so that one
-        GEMM with ``[K; b]`` gives the output and one with the output
-        gradient gives ``[gK; gb]``.
+        Its last column is ones, so that one GEMM with ``[K; b]`` gives the
+        output and one with the output gradient gives ``[gK; gb]``.
         """
-        if self.padding:
-            p = self.padding
-            x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
         kh, kw = self.K.shape[:2]
-        s = self.stride
-        win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+        win = sliding_window_view(x, (kh, kw), axis=(1, 2))
         # (N, H2, W2, C, kh, kw) -> (N, H2, W2, kh, kw, C)
         win = win.transpose(0, 1, 2, 4, 5, 3)
-        n, h2, w2 = win.shape[:3]
-        if self.b is None:
-            return win.reshape(n, h2, w2, -1), x
         cols = kh * kw * x.shape[3]
-        patches = np.empty((n, h2, w2, cols + 1))
+        patches = np.empty(win.shape[:3] + (cols + 1,))
         # Write the windows into the buffer's leading columns in place: a
         # strided column slice handed to matmul would be copied whole.
         np.copyto(np.reshape(patches[..., :cols], win.shape, copy=False), win)
         patches[..., cols] = 1.0
-        return patches, x
+        return patches
 
     def forward(self, x):
         return self.forward_cached(x)[0]
@@ -240,62 +221,49 @@ class Conv2D(Layer):
     def forward_cached(self, x):
         return self.forward_prepared(self.prepare(x))
 
-    def forward_prepared(self, prepared):
-        patches, xp = prepared
+    def forward_prepared(self, patches):
         K = self.kernel()
-        M = K.reshape(-1, K.shape[3])
-        if self.b is not None:
-            M = np.concatenate([M, self.b[None]])
-        return patches @ M, (patches, xp, K)
+        M = np.concatenate([K.reshape(-1, K.shape[3]), self.b[None]])
+        return patches @ M, (patches, K)
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        patches, xp, K = aux
+        patches, K = aux
         kh, kw, d1, d2 = K.shape
         g2d = grad_out.reshape(-1, d2)
         grads = None
         if need_param_grads:
             # (G^T P)^T lets BLAS read both operands in place; a tensordot
-            # over the patches would first copy them transposed.  Its last row
-            # is the bias gradient when the patches carry the ones column.
+            # over the patches would first copy them transposed.  Its last row,
+            # from the patches' ones column, is the bias gradient.
             gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
-            gK = gM[: kh * kw * d1].reshape(K.shape)
-            grads = {"K": rotate_conv_kernel(gK, self.U1, self.U2) if self.rotated else gK}
-            if self.b is not None:
-                grads["b"] = gM[-1]
+            gK = gM[:-1].reshape(K.shape)
+            grads = {"K": rotate_conv_kernel(gK, self.U1, self.U2) if self.rotated else gK,
+                     "b": gM[-1]}
         if not need_input_grad:
             return None, grads
-        s = self.stride
         n, h2, w2 = grad_out.shape[:3]
         # One contiguous copy of the transposed kernel slices instead of a
         # strided K[a, b].T operand in every GEMM.
         Kt = np.ascontiguousarray(K.transpose(0, 1, 3, 2))
-        gxp = np.zeros_like(xp)
+        gx = np.zeros_like(x)
         for a in range(kh):
             for b_ in range(kw):
-                block = (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
-                gxp[:, a : a + s * h2 : s, b_ : b_ + s * w2 : s, :] += block
-        if self.padding:
-            p = self.padding
-            gxp = gxp[:, p:-p, p:-p, :]
-        return gxp, grads
+                gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
+        return gx, grads
 
     def params(self):
-        p = {"K": self.K}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
+        return {"K": self.K, "b": self.b}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.K.shape[2]:
             raise DimensionError(
                 f"conv layer expects (H, W, {self.K.shape[2]}) input, got {in_shape}"
             )
-        kh, kw = self.K.shape[:2]
-        h = in_shape[0] + 2 * self.padding - kh
-        w = in_shape[1] + 2 * self.padding - kw
-        if h < 0 or w < 0:
-            raise DimensionError("conv kernel larger than padded input")
-        return (h // self.stride + 1, w // self.stride + 1, self.K.shape[3])
+        h = in_shape[0] - self.K.shape[0] + 1
+        w = in_shape[1] - self.K.shape[1] + 1
+        if h < 1 or w < 1:
+            raise DimensionError("conv kernel larger than input")
+        return (h, w, self.K.shape[3])
 
 
 class ReLU(Layer):
@@ -329,17 +297,12 @@ class Flatten(Layer):
 
 
 class MeanPool2D(Layer):
-    """Non-overlapping mean pooling over square windows."""
+    """Non-overlapping mean pooling over 2x2 windows."""
 
     kind = "meanpool2d"
-
-    def __init__(self, size=2):
-        self.size = int(size)
-        if self.size < 1:
-            raise DimensionError(f"pool size must be at least 1, got {self.size}")
+    size = 2
 
     def forward(self, x):
-        n, h, w, c = x.shape
         s = self.size
         acc = x[:, ::s, ::s].copy()
         for a in range(s):

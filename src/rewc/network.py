@@ -201,8 +201,7 @@ def grow_head(net, new_classes):
     rng = rng_for(net.rng_seed, "grow-head", net.head_classes, new_classes)
     extra_w = rng.normal(0.0, HEAD_INIT_STD, size=(new_classes, head.W.shape[1]))
     head.W = np.concatenate([head.W, extra_w], axis=0)
-    if head.b is not None:
-        head.b = np.concatenate([head.b, np.zeros(new_classes)])
+    head.b = np.concatenate([head.b, np.zeros(new_classes)])
     net.head_classes += new_classes
     net._validate()
     return net
@@ -271,10 +270,10 @@ def _build_lenet(head_classes, input_shape, rng, seed):
     layers = [
         Conv2D(_he_normal(rng, (5, 5, c_in, 6), 25 * c_in), np.zeros(6)),
         ReLU(),
-        MeanPool2D(2),
+        MeanPool2D(),
         Conv2D(_he_normal(rng, (5, 5, 6, 16), 25 * 6), np.zeros(16)),
         ReLU(),
-        MeanPool2D(2),
+        MeanPool2D(),
         Flatten(),
     ]
     h = (input_shape[0] - 4) // 2

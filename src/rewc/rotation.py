@@ -136,12 +136,10 @@ def rotate_network(net, stats, scope):
             layers.append(layer.clone())
             continue
         u1, u2 = rotation_matrices(stats, i)
-        b = None if layer.b is None else layer.b.copy()
         if isinstance(layer, Dense):
-            layers.append(Dense(u2.T @ layer.W @ u1.T, b, u1, u2))
+            layers.append(Dense(u2.T @ layer.W @ u1.T, layer.b.copy(), u1, u2))
         else:
-            layers.append(Conv2D(rotate_conv_kernel(layer.K, u1, u2), b, layer.stride,
-                                 layer.padding, u1, u2))
+            layers.append(Conv2D(rotate_conv_kernel(layer.K, u1, u2), layer.b.copy(), u1, u2))
     return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
 
 
@@ -152,9 +150,8 @@ def combine_network(net):
         if not layer.rotated:
             layers.append(layer.clone())
             continue
-        b = None if layer.b is None else layer.b.copy()
         if isinstance(layer, Dense):
-            layers.append(Dense(layer.U2 @ layer.W @ layer.U1, b))
+            layers.append(Dense(layer.U2 @ layer.W @ layer.U1, layer.b.copy()))
         else:
-            layers.append(Conv2D(layer.kernel(), b, layer.stride, layer.padding))
+            layers.append(Conv2D(layer.kernel(), layer.b.copy()))
     return Network(layers, net.head_classes, net.rng_seed, net.input_shape)

@@ -148,17 +148,16 @@ def random_convnet(rng, rotated=False, size=8, hidden_dense=False):
     c1 = int(rng.integers(2, 6))
     c2 = int(rng.integers(2, 6))
     head = int(rng.integers(2, 5))
-    padding = int(rng.integers(0, 2))
     layers = [
-        Conv2D(rng.normal(0, 0.4, (3, 3, c_in, c1)), rng.normal(0, 0.1, c1), 1, padding,
+        Conv2D(rng.normal(0, 0.4, (3, 3, c_in, c1)), rng.normal(0, 0.1, c1),
                *random_rotation(rng, c_in, c1, rotated)),
         ReLU(),
-        MeanPool2D(2) if (size + 2 * padding - 2) % 2 == 0 else ReLU(),
+        MeanPool2D() if size % 2 == 0 else ReLU(),
     ]
-    h = size + 2 * padding - 2
+    h = size - 2
     if isinstance(layers[-1], MeanPool2D):
         h //= 2
-    layers += [Conv2D(rng.normal(0, 0.4, (3, 3, c1, c2)), rng.normal(0, 0.1, c2), 1, 0,
+    layers += [Conv2D(rng.normal(0, 0.4, (3, 3, c1, c2)), rng.normal(0, 0.1, c2),
                       *random_rotation(rng, c1, c2, rotated)), ReLU()]
     h -= 2
     d = h * h * c2
@@ -172,15 +171,11 @@ def random_convnet(rng, rotated=False, size=8, hidden_dense=False):
     return Network(layers, head, 0, (size, size, c_in))
 
 
-def conv_direct(x, K, b=None, stride=1, padding=0):
+def conv_direct(x, K, b):
     """Direct-summation convolution oracle (quadruple loop)."""
     n, h, w, c = x.shape
     kh, kw, d1, d2 = K.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-        h, w = h + 2 * padding, w + 2 * padding
-    h2 = (h - kh) // stride + 1
-    w2 = (w - kw) // stride + 1
+    h2, w2 = h - kh + 1, w - kw + 1
     y = np.zeros((n, h2, w2, d2))
     for ni in range(n):
         for i in range(h2):
@@ -190,8 +185,8 @@ def conv_direct(x, K, b=None, stride=1, padding=0):
                     for a in range(kh):
                         for bb in range(kw):
                             for q in range(d1):
-                                acc += K[a, bb, q, o] * x[ni, i * stride + a, j * stride + bb, q]
-                    y[ni, i, j, o] = acc + (b[o] if b is not None else 0.0)
+                                acc += K[a, bb, q, o] * x[ni, i + a, j + bb, q]
+                    y[ni, i, j, o] = acc + b[o]
     return y
 
 
@@ -201,28 +196,19 @@ def reference_conv_backward(layer, x, grad_out, need_input_grad=True):
     positions for the bias gradient, and one GEMM per kernel slice with the
     strided ``K[a, b].T``."""
     kh, kw, d1, d2 = layer.K.shape
-    p = layer.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: layer.stride, :: layer.stride]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
     patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(win.shape[:3] + (-1,))
     gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2]))
-    grads = {"K": gK.reshape(layer.K.shape)}
-    if layer.b is not None:
-        grads["b"] = grad_out.sum(axis=(0, 1, 2))
+    grads = {"K": gK.reshape(layer.K.shape), "b": grad_out.sum(axis=(0, 1, 2))}
     if not need_input_grad:
         return None, grads
-    s = layer.stride
     n, h2, w2 = grad_out.shape[:3]
     g2d = grad_out.reshape(-1, d2)
-    gxp = np.zeros_like(xp)
+    gx = np.zeros_like(x)
     for a in range(kh):
         for b_ in range(kw):
-            block = (g2d @ layer.K[a, b_].T).reshape(n, h2, w2, d1)
-            gxp[:, a : a + s * h2 : s, b_ : b_ + s * w2 : s, :] += block
-    if layer.padding:
-        p = layer.padding
-        gxp = gxp[:, p:-p, p:-p, :]
-    return gxp, grads
+            gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ layer.K[a, b_].T).reshape(n, h2, w2, d1)
+    return gx, grads
 
 
 def reference_meanpool_backward(layer, x, grad_out):

@@ -31,38 +31,38 @@ def flip(n):
 
 def plain_net():
     layers = [
-        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1),
+        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5)),
         ReLU(),
-        MeanPool2D(2),
+        MeanPool2D(),
         Flatten(),
         Dense(ramp(4, 18), ramp(4, start=3)),
         ReLU(),
-        Dense(ramp(3, 4, start=7)),
+        Dense(ramp(3, 4, start=7), ramp(3, start=1)),
     ]
-    return Network(layers, 3, 12345, (6, 6, 1))
+    return Network(layers, 3, 12345, (8, 8, 1))
 
 
 def rotated_net():
     """Written as 7 records, one per layer: the rotated conv and dense layers
     carry their U1 and U2 after their weight and bias."""
     layers = [
-        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1, U1=flip(1), U2=flip(2)),
+        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), U1=flip(1), U2=flip(2)),
         ReLU(),
-        MeanPool2D(2),
+        MeanPool2D(),
         Flatten(),
         Dense(ramp(4, 18), ramp(4, start=3)),
         ReLU(),
         Dense(ramp(3, 4, start=7), ramp(3, start=1), U1=flip(4), U2=flip(3)),
     ]
-    return Network(layers, 3, -7, (6, 6, 1))
+    return Network(layers, 3, -7, (8, 8, 1))
 
 
 # name: (save, load, object factory, SHA-256 of the file written)
 FORMATS = {
     "rewc-plain": (save_network, load_network, plain_net,
-                   "0a0e258e1f50863ed3fd6fa5074e6884e54aeecf32716735ace57484d8108636"),
+                   "682eaa4ab0b921e39d8a22d1c59f849dca387930c700a17fc65dc396484953d1"),
     "rewc-rotated": (save_network, load_network, rotated_net,
-                     "bd3bb97e2b39681215ff54ad3f46b0104454ea91c8e04986d537529045a5f0ec"),
+                     "82b67ddfe54b6683ed64158890a15223a61a23df7b7c7e5162414f4f01f49efc"),
 }
 
 
@@ -106,11 +106,11 @@ def test_trailing_bytes_raise_data_format_error(tmp_path, name):
 
 # Offsets into both REWC fixtures: magic, version, rng_seed i64, then
 # head_classes u32, the 3-d input shape and the record count; the first record
-# is the conv layer, tag u8 then kh, kw, c_in, c_out, stride, padding,
-# has_bias and rotated u32, then K (3x3x1x2) and b (2), then U1 (1x1).
+# is the conv layer, tag u8 then kh, kw, c_in, c_out and rotated u32, then
+# K (3x3x1x2) and b (2), then U1 (1x1).
 REWC_HEAD_CLASSES_AT = 16
-REWC_CONV_FLAGS_AT = 20 + 1 + 4 * 3 + 4 + 1 + 4 * 6
-REWC_CONV_U1_AT = REWC_CONV_FLAGS_AT + 8 + 8 * (18 + 2)
+REWC_CONV_ROTATED_AT = 20 + 1 + 4 * 3 + 4 + 1 + 4 * 4
+REWC_CONV_U1_AT = REWC_CONV_ROTATED_AT + 4 + 8 * (18 + 2)
 
 
 def patched(tmp_path, name, at, fmt, old, new):
@@ -124,7 +124,7 @@ def patched(tmp_path, name, at, fmt, old, new):
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
 def test_unsupported_version_names_the_version_this_build_reads(tmp_path, name):
-    path = patched(tmp_path, name, 4, "<I", 2 if name.startswith("rewc") else 1, 99)
+    path = patched(tmp_path, name, 4, "<I", 3, 99)
     with pytest.raises(DataFormatError, match=r"version 99 \(this build reads version"):
         FORMATS[name][1](path)
 
@@ -142,18 +142,17 @@ def test_rewc_rejects_a_rotation_that_is_not_orthogonal(tmp_path):
         load_network(path)
 
 
-@pytest.mark.parametrize("name, offset, old", [("rewc-plain", 0, 1), ("rewc-rotated", 0, 1),
-                                               ("rewc-plain", 4, 0), ("rewc-rotated", 4, 1)],
-                         ids=["plain-has-bias", "rotated-has-bias", "plain-rotated",
-                              "rotated-rotated"])
-def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, offset, old):
-    path = patched(tmp_path, name, REWC_CONV_FLAGS_AT + offset, "<I", old, 2)
+@pytest.mark.parametrize("name, old", [("rewc-plain", 0), ("rewc-rotated", 1)],
+                         ids=["plain-rotated", "rotated-rotated"])
+def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, old):
+    path = patched(tmp_path, name, REWC_CONV_ROTATED_AT, "<I", old, 2)
     with pytest.raises(DataFormatError, match="flag is 2, not 0 or 1"):
         load_network(path)
 
 
 REWC_FIRST_TAG_AT = 37  # the header, then the record count u32
-REWC_PLAIN_DENSE_AT = REWC_CONV_FLAGS_AT + 8 + 8 * (18 + 2) + 1 + 1 + 4 + 1 + 1  # d_out
+# d_out of the first dense record, after the relu, meanpool2d and flatten tags
+REWC_PLAIN_DENSE_AT = REWC_CONV_U1_AT + 1 + 1 + 1 + 1
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
@@ -202,21 +201,21 @@ def concrete_layer_kinds():
 def test_every_layer_kind_is_saveable_and_round_trips_bit_exactly(tmp_path):
     assert set(_KIND_TAGS) == concrete_layer_kinds()
     layers = [
-        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), stride=1, padding=1, U1=flip(1), U2=flip(2)),
+        Conv2D(ramp(3, 3, 1, 2), ramp(2, start=5), U1=flip(1), U2=flip(2)),
         ReLU(),
-        Conv2D(ramp(1, 1, 2, 3, start=3), stride=2),
-        MeanPool2D(2),
+        Conv2D(ramp(1, 1, 2, 3, start=3), ramp(3, start=2)),
+        MeanPool2D(),
         Flatten(),
         Dense(ramp(4, 12), ramp(4, start=3)),
         ReLU(),
-        Dense(ramp(3, 4, start=7), U1=flip(4), U2=flip(3)),
+        Dense(ramp(3, 4, start=7), ramp(3, start=1), U1=flip(4), U2=flip(3)),
     ]
-    net = Network(layers, 3, 5, (8, 8, 1))
+    net = Network(layers, 3, 5, (6, 6, 1))
     assert {layer.kind for layer in net.layers} == set(_KIND_TAGS)
     path = os.path.join(tmp_path, "all-kinds.rewc")
     save_network(net, path)
     back = load_network(path)
-    assert (back.rng_seed, back.head_classes, back.input_shape) == (5, 3, (8, 8, 1))
+    assert (back.rng_seed, back.head_classes, back.input_shape) == (5, 3, (6, 6, 1))
     assert [type(layer) for layer in back.layers] == [type(layer) for layer in layers]
     for a, b in zip(layers, back.layers):
         assert vars(a).keys() == vars(b).keys()

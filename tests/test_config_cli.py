@@ -318,25 +318,23 @@ def test_cli_probe_rejects_a_version_1_checkpoint(tmp_path, capsys):
     ck = tmp_path / "old.rewc"
     save_network(build_network("mlp-custom", input_shape=(8,), hidden=[4, 2], seed=0), str(ck))
     data = ck.read_bytes()
-    assert data[:8] == b"REWC" + (2).to_bytes(4, "little")
+    assert data[:8] == b"REWC" + (3).to_bytes(4, "little")
     ck.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
     assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: unsupported checkpoint version 1 (this build reads version 2)\n"
+    assert err == "error: unsupported checkpoint version 1 (this build reads version 3)\n"
 
 
-@pytest.mark.parametrize("index, field", [(0, "stride"), (2, "size")],
-                         ids=["conv-stride-0", "pool-size-0"])
-def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, index, field):
-    # Saving does not validate, so zeroing the field after construction
-    # writes a checkpoint that loading must refuse.
+def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys):
+    # Saving does not validate, so a kernel larger than the input, swapped in
+    # after construction, writes a checkpoint that loading must refuse.
     net = build_network("lenet", head_classes=4, seed=0)
-    setattr(net.layers[index], field, 0)
+    net.layers[0].K = np.zeros((33, 5, 1, 6))
     ck = tmp_path / "corrupt.rewc"
     save_network(net, str(ck))
     assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "at least 1" in err
+    assert err.startswith("error:") and "conv kernel larger than input" in err
     assert "Traceback" not in err
 
 
@@ -445,7 +443,7 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     from rewc.util import rng_for
 
     cfg = parse_config_text("", source="<defaults>")
-    tasks = build_tasks(cfg, cfg["seeds"][0])
+    tasks = build_tasks(cfg, 1)  # the stream of the net's seed, which the probe reads
     inputs = np.concatenate([t.train_x for t in tasks])
     labels = np.concatenate([t.train_y for t in tasks])
     net = build_network("mlp-custom", input_shape=inputs.shape[1:], hidden=[6, 4], seed=1)
@@ -457,8 +455,38 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     assert rc == 0, capsys.readouterr().err
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40,
-                                    rng=rng_for(cfg["seeds"][0], "fim-probe"), labels=labels)
+                                    rng=rng_for(1, "fim-probe"), labels=labels)
     assert probe["diag_energy_ratio"] == diag_energy_ratio(block)
+
+
+def test_cli_probe_reads_the_stream_and_seed_of_its_checkpoint(tmp_path, capsys):
+    # The probe of seed 1's checkpoint once read seed 0's stream, the
+    # config's first seed, whatever run the checkpoint came from.
+    from rewc.fim import estimate_full_fim_layer
+    from rewc.runner import build_tasks
+    from rewc.util import rng_for
+
+    cfgp = tmp_path / "two.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r") + "checkpoints = true\n")
+    assert run_cli(["run", str(cfgp)]) == 0
+    capsys.readouterr()
+    (ck,) = (tmp_path / "r").glob("*-seed1-task1.rewc")
+    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
+                  "--data-config", str(cfgp), "--out", str(tmp_path / "fim.svg")])
+    assert rc == 0, capsys.readouterr().err
+    probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    net = load_network(str(ck))
+    assert net.rng_seed == 1
+    cfg = parse_config(str(cfgp))
+    ratios = []
+    for seed in (0, 1):
+        tasks = build_tasks(cfg, seed)
+        block = estimate_full_fim_layer(net, np.concatenate([t.train_x for t in tasks]), 0, 40,
+                                        rng=rng_for(seed, "fim-probe"),
+                                        labels=np.concatenate([t.train_y for t in tasks]))
+        ratios.append(diag_energy_ratio(block))
+    assert probe["diag_energy_ratio"] == ratios[1]
+    assert ratios[0] != ratios[1]
 
 
 def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
@@ -544,7 +572,6 @@ def test_plot_renders_stored_fim_heatmaps(tmp_path, capsys):
     cfgp.write_text(
         SMALL_RUN.format(out=tmp_path / "hm")
         .replace("method = ft", "method = rewc")
-        .replace("seeds = 0,1", "seeds = 0")
         .replace("epochs = 3", "epochs = 2")
         + "diag_layers = 0\nstore_fim_blocks = true\nlambda = 10\n"
     )
@@ -552,8 +579,14 @@ def test_plot_renders_stored_fim_heatmaps(tmp_path, capsys):
     paths = capsys.readouterr().out.strip().splitlines()
     assert run_cli(["plot", *paths, "--outdir", str(tmp_path / "plots")]) == 0
     plotted = capsys.readouterr().out.strip().splitlines()
-    heatmaps = [p for p in plotted if "fim-task" in os.path.basename(p)]
-    assert len(heatmaps) == 2  # before and after for the rotated layer
+    # Before and after for the rotated layer, for each seed: the two seeds'
+    # heatmaps once shared their names, so the second overwrote the first.
+    h = read_json(paths[0])["config_hash"][:8]
+    assert sorted(os.path.basename(p) for p in plotted if os.path.basename(p).startswith("fim-")) \
+        == [f"fim-{h}-seed{s}-task0-layer0-{stage}.svg" for s in (0, 1)
+            for stage in ("after", "before")]
+    assert len({(tmp_path / "plots" / f"fim-{h}-seed{s}-task0-layer0-after.svg").read_text()
+                for s in (0, 1)}) == 2
 
 
 def test_cli_probe_sees_the_image_stream_of_its_run(tmp_path, capsys):

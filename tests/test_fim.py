@@ -37,7 +37,7 @@ BUDGET = 130
 
 def bernoulli_net():
     # logits (z, 0) with z = W[0,0] * x; at W = 0 the softmax is (1/2, 1/2)
-    return Network([Dense(np.zeros((2, 1)), None)], 2, 0, (1,))
+    return Network([Dense(np.zeros((2, 1)), np.zeros(2))], 2, 0, (1,))
 
 
 def test_expected_mode_matches_bernoulli_fisher():
@@ -134,11 +134,12 @@ def test_penalty_zero_at_anchor():
 
 
 def test_penalty_direct_substitution():
-    net = Network([Dense(np.array([[0.0]]), None)], 1, 0, (1,))
+    net = Network([Dense(np.array([[0.0]]), np.zeros(1))], 1, 0, (1,))
     from rewc.fim import FimDiagonal
     from rewc.network import layout_signature
 
-    fim = FimDiagonal(values={"0.W": np.array([[0.01]])}, layout_hash=layout_signature(net))
+    fim = FimDiagonal(values={"0.W": np.array([[0.01]]), "0.b": np.array([0.01])},
+                      layout_hash=layout_signature(net))
     anchor = make_anchor(net, fim, 100.0)
     net.layers[0].W = np.array([[0.5]])
     pen, grads = ewc_penalty(net, anchor)

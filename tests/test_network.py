@@ -40,31 +40,30 @@ def test_forward_shape_mismatch():
 
 def test_construction_type_checks():
     with pytest.raises(DimensionError):
-        Network([Dense(np.zeros((3, 4))), Dense(np.zeros((2, 5)))], 2, 0, (4,))
+        Network([Dense(np.zeros((3, 4)), np.zeros(3)), Dense(np.zeros((2, 5)), np.zeros(2))],
+                2, 0, (4,))
     with pytest.raises(DimensionError):
         Network([ReLU()], 1, 0, (3,))  # no dense head
-    K = np.zeros((3, 3, 1, 2))
-    with pytest.raises(DimensionError, match="stride"):
-        Conv2D(K, stride=0)
-    with pytest.raises(DimensionError, match="padding"):
-        Conv2D(K, padding=-1)
-    with pytest.raises(DimensionError, match="pool size"):
-        MeanPool2D(0)
+    with pytest.raises(DimensionError, match="bias length"):
+        Dense(np.zeros((3, 4)), np.zeros(4))
+    with pytest.raises(DimensionError, match="bias length"):
+        Conv2D(np.zeros((3, 3, 1, 2)), np.zeros(1))
+    with pytest.raises(DimensionError, match="does not divide"):
+        MeanPool2D().out_shape((5, 4, 1))
 
 
 def test_conv_matches_direct_summation():
     rng = np.random.default_rng(2)
-    for stride, padding in ((1, 0), (1, 1), (2, 0), (2, 1)):
+    for kh, kw in ((3, 3), (1, 2)):
         x = rng.normal(size=(2, 7, 8, 3))
-        k = rng.normal(size=(3, 3, 3, 4))
+        k = rng.normal(size=(kh, kw, 3, 4))
         b = rng.normal(size=4)
-        layer = Conv2D(k, b, stride, padding)
-        assert np.max(np.abs(layer.forward(x) - conv_direct(x, k, b, stride, padding))) < 1e-10
+        assert np.max(np.abs(Conv2D(k, b).forward(x) - conv_direct(x, k, b))) < 1e-10
 
 
 def test_meanpool_forward_backward():
     x = np.arange(2 * 4 * 4 * 3, dtype=np.float64).reshape(2, 4, 4, 3)
-    pool = MeanPool2D(2)
+    pool = MeanPool2D()
     y = pool.forward(x)
     assert y.shape == (2, 2, 2, 3)
     assert y[0, 0, 0, 0] == pytest.approx((x[0, 0, 0, 0] + x[0, 0, 1, 0] + x[0, 1, 0, 0] + x[0, 1, 1, 0]) / 4)
@@ -88,33 +87,28 @@ def test_conv_backward_matches_reference_engine(batch):
     rng = np.random.default_rng(batch)
     for d1, d2 in zip(CHANNELS, CHANNELS[1:] + CHANNELS[:1]):
         for k in (1, 3, 5):
-            for stride in (1, 2):
-                for padding in (0, 1):
-                    layer = Conv2D(rng.normal(size=(k, k, d1, d2)), rng.normal(size=d2),
-                                   stride, padding)
-                    x = rng.normal(size=(batch, 9, 8, d1))
-                    y, aux = layer.forward_cached(x)
-                    g = rng.normal(size=y.shape)
-                    ref_gx, ref = reference_conv_backward(layer, x, g)
-                    gx, grads = layer.backward(x, g, aux)
-                    assert_close_to_largest(gx, ref_gx)
-                    assert_close_to_largest(grads["K"], ref["K"])
-                    assert_close_to_largest(grads["b"], ref["b"])
-                    none, grads = layer.backward(x, g, aux, need_input_grad=False)
-                    assert none is None
-                    assert_close_to_largest(grads["K"], ref["K"])
+            layer = Conv2D(rng.normal(size=(k, k, d1, d2)), rng.normal(size=d2))
+            x = rng.normal(size=(batch, 9, 8, d1))
+            y, aux = layer.forward_cached(x)
+            g = rng.normal(size=y.shape)
+            ref_gx, ref = reference_conv_backward(layer, x, g)
+            gx, grads = layer.backward(x, g, aux)
+            assert_close_to_largest(gx, ref_gx)
+            assert_close_to_largest(grads["K"], ref["K"])
+            assert_close_to_largest(grads["b"], ref["b"])
+            none, grads = layer.backward(x, g, aux, need_input_grad=False)
+            assert none is None
+            assert_close_to_largest(grads["K"], ref["K"])
 
 
 def test_meanpool_backward_equals_reference_exactly():
     rng = np.random.default_rng(3)
-    for size in (1, 2, 3):
-        for batch in (1, 7, 64):
-            for c in CHANNELS:
-                x = rng.normal(size=(batch, 2 * size, 3 * size, c))
-                pool = MeanPool2D(size)
-                g = rng.normal(size=pool.forward(x).shape)
-                assert np.array_equal(pool.backward(x, g)[0],
-                                      reference_meanpool_backward(pool, x, g))
+    pool = MeanPool2D()
+    for batch in (1, 7, 64):
+        for c in CHANNELS:
+            x = rng.normal(size=(batch, 4, 6, c))
+            g = rng.normal(size=pool.forward(x).shape)
+            assert np.array_equal(pool.backward(x, g)[0], reference_meanpool_backward(pool, x, g))
 
 
 def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
@@ -144,7 +138,7 @@ def test_parameter_digest_tracks_every_bit():
 def test_rotations_are_not_parameters():
     q = np.eye(3)[::-1]
     assert Dense(np.zeros((3, 3)), np.zeros(3), q, q).params().keys() == {"W", "b"}
-    assert Conv2D(np.zeros((1, 1, 3, 3)), None, U1=q, U2=q).params().keys() == {"K"}
+    assert Conv2D(np.zeros((1, 1, 3, 3)), np.zeros(3), q, q).params().keys() == {"K", "b"}
 
 
 def test_build_mlp_784_widths():
@@ -271,6 +265,6 @@ def test_grow_rotated_head_rejected():
     # checkpoint can carry one.
     rng = np.random.default_rng(3)
     head = Dense(rng.normal(size=(3, 5)), rng.normal(size=3), *random_rotation(rng, 5, 3))
-    net = Network([Dense(rng.normal(size=(5, 4)), None), ReLU(), head], 3, 2, (4,))
+    net = Network([Dense(rng.normal(size=(5, 4)), np.zeros(5)), ReLU(), head], 3, 2, (4,))
     with pytest.raises(StateError, match="rotated head"):
         grow_head(net, 2)

@@ -307,17 +307,15 @@ def test_only_a_first_layer_with_input_only_work_is_prefetched(monkeypatch, name
     assert all(t.startswith("rewc") == pooled for t in threads), threads
 
 
-@pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (3, 2)])
-def test_conv_forward_prepared_equals_forward_cached(bias, stride, padding):
-    rng = np.random.default_rng(stride * 10 + padding)
-    layer = Conv2D(rng.normal(size=(3, 2, 2, 4)), rng.normal(size=4) if bias else None,
-                   stride, padding)
-    x = rng.normal(size=(5, 9, 8, 2))
-    y, (patches, xp, K) = layer.forward_cached(x)
-    y2, (patches2, xp2, K2) = layer.forward_prepared(layer.prepare(x))
-    for a, b in ((y, y2), (patches, patches2), (xp, xp2), (K, K2)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_conv_forward_prepared_equals_forward_cached():
+    rng = np.random.default_rng(12)
+    for shape in ((3, 2, 2, 4), (1, 1, 2, 3), (5, 5, 2, 1)):
+        layer = Conv2D(rng.normal(size=shape), rng.normal(size=shape[3]))
+        x = rng.normal(size=(5, 9, 8, 2))
+        y, (patches, K) = layer.forward_cached(x)
+        y2, (patches2, K2) = layer.forward_prepared(layer.prepare(x))
+        for a, b in ((y, y2), (patches, patches2), (K, K2)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_prefetched_keeps_order_and_reraises_the_first_error(pools):

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_convnet, random_mlp, reference_accumulate_correlations
 from rewc.errors import AlignmentError, DimensionError, StateError
-from rewc.layers import Conv2D, Dense, Flatten, ReLU
+from rewc.layers import Conv2D, Dense, Flatten
 from rewc.network import Network, backward, build_network, forward, layout_signature
 from rewc.rotation import (
     CorrelationStats,
@@ -50,9 +50,10 @@ def test_conv_1x1_degenerate_matches_dense():
     rng = np.random.default_rng(3)
     d = 5
     w = rng.normal(size=(3, d))
-    dense_net = Network([Dense(w.copy(), None)], 3, 0, (d,))
+    dense_net = Network([Dense(w.copy(), np.zeros(3))], 3, 0, (d,))
     conv_net = Network(
-        [Conv2D(w.T.reshape(1, 1, d, 3).copy(), None), Flatten(), Dense(np.eye(3), None)],
+        [Conv2D(w.T.reshape(1, 1, d, 3).copy(), np.zeros(3)), Flatten(),
+         Dense(np.eye(3), np.zeros(3))],
         3, 0, (1, 1, d),
     )
     x = rng.normal(size=(30, d))
@@ -224,13 +225,14 @@ def test_conv_sandwich_equals_plain_conv():
     q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     u1, u2 = q1.T, q2  # layer matrices around the kernel
-    plain = Conv2D(k, None).forward(x)
+    b = rng.normal(size=6)
+    plain = Conv2D(k, b).forward(x)
     kr = rotate_conv_kernel(k, u1, u2)
-    # the sandwich x -> U1 -> conv(kr) -> U2, applied step by step ...
-    h = Conv2D(kr, None).forward(x @ u1.T) @ u2.T
+    # the sandwich x -> U1 -> conv(kr) -> U2, then the bias, step by step ...
+    h = Conv2D(kr, np.zeros(6)).forward(x @ u1.T) @ u2.T + b
     assert np.max(np.abs(h - plain)) < 1e-8
     # ... and as the rotated layer's one convolution
-    assert np.max(np.abs(Conv2D(kr, None, U1=u1, U2=u2).forward(x) - plain)) < 1e-8
+    assert np.max(np.abs(Conv2D(kr, b, u1, u2).forward(x) - plain)) < 1e-8
 
 
 def test_trainable_parameter_count_preserved():
@@ -276,13 +278,13 @@ def test_state_and_alignment_errors():
 def test_rotation_pair_orthogonality_enforced():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(DimensionError, match="U1 is not orthogonal"):
-        Dense(np.zeros((2, 2)), U1=skew, U2=np.eye(2))
+        Dense(np.zeros((2, 2)), np.zeros(2), U1=skew, U2=np.eye(2))
     with pytest.raises(DimensionError, match="U2 is not orthogonal"):
-        Conv2D(np.zeros((3, 3, 2, 2)), U1=np.eye(2), U2=skew)
+        Conv2D(np.zeros((3, 3, 2, 2)), np.zeros(2), U1=np.eye(2), U2=skew)
     with pytest.raises(DimensionError, match="U2 must be 3x3"):
-        Dense(np.zeros((3, 2)), U1=np.eye(2), U2=np.eye(2))
+        Dense(np.zeros((3, 2)), np.zeros(3), U1=np.eye(2), U2=np.eye(2))
     with pytest.raises(DimensionError, match="both"):
-        Dense(np.zeros((2, 2)), U1=np.eye(2))
+        Dense(np.zeros((2, 2)), np.zeros(2), U1=np.eye(2))
 
 
 @pytest.mark.parametrize("maker", [random_mlp, random_convnet])
@@ -312,20 +314,6 @@ def test_true_labels_need_labels():
         accumulate_correlations(net, x, 5, np.random.default_rng(0), use_true_labels=True)
 
 
-def strided_convnet(seed, conv_bias=True):
-    rng = np.random.default_rng(seed)
-    layers = [
-        Conv2D(rng.normal(0, 0.4, (3, 3, 2, 4)), rng.normal(0, 0.1, 4) if conv_bias else None,
-               stride=2, padding=1),
-        ReLU(),
-        Conv2D(rng.normal(0, 0.4, (3, 3, 4, 5)), None, stride=1, padding=1),
-        ReLU(),
-        Flatten(),
-        Dense(rng.normal(0, 0.3, (3, 4 * 4 * 5)), rng.normal(0, 0.1, 3)),
-    ]
-    return Network(layers, 3, seed, (8, 8, 2))
-
-
 def assert_close_to_largest(actual, expected, what, rtol=1e-12):
     assert actual.shape == expected.shape, what
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected)), what
@@ -337,8 +325,6 @@ NETS = {
     "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
     "lenet-3-channels": lambda rng: build_network("lenet", head_classes=3,
                                                   input_shape=(16, 16, 3), seed=6),
-    "stride-2-padding-1": lambda rng: strided_convnet(7),
-    "no-conv-bias": lambda rng: strided_convnet(8, conv_bias=False),
 }
 
 
