@@ -142,17 +142,26 @@ def test_rewc_rejects_a_rotation_that_is_not_orthogonal(tmp_path):
         load_network(path)
 
 
-@pytest.mark.parametrize("name, old", [("rewc-plain", 0), ("rewc-rotated", 1)],
-                         ids=["plain-rotated", "rotated-rotated"])
-def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, old):
-    path = patched(tmp_path, name, REWC_CONV_ROTATED_AT, "<I", old, 2)
-    with pytest.raises(DataFormatError, match="flag is 2, not 0 or 1"):
-        load_network(path)
-
-
 REWC_FIRST_TAG_AT = 37  # the header, then the record count u32
 # d_out of the first dense record, after the relu, meanpool2d and flatten tags
 REWC_PLAIN_DENSE_AT = REWC_CONV_U1_AT + 1 + 1 + 1 + 1
+# the head's rotated flag: after the first dense record (d_out, d_in, rotated,
+# W 4x18, b 4), the relu tag, the head's tag and its d_out and d_in; in the
+# rotated fixture the conv's U1 (1x1) and U2 (2x2) come before all of it
+REWC_PLAIN_HEAD_ROTATED_AT = REWC_PLAIN_DENSE_AT + 4 * 3 + 8 * (72 + 4) + 1 + 1 + 4 * 2
+REWC_ROTATED_HEAD_ROTATED_AT = REWC_PLAIN_HEAD_ROTATED_AT + 8 * (1 + 4)
+
+
+@pytest.mark.parametrize("name, at, old", [
+    ("rewc-plain", REWC_CONV_ROTATED_AT, 0),
+    ("rewc-rotated", REWC_CONV_ROTATED_AT, 1),
+    ("rewc-plain", REWC_PLAIN_HEAD_ROTATED_AT, 0),
+    ("rewc-rotated", REWC_ROTATED_HEAD_ROTATED_AT, 1),
+], ids=["plain-rotated", "rotated-rotated", "plain-head-rotated", "rotated-head-rotated"])
+def test_rewc_rejects_a_flag_that_is_neither_0_nor_1(tmp_path, name, at, old):
+    path = patched(tmp_path, name, at, "<I", old, 2)
+    with pytest.raises(DataFormatError, match="flag is 2, not 0 or 1"):
+        load_network(path)
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))

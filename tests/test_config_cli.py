@@ -325,16 +325,23 @@ def test_cli_probe_rejects_a_version_1_checkpoint(tmp_path, capsys):
     assert err == "error: unsupported checkpoint version 1 (this build reads version 3)\n"
 
 
-def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys):
-    # Saving does not validate, so a kernel larger than the input, swapped in
-    # after construction, writes a checkpoint that loading must refuse.
+@pytest.mark.parametrize("kernel, message", [
+    ((33, 5, 1, 6), "conv kernel larger than input"),
+    ((5, 33, 1, 6), "conv kernel larger than input"),
+    ((4, 4, 1, 6), "pool size 2 does not divide input"),
+], ids=["conv-kernel-taller", "conv-kernel-wider", "pool-odd-input"])
+def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, kernel, message):
+    # Saving does not validate, so a conv1 kernel swapped in after
+    # construction writes a checkpoint that loading must refuse: one larger
+    # than the 32x32 input, or a 4x4 one whose 29x29 output the 2x2 pool
+    # cannot divide.
     net = build_network("lenet", head_classes=4, seed=0)
-    net.layers[0].K = np.zeros((33, 5, 1, 6))
+    net.layers[0].K = np.zeros(kernel)
     ck = tmp_path / "corrupt.rewc"
     save_network(net, str(ck))
     assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "conv kernel larger than input" in err
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
 
 

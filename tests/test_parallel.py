@@ -307,15 +307,16 @@ def test_only_a_first_layer_with_input_only_work_is_prefetched(monkeypatch, name
     assert all(t.startswith("rewc") == pooled for t in threads), threads
 
 
-def test_conv_forward_prepared_equals_forward_cached():
+@pytest.mark.parametrize("shape", [(3, 2, 2, 4), (1, 1, 2, 3), (5, 5, 2, 1)],
+                         ids=["3x2", "1x1", "5x5"])
+def test_conv_forward_prepared_equals_forward_cached(shape):
     rng = np.random.default_rng(12)
-    for shape in ((3, 2, 2, 4), (1, 1, 2, 3), (5, 5, 2, 1)):
-        layer = Conv2D(rng.normal(size=shape), rng.normal(size=shape[3]))
-        x = rng.normal(size=(5, 9, 8, 2))
-        y, (patches, K) = layer.forward_cached(x)
-        y2, (patches2, K2) = layer.forward_prepared(layer.prepare(x))
-        for a, b in ((y, y2), (patches, patches2), (K, K2)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    layer = Conv2D(rng.normal(size=shape), rng.normal(size=shape[3]))
+    x = rng.normal(size=(5, 9, 8, 2))
+    y, (patches, K) = layer.forward_cached(x)
+    y2, (patches2, K2) = layer.forward_prepared(layer.prepare(x))
+    for a, b in ((y, y2), (patches, patches2), (K, K2)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_prefetched_keeps_order_and_reraises_the_first_error(pools):

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_convnet, random_mlp, reference_accumulate_correlations
 from rewc.errors import AlignmentError, DimensionError, StateError
-from rewc.layers import Conv2D, Dense, Flatten
+from rewc.layers import Conv2D, Dense, Flatten, ReLU
 from rewc.network import Network, backward, build_network, forward, layout_signature
 from rewc.rotation import (
     CorrelationStats,
@@ -314,6 +314,21 @@ def test_true_labels_need_labels():
         accumulate_correlations(net, x, 5, np.random.default_rng(0), use_true_labels=True)
 
 
+def stacked_rectangular_convnet(seed):
+    """Two convs back to back, with no pool between them: a 5x3 kernel on a
+    non-square input, then a 1x1 kernel."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        Conv2D(rng.normal(0, 0.4, (5, 3, 2, 4)), rng.normal(0, 0.1, 4)),
+        ReLU(),
+        Conv2D(rng.normal(0, 0.4, (1, 1, 4, 5)), rng.normal(0, 0.1, 5)),
+        ReLU(),
+        Flatten(),
+        Dense(rng.normal(0, 0.3, (3, 5 * 5 * 5)), rng.normal(0, 0.1, 3)),
+    ]
+    return Network(layers, 3, seed, (9, 7, 2))
+
+
 def assert_close_to_largest(actual, expected, what, rtol=1e-12):
     assert actual.shape == expected.shape, what
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected)), what
@@ -325,6 +340,8 @@ NETS = {
     "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
     "lenet-3-channels": lambda rng: build_network("lenet", head_classes=3,
                                                   input_shape=(16, 16, 3), seed=6),
+    "convnet-unpooled": lambda rng: random_convnet(rng, size=7),
+    "stacked-rectangular-convs": lambda rng: stacked_rectangular_convnet(7),
 }
 
 
