@@ -121,7 +121,7 @@ def parse_config_text(text, source="<config>"):
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {e}") from e
     cfg = ExperimentConfig(values)
-    _validate(cfg, source)
+    _validate(cfg, source, seen)
     return cfg
 
 
@@ -134,7 +134,9 @@ def parse_config(path):
     return parse_config_text(text, source=str(path))
 
 
-def _validate(cfg, source):
+def _validate(cfg, source, written):
+    """Check ``cfg``.  ``written`` names the keys the file sets: one that the
+    other settings leave unread is rejected, an unread default is not."""
     v = cfg.values
 
     def bad(msg):
@@ -163,6 +165,17 @@ def _validate(cfg, source):
     if v["store_fim_blocks"] and not v["diag_layers"]:
         bad("store_fim_blocks = true stores the blocks of diag_layers, which is empty; "
             "set diag_layers or remove store_fim_blocks")
+    if "mlp_hidden" in written and v["arch"] != "mlp-custom":
+        bad(f"mlp_hidden is read only under arch = mlp-custom, not {v['arch']}; "
+            "remove mlp_hidden")
+    unread = sorted(k for k in written if k.startswith("mnist_" if v["dataset"] == "synthetic"
+                                                         else "synth_"))
+    if unread:
+        keys = ", ".join(unread)
+        bad(f"{keys} not read under dataset = {v['dataset']}; remove {keys}")
+    if "synth_dim" in written and v["synth_image"]:
+        bad("synth_dim is not read next to synth_image, whose shape sets the dimension; "
+            "remove synth_dim")
     if not v["seeds"]:
         bad("seeds must be non-empty")
     if len(set(v["seeds"])) != len(v["seeds"]):

@@ -195,8 +195,8 @@ def _energy_ratios(before, after, task, method, hyper, task_index):
     """Full-FIM diagonal-energy ratios of ``hyper.diag_layers`` on the plain
     network ``before`` a rotation and the rotated one ``after`` it:
     ``{layer: {"before", "after"}}``, plus each block under ``store_fim_blocks``
-    (up to 400 rows), or ``{"error": message}`` for a layer whose block cannot
-    be built."""
+    (up to 400 rows), or ``{"error": message}`` for a layer whose block is
+    over ``fim.FULL_FIM_PARAM_CAP`` weights."""
     out = {}
     for idx in hyper.diag_layers:
         entry = {}
@@ -207,7 +207,7 @@ def _energy_ratios(before, after, task, method, hyper, task_index):
                     net, task.train_x, idx, method.fim_samples, method.fim_mode, rng,
                     task.train_y,
                 )
-            except (CapacityError, DimensionError) as e:  # diagnostic-only problems
+            except CapacityError as e:  # a diagnostic-only problem
                 entry = {"error": str(e)}
                 break
             entry[stage] = diag_energy_ratio(block)
@@ -255,6 +255,10 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
         bad = [i for i in hyper.diag_layers if not 0 <= i < n]
         if bad:
             raise DimensionError(f"diag_layers {bad} out of range for a {n}-layer network")
+        bare = [f"{i} ({net.layers[i].kind})" for i in hyper.diag_layers
+                if not net.layers[i].trainable]
+        if bare:
+            raise DimensionError(f"diag_layers name layers without weights: {', '.join(bare)}")
 
     result = SequenceResult(net)
     anchor = None

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import parallel
 from .errors import AlignmentError, CapacityError, DimensionError
-from .layers import Conv2D, Dense, rotate_conv_kernel
+from .layers import Conv2D, Dense
 from .network import CHUNK, backward, forward, layout_signature, softmax
 from .util import rng_for
 
@@ -148,35 +148,20 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
         yield from wave(range(first, min(first + step, len(idx)), CHUNK))
 
 
-def _dense_factors(layer, x, g, aux, n):
-    """A dense layer's per-example weight gradient is the outer product of its
-    output gradient and input; both in the weight's coordinates: ``g U2`` and
-    the forward's cached ``x U1^T`` for a rotated layer.  ``g`` is the
-    batch-mean gradient, rescaled here by the batch size ``n``."""
-    if layer.rotated:
-        x, g = aux, g @ layer.U2
-    return x, g * n
-
-
 def _example_weight_grads(layer, x, g, aux, n):
     """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
-    and ``(n, kh*kw*d_in + 1, d_out)`` for a convolution, from the batch-mean
-    output gradient ``g`` of ``n`` examples.  A convolution's last row is its
-    bias gradient, read from the patch matrix's ones column; a rotated
-    convolution's kernel rows are mapped into its rotated coordinates, and
-    its bias row stays as it is."""
+    and ``(n, kh*kw*d_in + 1, d_out)`` for a convolution, in the weight's
+    coordinates (``rewc.layers``), from the batch-mean output gradient ``g``
+    of ``n`` examples.  A convolution's last row is its bias gradient, read
+    from the patch matrix's ones column."""
     if isinstance(layer, Dense):
-        x, g = _dense_factors(layer, x, g, aux, n)
-        return g[:, :, None] * x[:, None, :]
+        x, g = layer.weight_grad_factors(x, g, aux)
+        return (g * n)[:, :, None] * x[:, None, :]
     patches = aux[0]
     cols = patches.reshape(n, -1, patches.shape[-1])
     g = g * n
     ge = np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1]))
-    if layer.rotated:
-        rows = layer.K[..., 0].size
-        stacked = ge[:, :rows].reshape((-1,) + layer.K.shape[1:])  # the n kernels, stacked
-        ge[:, :rows] = rotate_conv_kernel(stacked, layer.U1, layer.U2).reshape(n, rows, -1)
-    return ge
+    return layer.weight_grad_rows(ge)
 
 
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
@@ -196,7 +181,8 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
                 out[f"{i}.K"] = sq[:-1].reshape(layer.K.shape)
                 out[f"{i}.b"] = sq[-1]
                 continue
-            xw, gw = _dense_factors(layer, x, g, cache.aux[i], len(w))
+            xw, gw = layer.weight_grad_factors(x, g, cache.aux[i])
+            gw = gw * len(w)  # undo the batch-mean scaling
             out[f"{i}.W"] = (w[:, None] * gw * gw).T @ (xw * xw)
             gb = g * len(w)  # per-example bias gradients: undo the batch-mean scaling
             out[f"{i}.b"] = w @ (gb * gb)

@@ -4,13 +4,17 @@ All arrays are float64.  Images are channels-last ``(N, H, W, C)``; conv
 kernels are ``(kh, kw, d_in, d_out)``.  Dense weights are ``(d_out, d_in)``
 so that ``y = W x`` for a single column vector ``x``.
 
-Each layer implements ``forward(x)`` and ``backward(x, grad_out, aux)``
-where ``x`` is the cached layer input from the matching forward pass.
-``forward_cached(x)`` also returns what the backward pass reads, its
-``aux``: a ReLU's mask, a conv layer's im2col matrix, a rotated dense
-layer's rotated input.  ``backward`` must be given that ``aux``.  A ReLU's
-backward needs nothing else, so a network's forward cache does not keep its
-input.
+Each layer implements one forward, ``forward_prepared(prepare(x))``, and
+``backward(x, grad_out, aux)`` where ``x`` is the cached layer input from
+the matching forward pass.  ``prepare(x)`` is the part of a forward pass
+that reads the input alone, never the weights; a layer that has such work
+sets ``prepares`` (today only ``Conv2D``: its im2col), so that training can
+build a batch's first-layer input while the step before it runs.
+``forward_cached(x)`` composes the two.  The forward returns the output and
+what the backward pass reads, its ``aux``: a ReLU's mask, a conv layer's
+im2col matrix, a rotated dense layer's rotated input.  ``backward`` must be
+given that ``aux``.  A ReLU's backward needs nothing else, so a network's
+forward cache does not keep its input.
 ``backward`` returns ``(grad_in, param_grads)`` with ``param_grads`` keyed
 like ``params()``, or ``None`` for parameter-free layers and when called
 with ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
@@ -20,17 +24,15 @@ Every dense and conv layer has a bias.  A convolution moves its kernel one
 pixel at a time over the unpadded input, and mean pooling averages 2x2
 windows: the only layers that ``network.build_network`` builds.
 
-``prepare(x)`` is the part of a forward pass that reads the input alone,
-never the weights, and ``forward_prepared(prepare(x))`` equals
-``forward_cached(x)``.  A layer that has such work sets ``prepares``
-(today only ``Conv2D``: its im2col), so that training can build a batch's
-first-layer input while the step before it runs.
-
 A dense or conv layer may carry a rotation ``(U1, U2)``: two orthogonal
 matrices that reparameterize its weight, so that the layer computes
 ``U2 W U1`` (per kernel slice for a convolution) plus its bias, which stays
 outside ``U2``.  Its ``W`` or ``K`` is then the weight in rotated
-coordinates, the parameter the optimizer and the Fisher see.
+coordinates, the parameter the optimizer and the Fisher see.  The layer
+defines those coordinates once, for its own backward and for the Fisher
+estimators' per-example gradients: ``Dense.weight_grad_factors`` gives the
+weight gradient's two factors, ``Conv2D.weight_grad_rows`` maps kernel
+gradients.
 """
 
 import copy
@@ -50,20 +52,17 @@ class Layer:
     prepares = False  # whether prepare does any work
     keeps_input = True  # whether the forward cache keeps the input for backward
 
-    def forward(self, x):
-        raise NotImplementedError
-
     def forward_cached(self, x):
-        """Forward plus whatever intermediate the backward pass can reuse."""
-        return self.forward(x), None
+        """The output and whatever intermediate the backward pass reuses."""
+        return self.forward_prepared(self.prepare(x))
 
     def prepare(self, x):
-        """The input-only work of ``forward_cached(x)``; none by default."""
+        """The input-only work of the forward pass; none by default."""
         return x
 
     def forward_prepared(self, prepared):
-        """``forward_cached(x)`` from ``prepare(x)``."""
-        return self.forward_cached(prepared)
+        """``forward_cached(x)`` from ``prepare(x)``: the layer's one forward."""
+        raise NotImplementedError
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         raise NotImplementedError
@@ -138,10 +137,7 @@ class Dense(Layer):
     def rotated(self):
         return self.U1 is not None
 
-    def forward(self, x):
-        return self.forward_cached(x)[0]
-
-    def forward_cached(self, x):
+    def forward_prepared(self, x):
         if self.rotated:
             h = x @ self.U1.T
             y = (h @ self.W.T) @ self.U2.T
@@ -149,11 +145,16 @@ class Dense(Layer):
             h, y = None, x @ self.W.T
         return y + self.b, h
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        g = grad_out
+    def weight_grad_factors(self, x, grad_out, aux):
+        """The input and output gradient in the weight's coordinates, so that
+        ``g^T x`` is the weight gradient and ``g[k] x[k]^T`` example ``k``'s:
+        rotated, the forward's cached ``x U1^T`` and ``grad_out U2``."""
         if self.rotated:
-            x = aux
-            g = grad_out @ self.U2
+            return aux, grad_out @ self.U2
+        return x, grad_out
+
+    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+        x, g = self.weight_grad_factors(x, grad_out, aux)
         grads = {"W": g.T @ x, "b": grad_out.sum(axis=0)} if need_param_grads else None
         if not need_input_grad:
             return None, grads
@@ -174,7 +175,7 @@ class Dense(Layer):
 class Conv2D(Layer):
     """Convolution by im2col; rotated, every pass runs one convolution with
     the kernel ``rotate_conv_kernel(K, U1^T, U2^T)`` and maps the kernel
-    gradient back with ``rotate_conv_kernel(gK, U1, U2)``."""
+    gradient back with ``weight_grad_rows``."""
 
     kind = "conv2d"
     trainable = True
@@ -215,12 +216,6 @@ class Conv2D(Layer):
         patches[..., cols] = 1.0
         return patches
 
-    def forward(self, x):
-        return self.forward_cached(x)[0]
-
-    def forward_cached(self, x):
-        return self.forward_prepared(self.prepare(x))
-
     def forward_prepared(self, patches):
         K = self.kernel()
         M = np.concatenate([K.reshape(-1, K.shape[3]), self.b[None]])
@@ -235,10 +230,8 @@ class Conv2D(Layer):
             # (G^T P)^T lets BLAS read both operands in place; a tensordot
             # over the patches would first copy them transposed.  Its last row,
             # from the patches' ones column, is the bias gradient.
-            gM = (g2d.T @ patches.reshape(-1, patches.shape[3])).T
-            gK = gM[:-1].reshape(K.shape)
-            grads = {"K": rotate_conv_kernel(gK, self.U1, self.U2) if self.rotated else gK,
-                     "b": gM[-1]}
+            gM = self.weight_grad_rows((g2d.T @ patches.reshape(-1, patches.shape[3])).T)
+            grads = {"K": gM[:-1].reshape(K.shape), "b": gM[-1]}
         if not need_input_grad:
             return None, grads
         n, h2, w2 = grad_out.shape[:3]
@@ -250,6 +243,17 @@ class Conv2D(Layer):
             for b_ in range(kw):
                 gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
         return gx, grads
+
+    def weight_grad_rows(self, gM):
+        """Kernel-gradient rows ``[gK; gb]``, ``(..., kh*kw*d_in + 1, d_out)``,
+        one gradient or a stack of per-example ones, in the kernel's
+        coordinates: rotated, the kernel rows are mapped in place through
+        ``rotate_conv_kernel(., U1, U2)``; the bias row stays as it is."""
+        if self.rotated:
+            rows = gM[..., :-1, :]
+            stacked = rows.reshape((-1,) + self.K.shape[1:])  # kernels stacked on the kh axis
+            rows[...] = rotate_conv_kernel(stacked, self.U1, self.U2).reshape(rows.shape)
+        return gM
 
     def params(self):
         return {"K": self.K, "b": self.b}
@@ -270,11 +274,8 @@ class ReLU(Layer):
     kind = "relu"
     keeps_input = False  # its backward reads the mask from the forward pass
 
-    def forward(self, x):
-        return np.maximum(x, 0.0)
-
-    def forward_cached(self, x):
-        return self.forward(x), x > 0.0
+    def forward_prepared(self, x):
+        return np.maximum(x, 0.0), x > 0.0
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         return grad_out * aux, None
@@ -286,8 +287,8 @@ class ReLU(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x):
-        return x.reshape(x.shape[0], -1)
+    def forward_prepared(self, x):
+        return x.reshape(x.shape[0], -1), None
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         return grad_out.reshape(x.shape), None
@@ -302,14 +303,14 @@ class MeanPool2D(Layer):
     kind = "meanpool2d"
     size = 2
 
-    def forward(self, x):
+    def forward_prepared(self, x):
         s = self.size
         acc = x[:, ::s, ::s].copy()
         for a in range(s):
             for b in range(s):
                 if a or b:
                     acc += x[:, a::s, b::s]
-        return acc / (s * s)
+        return acc / (s * s), None
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
         s = self.size

@@ -130,10 +130,8 @@ def forward(net, x, prepared=None):
     h = x
     for i, layer in enumerate(net.layers):
         inputs.append(h if layer.keeps_input else None)
-        if i == 0 and prepared is not None:
-            h, a = layer.forward_prepared(prepared)
-        else:
-            h, a = layer.forward_cached(h)
+        h, a = layer.forward_prepared(prepared if i == 0 and prepared is not None
+                                      else layer.prepare(h))
         aux.append(a)
     return h, ForwardCache(inputs=inputs, logits=h, aux=aux)
 

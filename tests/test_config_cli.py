@@ -120,14 +120,26 @@ def test_synthetic_stream_of_one_class_rejected_at_parse_time():
     ("method = rewc\nstore_fim_blocks = true", "set diag_layers"),
     ("seeds = 0,0", "list each seed once"),
     ("seeds = 3,1,3", "list each seed once"),
+    ("arch = lenet\nmlp_hidden = 64", "remove mlp_hidden"),
+    ("arch = mlp-784-10-10-10\nmlp_hidden = 10,10", "remove mlp_hidden"),
+    ("synth_image = 8x8\nsynth_dim = 64", "remove synth_dim"),
+    ("dataset = mnist\nmnist_dir = d\nsynth_separation = 3\nsynth_image = 8x8",
+     "synth_image, synth_separation not read under dataset = mnist"),
+    ("mnist_dir = d", "mnist_dir not read under dataset = synthetic"),
+    ("dataset = synthetic\nmnist_pad = false", "remove mnist_pad"),
 ], ids=["ft-diag-layers", "ewc-diag-layers", "blocks-without-layers", "seed-twice",
-        "seed-twice-apart"])
+        "seed-twice-apart", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
+        "synth-under-mnist", "mnist-dir-under-synthetic", "mnist-pad-under-synthetic"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
     # overwrites its record and counts it twice in the aggregate.
     with pytest.raises(ConfigError, match=fix):
         parse_config_text(text)
     parse_config_text("method = rewc\ndiag_layers = 0\nstore_fim_blocks = true\nseeds = 0,1")
+    # Only keys the file writes count, never their defaults.
+    parse_config_text("arch = lenet\nsynth_image = 16x16")
+    parse_config_text("dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10")
+    parse_config_text("arch = mlp-custom\nmlp_hidden = 8\nsynth_dim = 4\nsynth_noise_cond = 2")
 
 
 @pytest.mark.parametrize("arch, shape, kwargs", [
@@ -144,7 +156,7 @@ def test_build_net_sizes_the_head_from_the_first_task(arch, shape, kwargs):
         x, y = np.zeros((len(classes),) + shape), np.array(classes)
         return TaskDataset(task_id, classes, x, y, x, y)
 
-    cfg = parse_config_text(f"arch = {arch}\nmlp_hidden = 6")
+    cfg = parse_config_text(f"arch = {arch}" + ("\nmlp_hidden = 6" if arch == "mlp-custom" else ""))
     tasks = TaskSequence([task(0, (1, 2)), task(1, (3, 4))])
     if kwargs is None:
         with pytest.raises(ConfigError, match=r"784 input features \(use mnist_pad=false"):
@@ -626,14 +638,17 @@ def test_cli_oversized_fim_budget_fails_before_training(tmp_path, capsys):
 
 
 def test_cli_bad_diag_layer_fails_before_training(tmp_path, capsys):
-    cfgp = tmp_path / "diag.cfg"
-    cfgp.write_text(
-        SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
-        + "diag_layers = 0,99\ncheckpoints = true\n"
-    )
-    assert run_cli(["run", str(cfgp)]) == 2
-    assert "diag_layers [99] out of range" in capsys.readouterr().err
-    assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
+    # Layer 99 does not exist; layer 1 is a ReLU, which has no weights.
+    for layers, message in (("0,99", "diag_layers [99] out of range"),
+                            ("1,0", "diag_layers name layers without weights: 1 (relu)")):
+        cfgp = tmp_path / "diag.cfg"
+        cfgp.write_text(
+            SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
+            + f"diag_layers = {layers}\ncheckpoints = true\n"
+        )
+        assert run_cli(["run", str(cfgp)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
 
 
 def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):

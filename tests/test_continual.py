@@ -230,7 +230,7 @@ def test_oversized_initial_head_rejected():
 def test_diagnostics_energy_ratios():
     # Three tasks: the second consolidation starts from a rotated network.
     tasks = synthetic_tasks(seed=37, T=3, classes_per_task=2, dim=6, noise_cond=10.0)
-    hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0, 1))
+    hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0, 2))
     kept = []
     result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper,
                           task_callback=lambda k, n: kept.append(n))
@@ -239,11 +239,10 @@ def test_diagnostics_energy_ratios():
     assert result.net is kept[-1] and result.warnings == []
     assert sorted(result.diag_energy) == ["0", "1"]
     for entry in result.diag_energy.values():
-        assert set(entry["0"]) == {"before", "after"}
-        assert 0.0 < entry["0"]["before"] <= 1.0
-        assert 0.0 < entry["0"]["after"] <= 1.0
-        # Layer 1 is a ReLU: its block cannot be built, and it records why.
-        assert entry["1"] == {"error": "layer 1 (relu) has no weight matrix"}
+        for layer in ("0", "2"):  # the hidden layer and the head
+            assert set(entry[layer]) == {"before", "after"}
+            assert 0.0 < entry[layer]["before"] <= 1.0
+            assert 0.0 < entry[layer]["after"] <= 1.0
 
 
 def test_fim_budget_checked_for_consolidated_tasks_only():

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conv_direct,
@@ -13,7 +15,8 @@ from helpers import (
 )
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import DataFormatError, DimensionError, StateError
-from rewc.layers import Conv2D, Dense, MeanPool2D, ReLU
+from rewc.fim import _example_weight_grads
+from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from rewc.network import Network, build_network, forward, grow_head, parameter_digest
 
 
@@ -58,13 +61,13 @@ def test_conv_matches_direct_summation():
         x = rng.normal(size=(2, 7, 8, 3))
         k = rng.normal(size=(kh, kw, 3, 4))
         b = rng.normal(size=4)
-        assert np.max(np.abs(Conv2D(k, b).forward(x) - conv_direct(x, k, b))) < 1e-10
+        assert np.max(np.abs(Conv2D(k, b).forward_cached(x)[0] - conv_direct(x, k, b))) < 1e-10
 
 
 def test_meanpool_forward_backward():
     x = np.arange(2 * 4 * 4 * 3, dtype=np.float64).reshape(2, 4, 4, 3)
     pool = MeanPool2D()
-    y = pool.forward(x)
+    y, _ = pool.forward_cached(x)
     assert y.shape == (2, 2, 2, 3)
     assert y[0, 0, 0, 0] == pytest.approx((x[0, 0, 0, 0] + x[0, 0, 1, 0] + x[0, 1, 0, 0] + x[0, 1, 1, 0]) / 4)
     g, _ = pool.backward(x, np.ones_like(y))
@@ -107,7 +110,7 @@ def test_meanpool_backward_equals_reference_exactly():
     for batch in (1, 7, 64):
         for c in CHANNELS:
             x = rng.normal(size=(batch, 4, 6, c))
-            g = rng.normal(size=pool.forward(x).shape)
+            g = rng.normal(size=pool.forward_cached(x)[0].shape)
             assert np.array_equal(pool.backward(x, g)[0], reference_meanpool_backward(pool, x, g))
 
 
@@ -124,6 +127,64 @@ def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
     _, cache = forward(net, rng.normal(size=(3, 32, 32, 1)))
     for layer, kept in zip(net.layers, cache.inputs):
         assert (kept is None) == isinstance(layer, ReLU)
+
+
+def layer_case(kind, rotated, rng, n, dims):
+    """A layer of ``kind`` and an input batch of ``n`` for it, sized by six
+    draws ``dims`` from 1..4."""
+    a, b, c, d, e, f = dims
+    if kind == "dense":
+        return Dense(rng.normal(size=(b, a)), rng.normal(size=b),
+                     *random_rotation(rng, a, b, rotated)), rng.normal(size=(n, a))
+    if kind == "conv2d":  # a kernel a x b from c to d channels over (a+e-1) x (b+f-1)
+        layer = Conv2D(rng.normal(size=(a, b, c, d)), rng.normal(size=d),
+                       *random_rotation(rng, c, d, rotated))
+        return layer, rng.normal(size=(n, a + e - 1, b + f - 1, c))
+    layer = {"relu": ReLU, "flatten": Flatten, "meanpool2d": MeanPool2D}[kind]()
+    scale = 2 if kind == "meanpool2d" else 1
+    return layer, rng.normal(size=(n, scale * a, scale * b, c))
+
+
+def same_bits(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_bits, a, b))
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, rotated", [
+    ("dense", False), ("dense", True), ("conv2d", False), ("conv2d", True),
+    ("relu", False), ("flatten", False), ("meanpool2d", False),
+], ids=["dense", "dense-rotated", "conv2d", "conv2d-rotated", "relu", "flatten", "meanpool2d"])
+@settings(max_examples=25)
+@given(n=st.integers(1, 5), dims=st.tuples(*[st.integers(1, 4)] * 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_layer_contract(kind, rotated, n, dims, seed):
+    rng = np.random.default_rng(seed)
+    layer, x = layer_case(kind, rotated, rng, n, dims)
+    assert layer.rotated == rotated
+    # The forward that training runs from a prepared batch is the forward.
+    y, aux = layer.forward_cached(x)
+    y2, aux2 = layer.forward_prepared(layer.prepare(x))
+    assert same_bits(y, y2) and same_bits(aux, aux2)
+    # Skipping the parameter gradients leaves the input gradient's bits alone.
+    g = rng.normal(size=y.shape)
+    gx, grads = layer.backward(x, g, aux)
+    gx2, none = layer.backward(x, g, aux, need_param_grads=False)
+    assert same_bits(gx, gx2) and none is None
+    if not layer.trainable:
+        assert grads is None
+        return
+    # The Fisher's per-example gradients, in the weight's coordinates, sum to
+    # the backward's; within 1e-12 of the sum of their magnitudes.  A
+    # per-example gradient is that of ``n`` times its row of ``g``.
+    ge = _example_weight_grads(layer, x, g, aux, n)
+    if kind == "dense":
+        want = grads["W"]
+    else:
+        want = np.concatenate([grads["K"].reshape(-1, grads["K"].shape[3]), grads["b"][None]])
+    assert np.max(np.abs(ge.sum(axis=0) - n * want)) <= 1e-12 * np.max(np.abs(ge).sum(axis=0))
 
 
 def test_parameter_digest_tracks_every_bit():

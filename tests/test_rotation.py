@@ -226,13 +226,13 @@ def test_conv_sandwich_equals_plain_conv():
     q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     u1, u2 = q1.T, q2  # layer matrices around the kernel
     b = rng.normal(size=6)
-    plain = Conv2D(k, b).forward(x)
+    plain = Conv2D(k, b).forward_cached(x)[0]
     kr = rotate_conv_kernel(k, u1, u2)
     # the sandwich x -> U1 -> conv(kr) -> U2, then the bias, step by step ...
-    h = Conv2D(kr, np.zeros(6)).forward(x @ u1.T) @ u2.T + b
+    h = Conv2D(kr, np.zeros(6)).forward_cached(x @ u1.T)[0] @ u2.T + b
     assert np.max(np.abs(h - plain)) < 1e-8
     # ... and as the rotated layer's one convolution
-    assert np.max(np.abs(Conv2D(kr, b, u1, u2).forward(x) - plain)) < 1e-8
+    assert np.max(np.abs(Conv2D(kr, b, u1, u2).forward_cached(x)[0] - plain)) < 1e-8
 
 
 def test_trainable_parameter_count_preserved():
