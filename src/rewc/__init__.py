@@ -20,6 +20,7 @@ from .fim import (
     make_anchor,
 )
 from .checkpoint import load_network, save_network
+from .layers import rotate_conv_kernel
 from .linalg import EigenDecomposition, diag_energy_ratio, jacobi_eigh
 from .network import (
     Network,
@@ -36,7 +37,6 @@ from .rotation import (
     RotationScope,
     accumulate_correlations,
     combine_network,
-    rotate_conv_kernel,
     rotate_network,
 )
 

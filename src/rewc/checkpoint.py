@@ -36,11 +36,10 @@ def save_network(net, path):
 
 
 def _write_record(w, layer):
-    if not isinstance(layer, (Dense, Conv2D)):
+    if not layer.trainable:
         return
-    weight = layer.W if isinstance(layer, Dense) else layer.K
-    w.u32(*weight.shape, int(layer.rotated))
-    for arr in (weight, layer.b, layer.U1, layer.U2):
+    w.u32(*layer.weight.shape, int(layer.rotated))
+    for arr in (layer.weight, layer.b, layer.U1, layer.U2):
         if arr is not None:
             w.payload(arr)
 

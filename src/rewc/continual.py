@@ -234,9 +234,7 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
         _check_split(task.test_x, task.test_y, "test", k)
 
     needed = max(tasks[0].class_ids) + 1
-    if net.head_classes < needed:
-        grow_head(net, needed - net.head_classes)
-    elif net.head_classes > needed:
+    if net.head_classes > needed:
         raise DimensionError(
             f"head already has {net.head_classes} classes; task 1 needs {needed}"
         )
@@ -263,6 +261,9 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
     result = SequenceResult(net)
     anchor = None
     for k in range(T):
+        needed = max(tasks[k].class_ids) + 1
+        if needed > net.head_classes:
+            grow_head(net, needed - net.head_classes)
         t0 = time.perf_counter()
         train_task(net, tasks[k], hyper, k, anchor)
         result.train_seconds.append(time.perf_counter() - t0)
@@ -281,8 +282,5 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                 result.warnings.append(
                     f"task {k}: the Fisher is zero everywhere, so its anchor protects nothing"
                 )
-            needed = max(tasks[k + 1].class_ids) + 1
-            if needed > net.head_classes:
-                grow_head(net, needed - net.head_classes)
     result.net = net
     return result

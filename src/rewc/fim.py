@@ -12,12 +12,13 @@ set, with one label sampler, run on ``rewc.parallel``'s pool and reduced on
 the calling thread in (chunk, label set) order.  The backward pass is
 record-only (``network.backward(..., record_only=True)``): it keeps each
 trainable layer's input and output gradient and forms no parameter
-gradient, since no estimator reads one.  The diagonal and full-block estimators reduce
-each trainable layer's recorded input and output gradient into per-example
-gradients (Goodfellow, arXiv 1510.01799) of the weight in the layer's own,
-possibly rotated, coordinates; ``rotation.accumulate_correlations`` reduces
-the same records into the input and output-gradient correlations (sampled
-labels, or the true ones).
+gradient, since no estimator reads one.  Each trainable layer reduces its
+records itself (``rewc.layers``), in its own, possibly rotated, coordinates:
+into per-example gradients (Goodfellow, arXiv 1510.01799) for the full
+block, ``example_grads``, and into the diagonal's weighted squares,
+``fisher_terms``.  ``rotation.accumulate_correlations`` reduces the same
+records into the input and output-gradient correlations (sampled labels, or
+the true ones).
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import parallel
 from .errors import AlignmentError, CapacityError, DimensionError
-from .layers import Conv2D, Dense
 from .network import CHUNK, backward, forward, layout_signature, softmax
 from .util import rng_for
 
@@ -49,14 +49,10 @@ class EwcAnchor:
     theta_star: dict
     fim: FimDiagonal
     lam: float
-    layout_hash: str
-    head_key_prefix: str
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
-        if self.fim.layout_hash != self.layout_hash:
-            raise AlignmentError("anchor FIM was computed on a different layout")
 
 
 FULL_FIM_PARAM_CAP = 2000
@@ -148,22 +144,6 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
         yield from wave(range(first, min(first + step, len(idx)), CHUNK))
 
 
-def _example_weight_grads(layer, x, g, aux, n):
-    """Per-example weight gradients, ``(n, d_out, d_in)`` for a dense layer
-    and ``(n, kh*kw*d_in + 1, d_out)`` for a convolution, in the weight's
-    coordinates (``rewc.layers``), from the batch-mean output gradient ``g``
-    of ``n`` examples.  A convolution's last row is its bias gradient, read
-    from the patch matrix's ones column."""
-    if isinstance(layer, Dense):
-        x, g = layer.weight_grad_factors(x, g, aux)
-        return (g * n)[:, :, None] * x[:, None, :]
-    patches = aux[0]
-    cols = patches.reshape(n, -1, patches.shape[-1])
-    g = g * n
-    ge = np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1]))
-    return layer.weight_grad_rows(ge)
-
-
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
@@ -171,22 +151,10 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
 
     def squares(cache, w, gset):
         """One unit's weighted sums of squared per-example gradients."""
-        out = {}
-        for i, layer in trainable:
-            x = gset.layer_inputs[i]
-            g = gset.layer_output_grads[i]
-            if isinstance(layer, Conv2D):
-                ge = _example_weight_grads(layer, x, g, cache.aux[i], len(w))
-                sq = np.tensordot(w, ge * ge, axes=1)
-                out[f"{i}.K"] = sq[:-1].reshape(layer.K.shape)
-                out[f"{i}.b"] = sq[-1]
-                continue
-            xw, gw = layer.weight_grad_factors(x, g, cache.aux[i])
-            gw = gw * len(w)  # undo the batch-mean scaling
-            out[f"{i}.W"] = (w[:, None] * gw * gw).T @ (xw * xw)
-            gb = g * len(w)  # per-example bias gradients: undo the batch-mean scaling
-            out[f"{i}.b"] = w @ (gb * gb)
-        return out
+        return {f"{i}.{name}": term for i, layer in trainable
+                for name, term in layer.fisher_terms(gset.layer_inputs[i],
+                                                     gset.layer_output_grads[i],
+                                                     cache.aux[i], w).items()}
 
     acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
     for terms in _fim_pass(net, inputs, sample_budget, mode, rng, labels, squares):
@@ -204,13 +172,9 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
     if not 0 <= layer_index < len(net.layers):
         raise DimensionError(f"layer index {layer_index} out of range")
     layer = net.layers[layer_index]
-    if isinstance(layer, Dense):
-        weight_key = f"{layer_index}.W"
-    elif isinstance(layer, Conv2D):
-        weight_key = f"{layer_index}.K"
-    else:
+    if not layer.trainable:
         raise DimensionError(f"layer {layer_index} ({layer.kind}) has no weight matrix")
-    size = net.get_param(weight_key).size
+    size = layer.weight.size
     if size > FULL_FIM_PARAM_CAP:
         raise CapacityError(
             f"layer has {size} weights; full-FIM diagnostics capped at {FULL_FIM_PARAM_CAP}"
@@ -220,10 +184,8 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
     def weighted_grads(cache, w, gset):
         """One unit's per-example gradients, weighted and plain; the caller
         multiplies them, so no unit holds a ``size x size`` block."""
-        x = gset.layer_inputs[layer_index]
-        g = gset.layer_output_grads[layer_index]
-        ge = _example_weight_grads(layer, x, g, cache.aux[layer_index], len(w))
-        ge = ge[:, : size // ge.shape[2]].reshape(len(w), size)  # a conv's bias row dropped
+        ge = layer.example_grads(gset.layer_inputs[layer_index], gset.layer_output_grads[
+            layer_index], cache.aux[layer_index])[layer.weight_name].reshape(len(w), size)
         return w[:, None] * ge, ge
 
     acc = np.zeros((size, size))
@@ -233,52 +195,34 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
 
 
 def make_anchor(net, fim, lam):
-    return EwcAnchor(
-        theta_star=net.parameter_snapshot(),
-        fim=fim,
-        lam=float(lam),
-        layout_hash=layout_signature(net),
-        head_key_prefix=f"{net.head_index}.",
-    )
-
-
-def _anchor_slices(net, anchor):
-    """Pair anchor entries with current parameters, allowing the head dense
-    layer to have grown extra rows since the anchor was taken."""
-    current_keys = [k for k, _, _ in net.trainable_keys()]
-    if set(anchor.theta_star) - set(current_keys):
-        raise AlignmentError("anchor refers to parameters absent from this network")
-    for key, theta0 in anchor.theta_star.items():
-        theta = net.get_param(key)
-        if theta.shape == theta0.shape:
-            yield key, theta, theta0, None
-        elif key.startswith(anchor.head_key_prefix) and theta.shape[1:] == theta0.shape[1:] \
-                and theta.shape[0] >= theta0.shape[0]:
-            yield key, theta[: theta0.shape[0]], theta0, theta.shape
-        else:
-            raise AlignmentError(
-                f"parameter {key}: shape {theta.shape} incompatible with anchor {theta0.shape}"
-            )
+    if fim.layout_hash != layout_signature(net):
+        raise AlignmentError("anchor FIM was computed on a different layout")
+    return EwcAnchor(theta_star=net.parameter_snapshot(), fim=fim, lam=float(lam))
 
 
 def ewc_penalty(net, anchor):
     """Quadratic pull toward the anchored parameters, weighted per entry.
 
     Returns ``(penalty, gradient_dict)``; both are exactly zero for lam == 0.
-    Head rows added after the anchor was taken carry no penalty.
+    An anchor penalizes only a network of its own layout and rotation
+    (``network.layout_signature``); head rows added after the anchor was
+    taken carry no penalty.
     """
+    if layout_signature(net) != anchor.fim.layout_hash:
+        raise AlignmentError("anchor was taken on a network of another layout or rotation")
     if anchor.lam == 0.0:
         return 0.0, {}
     penalty = 0.0
     grads = {}
-    for key, theta, theta0, full_shape in _anchor_slices(net, anchor):
+    for key, theta0 in anchor.theta_star.items():
+        theta = net.get_param(key)
         f = anchor.fim.values[key]
-        delta = theta - theta0
+        delta = theta[: len(theta0)] - theta0
         penalty += 0.5 * anchor.lam * float(np.sum(f * delta * delta))
         g = anchor.lam * f * delta
-        if full_shape is not None:
-            padded = np.zeros(full_shape)
-            padded[: g.shape[0]] = g
+        if g.shape != theta.shape:  # a grown head
+            padded = np.zeros(theta.shape)
+            padded[: len(g)] = g
             g = padded
         grads[key] = g
     return penalty, grads

@@ -27,12 +27,18 @@ windows: the only layers that ``network.build_network`` builds.
 A dense or conv layer may carry a rotation ``(U1, U2)``: two orthogonal
 matrices that reparameterize its weight, so that the layer computes
 ``U2 W U1`` (per kernel slice for a convolution) plus its bias, which stays
-outside ``U2``.  Its ``W`` or ``K`` is then the weight in rotated
-coordinates, the parameter the optimizer and the Fisher see.  The layer
-defines those coordinates once, for its own backward and for the Fisher
-estimators' per-example gradients: ``Dense.weight_grad_factors`` gives the
-weight gradient's two factors, ``Conv2D.weight_grad_rows`` maps kernel
-gradients.
+outside ``U2``.  Its ``weight`` (``W`` or ``K``, keyed ``weight_name`` in
+``params()``) is then in rotated coordinates, the parameter the optimizer
+and the Fisher see.  Each kind defines those coordinates once
+(``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and answers
+for itself in them through one set of methods, so that no other module
+tests a layer's type:
+``rotated_by(U1, U2)`` gives a plain layer in those coordinates and
+``folded()`` the plain layer that computes the same function;
+``example_grads(x, grad_out, aux)`` gives per-example gradients and
+``fisher_terms(x, grad_out, aux, w)`` their ``w``-weighted squares summed
+over the examples, each keyed like ``params()``, from the output gradient
+of a batch-mean loss (example ``k``'s is ``n`` times its row).
 """
 
 import copy
@@ -51,6 +57,7 @@ class Layer:
     rotated = False
     prepares = False  # whether prepare does any work
     keeps_input = True  # whether the forward cache keeps the input for backward
+    weight_name = None  # a trainable layer's weight's key in params()
 
     def forward_cached(self, x):
         """The output and whatever intermediate the backward pass reuses."""
@@ -69,6 +76,10 @@ class Layer:
 
     def params(self):
         return {}
+
+    @property
+    def weight(self):
+        return self.params()[self.weight_name]
 
     def out_shape(self, in_shape):
         raise NotImplementedError
@@ -123,6 +134,7 @@ class Dense(Layer):
 
     kind = "dense"
     trainable = True
+    weight_name = "W"
 
     def __init__(self, W, b, U1=None, U2=None):
         self.W = np.asarray(W, dtype=np.float64)
@@ -136,6 +148,13 @@ class Dense(Layer):
     @property
     def rotated(self):
         return self.U1 is not None
+
+    def rotated_by(self, U1, U2):
+        """This plain layer with its weight in the coordinates of ``(U1, U2)``."""
+        return Dense(U2.T @ self.W @ U1.T, self.b.copy(), U1, U2)
+
+    def folded(self):
+        return Dense(self.U2 @ self.W @ self.U1, self.b.copy()) if self.rotated else self.clone()
 
     def forward_prepared(self, x):
         if self.rotated:
@@ -161,6 +180,18 @@ class Dense(Layer):
         gx = g @ self.W
         return (gx @ self.U1 if self.rotated else gx), grads
 
+    def example_grads(self, x, grad_out, aux):
+        n = len(grad_out)
+        x, g = self.weight_grad_factors(x, grad_out, aux)
+        return {"W": (g * n)[:, :, None] * x[:, None, :], "b": grad_out * n}
+
+    def fisher_terms(self, x, grad_out, aux, w):
+        """Factored as ``(w g^2)^T x^2``: no per-example gradient is formed."""
+        x, g = self.weight_grad_factors(x, grad_out, aux)
+        g = g * len(w)  # undo the batch-mean scaling
+        gb = grad_out * len(w)
+        return {"W": (w[:, None] * g * g).T @ (x * x), "b": w @ (gb * gb)}
+
     def params(self):
         return {"W": self.W, "b": self.b}
 
@@ -179,6 +210,7 @@ class Conv2D(Layer):
 
     kind = "conv2d"
     trainable = True
+    weight_name = "K"
     prepares = True
 
     def __init__(self, K, b, U1=None, U2=None):
@@ -193,6 +225,13 @@ class Conv2D(Layer):
     @property
     def rotated(self):
         return self.U1 is not None
+
+    def rotated_by(self, U1, U2):
+        """This plain layer with its kernel in the coordinates of ``(U1, U2)``."""
+        return Conv2D(rotate_conv_kernel(self.K, U1, U2), self.b.copy(), U1, U2)
+
+    def folded(self):
+        return Conv2D(self.kernel(), self.b.copy()) if self.rotated else self.clone()
 
     def kernel(self):
         """The kernel in plain coordinates, the one every pass convolves with."""
@@ -230,8 +269,8 @@ class Conv2D(Layer):
             # (G^T P)^T lets BLAS read both operands in place; a tensordot
             # over the patches would first copy them transposed.  Its last row,
             # from the patches' ones column, is the bias gradient.
-            gM = self.weight_grad_rows((g2d.T @ patches.reshape(-1, patches.shape[3])).T)
-            grads = {"K": gM[:-1].reshape(K.shape), "b": gM[-1]}
+            grads = self._split(self.weight_grad_rows(
+                (g2d.T @ patches.reshape(-1, patches.shape[3])).T))
         if not need_input_grad:
             return None, grads
         n, h2, w2 = grad_out.shape[:3]
@@ -254,6 +293,25 @@ class Conv2D(Layer):
             stacked = rows.reshape((-1,) + self.K.shape[1:])  # kernels stacked on the kh axis
             rows[...] = rotate_conv_kernel(stacked, self.U1, self.U2).reshape(rows.shape)
         return gM
+
+    def _split(self, gM):
+        """Rows ``[gK; gb]`` keyed like ``params()``."""
+        return {"K": gM[..., :-1, :].reshape(gM.shape[:-2] + self.K.shape), "b": gM[..., -1, :]}
+
+    def _example_rows(self, grad_out, aux):
+        """Per-example rows ``[gK; gb]``, read from the patches' ones column."""
+        patches, n = aux[0], len(grad_out)
+        cols = patches.reshape(n, -1, patches.shape[-1])
+        g = grad_out * n
+        return self.weight_grad_rows(
+            np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1])))
+
+    def example_grads(self, x, grad_out, aux):
+        return self._split(self._example_rows(grad_out, aux))
+
+    def fisher_terms(self, x, grad_out, aux, w):
+        ge = self._example_rows(grad_out, aux)
+        return self._split(np.tensordot(w, ge * ge, axes=1))
 
     def params(self):
         return {"K": self.K, "b": self.b}

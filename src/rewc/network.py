@@ -74,13 +74,15 @@ class Network:
 
 
 def layout_signature(net):
-    """Hash of the trainable-parameter layout (kinds and shapes, in order).
+    """Hash of the trainable-parameter layout (kinds and shapes, in order),
+    without the head's row count, which grows between tasks by design.
 
     A rotated layer's kind is marked, so parameters in rotated coordinates
     never align with the plain network's."""
     parts = []
     for key, i, name in net.trainable_keys():
-        shape = "x".join(str(d) for d in net.get_param(key).shape)
+        shape = net.get_param(key).shape[1 if i == net.head_index else 0 :]
+        shape = "x".join(str(d) for d in shape)
         kind = net.layers[i].kind + ("@rotated" if net.layers[i].rotated else "")
         parts.append(f"{key}:{kind}:{shape}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()

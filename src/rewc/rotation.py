@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import AlignmentError, DimensionError, StateError
 from .fim import _fim_pass
-from .layers import Conv2D, Dense, rotate_conv_kernel
 from .linalg import jacobi_eigh
 # forward and backward are unused here but stay importable: the benchmark's
 # tracer wraps them in this module's namespace.
@@ -50,7 +49,7 @@ class CorrelationStats:
 
 
 def rotatable_indices(net):
-    return [i for i, l in enumerate(net.layers) if isinstance(l, (Dense, Conv2D))]
+    return [i for i, l in enumerate(net.layers) if l.trainable]
 
 
 def _self_correlation(a):
@@ -94,9 +93,9 @@ def _scope_selects(net, scope):
     """The scope's layers; never the classification head, which keeps growing."""
     ids = [i for i in rotatable_indices(net) if i != net.head_index]
     if scope == RotationScope.CONV_ONLY:
-        return [i for i in ids if isinstance(net.layers[i], Conv2D)]
+        return [i for i in ids if net.layers[i].kind == "conv2d"]
     if scope == RotationScope.FC_ONLY:
-        return [i for i in ids if isinstance(net.layers[i], Dense)]
+        return [i for i in ids if net.layers[i].kind == "dense"]
     if scope == RotationScope.ALL_NO_LAST:
         return ids
     raise ValueError(f"unknown rotation scope {scope!r}")
@@ -129,29 +128,12 @@ def rotate_network(net, stats, scope):
     if isinstance(scope, str):
         scope = RotationScope(scope)
     selected = set(_scope_selects(net, scope))
-
-    layers = []
-    for i, layer in enumerate(net.layers):
-        if i not in selected:
-            layers.append(layer.clone())
-            continue
-        u1, u2 = rotation_matrices(stats, i)
-        if isinstance(layer, Dense):
-            layers.append(Dense(u2.T @ layer.W @ u1.T, layer.b.copy(), u1, u2))
-        else:
-            layers.append(Conv2D(rotate_conv_kernel(layer.K, u1, u2), layer.b.copy(), u1, u2))
+    layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in selected else l.clone()
+              for i, l in enumerate(net.layers)]
     return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
 
 
 def combine_network(net):
     """Fold each layer's rotation back into its weights (inverse of rotate)."""
-    layers = []
-    for layer in net.layers:
-        if not layer.rotated:
-            layers.append(layer.clone())
-            continue
-        if isinstance(layer, Dense):
-            layers.append(Dense(layer.U2 @ layer.W @ layer.U1, layer.b.copy()))
-        else:
-            layers.append(Conv2D(layer.kernel(), layer.b.copy()))
+    layers = [l.folded() if l.trainable else l.clone() for l in net.layers]
     return Network(layers, net.head_classes, net.rng_seed, net.input_shape)

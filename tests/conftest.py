@@ -1,7 +1,9 @@
 """Settings shared by every test module."""
 
+import contextlib
 import shutil
 import tempfile
+import warnings
 
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -19,6 +21,14 @@ def pytest_configure(config):
     global _hypothesis_home
     _hypothesis_home = tempfile.mkdtemp(prefix="rewc-hypothesis-")
     set_hypothesis_home_dir(_hypothesis_home)
+    # Hypothesis imports its patch writer when a property fails, from inside
+    # pytest's report hook; libcst, which it imports, warns at import time,
+    # and the warnings-as-errors filter would turn that into an INTERNALERROR
+    # that ends the session.  Import it once here, its warning ignored.
+    # Without libcst, hypothesis skips the patch writer, and so does this.
+    with warnings.catch_warnings(), contextlib.suppress(ImportError):
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_unconfigure(config):

@@ -99,7 +99,7 @@ def test_anchor_penalty_zero_after_finalize():
         assert all(np.all(g == 0.0) for g in grads.values())
         if name == "rewc":
             assert net2.is_rotated()
-            assert anchor.layout_hash == layout_signature(net2)
+            assert anchor.fim.layout_hash == layout_signature(net2)
 
 
 def test_rewc_finalize_preserves_function():

@@ -17,7 +17,7 @@ from rewc.fim import (
     ewc_penalty,
     make_anchor,
 )
-from rewc.layers import Conv2D, Dense
+from rewc.layers import Conv2D, Dense, rotate_conv_kernel
 from rewc.linalg import jacobi_eigh
 from rewc.network import (
     Network,
@@ -28,7 +28,7 @@ from rewc.network import (
     log_softmax,
     softmax,
 )
-from rewc.rotation import accumulate_correlations, rotate_conv_kernel, rotate_network
+from rewc.rotation import accumulate_correlations, combine_network, rotate_network
 from rewc.util import rng_for
 
 # 130 chosen inputs make two full chunks of 64 and a partial one of 2.
@@ -213,6 +213,41 @@ def test_alignment_error_on_foreign_network():
     anchor = make_anchor(net, fim, 10.0)
     with pytest.raises(AlignmentError):
         ewc_penalty(other, anchor)
+
+
+def anchored_rotated_mlp(seed):
+    """A random MLP rotated under scope ``all_no_last``, and an anchor on it."""
+    rng = np.random.default_rng(seed)
+    net = random_mlp(rng)
+    x = rng.normal(size=(20, net.input_shape[0]))
+    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng),
+                         "all_no_last")
+    return rot, make_anchor(rot, estimate_diag_fim(rot, x, sample_budget=20, rng=rng), 10.0)
+
+
+def test_anchor_rejects_the_folded_network():
+    # Folding keeps every key, shape and the forward function, but not the
+    # coordinates the anchor's parameters and Fisher are in.
+    rot, anchor = anchored_rotated_mlp(21)
+    assert rot.is_rotated()
+    with pytest.raises(AlignmentError):
+        ewc_penalty(combine_network(rot), anchor)
+    with pytest.raises(AlignmentError):
+        make_anchor(combine_network(rot), anchor.fim, 10.0)
+
+
+def test_anchor_on_a_rotated_network_follows_its_grown_head():
+    rot, anchor = anchored_rotated_mlp(22)
+    rows = rot.head_classes
+    grow_head(rot, 2)
+    pen, grads = ewc_penalty(rot, anchor)
+    assert pen == 0.0 and all(np.all(g == 0.0) for g in grads.values())
+    head_key = f"{rot.head_index}.W"
+    rot.get_param(head_key)[:] += 0.3
+    pen, grads = ewc_penalty(rot, anchor)
+    assert pen > 0.0
+    assert grads[head_key].shape == rot.get_param(head_key).shape
+    assert np.all(grads[head_key][rows:] == 0.0) and np.any(grads[head_key][:rows] != 0.0)
 
 
 def test_grown_head_rows_carry_no_penalty():

@@ -15,7 +15,6 @@ from helpers import (
 )
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import DataFormatError, DimensionError, StateError
-from rewc.fim import _example_weight_grads
 from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
 from rewc.network import Network, build_network, forward, grow_head, parameter_digest
 
@@ -177,14 +176,18 @@ def test_layer_contract(kind, rotated, n, dims, seed):
         assert grads is None
         return
     # The Fisher's per-example gradients, in the weight's coordinates, sum to
-    # the backward's; within 1e-12 of the sum of their magnitudes.  A
-    # per-example gradient is that of ``n`` times its row of ``g``.
-    ge = _example_weight_grads(layer, x, g, aux, n)
-    if kind == "dense":
-        want = grads["W"]
-    else:
-        want = np.concatenate([grads["K"].reshape(-1, grads["K"].shape[3]), grads["b"][None]])
-    assert np.max(np.abs(ge.sum(axis=0) - n * want)) <= 1e-12 * np.max(np.abs(ge).sum(axis=0))
+    # the backward's, and their weighted squares are the Fisher terms; within
+    # 1e-12 of the sum of their magnitudes.  A per-example gradient is that
+    # of ``n`` times its row of ``g``.
+    ge = layer.example_grads(x, g, aux)
+    w = rng.random(n)
+    terms = layer.fisher_terms(x, g, aux, w)
+    assert ge.keys() == terms.keys() == grads.keys()
+    for name, want in grads.items():
+        tol = 1e-12 * np.max(np.abs(ge[name]).sum(axis=0))
+        assert np.max(np.abs(ge[name].sum(axis=0) - n * want)) <= tol
+        sq = np.tensordot(w, ge[name] ** 2, axes=1)
+        assert np.max(np.abs(terms[name] - sq)) <= 1e-12 * np.max(sq)
 
 
 def test_parameter_digest_tracks_every_bit():

@@ -1,16 +1,21 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_convnet, random_mlp, reference_accumulate_correlations
+from rewc.checkpoint import load_network, save_network
 from rewc.errors import AlignmentError, DimensionError, StateError
-from rewc.layers import Conv2D, Dense, Flatten, ReLU
+from rewc.layers import Conv2D, Dense, Flatten, ReLU, rotate_conv_kernel
 from rewc.network import Network, backward, build_network, forward, layout_signature
 from rewc.rotation import (
     CorrelationStats,
     RotationScope,
     accumulate_correlations,
     combine_network,
-    rotate_conv_kernel,
     rotate_network,
     rotation_matrices,
 )
@@ -388,3 +393,38 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rota
         elif layer.rotated and key.endswith(".K"):
             g = rotate_conv_kernel(g, layer.U1, layer.U2)
         assert_close_to_largest(gset.grads[key], g, key)
+
+
+DRAWN_NETS = {
+    "mlp": random_mlp,
+    "convnet": random_convnet,
+    "convnet-dense": lambda rng: random_convnet(rng, hidden_dense=True),
+}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(DRAWN_NETS)), scope=st.sampled_from(list(RotationScope)),
+       seed=st.integers(0, 2**32 - 1))
+def test_rotation_folds_back_and_round_trips(name, scope, seed):
+    rng = np.random.default_rng(seed)
+    net = DRAWN_NETS[name](rng)
+    x = rng.normal(size=(20,) + net.input_shape)
+    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng), scope)
+    # Rotating, then folding, keeps the forward function.
+    l0, _ = forward(net, x)
+    l1, _ = forward(combine_network(rot), x)
+    assert np.max(np.abs(l1 - l0)) <= 1e-12 * np.max(np.abs(l0))
+    # Each rotated layer's rotation folds back into its plain weight.
+    for plain, layer in zip(net.layers, rot.layers):
+        if layer.rotated:
+            back = plain.rotated_by(layer.U1, layer.U2).folded()
+            assert not back.rotated
+            err = np.max(np.abs(back.weight - plain.weight))
+            assert err <= 1e-12 * np.max(np.abs(plain.weight))
+    # The rotated network loads back and saves to the same bytes.
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "first.rewc"), os.path.join(d, "second.rewc")
+        save_network(rot, first)
+        save_network(load_network(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
