@@ -2,11 +2,8 @@
 
 from .continual import Hyper, Method, SequenceResult, evaluate_matrix, finalize_task, run_sequence
 from .data import (
-    RawDataset,
     TaskDataset,
-    TaskSequence,
     disjoint_split,
-    grouped_split,
     load_mnist,
     load_mnist_idx,
     synthetic_tasks,
@@ -51,11 +48,9 @@ __all__ = [
     "Hyper",
     "Method",
     "Network",
-    "RawDataset",
     "RotationScope",
     "SequenceResult",
     "TaskDataset",
-    "TaskSequence",
     "accumulate_correlations",
     "adam_step",
     "backward",
@@ -69,7 +64,6 @@ __all__ = [
     "ewc_penalty",
     "finalize_task",
     "forward",
-    "grouped_split",
     "grow_head",
     "jacobi_eigh",
     "layout_signature",

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 from .continual import Hyper, Method
+from .data import MNIST_CLASSES
 from .errors import ConfigError
 from .network import ARCHS as _ARCHS
 from .rotation import RotationScope
@@ -168,8 +169,9 @@ def _validate(cfg, source, written):
     if "mlp_hidden" in written and v["arch"] != "mlp-custom":
         bad(f"mlp_hidden is read only under arch = mlp-custom, not {v['arch']}; "
             "remove mlp_hidden")
-    unread = sorted(k for k in written if k.startswith("mnist_" if v["dataset"] == "synthetic"
-                                                         else "synth_"))
+    unread = sorted(k for k in written
+                    if (k.startswith("mnist_") if v["dataset"] == "synthetic"
+                        else k.startswith("synth_") or k == "classes_per_task"))
     if unread:
         keys = ", ".join(unread)
         bad(f"{keys} not read under dataset = {v['dataset']}; remove {keys}")
@@ -183,6 +185,10 @@ def _validate(cfg, source, written):
             "counted twice; list each seed once")
     if v["tasks"] < 1:
         bad("tasks must be >= 1")
+    if v["dataset"] == "mnist" and MNIST_CLASSES % v["tasks"]:
+        divisors = [d for d in range(1, MNIST_CLASSES + 1) if MNIST_CLASSES % d == 0]
+        bad(f"tasks = {v['tasks']} does not split MNIST's {MNIST_CLASSES} classes into "
+            f"equal groups; use one of {divisors}")
     if v["dataset"] == "mnist" and not v["mnist_dir"]:
         bad("dataset=mnist requires mnist_dir")
     if v["arch"] == "mlp-custom" and not v["mlp_hidden"]:

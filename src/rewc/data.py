@@ -20,24 +20,13 @@ MNIST_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
-
-
-@dataclass
-class RawDataset:
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    n_classes: int
-
-    @property
-    def input_shape(self):
-        return self.train_x.shape[1:]
+MNIST_CLASSES = 10
 
 
 @dataclass
 class TaskDataset:
-    """One task's train/test split; labels keep their global class ids."""
+    """One task's train/test split; labels keep their global class ids.
+    A task stream is a list of these, trained in order."""
 
     task_id: int
     class_ids: tuple
@@ -49,28 +38,6 @@ class TaskDataset:
     @property
     def input_shape(self):
         return self.train_x.shape[1:]
-
-
-class TaskSequence:
-    """Ordered tasks with pairwise-disjoint class sets."""
-
-    def __init__(self, tasks):
-        self.tasks = list(tasks)
-        seen = set()
-        for t in self.tasks:
-            overlap = seen & set(t.class_ids)
-            if overlap:
-                raise DimensionError(f"task {t.task_id} reuses classes {sorted(overlap)}")
-            seen |= set(t.class_ids)
-
-    def __len__(self):
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
-
-    def __getitem__(self, i):
-        return self.tasks[i]
 
 
 def _read_bytes(path):
@@ -116,7 +83,8 @@ def load_mnist_idx(image_path, label_path, pad_to_32=True):
 
 
 def load_mnist(directory, pad_to_32=True):
-    """Load the canonical four-file MNIST layout from ``directory``."""
+    """Load the canonical four-file MNIST layout from ``directory`` as one
+    task over all ten classes."""
     paths = {}
     for key, name in MNIST_FILES.items():
         plain = os.path.join(directory, name)
@@ -129,40 +97,35 @@ def load_mnist(directory, pad_to_32=True):
             raise DataFormatError(f"missing MNIST file {name}[.gz] in {directory}")
     train_x, train_y = load_mnist_idx(paths["train_images"], paths["train_labels"], pad_to_32)
     test_x, test_y = load_mnist_idx(paths["test_images"], paths["test_labels"], pad_to_32)
-    return RawDataset(train_x, train_y, test_x, test_y, n_classes=10)
+    return TaskDataset(0, tuple(range(MNIST_CLASSES)), train_x, train_y, test_x, test_y)
 
 
-def grouped_split(raw, groups, seed):
-    """Split a dataset into tasks given explicit per-task class groups."""
+def disjoint_split(data, T, seed):
+    """Split ``data.class_ids`` into ``T`` equal contiguous groups, in order
+    ({0..4}, {5..9} for MNIST and T=2).
+
+    The seed shuffles sample order within each task; class assignment is fixed.
+    """
+    if len(data.class_ids) % T != 0:
+        raise DimensionError(f"{len(data.class_ids)} classes not divisible into {T} tasks")
+    per = len(data.class_ids) // T
     tasks = []
-    for t, group in enumerate(groups):
-        group = tuple(int(c) for c in group)
-        tr = np.isin(raw.train_y, group)
-        te = np.isin(raw.test_y, group)
+    for t in range(T):
+        group = tuple(data.class_ids[t * per : (t + 1) * per])
+        tr = np.isin(data.train_y, group)
+        te = np.isin(data.test_y, group)
         order = rng_for(seed, "split", t).permutation(int(tr.sum()))
         tasks.append(
             TaskDataset(
                 task_id=t,
                 class_ids=group,
-                train_x=raw.train_x[tr][order],
-                train_y=raw.train_y[tr][order],
-                test_x=raw.test_x[te],
-                test_y=raw.test_y[te],
+                train_x=data.train_x[tr][order],
+                train_y=data.train_y[tr][order],
+                test_x=data.test_x[te],
+                test_y=data.test_y[te],
             )
         )
-    return TaskSequence(tasks)
-
-
-def disjoint_split(raw, T, seed):
-    """Equal contiguous class groups in ascending order ({0..4}, {5..9} for T=2).
-
-    The seed shuffles sample order within each task; class assignment is fixed.
-    """
-    if raw.n_classes % T != 0:
-        raise DimensionError(f"{raw.n_classes} classes not divisible into {T} tasks")
-    per = raw.n_classes // T
-    groups = [range(t * per, (t + 1) * per) for t in range(T)]
-    return grouped_split(raw, groups, seed)
+    return tasks
 
 
 def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
@@ -250,4 +213,4 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
             out[at] = y
 
     parallel.ordered_map(run_lane, range(len(lanes)))
-    return TaskSequence(tasks)
+    return tasks

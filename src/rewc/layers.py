@@ -29,7 +29,9 @@ matrices that reparameterize its weight, so that the layer computes
 ``U2 W U1`` (per kernel slice for a convolution) plus its bias, which stays
 outside ``U2``.  Its ``weight`` (``W`` or ``K``, keyed ``weight_name`` in
 ``params()``) is then in rotated coordinates, the parameter the optimizer
-and the Fisher see.  Each kind defines those coordinates once
+and the Fisher see.  The layer keeps the SHA-256 of the rotation's bytes,
+``rotation_digest``, so that a network's layout tells rotations apart.
+Each kind defines those coordinates once
 (``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and answers
 for itself in them through one set of methods, so that no other module
 tests a layer's type:
@@ -42,6 +44,7 @@ of a batch-mean loss (example ``k``'s is ``n`` times its row).
 """
 
 import copy
+import hashlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,12 +97,13 @@ class Layer:
 
 
 def _rotation(U1, U2, d_in, d_out):
-    """The checked rotation ``(U1, U2)`` of a layer, or ``(None, None)``."""
+    """The checked rotation ``(U1, U2)`` of a layer and the SHA-256 of its
+    bytes, or ``(None, None, None)``."""
     if U1 is None and U2 is None:
-        return None, None
+        return None, None, None
     if U1 is None or U2 is None:
         raise DimensionError("a rotation needs both U1 and U2")
-    out = []
+    out, digest = [], hashlib.sha256()
     for name, u, d in (("U1", U1, d_in), ("U2", U2, d_out)):
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (d, d):
@@ -108,7 +112,8 @@ def _rotation(U1, U2, d_in, d_out):
         if err > ORTHOGONALITY_ATOL:
             raise DimensionError(f"{name} is not orthogonal (deviation {err:.2e})")
         out.append(u)
-    return tuple(out)
+        digest.update(u.tobytes())
+    return out[0], out[1], digest.hexdigest()
 
 
 def rotate_conv_kernel(K, U1, U2):
@@ -139,11 +144,11 @@ class Dense(Layer):
     def __init__(self, W, b, U1=None, U2=None):
         self.W = np.asarray(W, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        if self.W.ndim != 2:
-            raise DimensionError(f"dense weight must be 2-D, got {self.W.shape}")
+        if self.W.ndim != 2 or 0 in self.W.shape:
+            raise DimensionError(f"dense weight must be 2-D and non-empty, got {self.W.shape}")
         if self.b.shape != (self.W.shape[0],):
             raise DimensionError("dense bias length must equal output width")
-        self.U1, self.U2 = _rotation(U1, U2, self.W.shape[1], self.W.shape[0])
+        self.U1, self.U2, self.rotation_digest = _rotation(U1, U2, self.W.shape[1], self.W.shape[0])
 
     @property
     def rotated(self):
@@ -215,12 +220,12 @@ class Conv2D(Layer):
 
     def __init__(self, K, b, U1=None, U2=None):
         self.K = np.asarray(K, dtype=np.float64)
-        if self.K.ndim != 4:
-            raise DimensionError(f"conv kernel must be 4-D, got {self.K.shape}")
+        if self.K.ndim != 4 or 0 in self.K.shape:
+            raise DimensionError(f"conv kernel must be 4-D and non-empty, got {self.K.shape}")
         self.b = np.asarray(b, dtype=np.float64)
         if self.b.shape != (self.K.shape[3],):
             raise DimensionError("conv bias length must equal out-channel count")
-        self.U1, self.U2 = _rotation(U1, U2, self.K.shape[2], self.K.shape[3])
+        self.U1, self.U2, self.rotation_digest = _rotation(U1, U2, self.K.shape[2], self.K.shape[3])
 
     @property
     def rotated(self):

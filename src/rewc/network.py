@@ -77,13 +77,15 @@ def layout_signature(net):
     """Hash of the trainable-parameter layout (kinds and shapes, in order),
     without the head's row count, which grows between tasks by design.
 
-    A rotated layer's kind is marked, so parameters in rotated coordinates
-    never align with the plain network's."""
+    A rotated layer's kind is marked with the digest of its rotation, so
+    parameters in rotated coordinates align only with a network rotated by
+    the same matrices."""
     parts = []
     for key, i, name in net.trainable_keys():
         shape = net.get_param(key).shape[1 if i == net.head_index else 0 :]
         shape = "x".join(str(d) for d in shape)
-        kind = net.layers[i].kind + ("@rotated" if net.layers[i].rotated else "")
+        layer = net.layers[i]
+        kind = layer.kind + (f"@{layer.rotation_digest}" if layer.rotated else "")
         parts.append(f"{key}:{kind}:{shape}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 

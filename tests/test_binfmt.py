@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from rewc.checkpoint import _KIND_TAGS, load_network, save_network
+from rewc.checkpoint import _KIND_TAGS, Writer, load_network, save_network
 from rewc.errors import DataFormatError, DimensionError
 from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU
 from rewc.network import Network
@@ -193,6 +193,26 @@ def test_rewc_chains_the_constructor_error_it_replaces(tmp_path):
     _, data = written(tmp_path, "rewc-rotated")
     path = patched(tmp_path, "rewc-rotated", len(data) - 8, "<d", 0.0, 0.5)
     with pytest.raises(DataFormatError, match="not orthogonal") as caught:
+        load_network(path)
+    assert isinstance(caught.value.__cause__, DimensionError)
+
+
+def test_rewc_rejects_an_empty_conv_kernel(tmp_path):
+    # A 0x0 kernel "slides" to a 5x5 output on a 4x4 input.
+    path = os.path.join(tmp_path, "empty-kernel.rewc")
+    with Writer(path) as w:
+        w.pack("qI", 0, 2)
+        w.dims((4, 4, 1))
+        w.u32(3)
+        w.pack("B", _KIND_TAGS["conv2d"])
+        w.u32(0, 0, 1, 2, 0)
+        w.payload(np.zeros(2))
+        w.pack("B", _KIND_TAGS["flatten"])
+        w.pack("B", _KIND_TAGS["dense"])
+        w.u32(2, 50, 0)
+        w.payload(np.ones((2, 50)))
+        w.payload(np.zeros(2))
+    with pytest.raises(DataFormatError, match="non-empty") as caught:
         load_network(path)
     assert isinstance(caught.value.__cause__, DimensionError)
 

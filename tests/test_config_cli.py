@@ -7,7 +7,7 @@ import pytest
 
 from rewc.checkpoint import load_network, save_network
 from rewc.cli import main
-from rewc.config import parse_config, parse_config_text
+from rewc.config import _SCHEMA, parse_config, parse_config_text
 from rewc.continual import Hyper, Method
 from rewc.errors import ConfigError
 from rewc.linalg import diag_energy_ratio
@@ -111,7 +111,18 @@ def test_synthetic_stream_of_one_class_rejected_at_parse_time():
         parse_config_text("tasks = 1\nclasses_per_task = 1")
     parse_config_text("tasks = 2\nclasses_per_task = 1")
     parse_config_text("tasks = 1\nclasses_per_task = 2")
-    parse_config_text("dataset = mnist\nmnist_dir = d\ntasks = 1\nclasses_per_task = 1")
+    parse_config_text("dataset = mnist\nmnist_dir = d\ntasks = 1")
+
+
+def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
+    # The split into equal class groups would fail only after the IDX files are parsed.
+    for tasks in (3, 4, 11):
+        with pytest.raises(ConfigError, match=r"10 classes into equal groups; use one of "
+                                              r"\[1, 2, 5, 10\]"):
+            parse_config_text(f"dataset = mnist\nmnist_dir = d\ntasks = {tasks}")
+    for tasks in (1, 2, 5, 10):
+        parse_config_text(f"dataset = mnist\nmnist_dir = d\ntasks = {tasks}")
+    parse_config_text("tasks = 3")  # a synthetic stream has any number of tasks
 
 
 @pytest.mark.parametrize("text, fix", [
@@ -125,11 +136,14 @@ def test_synthetic_stream_of_one_class_rejected_at_parse_time():
     ("synth_image = 8x8\nsynth_dim = 64", "remove synth_dim"),
     ("dataset = mnist\nmnist_dir = d\nsynth_separation = 3\nsynth_image = 8x8",
      "synth_image, synth_separation not read under dataset = mnist"),
+    ("dataset = mnist\nmnist_dir = d\nclasses_per_task = 5",
+     "classes_per_task not read under dataset = mnist"),
     ("mnist_dir = d", "mnist_dir not read under dataset = synthetic"),
     ("dataset = synthetic\nmnist_pad = false", "remove mnist_pad"),
 ], ids=["ft-diag-layers", "ewc-diag-layers", "blocks-without-layers", "seed-twice",
         "seed-twice-apart", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
-        "synth-under-mnist", "mnist-dir-under-synthetic", "mnist-pad-under-synthetic"])
+        "synth-under-mnist", "classes-per-task-under-mnist", "mnist-dir-under-synthetic",
+        "mnist-pad-under-synthetic"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
     # overwrites its record and counts it twice in the aggregate.
@@ -149,7 +163,7 @@ def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     ("mlp-custom", (5,), {"input_shape": (5,), "hidden": [6, 3]}),
 ], ids=["lenet", "mlp-784", "mlp-784-padded", "mlp-custom"])
 def test_build_net_sizes_the_head_from_the_first_task(arch, shape, kwargs):
-    from rewc.data import TaskDataset, TaskSequence
+    from rewc.data import TaskDataset
     from rewc.runner import build_net
 
     def task(task_id, classes):
@@ -157,7 +171,7 @@ def test_build_net_sizes_the_head_from_the_first_task(arch, shape, kwargs):
         return TaskDataset(task_id, classes, x, y, x, y)
 
     cfg = parse_config_text(f"arch = {arch}" + ("\nmlp_hidden = 6" if arch == "mlp-custom" else ""))
-    tasks = TaskSequence([task(0, (1, 2)), task(1, (3, 4))])
+    tasks = [task(0, (1, 2)), task(1, (3, 4))]
     if kwargs is None:
         with pytest.raises(ConfigError, match=r"784 input features \(use mnist_pad=false"):
             build_net(cfg, tasks, seed=4)
@@ -173,6 +187,29 @@ def test_hash_ignores_outdir_only():
     c = parse_config_text("epochs = 2")
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("path, digest", [
+    ("configs/mnist-t2.cfg", "b705ff3324763796"),
+    ("configs/synthetic-t4.cfg", "c251458989310a50"),
+    ("perfbench/workloads/lenet-ewc-expected.cfg", "de6d514d2efe48c3"),
+    ("perfbench/workloads/lenet-rewc.cfg", "e32b2e42edfd8d5d"),
+])
+def test_committed_config_hashes_are_pinned(path, digest):
+    # A result file is named by its config's hash: a change to the schema's
+    # defaults or to how values are written renames every committed run.
+    assert parse_config(os.path.join(REPO, path)).hash() == digest
+
+
+def test_readme_config_table_names_every_key_once():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
+    keys = [key for row in section.splitlines() if row.startswith("| `")
+            for key in re.findall(r"`([a-z_]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(_SCHEMA)
 
 
 SMALL_RUN = """

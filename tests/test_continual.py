@@ -166,12 +166,12 @@ def test_chance_level_untrained_head():
 
 def test_memorize_tiny_task():
     rng = np.random.default_rng(0)
-    from rewc.data import TaskDataset, TaskSequence
+    from rewc.data import TaskDataset
 
     x = rng.normal(size=(10, 4)) * 3.0
     y = np.array([0, 1] * 5)
     task = TaskDataset(0, (0, 1), x, y, x, y)
-    tasks = TaskSequence([task])
+    tasks = [task]
     hyper = Hyper(epochs=300, batch_size=10, lr=0.01, seed=0)
     result = run_sequence(small_net(12, dim=4, hidden=(32,)), tasks, Method("ft", lam=0.0), hyper)
     assert result.eval_matrix[0][0] == 1.0
@@ -179,11 +179,11 @@ def test_memorize_tiny_task():
 
 def test_argmax_tie_breaks_low():
     net = Network([Dense(np.zeros((3, 4)), np.zeros(3))], 3, 0, (4,))
-    from rewc.data import TaskDataset, TaskSequence
+    from rewc.data import TaskDataset
 
     x = np.ones((6, 4))
     y = np.array([0, 0, 1, 1, 2, 2])
-    tasks = TaskSequence([TaskDataset(0, (0, 1, 2), x, y, x, y)])
+    tasks = [TaskDataset(0, (0, 1, 2), x, y, x, y)]
     row = evaluate_matrix(net, tasks, 1)
     assert row[0] == pytest.approx(2 / 6)  # everything predicted as class 0
 

@@ -7,11 +7,8 @@ import pytest
 
 from helpers import make_idx_pair
 from rewc.data import (
-    RawDataset,
     TaskDataset,
-    TaskSequence,
     disjoint_split,
-    grouped_split,
     load_mnist_idx,
     synthetic_tasks,
 )
@@ -96,7 +93,7 @@ def fake_raw(n_classes=10, per_class=12, dim=6, seed=0):
     xs = rng.random((n_classes * per_class, dim))
     yt = np.repeat(np.arange(n_classes), 4)
     xt = rng.random((n_classes * 4, dim))
-    return RawDataset(xs, ys, xt, yt, n_classes)
+    return TaskDataset(0, tuple(range(n_classes)), xs, ys, xt, yt)
 
 
 def test_disjoint_split_contiguous_groups():
@@ -135,11 +132,6 @@ def test_split_seed_changes_order_not_assignment():
     assert a[0].class_ids == b[0].class_ids
     assert sorted(map(tuple, a[0].train_x)) == sorted(map(tuple, b[0].train_x))
     assert not np.array_equal(a[0].train_x, b[0].train_x)
-
-
-def test_grouped_split_custom_groups():
-    seq = grouped_split(fake_raw(), [(0, 1, 2), (3, 4), (5, 6, 7), (8, 9)], seed=0)
-    assert [t.class_ids for t in seq] == [(0, 1, 2), (3, 4), (5, 6, 7), (8, 9)]
 
 
 def test_synthetic_counts_and_ids():
@@ -268,10 +260,3 @@ def test_synthetic_stream_bytes_are_pinned(name):
             assert a.flags.c_contiguous
             got[(t.task_id, field)] = hashlib.sha256(a.tobytes()).hexdigest()
     assert got == STREAM_PINS[name]
-
-
-def test_task_sequence_rejects_overlap():
-    t0 = TaskDataset(0, (0, 1), np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 3)), np.array([0, 1]))
-    t1 = TaskDataset(1, (1, 2), np.zeros((2, 3)), np.array([1, 2]), np.zeros((2, 3)), np.array([1, 2]))
-    with pytest.raises(DimensionError):
-        TaskSequence([t0, t1])

@@ -236,6 +236,25 @@ def test_anchor_rejects_the_folded_network():
         make_anchor(combine_network(rot), anchor.fim, 10.0)
 
 
+def test_anchor_rejects_the_network_rotated_by_other_matrices():
+    # Rotated from other correlations, the same network keeps its layout and
+    # its function, but its weights are in other coordinates.
+    rot, anchor = anchored_rotated_mlp(23)
+    net = combine_network(rot)
+    x = np.random.default_rng(24).normal(size=(20, net.input_shape[0]))
+    other = rotate_network(net, accumulate_correlations(net, x, sample_budget=20,
+                                                        rng=np.random.default_rng(25)),
+                           "all_no_last")
+    assert np.allclose(forward(other, x)[0], forward(rot, x)[0], rtol=0, atol=1e-10)
+    assert not np.allclose(other.layers[0].U1, rot.layers[0].U1)
+    with pytest.raises(AlignmentError):
+        ewc_penalty(other, anchor)
+    with pytest.raises(AlignmentError):
+        make_anchor(other, anchor.fim, 10.0)
+    pen, _ = ewc_penalty(rot.clone(), anchor)  # a copy keeps its rotation
+    assert pen == 0.0
+
+
 def test_anchor_on_a_rotated_network_follows_its_grown_head():
     rot, anchor = anchored_rotated_mlp(22)
     rows = rot.head_classes

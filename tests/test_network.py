@@ -52,6 +52,10 @@ def test_construction_type_checks():
         Conv2D(np.zeros((3, 3, 1, 2)), np.zeros(1))
     with pytest.raises(DimensionError, match="does not divide"):
         MeanPool2D().out_shape((5, 4, 1))
+    with pytest.raises(DimensionError, match="non-empty"):
+        Dense(np.zeros((3, 0)), np.zeros(3))
+    with pytest.raises(DimensionError, match="non-empty"):
+        Conv2D(np.zeros((0, 0, 1, 2)), np.zeros(2))
 
 
 def test_conv_matches_direct_summation():
