@@ -17,7 +17,6 @@ from .fim import (
     make_anchor,
 )
 from .checkpoint import load_network, save_network
-from .layers import rotate_conv_kernel
 from .linalg import EigenDecomposition, diag_energy_ratio, jacobi_eigh
 from .network import (
     Network,
@@ -71,7 +70,6 @@ __all__ = [
     "load_mnist_idx",
     "load_network",
     "make_anchor",
-    "rotate_conv_kernel",
     "rotate_network",
     "run_sequence",
     "save_network",

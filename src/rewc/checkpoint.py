@@ -2,12 +2,13 @@
 
 README's "File formats" section gives the layout.  A file opens with the
 4-byte magic and a u32 version; integers are little-endian and arrays raw
-``<f8``.  Each layer is one record: a kind tag and its fields.  A dense or
-conv record carries its weight's shape and a ``rotated`` flag; its weight
-and bias follow, then its rotation ``(U1, U2)`` when flagged.  Other kinds
-have no fields.  ``Reader`` checks
-the magic, the version, every short read and the end of the data (no byte
-may follow the last record): each fault raises ``DataFormatError``.
+``<f8``.  Each layer is one record, a kind tag and its fields, read through
+the class the tag names.  A ``layers.WeightedLayer`` (dense or conv) record
+has its weight's ``weight_ndim`` dims and a ``rotated`` flag, then its
+weight and bias and, when flagged, its rotation ``(U1, U2)``, sized by
+``io_dims``; other kinds have no fields.  ``Reader`` checks the magic, the
+version, every short read and the end of the data (no byte may follow the
+last record): each fault raises ``DataFormatError``.
 """
 
 import struct
@@ -21,8 +22,8 @@ from .network import Network
 MAGIC = b"REWC"
 VERSION = 3
 
-_KIND_TAGS = {"dense": 1, "conv2d": 2, "relu": 3, "flatten": 4, "meanpool2d": 5}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
+_TAG_CLASSES = {1: Dense, 2: Conv2D, 3: ReLU, 4: Flatten, 5: MeanPool2D}
+_KIND_TAGS = {cls.kind: tag for tag, cls in _TAG_CLASSES.items()}
 
 
 def save_network(net, path):
@@ -60,38 +61,18 @@ def load_network(path):
 
 def _read_record(r):
     (tag,) = r.unpack("B")
-    kind = _TAG_KINDS.get(tag)
-    if kind == "dense":
-        d_out, d_in, rotated = _fields(r, 2)
-        return Dense(*_arrays(r, (d_out, d_in), d_in, d_out, rotated))
-    if kind == "conv2d":
-        kh, kw, c_in, c_out, rotated = _fields(r, 4)
-        return Conv2D(*_arrays(r, (kh, kw, c_in, c_out), c_in, c_out, rotated))
-    if kind == "relu":
-        return ReLU()
-    if kind == "flatten":
-        return Flatten()
-    if kind == "meanpool2d":
-        return MeanPool2D()
-    raise DataFormatError(f"unknown layer tag {tag}")
-
-
-def _fields(r, n):
-    """``n`` u32 fields, then the ``rotated`` flag, 0 or 1."""
-    fields = r.unpack("I" * (n + 1))
-    if fields[n] > 1:
-        raise DataFormatError(f"checkpoint rotated flag is {fields[n]}, not 0 or 1")
-    return fields
-
-
-def _arrays(r, shape, d_in, d_out, rotated):
-    """A weight of ``shape`` and its bias, then its rotation ``(U1, U2)``, or
-    ``None, None`` when the layer is not rotated."""
+    cls = _TAG_CLASSES.get(tag)
+    if cls is None:
+        raise DataFormatError(f"unknown layer tag {tag}")
+    if not cls.trainable:
+        return cls()
+    *shape, rotated = r.unpack("I" * (cls.weight_ndim + 1))
+    if rotated > 1:
+        raise DataFormatError(f"checkpoint rotated flag is {rotated}, not 0 or 1")
     weight = r.payload(shape)
+    d_in, d_out = cls.io_dims(shape)
     b = r.payload((d_out,))
-    if not rotated:
-        return weight, b, None, None
-    return weight, b, r.payload((d_in, d_in)), r.payload((d_out, d_out))
+    return cls(weight, b, *(r.payload((d, d)) for d in (d_in, d_out) if rotated))
 
 
 class Writer:

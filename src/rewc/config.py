@@ -163,6 +163,9 @@ def _validate(cfg, source, written):
     if v["diag_layers"] and v["method"] != "rewc":
         bad(f"diag_layers is read only under method = rewc, not {v['method']}; "
             "remove diag_layers or use method = rewc")
+    if len(set(v["diag_layers"])) != len(v["diag_layers"]):
+        bad(f"diag_layers {v['diag_layers']} repeat a layer, whose Fisher block would be "
+            "estimated twice and recorded once; list each layer once")
     if v["store_fim_blocks"] and not v["diag_layers"]:
         bad("store_fim_blocks = true stores the blocks of diag_layers, which is empty; "
             "set diag_layers or remove store_fim_blocks")

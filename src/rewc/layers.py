@@ -24,19 +24,20 @@ Every dense and conv layer has a bias.  A convolution moves its kernel one
 pixel at a time over the unpadded input, and mean pooling averages 2x2
 windows: the only layers that ``network.build_network`` builds.
 
-A dense or conv layer may carry a rotation ``(U1, U2)``: two orthogonal
-matrices that reparameterize its weight, so that the layer computes
-``U2 W U1`` (per kernel slice for a convolution) plus its bias, which stays
-outside ``U2``.  Its ``weight`` (``W`` or ``K``, keyed ``weight_name`` in
-``params()``) is then in rotated coordinates, the parameter the optimizer
-and the Fisher see.  The layer keeps the SHA-256 of the rotation's bytes,
-``rotation_digest``, so that a network's layout tells rotations apart.
-Each kind defines those coordinates once
-(``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and answers
-for itself in them through one set of methods, so that no other module
-tests a layer's type:
-``rotated_by(U1, U2)`` gives a plain layer in those coordinates and
-``folded()`` the plain layer that computes the same function;
+A dense or conv layer, a ``WeightedLayer``, may carry a rotation
+``(U1, U2)``: two orthogonal matrices that reparameterize its weight, so
+that the layer computes ``U2 W U1`` (per kernel slice for a convolution)
+plus its bias, which stays outside ``U2``.  Its ``weight`` (``W`` or ``K``,
+keyed ``weight_name`` in ``params()``) is then in rotated coordinates, the
+parameter the optimizer and the Fisher see.  The layer keeps the SHA-256 of
+the rotation's bytes, ``rotation_digest``, so that a network's layout tells
+rotations apart.  ``WeightedLayer`` holds the one constructor, which takes
+only a finite orthogonal rotation of the layer's sizes, and builds
+``rotated_by(U1, U2)`` (a plain layer in those coordinates) and ``folded()``
+(the plain layer that computes the same function) on each kind's one rule,
+``rotate(weight, A, B)``.  Each kind maps its gradients into the coordinates
+once (``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and
+answers for itself in them, so that no other module tests a layer's type:
 ``example_grads(x, grad_out, aux)`` gives per-example gradients and
 ``fisher_terms(x, grad_out, aux, w)`` their ``w``-weighted squares summed
 over the examples, each keyed like ``params()``, from the output gradient
@@ -49,7 +50,7 @@ import hashlib
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError
+from .errors import DimensionError, StateError
 
 ORTHOGONALITY_ATOL = 1e-8
 
@@ -60,7 +61,6 @@ class Layer:
     rotated = False
     prepares = False  # whether prepare does any work
     keeps_input = True  # whether the forward cache keeps the input for backward
-    weight_name = None  # a trainable layer's weight's key in params()
 
     def forward_cached(self, x):
         """The output and whatever intermediate the backward pass reuses."""
@@ -80,10 +80,6 @@ class Layer:
     def params(self):
         return {}
 
-    @property
-    def weight(self):
-        return self.params()[self.weight_name]
-
     def out_shape(self, in_shape):
         raise NotImplementedError
 
@@ -96,6 +92,13 @@ class Layer:
         return new
 
 
+def _square(u, d, name):
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (d, d):
+        raise DimensionError(f"{name} must be {d}x{d}, got {u.shape}")
+    return u
+
+
 def _rotation(U1, U2, d_in, d_out):
     """The checked rotation ``(U1, U2)`` of a layer and the SHA-256 of its
     bytes, or ``(None, None, None)``."""
@@ -105,9 +108,10 @@ def _rotation(U1, U2, d_in, d_out):
         raise DimensionError("a rotation needs both U1 and U2")
     out, digest = [], hashlib.sha256()
     for name, u, d in (("U1", U1, d_in), ("U2", U2, d_out)):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (d, d):
-            raise DimensionError(f"{name} must be {d}x{d}, got {u.shape}")
+        u = _square(u, d, name)
+        # An orthogonal matrix's entries lie in [-1, 1]; inf and NaN fail this.
+        if not np.all(np.abs(u) <= 1 + ORTHOGONALITY_ATOL):
+            raise DimensionError(f"{name} is not orthogonal (an entry is not finite or exceeds 1)")
         err = np.max(np.abs(u.T @ u - np.eye(d)))
         if err > ORTHOGONALITY_ATOL:
             raise DimensionError(f"{name} is not orthogonal (deviation {err:.2e})")
@@ -116,50 +120,68 @@ def _rotation(U1, U2, d_in, d_out):
     return out[0], out[1], digest.hexdigest()
 
 
-def rotate_conv_kernel(K, U1, U2):
-    """Rotate every spatial slice of a kernel by the rotation matrices.
+class WeightedLayer(Layer):
+    """A layer with a weight, a bias and an optional rotation ``(U1, U2)``.
 
-    Slices are stored input-major ``(d1, d2)``; in operator orientation the
-    per-slice map becomes ``U2^T M U1^T``, matching the dense weight rule.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 4:
-        raise DimensionError("kernel must be 4-D")
-    d1, d2 = K.shape[2], K.shape[3]
-    if U1.shape != (d1, d1) or U2.shape != (d2, d2):
-        raise DimensionError(
-            f"rotation dims {U1.shape}/{U2.shape} do not match kernel channels {d1}/{d2}"
-        )
-    return ((U1 @ K.reshape(-1, d1, d2)).reshape(-1, d2) @ U2).reshape(K.shape)
+    Each kind sets ``weight_name``, ``weight_ndim``, ``io_dims(shape)`` (the
+    sizes of ``U1`` and ``U2``) and ``rotate(weight, A, B)``, the weight in
+    the coordinates of ``(A, B)``; ``rotate(W, U1.T, U2.T)`` folds it back."""
 
-
-class Dense(Layer):
-    """``y = x W^T + b``; rotated, ``y = ((x U1^T) W^T) U2^T + b``, three GEMMs
-    with ``x U1^T`` kept for the backward pass and the Fisher."""
-
-    kind = "dense"
     trainable = True
-    weight_name = "W"
 
-    def __init__(self, W, b, U1=None, U2=None):
-        self.W = np.asarray(W, dtype=np.float64)
+    def __init__(self, weight, b, U1=None, U2=None):
+        weight = np.asarray(weight, dtype=np.float64)
+        if weight.ndim != self.weight_ndim or 0 in weight.shape:
+            raise DimensionError(f"{self.kind} weight must be {self.weight_ndim}-D and "
+                                 f"non-empty, got {weight.shape}")
+        setattr(self, self.weight_name, weight)
+        d_in, d_out = self.io_dims(weight.shape)
         self.b = np.asarray(b, dtype=np.float64)
-        if self.W.ndim != 2 or 0 in self.W.shape:
-            raise DimensionError(f"dense weight must be 2-D and non-empty, got {self.W.shape}")
-        if self.b.shape != (self.W.shape[0],):
-            raise DimensionError("dense bias length must equal output width")
-        self.U1, self.U2, self.rotation_digest = _rotation(U1, U2, self.W.shape[1], self.W.shape[0])
+        if self.b.shape != (d_out,):
+            raise DimensionError(f"{self.kind} bias length must equal its output width {d_out}")
+        self.U1, self.U2, self.rotation_digest = _rotation(U1, U2, d_in, d_out)
 
     @property
     def rotated(self):
         return self.U1 is not None
 
+    @property
+    def weight(self):
+        return getattr(self, self.weight_name)
+
+    def params(self):
+        return {self.weight_name: self.weight, "b": self.b}
+
     def rotated_by(self, U1, U2):
         """This plain layer with its weight in the coordinates of ``(U1, U2)``."""
-        return Dense(U2.T @ self.W @ U1.T, self.b.copy(), U1, U2)
+        if self.rotated:
+            raise StateError(f"this {self.kind} layer is already rotated; fold it first")
+        d_in, d_out = self.io_dims(self.weight.shape)
+        U1, U2 = _square(U1, d_in, "U1"), _square(U2, d_out, "U2")
+        return type(self)(self.rotate(self.weight, U1, U2), self.b.copy(), U1, U2)
 
     def folded(self):
-        return Dense(self.U2 @ self.W @ self.U1, self.b.copy()) if self.rotated else self.clone()
+        """The plain layer that computes this layer's function."""
+        if not self.rotated:
+            return self.clone()
+        return type(self)(self.rotate(self.weight, self.U1.T, self.U2.T), self.b.copy())
+
+
+class Dense(WeightedLayer):
+    """``y = x W^T + b``; rotated, ``y = ((x U1^T) W^T) U2^T + b``, three GEMMs
+    with ``x U1^T`` kept for the backward pass and the Fisher."""
+
+    kind = "dense"
+    weight_name = "W"
+    weight_ndim = 2
+
+    @staticmethod
+    def io_dims(shape):
+        return shape[1], shape[0]
+
+    @staticmethod
+    def rotate(W, A, B):
+        return B.T @ W @ A.T
 
     def forward_prepared(self, x):
         if self.rotated:
@@ -197,9 +219,6 @@ class Dense(Layer):
         gb = grad_out * len(w)
         return {"W": (w[:, None] * g * g).T @ (x * x), "b": w @ (gb * gb)}
 
-    def params(self):
-        return {"W": self.W, "b": self.b}
-
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.W.shape[1]:
             raise DimensionError(
@@ -208,39 +227,31 @@ class Dense(Layer):
         return (self.W.shape[0],)
 
 
-class Conv2D(Layer):
+class Conv2D(WeightedLayer):
     """Convolution by im2col; rotated, every pass runs one convolution with
-    the kernel ``rotate_conv_kernel(K, U1^T, U2^T)`` and maps the kernel
-    gradient back with ``weight_grad_rows``."""
+    the plain kernel, ``kernel()``, and maps the kernel gradient back with
+    ``weight_grad_rows``."""
 
     kind = "conv2d"
-    trainable = True
     weight_name = "K"
+    weight_ndim = 4
     prepares = True
 
-    def __init__(self, K, b, U1=None, U2=None):
-        self.K = np.asarray(K, dtype=np.float64)
-        if self.K.ndim != 4 or 0 in self.K.shape:
-            raise DimensionError(f"conv kernel must be 4-D and non-empty, got {self.K.shape}")
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.b.shape != (self.K.shape[3],):
-            raise DimensionError("conv bias length must equal out-channel count")
-        self.U1, self.U2, self.rotation_digest = _rotation(U1, U2, self.K.shape[2], self.K.shape[3])
+    @staticmethod
+    def io_dims(shape):
+        return shape[2], shape[3]
 
-    @property
-    def rotated(self):
-        return self.U1 is not None
-
-    def rotated_by(self, U1, U2):
-        """This plain layer with its kernel in the coordinates of ``(U1, U2)``."""
-        return Conv2D(rotate_conv_kernel(self.K, U1, U2), self.b.copy(), U1, U2)
-
-    def folded(self):
-        return Conv2D(self.kernel(), self.b.copy()) if self.rotated else self.clone()
+    @staticmethod
+    def rotate(K, A, B):
+        """Every ``(d_in, d_out)`` slice ``M`` mapped to ``A M B``: the dense
+        rule on slices stored input-major.  ``K`` is any array of such slices
+        in C order, a kernel or its gradient rows; ``len(A)`` is ``d_in``."""
+        d1, d2 = len(A), len(B)
+        return ((A @ K.reshape(-1, d1, d2)).reshape(-1, d2) @ B).reshape(K.shape)
 
     def kernel(self):
         """The kernel in plain coordinates, the one every pass convolves with."""
-        return rotate_conv_kernel(self.K, self.U1.T, self.U2.T) if self.rotated else self.K
+        return self.rotate(self.K, self.U1.T, self.U2.T) if self.rotated else self.K
 
     def prepare(self, x):
         """The im2col matrix ``(N, H2, W2, kh*kw*C + 1)``.
@@ -292,11 +303,10 @@ class Conv2D(Layer):
         """Kernel-gradient rows ``[gK; gb]``, ``(..., kh*kw*d_in + 1, d_out)``,
         one gradient or a stack of per-example ones, in the kernel's
         coordinates: rotated, the kernel rows are mapped in place through
-        ``rotate_conv_kernel(., U1, U2)``; the bias row stays as it is."""
+        ``rotate(., U1, U2)``; the bias row stays as it is."""
         if self.rotated:
             rows = gM[..., :-1, :]
-            stacked = rows.reshape((-1,) + self.K.shape[1:])  # kernels stacked on the kh axis
-            rows[...] = rotate_conv_kernel(stacked, self.U1, self.U2).reshape(rows.shape)
+            rows[...] = self.rotate(rows, self.U1, self.U2)
         return gM
 
     def _split(self, gM):
@@ -317,9 +327,6 @@ class Conv2D(Layer):
     def fisher_terms(self, x, grad_out, aux, w):
         ge = self._example_rows(grad_out, aux)
         return self._split(np.tensordot(w, ge * ge, axes=1))
-
-    def params(self):
-        return {"K": self.K, "b": self.b}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.K.shape[2]:
@@ -383,6 +390,8 @@ class MeanPool2D(Layer):
         return g.reshape(n, h * s, w * s, c), None
 
     def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise DimensionError(f"pooling expects (H, W, C) input, got {in_shape}")
         h, w, c = in_shape
         s = self.size
         if h % s or w % s:

@@ -14,7 +14,7 @@ import pytest
 
 from rewc.checkpoint import _KIND_TAGS, Writer, load_network, save_network
 from rewc.errors import DataFormatError, DimensionError
-from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU
+from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU, WeightedLayer
 from rewc.network import Network
 
 
@@ -135,9 +135,11 @@ def test_rewc_rejects_a_head_that_does_not_match_head_classes(tmp_path):
         load_network(path)
 
 
-def test_rewc_rejects_a_rotation_that_is_not_orthogonal(tmp_path):
-    # The conv layer's U1 is the 1x1 matrix [[1.0]].
-    path = patched(tmp_path, "rewc-rotated", REWC_CONV_U1_AT, "<d", 1.0, 2.0)
+@pytest.mark.parametrize("value", [2.0, np.inf, np.nan])
+def test_rewc_rejects_a_rotation_that_is_not_orthogonal(tmp_path, value):
+    # The conv layer's U1 is the 1x1 matrix [[1.0]].  A NaN, which fails every
+    # comparison, once loaded into a network whose forward was all NaN.
+    path = patched(tmp_path, "rewc-rotated", REWC_CONV_U1_AT, "<d", 1.0, value)
     with pytest.raises(DataFormatError, match="not orthogonal"):
         load_network(path)
 
@@ -222,7 +224,7 @@ def concrete_layer_kinds():
     while todo:
         cls = todo.pop()
         todo += cls.__subclasses__()
-        if cls is not Layer:
+        if cls not in (Layer, WeightedLayer):  # the abstract bases
             found.add(cls.kind)
     return found
 
@@ -259,3 +261,22 @@ def test_every_layer_kind_is_saveable_and_round_trips_bit_exactly(tmp_path):
     save_network(back, path)
     with open(path, "rb") as f:
         assert f.read() == first
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_every_single_byte_change_raises_data_format_error_or_round_trips(tmp_path, name):
+    # 0x7F in a double's top byte makes it huge, inf or NaN; one flipped low
+    # bit turns a tag into another kind, a flag on, or a dimension off by one.
+    path, data = written(tmp_path, name)
+    again = os.path.join(tmp_path, "again")
+    for at in range(len(data)):
+        for value in {0x7F, data[at] ^ 0x01} - {data[at]}:
+            changed = data[:at] + bytes([value]) + data[at + 1:]
+            rewrite(path, changed)
+            try:
+                net = FORMATS[name][1](path)
+            except DataFormatError:
+                continue
+            FORMATS[name][0](net, again)
+            with open(again, "rb") as f:
+                assert f.read() == changed, f"byte {at} set to {value:#x}"

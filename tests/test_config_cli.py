@@ -131,6 +131,7 @@ def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
     ("method = rewc\nstore_fim_blocks = true", "set diag_layers"),
     ("seeds = 0,0", "list each seed once"),
     ("seeds = 3,1,3", "list each seed once"),
+    ("method = rewc\ndiag_layers = 0,0", "list each layer once"),
     ("arch = lenet\nmlp_hidden = 64", "remove mlp_hidden"),
     ("arch = mlp-784-10-10-10\nmlp_hidden = 10,10", "remove mlp_hidden"),
     ("synth_image = 8x8\nsynth_dim = 64", "remove synth_dim"),
@@ -141,12 +142,13 @@ def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
     ("mnist_dir = d", "mnist_dir not read under dataset = synthetic"),
     ("dataset = synthetic\nmnist_pad = false", "remove mnist_pad"),
 ], ids=["ft-diag-layers", "ewc-diag-layers", "blocks-without-layers", "seed-twice",
-        "seed-twice-apart", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
-        "synth-under-mnist", "classes-per-task-under-mnist", "mnist-dir-under-synthetic",
-        "mnist-pad-under-synthetic"])
+        "seed-twice-apart", "diag-layer-twice", "lenet-mlp-hidden", "mlp-784-mlp-hidden",
+        "synth-dim-and-image", "synth-under-mnist", "classes-per-task-under-mnist",
+        "mnist-dir-under-synthetic", "mnist-pad-under-synthetic"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
-    # overwrites its record and counts it twice in the aggregate.
+    # overwrites its record and counts it twice in the aggregate, or (a
+    # repeated diag_layers entry) estimates a Fisher block twice.
     with pytest.raises(ConfigError, match=fix):
         parse_config_text(text)
     parse_config_text("method = rewc\ndiag_layers = 0\nstore_fim_blocks = true\nseeds = 0,1")

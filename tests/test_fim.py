@@ -17,7 +17,7 @@ from rewc.fim import (
     ewc_penalty,
     make_anchor,
 )
-from rewc.layers import Conv2D, Dense, rotate_conv_kernel
+from rewc.layers import Conv2D, Dense
 from rewc.linalg import jacobi_eigh
 from rewc.network import (
     Network,
@@ -349,7 +349,7 @@ def rotated_example_grads(rotated, grads):
         if layer.rotated and key.endswith(".W"):
             g = layer.U2.T @ g @ layer.U1.T
         elif layer.rotated and key.endswith(".K"):
-            g = rotate_conv_kernel(g, layer.U1, layer.U2)
+            g = Conv2D.rotate(g, layer.U1, layer.U2)
         out[key] = g
     return out
 

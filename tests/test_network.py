@@ -52,6 +52,8 @@ def test_construction_type_checks():
         Conv2D(np.zeros((3, 3, 1, 2)), np.zeros(1))
     with pytest.raises(DimensionError, match="does not divide"):
         MeanPool2D().out_shape((5, 4, 1))
+    with pytest.raises(DimensionError, match=r"pooling expects \(H, W, C\) input"):
+        Network([Flatten(), MeanPool2D(), Dense(np.zeros((2, 4)), np.zeros(2))], 2, 0, (2, 2, 1))
     with pytest.raises(DimensionError, match="non-empty"):
         Dense(np.zeros((3, 0)), np.zeros(3))
     with pytest.raises(DimensionError, match="non-empty"):

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_convnet, random_mlp, reference_accumulate_correlations
+from helpers import (
+    random_convnet,
+    random_mlp,
+    random_rotation,
+    reference_accumulate_correlations,
+)
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import AlignmentError, DimensionError, StateError
-from rewc.layers import Conv2D, Dense, Flatten, ReLU, rotate_conv_kernel
+from rewc.layers import Conv2D, Dense, Flatten, ReLU
 from rewc.network import Network, backward, build_network, forward, layout_signature
 from rewc.rotation import (
     CorrelationStats,
@@ -205,22 +210,20 @@ def test_combine_after_training_preserves_function():
     assert not fused.is_rotated()
 
 
-def test_rotate_conv_kernel_contracts():
+def test_conv_rotate_contracts():
     rng = np.random.default_rng(12)
     # 1-channel degenerate case: U's collapse to +1 and the kernel is unchanged
     k1 = rng.normal(size=(3, 3, 1, 1))
-    out = rotate_conv_kernel(k1, np.array([[1.0]]), np.array([[1.0]]))
+    out = Conv2D.rotate(k1, np.array([[1.0]]), np.array([[1.0]]))
     assert np.array_equal(out, k1)
     # orthogonal invariance of per-slice Frobenius norm
     k = rng.normal(size=(3, 3, 4, 6))
     q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    kr = rotate_conv_kernel(k, q1, q2)
+    kr = Conv2D.rotate(k, q1, q2)
     for a in range(3):
         for b in range(3):
             assert np.linalg.norm(kr[a, b]) == pytest.approx(np.linalg.norm(k[a, b]), abs=1e-12)
-    with pytest.raises(DimensionError):
-        rotate_conv_kernel(k, q2, q1)
 
 
 def test_conv_sandwich_equals_plain_conv():
@@ -232,7 +235,7 @@ def test_conv_sandwich_equals_plain_conv():
     u1, u2 = q1.T, q2  # layer matrices around the kernel
     b = rng.normal(size=6)
     plain = Conv2D(k, b).forward_cached(x)[0]
-    kr = rotate_conv_kernel(k, u1, u2)
+    kr = Conv2D.rotate(k, u1, u2)
     # the sandwich x -> U1 -> conv(kr) -> U2, then the bias, step by step ...
     h = Conv2D(kr, np.zeros(6)).forward_cached(x @ u1.T)[0] @ u2.T + b
     assert np.max(np.abs(h - plain)) < 1e-8
@@ -290,6 +293,31 @@ def test_rotation_pair_orthogonality_enforced():
         Dense(np.zeros((3, 2)), np.zeros(3), U1=np.eye(2), U2=np.eye(2))
     with pytest.raises(DimensionError, match="both"):
         Dense(np.zeros((2, 2)), np.zeros(2), U1=np.eye(2))
+    # NaN fails every comparison, so it once passed the orthogonality check,
+    # and 1e200 overflowed in U^T U; neither may warn (warnings are errors).
+    for bad in (np.inf, -np.inf, np.nan, 1.5, 1e200):
+        u = np.eye(2)
+        u[0, 1] = bad
+        with pytest.raises(DimensionError, match="U1 is not orthogonal"):
+            Dense(np.zeros((2, 2)), np.zeros(2), U1=u, U2=np.eye(2))
+        with pytest.raises(DimensionError, match="U2 is not orthogonal"):
+            Conv2D(np.zeros((3, 3, 2, 2)), np.zeros(2), U1=np.eye(2), U2=u)
+
+
+@pytest.mark.parametrize("cls, shape", [(Dense, (3, 4)), (Conv2D, (3, 3, 4, 3))],
+                         ids=["dense", "conv2d"])
+def test_rotated_by_takes_only_a_plain_layer_and_a_rotation_of_its_size(cls, shape):
+    rng = np.random.default_rng(23)
+    plain = cls(rng.normal(size=shape), rng.normal(size=3))
+    u1, u2 = random_rotation(rng, 4, 3)
+    rot = plain.rotated_by(u1, u2)
+    # Rotating again would drop the first rotation and change the function.
+    with pytest.raises(StateError, match="already rotated"):
+        rot.rotated_by(u1, u2)
+    with pytest.raises(DimensionError, match="U2 must be 3x3"):
+        plain.rotated_by(u1, u1)
+    with pytest.raises(DimensionError, match="U1 must be 4x4"):
+        plain.rotated_by(u2, u2)
 
 
 @pytest.mark.parametrize("maker", [random_mlp, random_convnet])
@@ -368,7 +396,7 @@ def with_rotated_head(net, stats):
 def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rotated):
     # A rotated layer's parameter is W' with W = U2 W' U1 (per kernel slice
     # for a conv), so by the chain rule its gradient is the plain network's
-    # mapped: U2^T gW U1^T, rotate_conv_kernel(gK, U1, U2); the bias, outside
+    # mapped: U2^T gW U1^T, Conv2D.rotate(gK, U1, U2); the bias, outside
     # U2, keeps its gradient.
     rng = np.random.default_rng(31)
     net = NETS[name](rng)
@@ -391,7 +419,7 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rota
         if layer.rotated and key.endswith(".W"):
             g = layer.U2.T @ g @ layer.U1.T
         elif layer.rotated and key.endswith(".K"):
-            g = rotate_conv_kernel(g, layer.U1, layer.U2)
+            g = Conv2D.rotate(g, layer.U1, layer.U2)
         assert_close_to_largest(gset.grads[key], g, key)
 
 
