@@ -11,6 +11,7 @@ version, every short read and the end of the data (no byte may follow the
 last record): each fault raises ``DataFormatError``.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -47,16 +48,21 @@ def _write_record(w, layer):
 
 def load_network(path):
     """Read a checkpoint; a layer or network the constructors reject is a
-    ``DataFormatError`` too."""
+    ``DataFormatError`` too, and so is a head whose row count differs from
+    the header's ``head_classes``."""
     r = Reader(path)
     seed, head_classes = r.unpack("qI")
     input_shape = r.dims()
     try:
         layers = [_read_record(r) for _ in range(r.u32())]
         r.end()
-        return Network(layers, head_classes, seed, input_shape)
+        net = Network(layers, seed, input_shape)
     except DimensionError as e:
         raise DataFormatError(f"malformed checkpoint: {e}") from e
+    if net.head_classes != head_classes:
+        raise DataFormatError(f"malformed checkpoint: head_classes={head_classes} "
+                              f"but head has {net.head_classes} rows")
+    return net
 
 
 def _read_record(r):
@@ -141,5 +147,5 @@ class Reader:
         return self.unpack("I" * self.unpack("B")[0])
 
     def payload(self, shape):
-        count = np.prod(shape, dtype=object)  # a Python int: u32 dims cannot overflow it
+        count = math.prod(shape)  # a Python int: u32 dims cannot overflow it
         return np.frombuffer(self._take(8 * count), dtype="<f8").astype(np.float64).reshape(shape)

@@ -16,7 +16,7 @@ from .errors import ConfigError, RewcError
 from .fim import estimate_full_fim_layer
 from .linalg import diag_energy_ratio
 from .plots import heatmap_svg, lineplot_svg
-from .runner import build_tasks, load_raw, run_experiment
+from .runner import build_tasks, run_experiment
 from .util import rng_for
 
 
@@ -112,13 +112,9 @@ def cmd_fim_probe(args):
         cfg = parse_config(args.data_config)
     else:
         cfg = parse_config_text("", source="<defaults>")
-    raw = load_raw(cfg)
-    if raw is not None:
-        inputs, labels = raw.train_x, raw.train_y
-    else:
-        seq = build_tasks(cfg, net.rng_seed)
-        inputs = np.concatenate([t.train_x for t in seq])
-        labels = np.concatenate([t.train_y for t in seq])
+    seq = build_tasks(cfg, net.rng_seed)
+    inputs = np.concatenate([t.train_x for t in seq])
+    labels = np.concatenate([t.train_y for t in seq])
     if inputs.shape[1:] != net.input_shape:
         raise ConfigError(
             f"probe data shape {inputs.shape[1:]} does not match network {net.input_shape}"

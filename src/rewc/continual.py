@@ -132,14 +132,13 @@ def train_task(net, task, hyper, task_index, anchor=None):
     with contextlib.closing(batches):  # on an error, waits for the job in flight
         for epoch, i, x, prepared, y in batches:
             _, cache = forward(net, x, prepared)
-            loss, gset = backward(net, cache, y)
+            loss, grads = backward(net, cache, y)
             if not math.isfinite(loss):
                 raise ConvergenceError(
                     f"task {task_index}: the training loss is {loss} at epoch {epoch}, step {i}"
                 )
-            grads = gset.grads
             # free the batch's activations before the next forward allocates its own
-            del cache, gset, x, prepared
+            del cache, x, prepared
             if use_penalty:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}

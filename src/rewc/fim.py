@@ -10,10 +10,12 @@ All curvature estimates read one pass, ``_fim_pass``: one batched forward
 pass per chunk of chosen inputs and one backward pass per chunk and label
 set, with one label sampler, run on ``rewc.parallel``'s pool and reduced on
 the calling thread in (chunk, label set) order.  The backward pass is
-record-only (``network.backward(..., record_only=True)``): it keeps each
-trainable layer's input and output gradient and forms no parameter
-gradient, since no estimator reads one.  Each trainable layer reduces its
-records itself (``rewc.layers``), in its own, possibly rotated, coordinates:
+record-only (``network.backward(..., record_only=True)``): it returns each
+trainable layer's output gradient, keyed by layer index, and forms no
+parameter gradient, since no estimator reads one.  With the layer's input
+from the forward cache, ``cache.inputs[i]``, and its ``cache.aux[i]``, each
+trainable layer reduces these records itself (``rewc.layers``), in its
+own, possibly rotated, coordinates:
 into per-example gradients (Goodfellow, arXiv 1510.01799) for the full
 block, ``example_grads``, and into the diagonal's weighted squares,
 ``fisher_terms``.  ``rotation.accumulate_correlations`` reduces the same
@@ -93,10 +95,11 @@ def _sample_labels(p, u):
 
 
 def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False):
-    """Yield ``reduce(forward_cache, weights, gradient_set)`` per chunk of up
+    """Yield ``reduce(forward_cache, weights, deltas)`` per chunk of up
     to ``CHUNK`` chosen inputs and label set, in that order; the one pass
     behind the diagonal and full-block estimators and the rotation's
-    correlations.
+    correlations.  ``deltas`` is the record-only ``network.backward``'s
+    return: each trainable layer's output gradient, keyed by layer index.
 
     Labels are one draw per input in sample order (``sampled``), every class
     in turn weighted by its probability (``expected``), or, with
@@ -149,11 +152,10 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
     trainable = [(i, l) for i, l in enumerate(net.layers) if l.trainable]
 
-    def squares(cache, w, gset):
+    def squares(cache, w, deltas):
         """One unit's weighted sums of squared per-example gradients."""
         return {f"{i}.{name}": term for i, layer in trainable
-                for name, term in layer.fisher_terms(gset.layer_inputs[i],
-                                                     gset.layer_output_grads[i],
+                for name, term in layer.fisher_terms(cache.inputs[i], deltas[i],
                                                      cache.aux[i], w).items()}
 
     acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
@@ -181,11 +183,12 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
         )
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
 
-    def weighted_grads(cache, w, gset):
+    def weighted_grads(cache, w, deltas):
         """One unit's per-example gradients, weighted and plain; the caller
         multiplies them, so no unit holds a ``size x size`` block."""
-        ge = layer.example_grads(gset.layer_inputs[layer_index], gset.layer_output_grads[
-            layer_index], cache.aux[layer_index])[layer.weight_name].reshape(len(w), size)
+        i = layer_index
+        ge = layer.example_grads(cache.inputs[i], deltas[i], cache.aux[i])[
+            layer.weight_name].reshape(len(w), size)
         return w[:, None] * ge, ge
 
     acc = np.zeros((size, size))

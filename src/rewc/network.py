@@ -1,7 +1,7 @@
 """Sequential network container, forward/backward passes, construction."""
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,32 +17,27 @@ ARCHS = ("lenet", "mlp-784-10-10-10", "mlp-custom")  # what build_network builds
 class Network:
     """Ordered layer chain ending in a single trainable dense head.
 
-    The head's row count is ``head_classes`` and grows as new tasks arrive.
+    The head's row count, ``head_classes``, grows as new tasks arrive.
     Shape compatibility of the whole chain is checked at construction.
     """
 
-    def __init__(self, layers, head_classes, rng_seed, input_shape):
+    def __init__(self, layers, rng_seed, input_shape):
         self.layers = list(layers)
-        self.head_classes = int(head_classes)
         self.rng_seed = int(rng_seed)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self._validate()
-
-    def _validate(self):
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise DimensionError("network must end in a trainable dense head")
-        if self.layers[-1].W.shape[0] != self.head_classes:
-            raise DimensionError(
-                f"head_classes={self.head_classes} but head has "
-                f"{self.layers[-1].W.shape[0]} rows"
-            )
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
             try:
                 shape = layer.out_shape(shape)
             except DimensionError as e:
                 raise DimensionError(f"layer {i} ({layer.kind}): {e}") from e
-        self.output_shape = shape
+
+    @property
+    def head_classes(self):
+        """The head's row count."""
+        return self.layers[-1].W.shape[0]
 
     @property
     def head_index(self):
@@ -68,9 +63,7 @@ class Network:
         return any(l.rotated for l in self.layers)
 
     def clone(self):
-        return Network(
-            [l.clone() for l in self.layers], self.head_classes, self.rng_seed, self.input_shape
-        )
+        return Network([l.clone() for l in self.layers], self.rng_seed, self.input_shape)
 
 
 def layout_signature(net):
@@ -110,16 +103,6 @@ class ForwardCache:
     aux: list
 
 
-@dataclass
-class GradientSet:
-    """Gradients per trainable parameter, plus each trainable layer's input
-    and output gradient, which curvature and correlation estimators need."""
-
-    grads: dict
-    layer_inputs: dict = field(default_factory=dict)
-    layer_output_grads: dict = field(default_factory=dict)
-
-
 def forward(net, x, prepared=None):
     """Run the chain; returns ``(logits, cache)``.  ``prepared``, when given,
     is ``net.layers[0].prepare(x)``, made ahead of time; the first layer
@@ -153,10 +136,13 @@ def softmax(z):
 def backward(net, cache, labels, record_only=False):
     """Mean cross-entropy loss and gradients for one cached forward pass.
 
-    With ``record_only`` the pass keeps each trainable layer's input and
-    output gradient, forms no parameter gradient (``grads`` stays empty) and
-    stops on reaching the lowest trainable layer, without its ``backward``:
-    all that the curvature estimators read.
+    Returns ``(loss, grads)``: ``grads`` maps each trainable parameter's key,
+    as in ``trainable_keys()``, to its gradient.  With ``record_only`` it
+    maps each trainable layer's index to the loss gradient at that layer's
+    output instead, and the pass forms no parameter gradient and stops on
+    reaching the lowest trainable layer, without its ``backward``.  That
+    output gradient and the layer's input, ``cache.inputs[i]``, are all that
+    the curvature estimators read.
     """
     if len(cache.inputs) != len(net.layers):
         raise StateError("forward cache does not match this network")
@@ -176,21 +162,19 @@ def backward(net, cache, labels, record_only=False):
     # Nothing below the lowest trainable layer has a parameter gradient, so
     # backpropagation stops there.
     lowest = min(i for i, layer in enumerate(net.layers) if layer.trainable)
-    gset = GradientSet(grads={})
+    grads = {}
     for i in range(len(net.layers) - 1, lowest - 1, -1):
         layer = net.layers[i]
-        x = cache.inputs[i]
-        if layer.trainable:
-            gset.layer_inputs[i] = x
-            gset.layer_output_grads[i] = grad
-        if record_only and i == lowest:
-            break
-        grad, pgrads = layer.backward(x, grad, aux=cache.aux[i], need_input_grad=i > lowest,
+        if record_only and layer.trainable:
+            grads[i] = grad
+            if i == lowest:
+                break
+        grad, pgrads = layer.backward(cache.inputs[i], grad, aux=cache.aux[i],
+                                      need_input_grad=i > lowest,
                                       need_param_grads=not record_only)
-        if pgrads:
-            for name, g in pgrads.items():
-                gset.grads[f"{i}.{name}"] = g
-    return loss, gset
+        for name, g in (pgrads or {}).items():
+            grads[f"{i}.{name}"] = g
+    return loss, grads
 
 
 def grow_head(net, new_classes):
@@ -204,8 +188,6 @@ def grow_head(net, new_classes):
     extra_w = rng.normal(0.0, HEAD_INIT_STD, size=(new_classes, head.W.shape[1]))
     head.W = np.concatenate([head.W, extra_w], axis=0)
     head.b = np.concatenate([head.b, np.zeros(new_classes)])
-    net.head_classes += new_classes
-    net._validate()
     return net
 
 
@@ -262,7 +244,7 @@ def _build_mlp(widths, input_shape, rng, seed):
         if not head:
             layers.append(ReLU())
         d = w
-    return Network(layers, widths[-1], seed, input_shape)
+    return Network(layers, seed, input_shape)
 
 
 def _build_lenet(head_classes, input_shape, rng, seed):
@@ -292,4 +274,4 @@ def _build_lenet(head_classes, input_shape, rng, seed):
         ReLU(),
         Dense(rng.normal(0.0, HEAD_INIT_STD, (head_classes, 84)), np.zeros(head_classes)),
     ]
-    return Network(layers, head_classes, seed, input_shape)
+    return Network(layers, seed, input_shape)

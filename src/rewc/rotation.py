@@ -3,10 +3,11 @@
 For each rotatable layer we accumulate the self-correlation of its inputs and
 of the backpropagated gradients at its (pre-activation) output: the two
 Kronecker factors of the layer's Fisher.  They are read from the same pass
-and label sampler as the Fisher estimators (``fim._fim_pass``), so this
-module draws no labels and runs no forward or backward pass of its own.  The
-eigenbases of those two correlations give an orthogonal change of coordinates
-on each side of the layer.  Each rotated layer carries its rotation
+and label sampler as the Fisher estimators (``fim._fim_pass``), the inputs
+from its forward cache and the gradients from its record-only backward, so
+this module draws no labels and runs no forward or backward pass of its own.
+The eigenbases of those two correlations give an orthogonal change of
+coordinates on each side of the layer.  Each rotated layer carries its rotation
 ``(U1, U2)`` as part of its state (``rewc.layers``): the forward function is
 untouched while the weight's coordinates decorrelate the factors that drive
 the layer's curvature.
@@ -73,11 +74,11 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
     ids = rotatable_indices(net)
 
-    def correlations(_, w, gset):
+    def correlations(cache, w, deltas):
         """One unit's input and output-gradient correlations per layer."""
-        return [(_self_correlation(gset.layer_inputs[i]),
+        return [(_self_correlation(cache.inputs[i]),
                  # undo the batch-mean scaling
-                 _self_correlation(gset.layer_output_grads[i] * len(w))) for i in ids]
+                 _self_correlation(deltas[i] * len(w))) for i in ids]
 
     cx = dict.fromkeys(ids, 0.0)
     cz = dict.fromkeys(ids, 0.0)
@@ -130,10 +131,10 @@ def rotate_network(net, stats, scope):
     selected = set(_scope_selects(net, scope))
     layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in selected else l.clone()
               for i, l in enumerate(net.layers)]
-    return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
+    return Network(layers, net.rng_seed, net.input_shape)
 
 
 def combine_network(net):
     """Fold each layer's rotation back into its weights (inverse of rotate)."""
     layers = [l.folded() if l.trainable else l.clone() for l in net.layers]
-    return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
+    return Network(layers, net.rng_seed, net.input_shape)

@@ -53,7 +53,7 @@ def per_sample_fim_terms(net, inputs, budget, mode, rng, labels=None):
         else:
             pairs = [(c, float(p[c])) for c in range(len(p))]
         for y, w in pairs:
-            yield w, backward(net, cache, np.array([y]))[1].grads
+            yield w, backward(net, cache, np.array([y]))[1]
 
 
 def per_sample_diag_fim(net, inputs, budget, mode, rng, labels=None):
@@ -102,10 +102,10 @@ def reference_accumulate_correlations(net, inputs, budget, rng, labels=None,
             yb = np.asarray(labels)[sel]
         else:
             yb = reference_draw_labels(softmax(logits), rng)
-        _, gset = backward(net, cache, yb)
+        _, deltas = backward(net, cache, yb, record_only=True)
         for i in ids:
-            x = gset.layer_inputs[i]
-            z = gset.layer_output_grads[i] * len(sel)
+            x = cache.inputs[i]
+            z = deltas[i] * len(sel)
             if x.ndim == 2:
                 cx[i] += x.T @ x
                 cz[i] += z.T @ z
@@ -137,7 +137,7 @@ def random_mlp(rng, rotated=False):
                          *random_rotation(rng, d, w, rotated)), ReLU()]
         d = w
     layers.append(Dense(rng.normal(0, 0.5, (head, d)), rng.normal(0, 0.1, head)))
-    return Network(layers, head, 0, (d_in,))
+    return Network(layers, 0, (d_in,))
 
 
 def random_convnet(rng, rotated=False, size=8, hidden_dense=False):
@@ -168,7 +168,15 @@ def random_convnet(rng, rotated=False, size=8, hidden_dense=False):
                          *random_rotation(rng, d, w, rotated)), ReLU()]
         d = w
     layers.append(Dense(rng.normal(0, 0.3, (head, d)), rng.normal(0, 0.1, head)))
-    return Network(layers, head, 0, (size, size, c_in))
+    return Network(layers, 0, (size, size, c_in))
+
+
+# Random network makers by name, each called as ``maker(rng, rotated=False)``.
+DRAWN_NETS = {
+    "mlp": random_mlp,
+    "convnet": random_convnet,
+    "convnet-dense": lambda rng, rotated=False: random_convnet(rng, rotated, hidden_dense=True),
+}
 
 
 def conv_direct(x, K, b):

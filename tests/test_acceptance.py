@@ -72,10 +72,10 @@ def test_criterion_2_gradient_correctness():
         x = rng.normal(size=(3,) + net.input_shape)
         y = rng.integers(0, net.head_classes, 3)
         _, cache = forward(net, x)
-        _, gset = backward(net, cache, y)
+        _, grads = backward(net, cache, y)
         for key, _, _ in net.trainable_keys():
             fd = fd_param_gradient(net, x, y, key)
-            worst = max(worst, max_rel_error(gset.grads[key], fd))
+            worst = max(worst, max_rel_error(grads[key], fd))
         # penalty gradient against the same oracle
         fim = estimate_diag_fim(net, x, sample_budget=3, rng=rng)
         anchor = make_anchor(net, fim, 13.0)
@@ -152,13 +152,13 @@ def test_criterion_4_factored_fim_diagonalization():
                                         labels=y, use_true_labels=True)
         rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         _, cache = forward(rot, x)
-        _, gset = backward(rot, cache, y)
+        _, deltas = backward(rot, cache, y, record_only=True)
         for i, layer in enumerate(rot.layers):
             if not layer.rotated:
                 continue
             # the layer's input and output gradient in its rotated coordinates
-            xin = gset.layer_inputs[i] @ layer.U1.T
-            z = gset.layer_output_grads[i] @ layer.U2 * x.shape[0]
+            xin = cache.inputs[i] @ layer.U1.T
+            z = deltas[i] @ layer.U2 * x.shape[0]
             for c in (_spatial_corr(xin), _spatial_corr(z)):
                 off = c - np.diag(np.diag(c))
                 frac = float(np.sum(off * off) / np.sum(c * c))

@@ -39,7 +39,7 @@ def plain_net():
         ReLU(),
         Dense(ramp(3, 4, start=7), ramp(3, start=1)),
     ]
-    return Network(layers, 3, 12345, (8, 8, 1))
+    return Network(layers, 12345, (8, 8, 1))
 
 
 def rotated_net():
@@ -54,7 +54,7 @@ def rotated_net():
         ReLU(),
         Dense(ramp(3, 4, start=7), ramp(3, start=1), U1=flip(4), U2=flip(3)),
     ]
-    return Network(layers, 3, -7, (8, 8, 1))
+    return Network(layers, -7, (8, 8, 1))
 
 
 # name: (save, load, object factory, SHA-256 of the file written)
@@ -241,7 +241,7 @@ def test_every_layer_kind_is_saveable_and_round_trips_bit_exactly(tmp_path):
         ReLU(),
         Dense(ramp(3, 4, start=7), ramp(3, start=1), U1=flip(4), U2=flip(3)),
     ]
-    net = Network(layers, 3, 5, (6, 6, 1))
+    net = Network(layers, 5, (6, 6, 1))
     assert {layer.kind for layer in net.layers} == set(_KIND_TAGS)
     path = os.path.join(tmp_path, "all-kinds.rewc")
     save_network(net, path)

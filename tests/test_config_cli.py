@@ -517,34 +517,64 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     assert probe["diag_energy_ratio"] == diag_energy_ratio(block)
 
 
-def test_cli_probe_reads_the_stream_and_seed_of_its_checkpoint(tmp_path, capsys):
+MNIST_RUN = """
+dataset = mnist
+mnist_dir = {mnist}
+mnist_pad = false
+tasks = 2
+arch = mlp-custom
+mlp_hidden = 8
+method = ft
+epochs = 1
+batch = 16
+seeds = 0,1
+outdir = {out}
+"""
+
+
+@pytest.mark.parametrize("dataset, layer", [("synthetic", 0), ("mnist", 3)])
+def test_cli_probe_reads_the_stream_and_seed_of_its_checkpoint(tmp_path, capsys, dataset,
+                                                               layer):
     # The probe of seed 1's checkpoint once read seed 0's stream, the
-    # config's first seed, whatever run the checkpoint came from.
+    # config's first seed, whatever run the checkpoint came from; on MNIST
+    # it read the unsplit training set, in file order.
     from rewc.fim import estimate_full_fim_layer
-    from rewc.runner import build_tasks
+    from rewc.runner import build_tasks, load_raw
     from rewc.util import rng_for
 
     cfgp = tmp_path / "two.cfg"
-    cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r") + "checkpoints = true\n")
+    if dataset == "mnist":
+        (tmp_path / "mnist").mkdir()
+        write_fake_mnist(tmp_path / "mnist")
+        text = MNIST_RUN.format(mnist=tmp_path / "mnist", out=tmp_path / "r")
+    else:
+        text = SMALL_RUN.format(out=tmp_path / "r")
+    cfgp.write_text(text + "checkpoints = true\n")
     assert run_cli(["run", str(cfgp)]) == 0
     capsys.readouterr()
     (ck,) = (tmp_path / "r").glob("*-seed1-task1.rewc")
-    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
+    rc = run_cli(["fim-probe", str(ck), "--layer", str(layer), "--samples", "40",
                   "--data-config", str(cfgp), "--out", str(tmp_path / "fim.svg")])
     assert rc == 0, capsys.readouterr().err
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     net = load_network(str(ck))
     assert net.rng_seed == 1
     cfg = parse_config(str(cfgp))
+
+    def ratio(inputs, labels, seed):
+        return diag_energy_ratio(estimate_full_fim_layer(
+            net, inputs, layer, 40, rng=rng_for(seed, "fim-probe"), labels=labels))
+
     ratios = []
     for seed in (0, 1):
         tasks = build_tasks(cfg, seed)
-        block = estimate_full_fim_layer(net, np.concatenate([t.train_x for t in tasks]), 0, 40,
-                                        rng=rng_for(seed, "fim-probe"),
-                                        labels=np.concatenate([t.train_y for t in tasks]))
-        ratios.append(diag_energy_ratio(block))
+        ratios.append(ratio(np.concatenate([t.train_x for t in tasks]),
+                            np.concatenate([t.train_y for t in tasks]), seed))
     assert probe["diag_energy_ratio"] == ratios[1]
     assert ratios[0] != ratios[1]
+    if dataset == "mnist":  # the file order picks other samples
+        raw = load_raw(cfg)
+        assert ratio(raw.train_x, raw.train_y, 1) != ratios[1]
 
 
 def test_cli_probe_rejects_empty_budget(tmp_path, capsys):

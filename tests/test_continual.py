@@ -178,7 +178,7 @@ def test_memorize_tiny_task():
 
 
 def test_argmax_tie_breaks_low():
-    net = Network([Dense(np.zeros((3, 4)), np.zeros(3))], 3, 0, (4,))
+    net = Network([Dense(np.zeros((3, 4)), np.zeros(3))], 0, (4,))
     from rewc.data import TaskDataset
 
     x = np.ones((6, 4))

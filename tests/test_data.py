@@ -184,8 +184,8 @@ def test_synthetic_linearly_separable_in_50_steps():
         state = AdamState(net)
         for _ in range(50):
             logits, cache = forward(net, task.train_x)
-            _, gset = backward(net, cache, task.train_y)
-            adam_step(net, gset.grads, state, 0.01)
+            _, grads = backward(net, cache, task.train_y)
+            adam_step(net, grads, state, 0.01)
         acc = np.mean(np.argmax(forward(net, task.test_x)[0], 1) == task.test_y)
         assert acc > 0.99, f"seed {seed}: {acc}"
 

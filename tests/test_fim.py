@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    DRAWN_NETS,
     per_sample_diag_fim,
     per_sample_fim_terms,
     per_sample_full_fim,
@@ -11,6 +14,7 @@ from helpers import (
 from rewc.errors import AlignmentError, CapacityError, DimensionError
 from rewc.fim import (
     FULL_FIM_PARAM_CAP,
+    FimDiagonal,
     _sample_labels,
     estimate_diag_fim,
     estimate_full_fim_layer,
@@ -25,6 +29,7 @@ from rewc.network import (
     build_network,
     forward,
     grow_head,
+    layout_signature,
     log_softmax,
     softmax,
 )
@@ -37,7 +42,7 @@ BUDGET = 130
 
 def bernoulli_net():
     # logits (z, 0) with z = W[0,0] * x; at W = 0 the softmax is (1/2, 1/2)
-    return Network([Dense(np.zeros((2, 1)), np.zeros(2))], 2, 0, (1,))
+    return Network([Dense(np.zeros((2, 1)), np.zeros(2))], 0, (1,))
 
 
 def test_expected_mode_matches_bernoulli_fisher():
@@ -134,10 +139,7 @@ def test_penalty_zero_at_anchor():
 
 
 def test_penalty_direct_substitution():
-    net = Network([Dense(np.array([[0.0]]), np.zeros(1))], 1, 0, (1,))
-    from rewc.fim import FimDiagonal
-    from rewc.network import layout_signature
-
+    net = Network([Dense(np.array([[0.0]]), np.zeros(1))], 0, (1,))
     fim = FimDiagonal(values={"0.W": np.array([[0.01]]), "0.b": np.array([0.01])},
                       layout_hash=layout_signature(net))
     anchor = make_anchor(net, fim, 100.0)
@@ -147,31 +149,44 @@ def test_penalty_direct_substitution():
     assert grads["0.W"][0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_penalty_gradient_finite_differences():
-    rng = np.random.default_rng(8)
-    net = random_mlp(rng)
-    x = rng.normal(size=(10, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
-    anchor = make_anchor(net, fim, 37.0)
+@pytest.mark.parametrize("name", sorted(DRAWN_NETS))
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@settings(max_examples=10)
+@given(grown=st.integers(0, 2), lam=st.floats(0.1, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_penalty_gradient_finite_differences(name, rotated, grown, lam, seed):
+    # Central differences of a quadratic are exact up to roundoff, which
+    # grows with the penalty; rows the head grew after the anchor carry none.
+    rng = np.random.default_rng(seed)
+    net = DRAWN_NETS[name](rng, rotated=rotated)
+    fim = FimDiagonal({k: rng.random(p.shape) for k, p in net.parameter_snapshot().items()},
+                      layout_signature(net))
+    anchor = make_anchor(net, fim, lam)
+    rows = net.head_classes
+    if grown:
+        grow_head(net, grown)
     for key, _, _ in net.trainable_keys():
         p = net.get_param(key)
         p += rng.normal(0, 0.1, p.shape)
-    _, grads = ewc_penalty(net, anchor)
+    penalty, grads = ewc_penalty(net, anchor)
+    assert grads.keys() == {key for key, _, _ in net.trainable_keys()}
     h = 1e-5
-    for key, _, _ in net.trainable_keys():
-        p = net.get_param(key)
-        flat = p.ravel()
-        idx = int(rng.integers(flat.size))
-        orig = flat[idx]
-        flat[idx] = orig + h
-        up, _ = ewc_penalty(net, anchor)
-        flat[idx] = orig - h
-        dn, _ = ewc_penalty(net, anchor)
-        flat[idx] = orig
-        fd = (up - dn) / (2 * h)
-        g = grads[key].ravel()[idx]
-        denom = max(abs(fd), abs(g), 1e-12)
-        assert abs(g - fd) / denom < 1e-8, key
+    tol = 1e-12 * penalty / h
+    for key, i, _ in net.trainable_keys():
+        flat = net.get_param(key).ravel()
+        fd = np.empty(flat.size)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up, _ = ewc_penalty(net, anchor)
+            flat[j] = orig - h
+            dn, _ = ewc_penalty(net, anchor)
+            flat[j] = orig
+            fd[j] = (up - dn) / (2 * h)
+        g = grads[key]
+        assert g.shape == net.get_param(key).shape, key
+        assert np.max(np.abs(g.ravel() - fd)) <= tol, key
+        if i == net.head_index:
+            assert np.all(g[rows:] == 0.0), key
 
 
 def test_lambda_fim_rescaling_invariance():
@@ -180,8 +195,6 @@ def test_lambda_fim_rescaling_invariance():
     x = rng.normal(size=(10, net.input_shape[0]))
     fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
     a1 = make_anchor(net, fim, 50.0)
-    from rewc.fim import FimDiagonal
-
     scaled = FimDiagonal(values={k: v / 4.0 for k, v in fim.values.items()},
                          layout_hash=fim.layout_hash)
     a2 = make_anchor(net, scaled, 200.0)
@@ -384,29 +397,32 @@ def check_rotated_fim(plain, rotated, x, mode):
         assert_rel_close(block, v / BUDGET, f"{mode} {key} block")
 
 
-def full_depth_grads(net, cache, labels):
-    """Backpropagation down to the input, as before the cutoff."""
+def full_depth_pass(net, cache, labels):
+    """Backpropagation down to the input, as before the cutoff: the
+    parameter gradients and each trainable layer's output gradient."""
     n = len(labels)
     grad = np.exp(log_softmax(cache.logits))
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    grads = {}
+    grads, deltas = {}, {}
     for i in range(len(net.layers) - 1, -1, -1):
+        if net.layers[i].trainable:
+            deltas[i] = grad
         grad, pgrads = net.layers[i].backward(cache.inputs[i], grad, aux=cache.aux[i])
         for name, g in (pgrads or {}).items():
             grads[f"{i}.{name}"] = g
-    return grads
+    return grads, deltas
 
 
 def test_backward_stops_at_lowest_trainable_layer():
     for name, net, x in estimator_cases():
         labels = np.arange(16) % net.head_classes
         _, cache = forward(net, x[:16])
-        _, gset = backward(net, cache, labels)
-        ref = full_depth_grads(net, cache, labels)
-        assert set(gset.grads) == set(ref)
+        _, grads = backward(net, cache, labels)
+        ref, _ = full_depth_pass(net, cache, labels)
+        assert set(grads) == set(ref)
         for key in ref:
-            assert np.array_equal(gset.grads[key], ref[key]), f"{name} {key}"
+            assert np.array_equal(grads[key], ref[key]), f"{name} {key}"
 
     # Below the lowest trainable layer nothing runs, not even under a rotation.
     _, rotated, x = rotated_convnet(21)
@@ -425,7 +441,8 @@ def test_record_only_backward_keeps_records_and_forms_no_parameter_gradient():
     for name, net, x in estimator_cases():
         labels = np.arange(16) % net.head_classes
         _, cache = forward(net, x[:16])
-        loss, full = backward(net, cache, labels)
+        loss, _ = backward(net, cache, labels)
+        _, ref = full_depth_pass(net, cache, labels)
         lowest = min(i for i, l in enumerate(net.layers) if l.trainable)
         called = []
 
@@ -439,16 +456,13 @@ def test_record_only_backward_keeps_records_and_forms_no_parameter_gradient():
 
         for i, layer in enumerate(net.layers):
             layer.backward = spy(i, layer.backward)
-        rec_loss, rec = backward(net, cache, labels, record_only=True)
-        assert rec.grads == {}
+        rec_loss, deltas = backward(net, cache, labels, record_only=True)
         assert rec_loss == loss
         assert called == list(range(len(net.layers) - 1, lowest, -1))
-        assert set(rec.layer_inputs) == set(full.layer_inputs)
-        assert set(rec.layer_output_grads) == set(full.layer_output_grads)
-        for i in full.layer_inputs:
-            assert np.array_equal(rec.layer_inputs[i], full.layer_inputs[i]), f"{name} {i}"
-            assert np.array_equal(rec.layer_output_grads[i], full.layer_output_grads[i]), \
-                f"{name} {i}"
+        # only output gradients, keyed by layer index: no parameter gradient
+        assert set(deltas) == set(ref)
+        for i in ref:
+            assert np.array_equal(deltas[i], ref[i]), f"{name} {i}"
 
 
 @pytest.mark.parametrize("shape", ["flat", "peaked"])

@@ -1,38 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fd_param_gradient, max_rel_error, random_convnet, random_mlp
+from helpers import DRAWN_NETS, fd_param_gradient, max_rel_error, random_convnet, random_mlp
 from rewc.errors import StateError
 from rewc.layers import Dense
-from rewc.network import Network, backward, forward, softmax
+from rewc.network import Network, backward, forward, grow_head, softmax
 from rewc.optim import AdamState, adam_step
 
 
 def test_logit_layer_gradient_closed_form():
-    net = Network([Dense(np.eye(3), np.zeros(3))], 3, 0, (3,))
+    net = Network([Dense(np.eye(3), np.zeros(3))], 0, (3,))
     x = np.random.default_rng(0).normal(size=(5, 3))
     y = np.array([0, 2, 1, 1, 0])
     logits, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
+    _, deltas = backward(net, cache, y, record_only=True)
     expect = softmax(logits)
     expect[np.arange(5), y] -= 1.0
     expect /= 5
-    assert np.max(np.abs(gset.layer_output_grads[0] - expect)) < 1e-12
+    assert np.max(np.abs(deltas[0] - expect)) < 1e-12
 
 
 def test_zero_input_dense_grads():
-    net = Network([Dense(np.ones((3, 4)), np.zeros(3))], 3, 0, (4,))
+    net = Network([Dense(np.ones((3, 4)), np.zeros(3))], 0, (4,))
     x = np.zeros((6, 4))
     y = np.array([0, 1, 2, 0, 1, 2])
     logits, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
-    assert np.all(gset.grads["0.W"] == 0.0)
-    upstream = gset.layer_output_grads[0].sum(axis=0)
-    assert np.array_equal(gset.grads["0.b"], upstream)
+    _, grads = backward(net, cache, y)
+    _, deltas = backward(net, cache, y, record_only=True)
+    assert np.all(grads["0.W"] == 0.0)
+    upstream = deltas[0].sum(axis=0)
+    assert np.array_equal(grads["0.b"], upstream)
 
 
 def test_loss_value_matches_oracle():
-    net = Network([Dense(np.eye(2), np.zeros(2))], 2, 0, (2,))
+    net = Network([Dense(np.eye(2), np.zeros(2))], 0, (2,))
     logits = np.array([[2.0, 0.0]])
     cache_logits, cache = forward(net, logits)
     loss, _ = backward(net, cache, np.array([0]))
@@ -53,43 +56,24 @@ def test_stale_cache_rejected():
         backward(net, cache, np.full(4, net.head_classes))  # label out of range
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_mlp_finite_differences(seed):
-    rng = np.random.default_rng(100 + seed)
-    net = random_mlp(rng)
-    x = rng.normal(size=(5, net.input_shape[0]))
-    y = rng.integers(0, net.head_classes, 5)
+@pytest.mark.parametrize("name", sorted(DRAWN_NETS))
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@settings(max_examples=8)
+@given(grown=st.integers(0, 2), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_finite_differences_match_backward(name, rotated, grown, n, seed):
+    # A rotated net rotates every layer but its head, which may then grow.
+    rng = np.random.default_rng(seed)
+    net = DRAWN_NETS[name](rng, rotated=rotated)
+    if grown:
+        grow_head(net, grown)
+    x = rng.normal(size=(n,) + net.input_shape)
+    y = rng.integers(0, net.head_classes, n)
     _, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
+    _, grads = backward(net, cache, y)
+    assert grads.keys() == {key for key, _, _ in net.trainable_keys()}
     for key, _, _ in net.trainable_keys():
         fd = fd_param_gradient(net, x, y, key)
-        assert max_rel_error(gset.grads[key], fd) < 1e-4, key
-
-
-@pytest.mark.parametrize("rotated", [False, True])
-def test_conv_stack_finite_differences(rotated):
-    rng = np.random.default_rng(7 if rotated else 8)
-    net = random_convnet(rng, rotated=rotated)
-    x = rng.normal(size=(3,) + net.input_shape)
-    y = rng.integers(0, net.head_classes, 3)
-    _, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
-    for key, _, _ in net.trainable_keys():
-        fd = fd_param_gradient(net, x, y, key)
-        assert max_rel_error(gset.grads[key], fd) < 1e-4, key
-
-
-def test_gradients_flow_through_fixed_dense():
-    # The frozen dense maps are the rotation matrices inside a rotated layer.
-    rng = np.random.default_rng(11)
-    net = random_mlp(rng, rotated=True)
-    x = rng.normal(size=(4, net.input_shape[0]))
-    y = rng.integers(0, net.head_classes, 4)
-    _, cache = forward(net, x)
-    _, gset = backward(net, cache, y)
-    first_key = net.trainable_keys()[0][0]
-    fd = fd_param_gradient(net, x, y, first_key)
-    assert max_rel_error(gset.grads[first_key], fd) < 1e-4
+        assert max_rel_error(grads[key], fd) < 1e-4, key
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -106,6 +90,6 @@ def test_loss_decreases_on_separable_batch(seed):
     loss = first
     for _ in range(50):
         logits, cache = forward(net, x)
-        loss, gset = backward(net, cache, y)
-        adam_step(net, gset.grads, state, 1e-3)
+        loss, grads = backward(net, cache, y)
+        adam_step(net, grads, state, 1e-3)
     assert loss < first

@@ -20,7 +20,7 @@ from rewc.network import Network, build_network, forward, grow_head, parameter_d
 
 
 def test_identity_dense_forward():
-    net = Network([Dense(np.eye(4), np.zeros(4))], 4, 0, (4,))
+    net = Network([Dense(np.eye(4), np.zeros(4))], 0, (4,))
     x = np.random.default_rng(0).normal(size=(6, 4))
     logits, _ = forward(net, x)
     assert np.array_equal(logits, x)
@@ -43,9 +43,9 @@ def test_forward_shape_mismatch():
 def test_construction_type_checks():
     with pytest.raises(DimensionError):
         Network([Dense(np.zeros((3, 4)), np.zeros(3)), Dense(np.zeros((2, 5)), np.zeros(2))],
-                2, 0, (4,))
+                0, (4,))
     with pytest.raises(DimensionError):
-        Network([ReLU()], 1, 0, (3,))  # no dense head
+        Network([ReLU()], 0, (3,))  # no dense head
     with pytest.raises(DimensionError, match="bias length"):
         Dense(np.zeros((3, 4)), np.zeros(4))
     with pytest.raises(DimensionError, match="bias length"):
@@ -53,7 +53,7 @@ def test_construction_type_checks():
     with pytest.raises(DimensionError, match="does not divide"):
         MeanPool2D().out_shape((5, 4, 1))
     with pytest.raises(DimensionError, match=r"pooling expects \(H, W, C\) input"):
-        Network([Flatten(), MeanPool2D(), Dense(np.zeros((2, 4)), np.zeros(2))], 2, 0, (2, 2, 1))
+        Network([Flatten(), MeanPool2D(), Dense(np.zeros((2, 4)), np.zeros(2))], 0, (2, 2, 1))
     with pytest.raises(DimensionError, match="non-empty"):
         Dense(np.zeros((3, 0)), np.zeros(3))
     with pytest.raises(DimensionError, match="non-empty"):
@@ -335,6 +335,6 @@ def test_grow_rotated_head_rejected():
     # checkpoint can carry one.
     rng = np.random.default_rng(3)
     head = Dense(rng.normal(size=(3, 5)), rng.normal(size=3), *random_rotation(rng, 5, 3))
-    net = Network([Dense(rng.normal(size=(5, 4)), np.zeros(5)), ReLU(), head], 3, 2, (4,))
+    net = Network([Dense(rng.normal(size=(5, 4)), np.zeros(5)), ReLU(), head], 2, (4,))
     with pytest.raises(StateError, match="rotated head"):
         grow_head(net, 2)

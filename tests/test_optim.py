@@ -7,7 +7,7 @@ from rewc.optim import AdamState, adam_step
 
 
 def scalar_net(w0=0.0):
-    return Network([Dense(np.array([[w0]]), np.zeros(1))], 1, 0, (1,))
+    return Network([Dense(np.array([[w0]]), np.zeros(1))], 0, (1,))
 
 
 def test_zero_gradient_is_fixed_point():

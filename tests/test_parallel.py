@@ -248,8 +248,7 @@ def serial_train(net, task, hyper, task_index, anchor):
         for start in range(0, n, hyper.batch_size):
             sel = perm[start : start + hyper.batch_size]
             _, cache = forward(net, task.train_x[sel])
-            _, gset = backward(net, cache, task.train_y[sel])
-            grads = gset.grads
+            _, grads = backward(net, cache, task.train_y[sel])
             if anchor is not None:
                 _, pgrads = ewc_penalty(net, anchor)
                 grads = {k: g + pgrads[k] if k in pgrads else g for k, g in grads.items()}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    DRAWN_NETS,
     random_convnet,
     random_mlp,
     random_rotation,
@@ -60,11 +61,11 @@ def test_conv_1x1_degenerate_matches_dense():
     rng = np.random.default_rng(3)
     d = 5
     w = rng.normal(size=(3, d))
-    dense_net = Network([Dense(w.copy(), np.zeros(3))], 3, 0, (d,))
+    dense_net = Network([Dense(w.copy(), np.zeros(3))], 0, (d,))
     conv_net = Network(
         [Conv2D(w.T.reshape(1, 1, d, 3).copy(), np.zeros(3)), Flatten(),
          Dense(np.eye(3), np.zeros(3))],
-        3, 0, (1, 1, d),
+        0, (1, 1, d),
     )
     x = rng.normal(size=(30, d))
     sd = accumulate_correlations(dense_net, x, sample_budget=30,
@@ -154,12 +155,12 @@ def test_rotated_space_correlations_are_diagonal():
     rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     # re-accumulate empirically inside the rotated network, same samples/labels
     _, cache = forward(rot, x)
-    _, gset = backward(rot, cache, y)
+    _, deltas = backward(rot, cache, y, record_only=True)
     for i, layer in enumerate(rot.layers):
         if not layer.rotated:
             continue
-        xin = gset.layer_inputs[i] @ layer.U1.T
-        z = gset.layer_output_grads[i] @ layer.U2 * x.shape[0]
+        xin = cache.inputs[i] @ layer.U1.T
+        z = deltas[i] @ layer.U2 * x.shape[0]
         for c in (xin.T @ xin, z.T @ z):
             off = c - np.diag(np.diag(c))
             total = float(np.sum(c * c))
@@ -200,8 +201,8 @@ def test_combine_after_training_preserves_function():
     state = rewc.AdamState(rot)
     for _ in range(25):
         _, cache = forward(rot, x)
-        _, gset = backward(rot, cache, y)
-        rewc.adam_step(rot, gset.grads, state, 1e-2)
+        _, grads = backward(rot, cache, y)
+        rewc.adam_step(rot, grads, state, 1e-2)
     fused = combine_network(rot)
     probe = rng.normal(size=(100, 6))
     l0, _ = forward(rot, probe)
@@ -359,7 +360,7 @@ def stacked_rectangular_convnet(seed):
         Flatten(),
         Dense(rng.normal(0, 0.3, (3, 5 * 5 * 5)), rng.normal(0, 0.1, 3)),
     ]
-    return Network(layers, 3, seed, (9, 7, 2))
+    return Network(layers, seed, (9, 7, 2))
 
 
 def assert_close_to_largest(actual, expected, what, rtol=1e-12):
@@ -387,7 +388,7 @@ def with_rotated_head(net, stats):
     u1, u2 = rotation_matrices(stats, i)
     layers = [l.clone() for l in net.layers]
     layers[i] = Dense(u2.T @ head.W @ u1.T, head.b.copy(), u1, u2)
-    return Network(layers, net.head_classes, net.rng_seed, net.input_shape)
+    return Network(layers, net.rng_seed, net.input_shape)
 
 
 @pytest.mark.parametrize("head_rotated", [True, False], ids=["head-rotated", "head-plain"])
@@ -411,23 +412,16 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rota
     l_rot, cache = forward(rot, x)
     l_plain, plain_cache = forward(plain, x)
     assert_close_to_largest(l_rot, l_plain, "logits")
-    _, gset = backward(rot, cache, y)
+    _, grads = backward(rot, cache, y)
     _, ref = backward(plain, plain_cache, y)
-    assert gset.grads.keys() == ref.grads.keys()
-    for key, g in ref.grads.items():
+    assert grads.keys() == ref.keys()
+    for key, g in ref.items():
         layer = rot.layers[int(key.split(".")[0])]
         if layer.rotated and key.endswith(".W"):
             g = layer.U2.T @ g @ layer.U1.T
         elif layer.rotated and key.endswith(".K"):
             g = Conv2D.rotate(g, layer.U1, layer.U2)
-        assert_close_to_largest(gset.grads[key], g, key)
-
-
-DRAWN_NETS = {
-    "mlp": random_mlp,
-    "convnet": random_convnet,
-    "convnet-dense": lambda rng: random_convnet(rng, hidden_dense=True),
-}
+        assert_close_to_largest(grads[key], g, key)
 
 
 @settings(max_examples=60)
