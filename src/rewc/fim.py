@@ -1,26 +1,28 @@
 """Fisher information estimation and the elastic weight consolidation penalty.
 
 The diagonal estimator follows the outer-product (first-order) form: per
-input, labels are drawn from the model's own softmax ("sampled" mode) or the
-expectation is enumerated over all classes weighted by their probabilities
-("expected" mode).  Per-parameter entries are averages of squared
-log-likelihood gradients, so they are non-negative by construction.
+input, one label is drawn from the model's own softmax ("sampled" mode), or
+the expectation over every class is taken ("expected" mode), as ``C - 1``
+unit-weight logit gradients whose outer products sum to the softmax's
+output Fisher ``diag(p) - p p^T`` (``_softmax_fisher_factor``).  Per-parameter
+entries are averages of squared log-likelihood gradients, so they are
+non-negative by construction.
 
 All curvature estimates read one pass, ``_fim_pass``: one batched forward
-pass per chunk of chosen inputs and one backward pass per chunk and label
-set, with one label sampler, run on ``rewc.parallel``'s pool and reduced on
-the calling thread in (chunk, label set) order.  The backward pass is
-record-only (``network.backward(..., record_only=True)``): it returns each
-trainable layer's output gradient, keyed by layer index, and forms no
-parameter gradient, since no estimator reads one.  With the layer's input
-from the forward cache, ``cache.inputs[i]``, and its ``cache.aux[i]``, each
-trainable layer reduces these records itself (``rewc.layers``), in its
-own, possibly rotated, coordinates:
-into per-example gradients (Goodfellow, arXiv 1510.01799) for the full
-block, ``example_grads``, and into the diagonal's weighted squares,
-``fisher_terms``.  ``rotation.accumulate_correlations`` reduces the same
-records into the input and output-gradient correlations (sampled labels, or
-the true ones).
+pass per chunk of chosen inputs and one backward pass per chunk and
+logit-gradient set, with one label sampler, run on ``rewc.parallel``'s pool
+and reduced on the calling thread in (chunk, set) order.  The backward pass
+is record-only (``network.backward(net, cache, grad, record_only=True)``):
+it starts from the set's gradient at the logits, returns each trainable
+layer's output gradient, keyed by layer index, and forms no parameter
+gradient, since no estimator reads one.  With the layer's input from the
+forward cache, ``cache.inputs[i]``, and its ``cache.aux[i]``, each trainable
+layer reduces these records itself (``rewc.layers``), in its own, possibly
+rotated, coordinates: into per-example gradients (Goodfellow, arXiv
+1510.01799) for the full block, ``example_grads``, and into the diagonal's
+sums of squares, ``fisher_terms``.  ``rotation.accumulate_correlations``
+reduces the same records into the input and output-gradient correlations
+(sampled labels, or the true ones).
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import parallel
 from .errors import AlignmentError, CapacityError, DimensionError
-from .network import CHUNK, backward, forward, layout_signature, softmax
+from .network import CHUNK, backward, forward, label_gradient, layout_signature, softmax
 from .util import rng_for
 
 
@@ -94,18 +96,51 @@ def _sample_labels(p, u):
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False):
-    """Yield ``reduce(forward_cache, weights, deltas)`` per chunk of up
-    to ``CHUNK`` chosen inputs and label set, in that order; the one pass
-    behind the diagonal and full-block estimators and the rotation's
-    correlations.  ``deltas`` is the record-only ``network.backward``'s
-    return: each trainable layer's output gradient, keyed by layer index.
+def _softmax_fisher_factor(p):
+    """Vectors ``v_k``, ``k < C - 1``, with ``sum_k v_k v_k^T = diag(p) - p p^T``
+    for each row ``p`` of class probabilities, as a ``(C - 1, rows, C)`` array.
 
-    Labels are one draw per input in sample order (``sampled``), every class
-    in turn weighted by its probability (``expected``), or, with
-    ``true_labels``, the given ``labels`` (weight 1, no draw).  Every random
-    number is drawn here, on the calling thread.  Chunks run in waves of
-    ``parallel.WORKERS``: the wave's forwards, then each (chunk, label set)'s
+    ``diag(p) - p p^T`` is the Fisher of the softmax's output, of rank
+    ``C - 1``; these are its Cholesky columns.  With each row's classes sorted
+    by descending ``p`` (stably) and the tail sums ``t_k = sum_{j >= k} p_j``,
+    ``v_k[k] = sqrt(p_k t_{k+1} / t_k)``, ``v_k[j > k] = -p_j sqrt(p_k / (t_k
+    t_{k+1}))`` and ``v_k[j < k] = 0``; column ``k`` is zero where ``t_{k+1}
+    = 0``.  The square roots are taken apart, ``a = sqrt(p_k / t_k)`` and
+    ``s = sqrt(t_{k+1})``, so that no product under- or overflows.
+    """
+    classes = p.shape[1]
+    order = np.argsort(-p, axis=1, kind="stable")
+    q = np.take_along_axis(p, order, axis=1)
+    t = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
+    live = t[:, 1:] > 0
+    a = np.sqrt(np.divide(q[:, :-1], t[:, :-1], out=np.zeros(live.shape), where=live))
+    s = np.sqrt(t[:, 1:])
+    scale = np.divide(a, s, out=np.zeros(live.shape), where=live)  # sqrt(p_k / (t_k t_{k+1}))
+    k = np.arange(classes - 1)
+    rows = np.where(np.arange(classes) > k[:, None, None], -q * scale.T[:, :, None], 0.0)
+    rows[k, :, k] = (a * s).T
+    v = np.empty_like(rows)
+    np.put_along_axis(v, np.broadcast_to(order, rows.shape), rows, axis=2)
+    return v
+
+
+def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False):
+    """Yield ``reduce(forward_cache, deltas)`` per chunk of up to ``CHUNK``
+    chosen inputs and logit-gradient set, in that order; the one pass behind
+    the diagonal and full-block estimators and the rotation's correlations.
+    ``deltas`` is the record-only ``network.backward``'s return for the set:
+    each trainable layer's output gradient, keyed by layer index.  Every
+    example's squared gradients, summed over the sets, are its Fisher.
+
+    A set is the gradient of the chunk's mean cross-entropy at its logits,
+    ``(p - onehot) / n``, for one label per input drawn in sample order
+    (``sampled``) or, with ``true_labels``, the given ``labels`` (no draw);
+    or, ``expected``, ``v_k / n`` for each of the ``C - 1`` columns of
+    ``_softmax_fisher_factor(p)``, whose outer products sum to the softmax's
+    output Fisher: the expectation over every class, ``sum_c p_c (p - e_c)
+    (p - e_c)^T``, in one backward pass fewer than there are classes.  Every
+    random number is drawn here, on the calling thread.  Chunks run in waves
+    of ``parallel.WORKERS``: the wave's forwards, then each (chunk, set)'s
     record-only backward and ``reduce``, on the pool.  So at most one wave's
     forward caches are alive at once, and ``reduce`` should return no more
     than per-example-sized data.
@@ -121,25 +156,24 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
     idx = select_samples(n, budget, rng, labels)
     u = rng.random(len(idx)) if mode == "sampled" and not true_labels else None
 
-    def label_sets(start):
+    def gradient_sets(start):
         part = slice(start, start + CHUNK)
         logits, cache = forward(net, inputs[idx[part]])
         p = softmax(logits)
-        b, classes = p.shape
         if true_labels:
-            sets = [(np.ones(b), np.asarray(labels)[idx[part]])]
+            sets = [label_gradient(p, np.asarray(labels)[idx[part]])]
         elif mode == "sampled":
-            sets = [(np.ones(b), _sample_labels(p, u[part]))]
+            sets = [label_gradient(p, _sample_labels(p, u[part]))]
         else:
-            sets = [(p[:, c], np.full(b, c)) for c in range(classes)]
-        return [(cache, w, y) for w, y in sets]
+            sets = _softmax_fisher_factor(p) / len(p)
+        return [(cache, g) for g in sets]
 
     def unit(job):
-        cache, w, y = job
-        return reduce(cache, w, backward(net, cache, y, record_only=True)[1])
+        cache, g = job
+        return reduce(cache, backward(net, cache, g, record_only=True))
 
     def wave(starts):
-        jobs = [job for sets in parallel.ordered_map(label_sets, starts) for job in sets]
+        jobs = [job for sets in parallel.ordered_map(gradient_sets, starts) for job in sets]
         return parallel.ordered_map(unit, jobs)
 
     step = CHUNK * parallel.WORKERS
@@ -152,11 +186,11 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
     trainable = [(i, l) for i, l in enumerate(net.layers) if l.trainable]
 
-    def squares(cache, w, deltas):
-        """One unit's weighted sums of squared per-example gradients."""
+    def squares(cache, deltas):
+        """One unit's sums of squared per-example gradients."""
         return {f"{i}.{name}": term for i, layer in trainable
                 for name, term in layer.fisher_terms(cache.inputs[i], deltas[i],
-                                                     cache.aux[i], w).items()}
+                                                     cache.aux[i]).items()}
 
     acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
     for terms in _fim_pass(net, inputs, sample_budget, mode, rng, labels, squares):
@@ -183,17 +217,18 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
         )
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
 
-    def weighted_grads(cache, w, deltas):
-        """One unit's per-example gradients, weighted and plain; the caller
-        multiplies them, so no unit holds a ``size x size`` block."""
+    def weight_grads(cache, deltas):
+        """One unit's per-example weight gradients; the caller multiplies
+        them, so no unit holds a ``size x size`` block."""
         i = layer_index
-        ge = layer.example_grads(cache.inputs[i], deltas[i], cache.aux[i])[
-            layer.weight_name].reshape(len(w), size)
-        return w[:, None] * ge, ge
+        return layer.example_grads(cache.inputs[i], deltas[i], cache.aux[i])[
+            layer.weight_name].reshape(-1, size)
 
     acc = np.zeros((size, size))
-    for wge, ge in _fim_pass(net, inputs, sample_budget, mode, rng, labels, weighted_grads):
-        acc += wge.T @ ge
+    for ge in _fim_pass(net, inputs, sample_budget, mode, rng, labels, weight_grads):
+        # A second operand buffer keeps this a GEMM: numpy would hand
+        # ``ge.T @ ge`` to a symmetric update, which rounds differently.
+        acc += ge.T @ ge.copy()
     return acc / sample_budget
 
 

@@ -39,9 +39,11 @@ only a finite orthogonal rotation of the layer's sizes, and builds
 once (``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and
 answers for itself in them, so that no other module tests a layer's type:
 ``example_grads(x, grad_out, aux)`` gives per-example gradients and
-``fisher_terms(x, grad_out, aux, w)`` their ``w``-weighted squares summed
-over the examples, each keyed like ``params()``, from the output gradient
-of a batch-mean loss (example ``k``'s is ``n`` times its row).
+``fisher_terms(x, grad_out, aux)`` their squares summed over the examples,
+each keyed like ``params()``, from the output gradient of a batch-mean loss
+(example ``k``'s is ``n`` times its row).  Those sums over the examples are
+each one BLAS product with a ones vector, not ``sum(axis=0)``: that fixes
+the order in which they round, which the sampled Fisher's bits depend on.
 """
 
 import copy
@@ -212,12 +214,13 @@ class Dense(WeightedLayer):
         x, g = self.weight_grad_factors(x, grad_out, aux)
         return {"W": (g * n)[:, :, None] * x[:, None, :], "b": grad_out * n}
 
-    def fisher_terms(self, x, grad_out, aux, w):
-        """Factored as ``(w g^2)^T x^2``: no per-example gradient is formed."""
+    def fisher_terms(self, x, grad_out, aux):
+        """Factored as ``(g^2)^T x^2``: no per-example gradient is formed."""
+        n = len(grad_out)
         x, g = self.weight_grad_factors(x, grad_out, aux)
-        g = g * len(w)  # undo the batch-mean scaling
-        gb = grad_out * len(w)
-        return {"W": (w[:, None] * g * g).T @ (x * x), "b": w @ (gb * gb)}
+        g = g * n  # undo the batch-mean scaling
+        gb = grad_out * n
+        return {"W": (g * g).T @ (x * x), "b": np.ones(n) @ (gb * gb)}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.W.shape[1]:
@@ -324,9 +327,9 @@ class Conv2D(WeightedLayer):
     def example_grads(self, x, grad_out, aux):
         return self._split(self._example_rows(grad_out, aux))
 
-    def fisher_terms(self, x, grad_out, aux, w):
+    def fisher_terms(self, x, grad_out, aux):
         ge = self._example_rows(grad_out, aux)
-        return self._split(np.tensordot(w, ge * ge, axes=1))
+        return self._split(np.tensordot(np.ones(len(ge)), ge * ge, axes=1))
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.K.shape[2]:

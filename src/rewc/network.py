@@ -133,31 +133,46 @@ def softmax(z):
     return np.exp(log_softmax(z))
 
 
-def backward(net, cache, labels, record_only=False):
-    """Mean cross-entropy loss and gradients for one cached forward pass.
+def label_gradient(p, labels):
+    """The mean cross-entropy's gradient at the logits, ``(p - onehot) / n``,
+    from the class probabilities ``p`` (``softmax(logits)``) and one label
+    per row."""
+    labels = np.asarray(labels)
+    n, classes = p.shape
+    if labels.shape != (n,):
+        raise StateError(f"expected {n} labels, got shape {labels.shape}")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise StateError("label outside current head range")
+    grad = p.copy()
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return grad
 
-    Returns ``(loss, grads)``: ``grads`` maps each trainable parameter's key,
-    as in ``trainable_keys()``, to its gradient.  With ``record_only`` it
-    maps each trainable layer's index to the loss gradient at that layer's
-    output instead, and the pass forms no parameter gradient and stops on
-    reaching the lowest trainable layer, without its ``backward``.  That
-    output gradient and the layer's input, ``cache.inputs[i]``, are all that
-    the curvature estimators read.
+
+def backward(net, cache, target, record_only=False):
+    """Gradients of one cached forward pass.
+
+    ``target`` holds the labels, and the pass returns ``(loss, grads)``: the
+    mean cross-entropy, and ``grads`` mapping each trainable parameter's key,
+    as in ``trainable_keys()``, to its gradient.  With ``record_only``,
+    ``target`` is instead a gradient at the logits, ``(n, classes)``, such as
+    ``label_gradient``'s, and the pass returns only a dict mapping each
+    trainable layer's index to the gradient at that layer's output: it forms
+    no parameter gradient and stops on reaching the lowest trainable layer,
+    without its ``backward``.  That output gradient and the layer's input,
+    ``cache.inputs[i]``, are all that the curvature estimators read.
     """
     if len(cache.inputs) != len(net.layers):
         raise StateError("forward cache does not match this network")
-    labels = np.asarray(labels)
-    n = cache.logits.shape[0]
-    if labels.shape != (n,):
-        raise StateError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= net.head_classes:
-        raise StateError("label outside current head range")
-
-    logp = log_softmax(cache.logits)
-    loss = -float(logp[np.arange(n), labels].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
+    if record_only:
+        grad = np.asarray(target, dtype=np.float64)
+        if grad.shape != cache.logits.shape:
+            raise StateError(f"expected a logit gradient of shape {cache.logits.shape}, "
+                             f"got {grad.shape}")
+    else:
+        logp = log_softmax(cache.logits)
+        grad = label_gradient(np.exp(logp), target)
+        loss = -float(logp[np.arange(len(grad)), target].mean())
 
     # Nothing below the lowest trainable layer has a parameter gradient, so
     # backpropagation stops there.
@@ -174,7 +189,7 @@ def backward(net, cache, labels, record_only=False):
                                       need_param_grads=not record_only)
         for name, g in (pgrads or {}).items():
             grads[f"{i}.{name}"] = g
-    return loss, grads
+    return grads if record_only else (loss, grads)
 
 
 def grow_head(net, new_classes):

@@ -3,9 +3,9 @@ data and for the input pipeline of training.
 
 numpy releases the GIL inside BLAS calls and large array loops, so the
 independent units of the Fisher, correlation and evaluation passes (one
-forward per chunk, one record-only backward per chunk and label set) and of
-a synthetic stream (one draw and mixing GEMM per split and class) overlap on
-several cores.  Each random stream is consumed by exactly one unit, in
+forward per chunk, one record-only backward per chunk and logit-gradient
+set) and of a synthetic stream (one draw and mixing GEMM per split and
+class) overlap on several cores.  Each random stream is consumed by exactly one unit, in
 serial order; large buffers are made on the calling thread.
 ``ordered_map`` returns results in input order, and every caller
 accumulates them on its own thread in that order, so results are

@@ -74,11 +74,11 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
     ids = rotatable_indices(net)
 
-    def correlations(cache, w, deltas):
+    def correlations(cache, deltas):
         """One unit's input and output-gradient correlations per layer."""
         return [(_self_correlation(cache.inputs[i]),
                  # undo the batch-mean scaling
-                 _self_correlation(deltas[i] * len(w))) for i in ids]
+                 _self_correlation(deltas[i] * len(deltas[i]))) for i in ids]
 
     cx = dict.fromkeys(ids, 0.0)
     cz = dict.fromkeys(ids, 0.0)

@@ -8,8 +8,9 @@ runs, without their ``timing``, at one BLAS thread.
 The cases are ``configs/synthetic-t4.cfg`` at seed 0 under ft, ewc and rewc,
 a 3-task 16x16 LeNet stream under rewc with diagonal-energy layers (one
 of them, conv2, is over the full-Fisher cap and records its error), and the
-same stream under ewc with the expected Fisher, which enumerates every
-class, the conv bias row included.  Each
+same stream under ewc with the expected Fisher, which backpropagates the
+``C - 1`` factor columns of the softmax's output Fisher, the conv bias row
+included.  Each
 entry keeps the config text it ran, the test-split size of every task and
 the record.  ``tests/test_golden.py`` runs this script and compares.  A
 change that moves a result on purpose reruns it and says in CHANGES.md what

@@ -4,12 +4,27 @@ import os
 import struct
 
 import numpy as np
+from hypothesis import Phase
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rewc.data import MNIST_FILES
 from rewc.fim import select_samples
 from rewc.layers import Conv2D, Dense, Flatten, MeanPool2D, ReLU
-from rewc.network import CHUNK, Network, backward, forward, log_softmax, softmax
+from rewc.network import (
+    CHUNK,
+    Network,
+    backward,
+    forward,
+    label_gradient,
+    log_softmax,
+    softmax,
+)
+
+
+# Hypothesis's phases without shrinking, for the finite-difference properties:
+# each drawn example reruns a whole central-difference sweep, so shrinking a
+# failure would take minutes before it is reported.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def mean_xent(net, x, y):
@@ -102,7 +117,7 @@ def reference_accumulate_correlations(net, inputs, budget, rng, labels=None,
             yb = np.asarray(labels)[sel]
         else:
             yb = reference_draw_labels(softmax(logits), rng)
-        _, deltas = backward(net, cache, yb, record_only=True)
+        deltas = backward(net, cache, label_gradient(softmax(logits), yb), record_only=True)
         for i in ids:
             x = cache.inputs[i]
             z = deltas[i] * len(sel)

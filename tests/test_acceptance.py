@@ -16,7 +16,7 @@ from helpers import fd_param_gradient, locate_mnist, max_rel_error, random_convn
 from rewc.continual import Hyper, Method, run_sequence, train_task
 from rewc.fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from rewc.linalg import diag_energy_ratio, jacobi_eigh
-from rewc.network import backward, build_network, forward, grow_head
+from rewc.network import backward, build_network, forward, grow_head, label_gradient, softmax
 from rewc.rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
 from rewc.util import rng_for
 
@@ -152,7 +152,7 @@ def test_criterion_4_factored_fim_diagonalization():
                                         labels=y, use_true_labels=True)
         rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
         _, cache = forward(rot, x)
-        _, deltas = backward(rot, cache, y, record_only=True)
+        deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
         for i, layer in enumerate(rot.layers):
             if not layer.rotated:
                 continue

@@ -720,13 +720,15 @@ def test_cli_bad_diag_layer_fails_before_training(tmp_path, capsys):
         assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
 
 
-def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys):
-    # A huge step saturates the softmax, so every sampled log-likelihood
-    # gradient, and with it every Fisher entry, is exactly zero.
+@pytest.mark.parametrize("mode", ["sampled", "expected"])
+def test_run_record_warns_of_an_all_zero_fisher(tmp_path, capsys, mode):
+    # A huge step saturates the softmax, so every log-likelihood gradient,
+    # sampled or in expectation, and with it every Fisher entry, is exactly
+    # zero, not NaN.
     cfgp = tmp_path / "zero.cfg"
     cfgp.write_text(
         SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
-        .replace("seeds = 0,1", "seeds = 0") + "lr = 1e6\n"
+        .replace("seeds = 0,1", "seeds = 0") + f"fim_mode = {mode}\nlr = 1e6\n"
     )
     assert run_cli(["run", str(cfgp)]) == 0
     record = read_json(capsys.readouterr().out.split()[0])

@@ -182,17 +182,16 @@ def test_layer_contract(kind, rotated, n, dims, seed):
         assert grads is None
         return
     # The Fisher's per-example gradients, in the weight's coordinates, sum to
-    # the backward's, and their weighted squares are the Fisher terms; within
-    # 1e-12 of the sum of their magnitudes.  A per-example gradient is that
-    # of ``n`` times its row of ``g``.
+    # the backward's, and the sums of their squares are the Fisher terms;
+    # within 1e-12 of the sum of their magnitudes.  A per-example gradient is
+    # that of ``n`` times its row of ``g``.
     ge = layer.example_grads(x, g, aux)
-    w = rng.random(n)
-    terms = layer.fisher_terms(x, g, aux, w)
+    terms = layer.fisher_terms(x, g, aux)
     assert ge.keys() == terms.keys() == grads.keys()
     for name, want in grads.items():
         tol = 1e-12 * np.max(np.abs(ge[name]).sum(axis=0))
         assert np.max(np.abs(ge[name].sum(axis=0) - n * want)) <= tol
-        sq = np.tensordot(w, ge[name] ** 2, axes=1)
+        sq = (ge[name] ** 2).sum(axis=0)
         assert np.max(np.abs(terms[name] - sq)) <= 1e-12 * np.max(sq)
 
 

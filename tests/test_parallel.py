@@ -20,8 +20,8 @@ from rewc.data import synthetic_tasks
 from rewc.errors import ConvergenceError, DimensionError
 from rewc.fim import (_sample_labels, estimate_diag_fim, estimate_full_fim_layer, ewc_penalty,
                       make_anchor, select_samples)
-from rewc.layers import Conv2D
-from rewc.network import CHUNK, backward, forward, parameter_digest, softmax
+from rewc.layers import Conv2D, Dense
+from rewc.network import CHUNK, Network, backward, forward, parameter_digest, softmax
 from rewc.optim import AdamState, adam_step
 from rewc.rotation import accumulate_correlations
 from rewc.util import rng_for
@@ -157,11 +157,22 @@ def test_waves_hold_at_most_one_forward_per_worker(monkeypatch):
 
     monkeypatch.setattr(fim, "forward", logged("f", fim.forward))
     monkeypatch.setattr(fim, "backward", logged("b", fim.backward))
-    estimate_diag_fim(net, x, BUDGET, "expected", np.random.default_rng(6))
-    classes = net.head_classes
-    # Four chunks: a wave of three forwards and their 3 * classes backward
-    # passes, then the last chunk's.
-    assert "".join(events) == "fff" + "b" * 3 * classes + "f" + "b" * classes
+    head = net.layers[-1]
+    one_class = Network(net.layers[:-1] + [Dense(head.W[:1], head.b[:1])], 0, net.input_shape)
+    for n in (net, one_class):
+        events.clear()
+        rng = np.random.default_rng(6)
+        fisher = estimate_diag_fim(n, x, BUDGET, "expected", rng).values
+        sets = n.head_classes - 1
+        # Four chunks: a wave of three forwards and their 3 * (classes - 1)
+        # backward passes, then the last chunk's.
+        assert "".join(events) == "fff" + "b" * 3 * sets + "f" + "b" * sets
+        # The expected pass draws nothing but the samples.
+        drawn = np.random.default_rng(6)
+        select_samples(len(x), BUDGET, drawn)
+        assert rng.bit_generator.state == drawn.bit_generator.state
+    # A one-class head is certain of its output, so its Fisher is zero.
+    assert all(np.all(v == 0.0) for v in fisher.values())
 
 
 def test_ordered_map_keeps_input_order_on_the_pool(pools):

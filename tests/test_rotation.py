@@ -16,7 +16,15 @@ from helpers import (
 from rewc.checkpoint import load_network, save_network
 from rewc.errors import AlignmentError, DimensionError, StateError
 from rewc.layers import Conv2D, Dense, Flatten, ReLU
-from rewc.network import Network, backward, build_network, forward, layout_signature
+from rewc.network import (
+    Network,
+    backward,
+    build_network,
+    forward,
+    label_gradient,
+    layout_signature,
+    softmax,
+)
 from rewc.rotation import (
     CorrelationStats,
     RotationScope,
@@ -155,7 +163,7 @@ def test_rotated_space_correlations_are_diagonal():
     rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
     # re-accumulate empirically inside the rotated network, same samples/labels
     _, cache = forward(rot, x)
-    _, deltas = backward(rot, cache, y, record_only=True)
+    deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
     for i, layer in enumerate(rot.layers):
         if not layer.rotated:
             continue
