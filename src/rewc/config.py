@@ -4,10 +4,11 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .continual import Hyper, Method
-from .data import MNIST_CLASSES
-from .errors import ConfigError
+from .continual import Hyper, Method, check_diag_layers
+from .data import MNIST_CLASSES, SYNTH_TRAIN_PER_CLASS
+from .errors import ConfigError, DimensionError
 from .network import ARCHS as _ARCHS
+from .network import build_network
 from .rotation import RotationScope
 
 _SCOPES = tuple(s.value for s in RotationScope)
@@ -90,6 +91,28 @@ class ExperimentConfig:
         v = self.values
         return Method(v["method"], lam=0.0 if v["method"] == "ft" else v["lambda"],
                       scope=v["scope"], fim_samples=v["fim_samples"], fim_mode=v["fim_mode"])
+
+    def stream_shape(self):
+        """The input shape of this config's task stream and the class count
+        of its first task, which sizes the head; from the settings alone,
+        before any data exists."""
+        v = self.values
+        if v["dataset"] == "mnist":
+            side = 32 if v["mnist_pad"] else 28
+            return (side, side, 1), MNIST_CLASSES // v["tasks"]
+        if not v["synth_image"]:
+            return (v["synth_dim"],), v["classes_per_task"]
+        dims = tuple(int(p) for p in v["synth_image"].lower().split("x"))
+        return (dims if len(dims) == 3 else dims + (1,)), v["classes_per_task"]
+
+    def network(self, seed):
+        """The seeded network that this config's run at ``seed`` starts from."""
+        arch = self.values["arch"]
+        input_shape, head = self.stream_shape()
+        if arch == "mlp-custom":
+            hidden = list(self.values["mlp_hidden"]) + [head]
+            return build_network(arch, input_shape=input_shape, hidden=hidden, seed=seed)
+        return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
 
     def hyper(self, seed):
         """The training settings of this config's run at ``seed``."""
@@ -186,6 +209,10 @@ def _validate(cfg, source, written):
     if len(set(v["seeds"])) != len(v["seeds"]):
         bad(f"seeds {v['seeds']} repeat a seed, whose record would be written and "
             "counted twice; list each seed once")
+    outside = [s for s in v["seeds"] if not 0 <= s < 2**32]
+    if outside:
+        # rng_for keeps a seed's low 32 bits: such a seed reruns another's streams.
+        bad(f"seeds {outside} are outside [0, 2^32), where each seed draws its own streams")
     if v["tasks"] < 1:
         bad("tasks must be >= 1")
     if v["dataset"] == "mnist" and MNIST_CLASSES % v["tasks"]:
@@ -213,3 +240,18 @@ def _validate(cfg, source, written):
         dims = v["synth_image"].lower().split("x")
         if len(dims) not in (2, 3) or not all(p.isdigit() and int(p) > 0 for p in dims):
             bad(f"synth_image must look like 8x8 or 8x8x1, got {v['synth_image']!r}")
+    input_shape, first_classes = cfg.stream_shape()
+    if v["dataset"] == "synthetic" and v["method"] != "ft" and v["tasks"] > 1:
+        rows = first_classes * SYNTH_TRAIN_PER_CLASS  # in every task
+        if v["fim_samples"] > rows:
+            bad(f"fim_samples {v['fim_samples']} exceeds the {rows} training rows of a "
+                f"synthetic task ({SYNTH_TRAIN_PER_CLASS} per class); use at most {rows}")
+    try:
+        net = cfg.network(seed=0)
+    except DimensionError as e:
+        bad(f"arch = {v['arch']} cannot run on this stream's {input_shape} inputs: {e}")
+    if v["method"] == "rewc":
+        try:
+            check_diag_layers(net, v["diag_layers"])
+        except DimensionError as e:
+            bad(str(e))

@@ -216,6 +216,18 @@ def _energy_ratios(before, after, task, method, hyper, task_index):
     return out
 
 
+def check_diag_layers(net, diag_layers):
+    """Raise ``DimensionError`` unless each of ``diag_layers`` indexes a
+    layer of ``net`` that has weights."""
+    n = len(net.layers)
+    bad = [i for i in diag_layers if not 0 <= i < n]
+    if bad:
+        raise DimensionError(f"diag_layers {bad} out of range for a {n}-layer network")
+    bare = [f"{i} ({net.layers[i].kind})" for i in diag_layers if not net.layers[i].trainable]
+    if bare:
+        raise DimensionError(f"diag_layers name layers without weights: {', '.join(bare)}")
+
+
 def run_sequence(net, tasks, method, hyper, task_callback=None):
     """Train tasks in order, evaluating after each stage; returns a
     ``SequenceResult``.
@@ -248,14 +260,7 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                 )
     diagnose = method.name == "rewc" and bool(hyper.diag_layers)
     if diagnose:
-        n = len(net.layers)
-        bad = [i for i in hyper.diag_layers if not 0 <= i < n]
-        if bad:
-            raise DimensionError(f"diag_layers {bad} out of range for a {n}-layer network")
-        bare = [f"{i} ({net.layers[i].kind})" for i in hyper.diag_layers
-                if not net.layers[i].trainable]
-        if bare:
-            raise DimensionError(f"diag_layers name layers without weights: {', '.join(bare)}")
+        check_diag_layers(net, hyper.diag_layers)
 
     result = SequenceResult(net)
     anchor = None

@@ -21,6 +21,7 @@ MNIST_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 MNIST_CLASSES = 10
+SYNTH_TRAIN_PER_CLASS = 200  # training rows per class of a synthetic stream
 
 
 @dataclass
@@ -129,7 +130,7 @@ def disjoint_split(data, T, seed):
 
 
 def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
-                    train_per_class=200, test_per_class=100, image_shape=None,
+                    train_per_class=SYNTH_TRAIN_PER_CLASS, test_per_class=100, image_shape=None,
                     noise_cond=1.0):
     """Gaussian-blob task stream with well-separated seeded class means.
 

@@ -14,11 +14,8 @@ build a batch's first-layer input while the step before it runs.
 what the backward pass reads, its ``aux``: a ReLU's mask, a conv layer's
 im2col matrix, a rotated dense layer's rotated input.  ``backward`` must be
 given that ``aux``.  A ReLU's backward needs nothing else, so a network's
-forward cache does not keep its input.
-``backward`` returns ``(grad_in, param_grads)`` with ``param_grads`` keyed
-like ``params()``, or ``None`` for parameter-free layers and when called
-with ``need_param_grads=False``; ``grad_in`` is ``None`` when called with
-``need_input_grad=False``.
+forward cache does not keep its input.  ``backward`` returns the input
+gradient alone, or ``None`` from a weighted layer told ``need_input_grad=False``.
 
 Every dense and conv layer has a bias.  A convolution moves its kernel one
 pixel at a time over the unpadded input, and mean pooling averages 2x2
@@ -38,12 +35,13 @@ only a finite orthogonal rotation of the layer's sizes, and builds
 ``rotate(weight, A, B)``.  Each kind maps its gradients into the coordinates
 once (``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and
 answers for itself in them, so that no other module tests a layer's type:
-``example_grads(x, grad_out, aux)`` gives per-example gradients and
-``fisher_terms(x, grad_out, aux)`` their squares summed over the examples,
-each keyed like ``params()``, from the output gradient of a batch-mean loss
-(example ``k``'s is ``n`` times its row).  Those sums over the examples are
-each one BLAS product with a ones vector, not ``sum(axis=0)``: that fixes
-the order in which they round, which the sampled Fisher's bits depend on.
+``param_grads``, ``example_grads`` and ``fisher_terms(x, grad_out, aux)``,
+the gradient, the per-example gradients and their summed squares, are three
+reductions of one record, the output gradient of a batch-mean loss (example
+``k``'s is ``n`` times its row), each keyed like ``params()``.  The Fisher's
+sums over the examples are each one BLAS product with a ones vector, not
+``sum(axis=0)``: that fixes the order in which they round, which the
+sampled Fisher's bits depend on.
 """
 
 import copy
@@ -76,7 +74,7 @@ class Layer:
         """``forward_cached(x)`` from ``prepare(x)``: the layer's one forward."""
         raise NotImplementedError
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
         raise NotImplementedError
 
     def params(self):
@@ -201,13 +199,15 @@ class Dense(WeightedLayer):
             return aux, grad_out @ self.U2
         return x, grad_out
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        x, g = self.weight_grad_factors(x, grad_out, aux)
-        grads = {"W": g.T @ x, "b": grad_out.sum(axis=0)} if need_param_grads else None
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
         if not need_input_grad:
-            return None, grads
-        gx = g @ self.W
-        return (gx @ self.U1 if self.rotated else gx), grads
+            return None
+        gx = self.weight_grad_factors(x, grad_out, aux)[1] @ self.W
+        return gx @ self.U1 if self.rotated else gx
+
+    def param_grads(self, x, grad_out, aux):
+        x, g = self.weight_grad_factors(x, grad_out, aux)
+        return {"W": g.T @ x, "b": grad_out.sum(axis=0)}
 
     def example_grads(self, x, grad_out, aux):
         n = len(grad_out)
@@ -279,19 +279,12 @@ class Conv2D(WeightedLayer):
         M = np.concatenate([K.reshape(-1, K.shape[3]), self.b[None]])
         return patches @ M, (patches, K)
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        patches, K = aux
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+        if not need_input_grad:
+            return None
+        K = aux[1]
         kh, kw, d1, d2 = K.shape
         g2d = grad_out.reshape(-1, d2)
-        grads = None
-        if need_param_grads:
-            # (G^T P)^T lets BLAS read both operands in place; a tensordot
-            # over the patches would first copy them transposed.  Its last row,
-            # from the patches' ones column, is the bias gradient.
-            grads = self._split(self.weight_grad_rows(
-                (g2d.T @ patches.reshape(-1, patches.shape[3])).T))
-        if not need_input_grad:
-            return None, grads
         n, h2, w2 = grad_out.shape[:3]
         # One contiguous copy of the transposed kernel slices instead of a
         # strided K[a, b].T operand in every GEMM.
@@ -300,7 +293,16 @@ class Conv2D(WeightedLayer):
         for a in range(kh):
             for b_ in range(kw):
                 gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
-        return gx, grads
+        return gx
+
+    def param_grads(self, x, grad_out, aux):
+        # (G^T P)^T lets BLAS read both operands in place; a tensordot over
+        # the patches would first copy them transposed.  Its last row, from
+        # the patches' ones column, is the bias gradient.
+        patches = aux[0]
+        g2d = grad_out.reshape(-1, grad_out.shape[-1])
+        gM = (g2d.T @ patches.reshape(-1, patches.shape[-1])).T
+        return self._split(self.weight_grad_rows(gM))
 
     def weight_grad_rows(self, gM):
         """Kernel-gradient rows ``[gK; gb]``, ``(..., kh*kw*d_in + 1, d_out)``,
@@ -350,8 +352,8 @@ class ReLU(Layer):
     def forward_prepared(self, x):
         return np.maximum(x, 0.0), x > 0.0
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        return grad_out * aux, None
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+        return grad_out * aux
 
     def out_shape(self, in_shape):
         return in_shape
@@ -363,8 +365,8 @@ class Flatten(Layer):
     def forward_prepared(self, x):
         return x.reshape(x.shape[0], -1), None
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
-        return grad_out.reshape(x.shape), None
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
+        return grad_out.reshape(x.shape)
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -385,12 +387,12 @@ class MeanPool2D(Layer):
                     acc += x[:, a::s, b::s]
         return acc / (s * s), None
 
-    def backward(self, x, grad_out, aux=None, need_input_grad=True, need_param_grads=True):
+    def backward(self, x, grad_out, aux=None, need_input_grad=True):
         s = self.size
         n, h, w, c = grad_out.shape
         g = np.empty((n, h, s, w, s, c))
         g[...] = (grad_out / (s * s))[:, :, None, :, None, :]
-        return g.reshape(n, h * s, w * s, c), None
+        return g.reshape(n, h * s, w * s, c)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:

@@ -152,15 +152,14 @@ def label_gradient(p, labels):
 def backward(net, cache, target, record_only=False):
     """Gradients of one cached forward pass.
 
+    The pass records the gradient at each trainable layer's output, taking
+    input gradients down to the lowest trainable layer and no further.
     ``target`` holds the labels, and the pass returns ``(loss, grads)``: the
-    mean cross-entropy, and ``grads`` mapping each trainable parameter's key,
-    as in ``trainable_keys()``, to its gradient.  With ``record_only``,
-    ``target`` is instead a gradient at the logits, ``(n, classes)``, such as
-    ``label_gradient``'s, and the pass returns only a dict mapping each
-    trainable layer's index to the gradient at that layer's output: it forms
-    no parameter gradient and stops on reaching the lowest trainable layer,
-    without its ``backward``.  That output gradient and the layer's input,
-    ``cache.inputs[i]``, are all that the curvature estimators read.
+    mean cross-entropy, and each trainable parameter's gradient keyed as in
+    ``trainable_keys()``, its layer's ``param_grads`` of the record.  With
+    ``record_only``, ``target`` is a gradient at the logits, ``(n, classes)``,
+    such as ``label_gradient``'s, and the pass returns the records, keyed by
+    layer index: all that the curvature estimators read besides the cache.
     """
     if len(cache.inputs) != len(net.layers):
         raise StateError("forward cache does not match this network")
@@ -174,22 +173,20 @@ def backward(net, cache, target, record_only=False):
         grad = label_gradient(np.exp(logp), target)
         loss = -float(logp[np.arange(len(grad)), target].mean())
 
-    # Nothing below the lowest trainable layer has a parameter gradient, so
-    # backpropagation stops there.
     lowest = min(i for i, layer in enumerate(net.layers) if layer.trainable)
-    grads = {}
+    records = {}
     for i in range(len(net.layers) - 1, lowest - 1, -1):
         layer = net.layers[i]
-        if record_only and layer.trainable:
-            grads[i] = grad
-            if i == lowest:
-                break
-        grad, pgrads = layer.backward(cache.inputs[i], grad, aux=cache.aux[i],
-                                      need_input_grad=i > lowest,
-                                      need_param_grads=not record_only)
-        for name, g in (pgrads or {}).items():
-            grads[f"{i}.{name}"] = g
-    return grads if record_only else (loss, grads)
+        if layer.trainable:
+            records[i] = grad
+        grad = layer.backward(cache.inputs[i], grad, aux=cache.aux[i], need_input_grad=i > lowest)
+    if record_only:
+        return records
+    grads = {}
+    for i, delta in records.items():
+        pgrads = net.layers[i].param_grads(cache.inputs[i], delta, cache.aux[i])
+        grads.update((f"{i}.{name}", g) for name, g in pgrads.items())
+    return loss, grads
 
 
 def grow_head(net, new_classes):

@@ -10,8 +10,8 @@ from . import parallel
 from .checkpoint import save_network
 from .continual import run_sequence
 from .data import disjoint_split, load_mnist, synthetic_tasks
-from .errors import ConfigError
-from .network import build_network, parameter_digest
+from .errors import DimensionError
+from .network import parameter_digest
 
 SCHEMA_VERSION = 1
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -25,10 +25,7 @@ def output_dir(cfg):
 
 def build_tasks(cfg, seed):
     if cfg["dataset"] == "synthetic":
-        image_shape = None
-        if cfg["synth_image"]:
-            dims = tuple(int(p) for p in cfg["synth_image"].lower().split("x"))
-            image_shape = dims if len(dims) == 3 else dims + (1,)
+        image_shape = cfg.stream_shape()[0] if cfg["synth_image"] else None
         return synthetic_tasks(
             seed=seed,
             T=cfg["tasks"],
@@ -50,18 +47,16 @@ def load_raw(cfg):
 
 
 def build_net(cfg, tasks, seed):
-    head = max(tasks[0].class_ids) + 1
-    input_shape = tasks[0].input_shape
-    arch = cfg["arch"]
-    if arch == "mlp-custom":
-        hidden = list(cfg["mlp_hidden"]) + [head]
-        return build_network(arch, input_shape=input_shape, hidden=hidden, seed=seed)
-    if arch == "mlp-784-10-10-10" and int(np.prod(input_shape)) != 784:
-        raise ConfigError(
-            "arch mlp-784-10-10-10 needs 784 input features "
-            "(use mnist_pad=false for MNIST)"
+    """The network that ``cfg``'s run at ``seed`` starts from, sized by the
+    config; ``tasks``, the stream it runs on, must be the one it describes."""
+    net = cfg.network(seed)
+    got = (tasks[0].input_shape, max(tasks[0].class_ids) + 1)
+    if got != (net.input_shape, net.head_classes):
+        raise DimensionError(
+            f"the config describes {net.input_shape} inputs and {net.head_classes} classes "
+            f"in the first task, but the stream has {got[0]} and {got[1]}"
         )
-    return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
+    return net
 
 
 def environment():

@@ -213,25 +213,41 @@ def conv_direct(x, K, b):
     return y
 
 
-def reference_conv_backward(layer, x, grad_out, need_input_grad=True):
+def reference_conv_backward(layer, x, grad_out):
     """The conv backward the engine used to run: a tensordot over its own
     patch matrix (no ones column) for the kernel gradient, a sum over
     positions for the bias gradient, and one GEMM per kernel slice with the
-    strided ``K[a, b].T``."""
-    kh, kw, d1, d2 = layer.K.shape
+    strided ``K[a, b].T``; returns ``(grad_in, param_grads)``.  A rotated
+    layer runs on its plain kernel, ``U1^T K[a, b] U2^T`` per slice, and its
+    kernel gradient is mapped back as ``U1 gK[a, b] U2``."""
+    K = layer.K
+    if layer.rotated:
+        K = np.einsum("ji,abjk,lk->abil", layer.U1, K, layer.U2)
+    kh, kw, d1, d2 = K.shape
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))
     patches = win.transpose(0, 1, 2, 4, 5, 3).reshape(win.shape[:3] + (-1,))
-    gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2]))
-    grads = {"K": gK.reshape(layer.K.shape), "b": grad_out.sum(axis=(0, 1, 2))}
-    if not need_input_grad:
-        return None, grads
+    gK = np.tensordot(patches, grad_out, axes=([0, 1, 2], [0, 1, 2])).reshape(K.shape)
+    if layer.rotated:
+        gK = np.einsum("ij,abjk,kl->abil", layer.U1, gK, layer.U2)
+    grads = {"K": gK, "b": grad_out.sum(axis=(0, 1, 2))}
     n, h2, w2 = grad_out.shape[:3]
     g2d = grad_out.reshape(-1, d2)
     gx = np.zeros_like(x)
     for a in range(kh):
         for b_ in range(kw):
-            gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ layer.K[a, b_].T).reshape(n, h2, w2, d1)
+            gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ K[a, b_].T).reshape(n, h2, w2, d1)
     return gx, grads
+
+
+def reference_dense_backward(layer, x, grad_out):
+    """A dense layer's ``(grad_in, param_grads)`` through the weight it
+    applies, ``U2 W U1`` when rotated, whose gradient ``G`` maps back to
+    the rotated weight's as ``U2^T G U1^T``."""
+    W = layer.U2 @ layer.W @ layer.U1 if layer.rotated else layer.W
+    gW = grad_out.T @ x
+    if layer.rotated:
+        gW = layer.U2.T @ gW @ layer.U1.T
+    return grad_out @ W, {"W": gW, "b": grad_out.sum(axis=0)}
 
 
 def reference_meanpool_backward(layer, x, grad_out):

@@ -2,18 +2,23 @@ import json
 import os
 import re
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rewc.checkpoint import load_network, save_network
 from rewc.cli import main
 from rewc.config import _SCHEMA, parse_config, parse_config_text
 from rewc.continual import Hyper, Method
-from rewc.errors import ConfigError
+from rewc.errors import ConfigError, DimensionError
 from rewc.linalg import diag_energy_ratio
 from rewc.network import build_network, parameter_digest
 from rewc import plots
 from rewc.plots import heatmap_svg, lineplot_svg
+from rewc.util import rng_for
 
 
 def test_defaults_match_documented_values():
@@ -93,7 +98,7 @@ def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
         with pytest.raises(ConfigError, match="use method = ewc"):
             parse_config_text(f"method = rewc\narch = {arch}\nscope = conv_only")
     # Scopes that select a layer, and scopes that no method reads, still parse.
-    parse_config_text("method = rewc\narch = lenet\nscope = conv_only")
+    parse_config_text("method = rewc\narch = lenet\nsynth_image = 16x16\nscope = conv_only")
     parse_config_text("method = rewc\nscope = fc_only")
     parse_config_text("method = ewc\nscope = conv_only")
     out = tmp_path / "results"
@@ -158,29 +163,69 @@ def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     parse_config_text("arch = mlp-custom\nmlp_hidden = 8\nsynth_dim = 4\nsynth_noise_cond = 2")
 
 
-@pytest.mark.parametrize("arch, shape, kwargs", [
-    ("lenet", (16, 16, 1), {"head_classes": 3, "input_shape": (16, 16, 1)}),
-    ("mlp-784-10-10-10", (28, 28, 1), {"head_classes": 3, "input_shape": (28, 28, 1)}),
-    ("mlp-784-10-10-10", (32, 32, 1), None),
-    ("mlp-custom", (5,), {"input_shape": (5,), "hidden": [6, 3]}),
-], ids=["lenet", "mlp-784", "mlp-784-padded", "mlp-custom"])
-def test_build_net_sizes_the_head_from_the_first_task(arch, shape, kwargs):
+@pytest.mark.parametrize("text, kwargs", [
+    ("arch = lenet\nsynth_image = 16x16\nclasses_per_task = 3",
+     {"arch": "lenet", "head_classes": 3, "input_shape": (16, 16, 1)}),
+    ("dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10\ntasks = 2",
+     {"arch": "mlp-784-10-10-10", "head_classes": 5, "input_shape": (28, 28, 1)}),
+    ("arch = mlp-custom\nmlp_hidden = 6\nsynth_dim = 5",
+     {"arch": "mlp-custom", "input_shape": (5,), "hidden": [6, 2]}),
+], ids=["lenet", "mlp-784", "mlp-custom"])
+def test_build_net_sizes_the_network_from_the_config(text, kwargs):
     from rewc.data import TaskDataset
     from rewc.runner import build_net
 
-    def task(task_id, classes):
+    def task(task_id, classes, shape):
         x, y = np.zeros((len(classes),) + shape), np.array(classes)
         return TaskDataset(task_id, classes, x, y, x, y)
 
-    cfg = parse_config_text(f"arch = {arch}" + ("\nmlp_hidden = 6" if arch == "mlp-custom" else ""))
-    tasks = [task(0, (1, 2)), task(1, (3, 4))]
-    if kwargs is None:
-        with pytest.raises(ConfigError, match=r"784 input features \(use mnist_pad=false"):
+    cfg = parse_config_text(text)
+    shape, head = cfg.stream_shape()
+    assert shape == kwargs["input_shape"]
+    classes = tuple(range(head))
+    net = build_net(cfg, [task(0, classes, shape), task(1, (head,), shape)], seed=4)
+    assert parameter_digest(net) == parameter_digest(build_network(seed=4, **kwargs))
+    # A stream other than the one the config describes is refused.
+    for tasks in ([task(0, classes + (head,), shape)], [task(0, classes, (3,) + shape)]):
+        with pytest.raises(DimensionError, match="the config describes"):
             build_net(cfg, tasks, seed=4)
-        return
-    net = build_net(cfg, tasks, seed=4)
-    assert net.head_classes == 3
-    assert parameter_digest(net) == parameter_digest(build_network(arch, seed=4, **kwargs))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("arch = lenet", r"arch = lenet cannot run on this stream's \(8,\) inputs: lenet expects "
+                     r"\(H, W, C\) input"),
+    ("arch = lenet\nsynth_image = 8x8", r"layer 3 \(conv2d\): conv kernel larger than input"),
+    ("arch = mlp-784-10-10-10\nsynth_image = 32x32", "requires 784 input features"),
+    ("dataset = mnist\nmnist_dir = d\narch = mlp-784-10-10-10",
+     r"\(32, 32, 1\) inputs: mlp-784-10-10-10 requires 784 input features"),
+    ("classes_per_task = 5\nfim_samples = 5000",
+     r"fim_samples 5000 exceeds the 1000 training rows of a synthetic task \(200 per class\)"),
+    ("method = rewc\ndiag_layers = 0,99", r"diag_layers \[99\] out of range for a 3-layer"),
+    ("method = rewc\ndiag_layers = 1,0", r"diag_layers name layers without weights: 1 \(relu\)"),
+], ids=["lenet-flat", "lenet-8x8", "mlp-784-32x32", "mlp-784-padded-mnist", "fim-samples",
+        "diag-layer-missing", "diag-layer-relu"])
+def test_settings_the_run_would_fail_on_rejected_at_parse_time(text, message):
+    # Each used to parse and fail only once the task stream had been made.
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+    # The Fisher budget binds only where a task is consolidated.
+    for ok in ("classes_per_task = 5\nfim_samples = 1000", "method = ft\nfim_samples = 5000",
+               "tasks = 1\nfim_samples = 5000", "arch = lenet\nsynth_image = 16x16",
+               "dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10"):
+        parse_config_text(ok)
+
+
+@pytest.mark.parametrize("seeds, outside", [
+    ("0,4294967296", [4294967296]), ("-1", [-1]), ("5,-3,8589934592,2", [-3, 8589934592]),
+])
+def test_seeds_outside_32_bits_rejected_at_parse_time(seeds, outside):
+    # rng_for keeps a seed's low 32 bits: 2^32 would rerun seed 0's streams,
+    # and -1 those of seed 2^32 - 1.
+    assert rng_for(2**32, "x").random() == rng_for(0, "x").random()
+    assert rng_for(-1, "x").random() == rng_for(2**32 - 1, "x").random()
+    with pytest.raises(ConfigError, match=re.escape(f"seeds {outside} are outside [0, 2^32)")):
+        parse_config_text(f"seeds = {seeds}")
+    assert parse_config_text("seeds = 0,4294967295")["seeds"] == [0, 2**32 - 1]
 
 
 def test_hash_ignores_outdir_only():
@@ -212,6 +257,92 @@ def test_readme_config_table_names_every_key_once():
     keys = [key for row in section.splitlines() if row.startswith("| `")
             for key in re.findall(r"`([a-z_]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(_SCHEMA)
+
+
+LENET_16 = """\
+dataset = synthetic
+synth_image = 16x16x1
+classes_per_task = 2
+tasks = 3
+arch = lenet
+method = rewc
+epochs = 1
+batch = 32
+fim_samples = 100
+diag_layers = 0,3,7
+seeds = 0
+"""
+with open(os.path.join(REPO, "configs", "synthetic-t4.cfg"), encoding="utf-8") as _f:
+    EDIT_BASES = {"synthetic-t4": _f.read(), "lenet-16": LENET_16}
+# A small pool of values for every key: in range and out, read and unread.
+EDIT_POOLS = {
+    "dataset": ["synthetic", "mnist"],
+    "mnist_dir": ["d"],
+    "mnist_pad": ["false"],
+    "synth_dim": ["0", "1", "784"],
+    "synth_separation": ["0", "30", "nan"],
+    "synth_noise_cond": ["0.5", "20"],
+    "synth_image": ["", "4x4", "8x8", "12x12", "16x16x3", "28x28", "32x32x1", "8x8x0"],
+    "classes_per_task": ["0", "1", "5"],
+    "tasks": ["0", "1", "5"],
+    "arch": ["lenet", "mlp-784-10-10-10", "mlp-custom", "resnet"],
+    "mlp_hidden": ["", "0", "8", "16,8"],
+    "method": ["ft", "ewc", "rewc", "sgd"],
+    "lambda": ["0", "-1", "1e4"],
+    "scope": ["all", "all_no_last", "conv_only", "fc_only"],
+    "epochs": ["0", "2"],
+    "batch": ["0", "1", "5000"],
+    "lr": ["0", "0.1"],
+    "seeds": ["", "-1", "4294967296", "0,0", "3,4"],
+    "fim_samples": ["0", "1", "400", "401", "1000", "5000"],
+    "fim_mode": ["sampled", "expected", "true"],
+    "diag_layers": ["", "0", "1", "3", "7", "99", "0,0"],
+    "store_fim_blocks": ["true", "false"],
+    "checkpoints": ["true"],
+    "outdir": ["elsewhere"],
+}
+
+
+class ReachedTraining(Exception):
+    pass
+
+
+@st.composite
+def one_line_edits(draw):
+    """A base config and one edit: a key set to a value from its pool, or,
+    with ``None``, the key's line deleted."""
+    base = draw(st.sampled_from(sorted(EDIT_BASES)))
+    key = draw(st.sampled_from(sorted(EDIT_POOLS)))
+    return base, key, draw(st.none() | st.sampled_from(EDIT_POOLS[key]))
+
+
+def test_edit_pools_cover_every_key():
+    assert sorted(EDIT_POOLS) == sorted(_SCHEMA)
+
+
+@settings(max_examples=300)
+@given(edit=one_line_edits())
+@example(edit=("lenet-16", "synth_image", None))
+@example(edit=("lenet-16", "synth_image", "8x8"))
+@example(edit=("lenet-16", "arch", "mlp-784-10-10-10"))
+@example(edit=("synthetic-t4", "fim_samples", "5000"))
+@example(edit=("synthetic-t4", "diag_layers", "1"))
+def test_a_config_that_parses_runs_up_to_training(edit):
+    # What the settings alone decide is checked at parse time: an edited
+    # config either fails to parse, or passes every check that runs before
+    # the first step of training.
+    from rewc import continual, runner
+
+    base, key, value = edit
+    lines = [l for l in EDIT_BASES[base].splitlines() if l.partition("=")[0].strip() != key]
+    text = "\n".join(lines + ([] if value is None else [f"{key} = {value}"])) + "\n"
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    with mock.patch.object(continual, "train_task", side_effect=ReachedTraining):
+        with pytest.raises(ReachedTraining):
+            runner.run_single(cfg, cfg["seeds"][0])
 
 
 SMALL_RUN = """
@@ -701,8 +832,8 @@ def test_cli_oversized_fim_budget_fails_before_training(tmp_path, capsys):
         SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = ewc")
         + "fim_samples = 5000\ncheckpoints = true\n"
     )
-    assert run_cli(["run", str(cfgp)]) == 2
-    assert "fim_samples 5000 exceeds the 400 training samples of task 0" in capsys.readouterr().err
+    assert run_cli(["run", str(cfgp)]) == 1
+    assert "fim_samples 5000 exceeds the 400 training rows" in capsys.readouterr().err
     assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
 
 
@@ -715,7 +846,7 @@ def test_cli_bad_diag_layer_fails_before_training(tmp_path, capsys):
             SMALL_RUN.format(out=tmp_path / "r").replace("method = ft", "method = rewc")
             + f"diag_layers = {layers}\ncheckpoints = true\n"
         )
-        assert run_cli(["run", str(cfgp)]) == 2
+        assert run_cli(["run", str(cfgp)]) == 1
         assert message in capsys.readouterr().err
         assert not list((tmp_path / "r").glob("*.rewc"))  # no task was trained
 

@@ -448,11 +448,12 @@ def full_depth_pass(net, cache, labels):
     grad /= n
     grads, deltas = {}, {}
     for i in range(len(net.layers) - 1, -1, -1):
-        if net.layers[i].trainable:
+        layer = net.layers[i]
+        if layer.trainable:
             deltas[i] = grad
-        grad, pgrads = net.layers[i].backward(cache.inputs[i], grad, aux=cache.aux[i])
-        for name, g in (pgrads or {}).items():
-            grads[f"{i}.{name}"] = g
+            for name, g in layer.param_grads(cache.inputs[i], grad, cache.aux[i]).items():
+                grads[f"{i}.{name}"] = g
+        grad = layer.backward(cache.inputs[i], grad, aux=cache.aux[i])
     return grads, deltas
 
 
@@ -485,25 +486,30 @@ def test_record_only_backward_keeps_records_and_forms_no_parameter_gradient():
         _, cache = forward(net, x[:16])
         _, ref = full_depth_pass(net, cache, labels)
         lowest = min(i for i, l in enumerate(net.layers) if l.trainable)
-        called = []
+        reduced, called = [], []
 
-        def spy(i, layer_backward):
-            def record_only_backward(*args, **kwargs):
-                assert i != lowest, f"{name}: backward reached the lowest trainable layer"
-                assert kwargs["need_param_grads"] is False, f"{name}: layer {i}"
-                called.append(i)
-                return layer_backward(*args, **kwargs)
-            return record_only_backward
+        def spy(i, method, log, arg=None):
+            def spied(*args, **kwargs):
+                log.append(i if arg is None else (i, kwargs[arg]))
+                return method(*args, **kwargs)
+            return spied
 
         for i, layer in enumerate(net.layers):
-            layer.backward = spy(i, layer.backward)
+            layer.backward = spy(i, layer.backward, called, "need_input_grad")
+            if layer.trainable:
+                layer.param_grads = spy(i, layer.param_grads, reduced)
         deltas = backward(net, cache, label_gradient(softmax(cache.logits), labels),
                           record_only=True)
-        assert called == list(range(len(net.layers) - 1, lowest, -1))
-        # only output gradients, keyed by layer index: no parameter gradient
+        assert reduced == [], f"{name}: the curvature pass formed a parameter gradient"
+        # Input gradients down to the lowest trainable layer, and none below.
+        assert called == [(i, i > lowest) for i in range(len(net.layers) - 1, lowest - 1, -1)]
+        # only output gradients, keyed by layer index
         assert set(deltas) == set(ref)
         for i in ref:
             assert np.array_equal(deltas[i], ref[i]), f"{name} {i}"
+        # The training pass reduces each record once, top layer first.
+        backward(net, cache, labels)
+        assert reduced == sorted(ref, reverse=True)
 
 
 @pytest.mark.parametrize("shape", ["flat", "peaked"])

@@ -1,3 +1,4 @@
+import copy
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     random_mlp,
     random_rotation,
     reference_conv_backward,
+    reference_dense_backward,
     reference_meanpool_backward,
 )
 from rewc.checkpoint import load_network, save_network
@@ -75,7 +77,7 @@ def test_meanpool_forward_backward():
     y, _ = pool.forward_cached(x)
     assert y.shape == (2, 2, 2, 3)
     assert y[0, 0, 0, 0] == pytest.approx((x[0, 0, 0, 0] + x[0, 0, 1, 0] + x[0, 1, 0, 0] + x[0, 1, 1, 0]) / 4)
-    g, _ = pool.backward(x, np.ones_like(y))
+    g = pool.backward(x, np.ones_like(y))
     assert g.shape == x.shape
     assert np.allclose(g, 0.25)
 
@@ -89,24 +91,25 @@ def assert_close_to_largest(actual, expected, rtol=1e-12):
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("rotated", (False, True), ids=["plain", "rotated"])
 @pytest.mark.parametrize("batch", (1, 7, 64))
-def test_conv_backward_matches_reference_engine(batch):
+def test_conv_backward_matches_reference_engine(batch, rotated):
     # d_out != d_in throughout, so a transpose dropped from either GEMM fails.
     rng = np.random.default_rng(batch)
     for d1, d2 in zip(CHANNELS, CHANNELS[1:] + CHANNELS[:1]):
         for k in (1, 3, 5):
-            layer = Conv2D(rng.normal(size=(k, k, d1, d2)), rng.normal(size=d2))
+            layer = Conv2D(rng.normal(size=(k, k, d1, d2)), rng.normal(size=d2),
+                           *random_rotation(rng, d1, d2, rotated))
             x = rng.normal(size=(batch, 9, 8, d1))
             y, aux = layer.forward_cached(x)
             g = rng.normal(size=y.shape)
             ref_gx, ref = reference_conv_backward(layer, x, g)
-            gx, grads = layer.backward(x, g, aux)
-            assert_close_to_largest(gx, ref_gx)
-            assert_close_to_largest(grads["K"], ref["K"])
-            assert_close_to_largest(grads["b"], ref["b"])
-            none, grads = layer.backward(x, g, aux, need_input_grad=False)
-            assert none is None
-            assert_close_to_largest(grads["K"], ref["K"])
+            assert_close_to_largest(layer.backward(x, g, aux), ref_gx)
+            assert layer.backward(x, g, aux, need_input_grad=False) is None
+            grads = layer.param_grads(x, g, aux)
+            assert grads.keys() == ref.keys()
+            for name in ref:
+                assert_close_to_largest(grads[name], ref[name])
 
 
 def test_meanpool_backward_equals_reference_exactly():
@@ -116,7 +119,7 @@ def test_meanpool_backward_equals_reference_exactly():
         for c in CHANNELS:
             x = rng.normal(size=(batch, 4, 6, c))
             g = rng.normal(size=pool.forward_cached(x)[0].shape)
-            assert np.array_equal(pool.backward(x, g)[0], reference_meanpool_backward(pool, x, g))
+            assert np.array_equal(pool.backward(x, g), reference_meanpool_backward(pool, x, g))
 
 
 def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
@@ -127,7 +130,7 @@ def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
     y, mask = relu.forward_cached(x)
     g = rng.normal(size=x.shape)
     assert np.array_equal(mask, x > 0.0)
-    assert relu.backward(None, g, mask)[0].tobytes() == (g * (x > 0.0)).tobytes()
+    assert relu.backward(None, g, mask).tobytes() == (g * (x > 0.0)).tobytes()
     net = build_network("lenet", head_classes=5, seed=2)
     _, cache = forward(net, rng.normal(size=(3, 32, 32, 1)))
     for layer, kept in zip(net.layers, cache.inputs):
@@ -148,6 +151,9 @@ def layer_case(kind, rotated, rng, n, dims):
     layer = {"relu": ReLU, "flatten": Flatten, "meanpool2d": MeanPool2D}[kind]()
     scale = 2 if kind == "meanpool2d" else 1
     return layer, rng.normal(size=(n, scale * a, scale * b, c))
+
+
+REFERENCE_BACKWARD = {"dense": reference_dense_backward, "conv2d": reference_conv_backward}
 
 
 def same_bits(a, b):
@@ -173,22 +179,30 @@ def test_layer_contract(kind, rotated, n, dims, seed):
     y, aux = layer.forward_cached(x)
     y2, aux2 = layer.forward_prepared(layer.prepare(x))
     assert same_bits(y, y2) and same_bits(aux, aux2)
-    # Skipping the parameter gradients leaves the input gradient's bits alone.
     g = rng.normal(size=y.shape)
-    gx, grads = layer.backward(x, g, aux)
-    gx2, none = layer.backward(x, g, aux, need_param_grads=False)
-    assert same_bits(gx, gx2) and none is None
+    gx = layer.backward(x, g, aux)
+    assert gx.shape == x.shape
     if not layer.trainable:
-        assert grads is None
         return
-    # The Fisher's per-example gradients, in the weight's coordinates, sum to
-    # the backward's, and the sums of their squares are the Fisher terms;
-    # within 1e-12 of the sum of their magnitudes.  A per-example gradient is
-    # that of ``n`` times its row of ``g``.
+    assert layer.backward(x, g, aux, need_input_grad=False) is None
+    # The three reductions of the record (x, g, aux) leave it as it was, so
+    # the input gradient keeps its bits after them.
+    record = copy.deepcopy((x, g, aux))
+    grads = layer.param_grads(x, g, aux)
     ge = layer.example_grads(x, g, aux)
     terms = layer.fisher_terms(x, g, aux)
-    assert ge.keys() == terms.keys() == grads.keys()
+    assert same_bits((x, g, aux), record)
+    assert same_bits(layer.backward(x, g, aux), gx)
+    # The input and parameter gradients match the reference's.
+    ref_gx, ref = REFERENCE_BACKWARD[kind](layer, x, g)
+    assert_close_to_largest(gx, ref_gx)
+    assert ge.keys() == terms.keys() == grads.keys() == ref.keys()
+    # The Fisher's per-example gradients, in the weight's coordinates, sum to
+    # the parameter gradient, and the sums of their squares are the Fisher
+    # terms; within 1e-12 of the sum of their magnitudes.  A per-example
+    # gradient is that of ``n`` times its row of ``g``.
     for name, want in grads.items():
+        assert_close_to_largest(want, ref[name])
         tol = 1e-12 * np.max(np.abs(ge[name]).sum(axis=0))
         assert np.max(np.abs(ge[name].sum(axis=0) - n * want)) <= tol
         sq = (ge[name] ** 2).sum(axis=0)
