@@ -9,10 +9,8 @@ from .data import MNIST_CLASSES, SYNTH_TRAIN_PER_CLASS
 from .errors import ConfigError, DimensionError
 from .network import ARCHS as _ARCHS
 from .network import build_network
-from .rotation import RotationScope
+from .rotation import scope_selects
 
-_SCOPES = tuple(s.value for s in RotationScope)
-_CONV_ARCHS = ("lenet",)  # the architectures with a convolution
 _DATASETS = ("synthetic", "mnist")
 
 
@@ -39,32 +37,35 @@ def _parse_int_list(s):
     return [int(p) for p in s.split(",")]
 
 
-# key -> (parser, default); defaults follow the documented experiment setup.
+# key -> (parser, default, where it is read: None if by every run, else
+# (setting, test): where ``setting`` is read and ``test`` holds on its value).
+_MNIST = ("dataset", lambda dataset: dataset == "mnist")
+_SYNTHETIC = ("dataset", lambda dataset: dataset == "synthetic")
 _SCHEMA = {
-    "dataset": (str, "synthetic"),
-    "mnist_dir": (str, ""),
-    "mnist_pad": (_parse_bool, True),
-    "synth_dim": (int, 8),
-    "synth_separation": (_parse_float, 10.0),
-    "synth_noise_cond": (_parse_float, 1.0),
-    "synth_image": (str, ""),
-    "classes_per_task": (int, 2),
-    "tasks": (int, 2),
-    "arch": (str, "mlp-custom"),
-    "mlp_hidden": (_parse_int_list, [32]),
-    "method": (str, "ewc"),
-    "lambda": (_parse_float, 100.0),
-    "scope": (str, "all_no_last"),
-    "epochs": (int, 5),
-    "batch": (int, 64),
-    "lr": (_parse_float, 0.001),
-    "seeds": (_parse_int_list, [0, 1, 2]),
-    "fim_samples": (int, 200),
-    "fim_mode": (str, "sampled"),
-    "diag_layers": (_parse_int_list, []),
-    "store_fim_blocks": (_parse_bool, False),
-    "checkpoints": (_parse_bool, False),
-    "outdir": (str, "results"),
+    "dataset": (str, "synthetic", None),
+    "mnist_dir": (str, "", _MNIST),
+    "mnist_pad": (_parse_bool, True, _MNIST),
+    "synth_dim": (int, 8, ("synth_image", lambda image: not image)),
+    "synth_separation": (_parse_float, 10.0, _SYNTHETIC),
+    "synth_noise_cond": (_parse_float, 1.0, _SYNTHETIC),
+    "synth_image": (str, "", _SYNTHETIC),
+    "classes_per_task": (int, 2, _SYNTHETIC),
+    "tasks": (int, 2, None),
+    "arch": (str, "mlp-custom", None),
+    "mlp_hidden": (_parse_int_list, [32], ("arch", lambda arch: arch == "mlp-custom")),
+    "method": (str, "ewc", None),
+    "lambda": (_parse_float, 100.0, None),
+    "scope": (str, "all_no_last", None),
+    "epochs": (int, 5, None),
+    "batch": (int, 64, None),
+    "lr": (_parse_float, 0.001, None),
+    "seeds": (_parse_int_list, [0, 1, 2], None),
+    "fim_samples": (int, 200, None),
+    "fim_mode": (str, "sampled", None),
+    "diag_layers": (_parse_int_list, [], ("method", lambda method: method == "rewc")),
+    "store_fim_blocks": (_parse_bool, False, ("diag_layers", bool)),
+    "checkpoints": (_parse_bool, False, None),
+    "outdir": (str, "results", None),
 }
 
 
@@ -123,7 +124,7 @@ class ExperimentConfig:
 
 
 def parse_config_text(text, source="<config>"):
-    values = {k: default for k, (_, default) in _SCHEMA.items()}
+    values = {k: default for k, (_, default, _) in _SCHEMA.items()}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -139,9 +140,8 @@ def parse_config_text(text, source="<config>"):
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(val)
+            values[key] = _SCHEMA[key][0](val)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {e}") from e
     cfg = ExperimentConfig(values)
@@ -156,6 +156,14 @@ def parse_config(path):
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, source=str(path))
+
+
+def _unread_under(values, key):
+    """The setting that leaves ``key`` unread, or None where it is read."""
+    where = _SCHEMA[key][2]
+    if where:
+        setting, test = where
+        return _unread_under(values, setting) or (None if test(values[setting]) else setting)
 
 
 def _validate(cfg, source, written):
@@ -173,37 +181,21 @@ def _validate(cfg, source, written):
     if v["scope"] == "all":
         bad("scope = all rotates the same layers as all_no_last (the growing head is "
             "never rotated); use scope = all_no_last")
-    if v["scope"] not in _SCOPES:
-        bad(f"scope must be one of {_SCOPES}, got {v['scope']!r}")
-    if v["method"] == "rewc" and v["scope"] == "conv_only" and v["arch"] not in _CONV_ARCHS:
-        bad(f"scope = conv_only selects no layer of arch {v['arch']}, which has no "
-            "convolution, so the run would be plain EWC; use method = ewc")
     try:
-        cfg.method()
+        method = cfg.method()
         cfg.hyper(seed=0)
     except ValueError as e:
         bad(str(e))
-    if v["diag_layers"] and v["method"] != "rewc":
-        bad(f"diag_layers is read only under method = rewc, not {v['method']}; "
-            "remove diag_layers or use method = rewc")
+    unread = [(s, k) for k in sorted(written) if (s := _unread_under(v, k))]
+    if unread:
+        setting = unread[0][0]
+        keys = ", ".join(k for s, k in unread if s == setting)
+        shown = v[setting] if isinstance(v[setting], str) else ",".join(map(str, v[setting]))
+        where = f"under {setting} = {shown}" if shown else f"with {setting} empty"
+        bad(f"{keys} not read {where}; remove {keys}")
     if len(set(v["diag_layers"])) != len(v["diag_layers"]):
         bad(f"diag_layers {v['diag_layers']} repeat a layer, whose Fisher block would be "
             "estimated twice and recorded once; list each layer once")
-    if v["store_fim_blocks"] and not v["diag_layers"]:
-        bad("store_fim_blocks = true stores the blocks of diag_layers, which is empty; "
-            "set diag_layers or remove store_fim_blocks")
-    if "mlp_hidden" in written and v["arch"] != "mlp-custom":
-        bad(f"mlp_hidden is read only under arch = mlp-custom, not {v['arch']}; "
-            "remove mlp_hidden")
-    unread = sorted(k for k in written
-                    if (k.startswith("mnist_") if v["dataset"] == "synthetic"
-                        else k.startswith("synth_") or k == "classes_per_task"))
-    if unread:
-        keys = ", ".join(unread)
-        bad(f"{keys} not read under dataset = {v['dataset']}; remove {keys}")
-    if "synth_dim" in written and v["synth_image"]:
-        bad("synth_dim is not read next to synth_image, whose shape sets the dimension; "
-            "remove synth_dim")
     if not v["seeds"]:
         bad("seeds must be non-empty")
     if len(set(v["seeds"])) != len(v["seeds"]):
@@ -251,6 +243,9 @@ def _validate(cfg, source, written):
     except DimensionError as e:
         bad(f"arch = {v['arch']} cannot run on this stream's {input_shape} inputs: {e}")
     if v["method"] == "rewc":
+        if not scope_selects(net, method.scope):
+            bad(f"scope = {v['scope']} selects no layer of arch {v['arch']}, so the run "
+                "would be plain EWC; use method = ewc")
         try:
             check_diag_layers(net, v["diag_layers"])
         except DimensionError as e:

@@ -38,8 +38,11 @@ class Method:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.name!r}")
-        if isinstance(self.scope, str):
+        try:
             self.scope = RotationScope(self.scope)
+        except ValueError:
+            scopes = tuple(s.value for s in RotationScope)
+            raise ValueError(f"scope must be one of {scopes}, got {self.scope!r}") from None
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.name == "ft" and self.lam != 0.0:

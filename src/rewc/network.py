@@ -276,9 +276,9 @@ def _build_lenet(head_classes, input_shape, rng, seed):
     h = (h - 4) // 2
     w = (input_shape[1] - 4) // 2
     w = (w - 4) // 2
-    flat = h * w * 16
-    if flat <= 0:
+    if h <= 0 or w <= 0:
         raise DimensionError(f"lenet needs at least 16x16 input, got {input_shape}")
+    flat = h * w * 16
     layers += [
         Dense(_he_normal(rng, (120, flat), flat), np.zeros(120)),
         ReLU(),

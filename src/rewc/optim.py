@@ -18,15 +18,15 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(net, grads, state, lr, beta1=BETA1, beta2=BETA2, eps=EPS):
+def adam_step(net, grads, state, lr):
     """One bias-corrected Adam update of every trainable parameter that has
     a gradient in ``grads``; a layer's rotation is not a parameter and is
     never updated."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for key, _, _ in net.trainable_keys():
         g = grads.get(key)
         if g is None:
@@ -36,9 +36,9 @@ def adam_step(net, grads, state, lr, beta1=BETA1, beta2=BETA2, eps=EPS):
             raise AlignmentError(f"gradient/state shape mismatch for {key}")
         m = state.m[key]
         v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return net, state

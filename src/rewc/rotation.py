@@ -90,7 +90,7 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
 
 
-def _scope_selects(net, scope):
+def scope_selects(net, scope):
     """The scope's layers; never the classification head, which keeps growing."""
     ids = [i for i in rotatable_indices(net) if i != net.head_index]
     if scope == RotationScope.CONV_ONLY:
@@ -128,7 +128,7 @@ def rotate_network(net, stats, scope):
         raise AlignmentError("correlation stats were computed on a different network")
     if isinstance(scope, str):
         scope = RotationScope(scope)
-    selected = set(_scope_selects(net, scope))
+    selected = set(scope_selects(net, scope))
     layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in selected else l.clone()
               for i, l in enumerate(net.layers)]
     return Network(layers, net.rng_seed, net.input_shape)

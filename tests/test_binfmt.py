@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import DRAWN_NETS
 from rewc.checkpoint import _KIND_TAGS, Writer, load_network, save_network
 from rewc.errors import DataFormatError, DimensionError
 from rewc.layers import Conv2D, Dense, Flatten, Layer, MeanPool2D, ReLU, WeightedLayer
@@ -263,20 +264,35 @@ def test_every_layer_kind_is_saveable_and_round_trips_bit_exactly(tmp_path):
         assert f.read() == first
 
 
-@pytest.mark.parametrize("name", sorted(FORMATS))
+# One net of each maker in ``helpers.DRAWN_NETS``, plain and rotated, from a
+# fixed seed: unlike the fixtures, they have several input channels, 1-D
+# inputs and full-mantissa weights.  Their rotations come from LAPACK's QR,
+# so their bytes are not pinned.
+DRAWN = {f"drawn-{maker}-{kind}": (maker, kind == "rotated")
+         for maker in sorted(DRAWN_NETS) for kind in ("plain", "rotated")}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS) + sorted(DRAWN))
 def test_every_single_byte_change_raises_data_format_error_or_round_trips(tmp_path, name):
     # 0x7F in a double's top byte makes it huge, inf or NaN; one flipped low
     # bit turns a tag into another kind, a flag on, or a dimension off by one.
-    path, data = written(tmp_path, name)
+    if name in FORMATS:
+        path, data = written(tmp_path, name)
+    else:
+        maker, rotated = DRAWN[name]
+        path = os.path.join(tmp_path, name)
+        save_network(DRAWN_NETS[maker](np.random.default_rng(2), rotated=rotated), path)
+        with open(path, "rb") as f:
+            data = f.read()
     again = os.path.join(tmp_path, "again")
     for at in range(len(data)):
         for value in {0x7F, data[at] ^ 0x01} - {data[at]}:
             changed = data[:at] + bytes([value]) + data[at + 1:]
             rewrite(path, changed)
             try:
-                net = FORMATS[name][1](path)
+                net = load_network(path)
             except DataFormatError:
                 continue
-            FORMATS[name][0](net, again)
+            save_network(net, again)
             with open(again, "rb") as f:
                 assert f.read() == changed, f"byte {at} set to {value:#x}"

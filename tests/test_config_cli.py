@@ -94,9 +94,9 @@ def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
     # on a network without convolutions rotates nothing, which is plain EWC.
     with pytest.raises(ConfigError, match="use scope = all_no_last"):
         parse_config_text("scope = all")
-    for arch in ("mlp-custom", "mlp-784-10-10-10"):
+    for arch, stream in (("mlp-custom", ""), ("mlp-784-10-10-10", "synth_image = 28x28\n")):
         with pytest.raises(ConfigError, match="use method = ewc"):
-            parse_config_text(f"method = rewc\narch = {arch}\nscope = conv_only")
+            parse_config_text(f"method = rewc\narch = {arch}\n{stream}scope = conv_only")
     # Scopes that select a layer, and scopes that no method reads, still parse.
     parse_config_text("method = rewc\narch = lenet\nsynth_image = 16x16\nscope = conv_only")
     parse_config_text("method = rewc\nscope = fc_only")
@@ -131,24 +131,35 @@ def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
 
 
 @pytest.mark.parametrize("text, fix", [
-    ("method = ft\ndiag_layers = 0", "use method = rewc"),
-    ("method = ewc\ndiag_layers = 0,2", "use method = rewc"),
-    ("method = rewc\nstore_fim_blocks = true", "set diag_layers"),
+    ("method = ft\ndiag_layers = 0", "diag_layers not read under method = ft; remove diag_layers"),
+    ("method = ewc\ndiag_layers = 0,2",
+     "diag_layers not read under method = ewc; remove diag_layers"),
+    ("method = ewc\ndiag_layers = ", "diag_layers not read under method = ewc; remove diag_layers"),
+    ("method = rewc\nstore_fim_blocks = true",
+     "store_fim_blocks not read with diag_layers empty; remove store_fim_blocks"),
+    ("method = rewc\nstore_fim_blocks = false",
+     "store_fim_blocks not read with diag_layers empty; remove store_fim_blocks"),
+    ("method = ewc\nstore_fim_blocks = false",
+     "store_fim_blocks not read under method = ewc; remove store_fim_blocks"),
     ("seeds = 0,0", "list each seed once"),
     ("seeds = 3,1,3", "list each seed once"),
     ("method = rewc\ndiag_layers = 0,0", "list each layer once"),
     ("arch = lenet\nmlp_hidden = 64", "remove mlp_hidden"),
     ("arch = mlp-784-10-10-10\nmlp_hidden = 10,10", "remove mlp_hidden"),
-    ("synth_image = 8x8\nsynth_dim = 64", "remove synth_dim"),
+    ("synth_image = 8x8\nsynth_dim = 64",
+     "synth_dim not read under synth_image = 8x8; remove synth_dim"),
+    ("dataset = mnist\nmnist_dir = d\nsynth_dim = 64",
+     "synth_dim not read under dataset = mnist; remove synth_dim"),
     ("dataset = mnist\nmnist_dir = d\nsynth_separation = 3\nsynth_image = 8x8",
      "synth_image, synth_separation not read under dataset = mnist"),
     ("dataset = mnist\nmnist_dir = d\nclasses_per_task = 5",
      "classes_per_task not read under dataset = mnist"),
     ("mnist_dir = d", "mnist_dir not read under dataset = synthetic"),
     ("dataset = synthetic\nmnist_pad = false", "remove mnist_pad"),
-], ids=["ft-diag-layers", "ewc-diag-layers", "blocks-without-layers", "seed-twice",
-        "seed-twice-apart", "diag-layer-twice", "lenet-mlp-hidden", "mlp-784-mlp-hidden",
-        "synth-dim-and-image", "synth-under-mnist", "classes-per-task-under-mnist",
+], ids=["ft-diag-layers", "ewc-diag-layers", "ewc-empty-diag-layers", "blocks-without-layers",
+        "no-blocks-without-layers", "no-blocks-under-ewc", "seed-twice", "seed-twice-apart",
+        "diag-layer-twice", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
+        "synth-dim-under-mnist", "synth-under-mnist", "classes-per-task-under-mnist",
         "mnist-dir-under-synthetic", "mnist-pad-under-synthetic"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
@@ -194,7 +205,8 @@ def test_build_net_sizes_the_network_from_the_config(text, kwargs):
 @pytest.mark.parametrize("text, message", [
     ("arch = lenet", r"arch = lenet cannot run on this stream's \(8,\) inputs: lenet expects "
                      r"\(H, W, C\) input"),
-    ("arch = lenet\nsynth_image = 8x8", r"layer 3 \(conv2d\): conv kernel larger than input"),
+    ("arch = lenet\nsynth_image = 8x8", r"lenet needs at least 16x16 input, got \(8, 8, 1\)"),
+    ("arch = lenet\nsynth_image = 15x15", r"lenet needs at least 16x16 input, got \(15, 15, 1\)"),
     ("arch = mlp-784-10-10-10\nsynth_image = 32x32", "requires 784 input features"),
     ("dataset = mnist\nmnist_dir = d\narch = mlp-784-10-10-10",
      r"\(32, 32, 1\) inputs: mlp-784-10-10-10 requires 784 input features"),
@@ -202,13 +214,14 @@ def test_build_net_sizes_the_network_from_the_config(text, kwargs):
      r"fim_samples 5000 exceeds the 1000 training rows of a synthetic task \(200 per class\)"),
     ("method = rewc\ndiag_layers = 0,99", r"diag_layers \[99\] out of range for a 3-layer"),
     ("method = rewc\ndiag_layers = 1,0", r"diag_layers name layers without weights: 1 \(relu\)"),
-], ids=["lenet-flat", "lenet-8x8", "mlp-784-32x32", "mlp-784-padded-mnist", "fim-samples",
-        "diag-layer-missing", "diag-layer-relu"])
+], ids=["lenet-flat", "lenet-8x8", "lenet-15x15", "mlp-784-32x32", "mlp-784-padded-mnist",
+        "fim-samples", "diag-layer-missing", "diag-layer-relu"])
 def test_settings_the_run_would_fail_on_rejected_at_parse_time(text, message):
     # Each used to parse and fail only once the task stream had been made.
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
-    # The Fisher budget binds only where a task is consolidated.
+    # The Fisher budget binds only where a task is consolidated; 16x16 is
+    # the smallest image lenet takes.
     for ok in ("classes_per_task = 5\nfim_samples = 1000", "method = ft\nfim_samples = 5000",
                "tasks = 1\nfim_samples = 5000", "arch = lenet\nsynth_image = 16x16",
                "dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10"):

@@ -17,6 +17,7 @@ from rewc.errors import ConvergenceError, DimensionError
 from rewc.fim import ewc_penalty
 from rewc.layers import Dense
 from rewc.network import Network, build_network, forward, layout_signature, parameter_digest
+from rewc.rotation import RotationScope
 
 
 def small_net(seed, head=2, dim=6, hidden=(16,)):
@@ -41,6 +42,13 @@ def test_method_validation():
 def test_unknown_fim_mode_rejected_at_construction():
     with pytest.raises(ValueError, match="bogus"):
         Method("ewc", fim_mode="bogus")
+
+
+def test_unknown_scope_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"scope must be one of \('conv_only', 'fc_only', "
+                                         r"'all_no_last'\), got 'all'"):
+        Method("rewc", scope="all")
+    assert Method("rewc", scope=RotationScope.CONV_ONLY).scope is RotationScope.CONV_ONLY
 
 
 def test_empty_fim_budget_rejected_at_construction():
