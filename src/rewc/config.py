@@ -4,7 +4,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .continual import Hyper, Method, check_diag_layers
+from .continual import METHODS, Hyper, Method, check_diag_layers
 from .data import MNIST_CLASSES, SYNTH_TRAIN_PER_CLASS
 from .errors import ConfigError, DimensionError
 from .network import ARCHS as _ARCHS
@@ -41,6 +41,7 @@ def _parse_int_list(s):
 # (setting, test): where ``setting`` is read and ``test`` holds on its value).
 _MNIST = ("dataset", lambda dataset: dataset == "mnist")
 _SYNTHETIC = ("dataset", lambda dataset: dataset == "synthetic")
+_CONSOLIDATES = ("method", lambda method: method != "ft")
 _SCHEMA = {
     "dataset": (str, "synthetic", None),
     "mnist_dir": (str, "", _MNIST),
@@ -54,16 +55,16 @@ _SCHEMA = {
     "arch": (str, "mlp-custom", None),
     "mlp_hidden": (_parse_int_list, [32], ("arch", lambda arch: arch == "mlp-custom")),
     "method": (str, "ewc", None),
-    "lambda": (_parse_float, 100.0, None),
-    "scope": (str, "all_no_last", None),
-    "epochs": (int, 5, None),
-    "batch": (int, 64, None),
-    "lr": (_parse_float, 0.001, None),
+    "lambda": (_parse_float, Method.lam, _CONSOLIDATES),
+    "scope": (str, Method.scope.value, ("method", lambda m: m == "rewc")),
+    "epochs": (int, Hyper.epochs, None),
+    "batch": (int, Hyper.batch_size, None),
+    "lr": (_parse_float, Hyper.lr, None),
     "seeds": (_parse_int_list, [0, 1, 2], None),
-    "fim_samples": (int, 200, None),
-    "fim_mode": (str, "sampled", None),
-    "diag_layers": (_parse_int_list, [], ("method", lambda method: method == "rewc")),
-    "store_fim_blocks": (_parse_bool, False, ("diag_layers", bool)),
+    "fim_samples": (int, Method.fim_samples, _CONSOLIDATES),
+    "fim_mode": (str, Method.fim_mode, _CONSOLIDATES),
+    "diag_layers": (_parse_int_list, list(Hyper.diag_layers), ("method", lambda m: m == "rewc")),
+    "store_fim_blocks": (_parse_bool, Hyper.store_fim_blocks, ("diag_layers", bool)),
     "checkpoints": (_parse_bool, False, None),
     "outdir": (str, "results", None),
 }
@@ -88,7 +89,7 @@ class ExperimentConfig:
         return dict(self.values)
 
     def method(self):
-        """The continual-learning method this config runs (ft ignores ``lambda``)."""
+        """The continual-learning method this config runs (ft reads no lambda: λ = 0)."""
         v = self.values
         return Method(v["method"], lam=0.0 if v["method"] == "ft" else v["lambda"],
                       scope=v["scope"], fim_samples=v["fim_samples"], fim_mode=v["fim_mode"])
@@ -167,17 +168,23 @@ def _unread_under(values, key):
 
 
 def _validate(cfg, source, written):
-    """Check ``cfg``.  ``written`` names the keys the file sets: one that the
-    other settings leave unread is rejected, an unread default is not."""
+    """Check ``cfg``: first the settings that decide where keys are read, then that
+    no key in ``written`` (those the file sets) goes unread, then the values read."""
     v = cfg.values
 
     def bad(msg):
         raise ConfigError(f"{source}: {msg}")
 
-    if v["dataset"] not in _DATASETS:
-        bad(f"dataset must be one of {_DATASETS}, got {v['dataset']!r}")
-    if v["arch"] not in _ARCHS:
-        bad(f"arch must be one of {_ARCHS}, got {v['arch']!r}")
+    for key, allowed in (("dataset", _DATASETS), ("arch", _ARCHS), ("method", METHODS)):
+        if v[key] not in allowed:
+            bad(f"{key} must be one of {allowed}, got {v[key]!r}")
+    unread = [(s, k) for k in sorted(written) if (s := _unread_under(v, k))]
+    if unread:
+        setting = unread[0][0]
+        keys = ", ".join(k for s, k in unread if s == setting)
+        shown = v[setting] if isinstance(v[setting], str) else ",".join(map(str, v[setting]))
+        where = f"under {setting} = {shown}" if shown else f"with {setting} empty"
+        bad(f"{keys} not read {where}; remove {keys}")
     if v["scope"] == "all":
         bad("scope = all rotates the same layers as all_no_last (the growing head is "
             "never rotated); use scope = all_no_last")
@@ -186,13 +193,6 @@ def _validate(cfg, source, written):
         cfg.hyper(seed=0)
     except ValueError as e:
         bad(str(e))
-    unread = [(s, k) for k in sorted(written) if (s := _unread_under(v, k))]
-    if unread:
-        setting = unread[0][0]
-        keys = ", ".join(k for s, k in unread if s == setting)
-        shown = v[setting] if isinstance(v[setting], str) else ",".join(map(str, v[setting]))
-        where = f"under {setting} = {shown}" if shown else f"with {setting} empty"
-        bad(f"{keys} not read {where}; remove {keys}")
     if len(set(v["diag_layers"])) != len(v["diag_layers"]):
         bad(f"diag_layers {v['diag_layers']} repeat a layer, whose Fisher block would be "
             "estimated twice and recorded once; list each layer once")

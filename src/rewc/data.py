@@ -165,10 +165,10 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
     means *= separation / dists.min()
 
     mix_rng = rng_for(seed, "synthetic-mixing")
-    q, _ = np.linalg.qr(mix_rng.normal(size=(dim, dim)))
+    mixing = np.linalg.qr(mix_rng.normal(size=(dim, dim))).Q  # R is freed at once
     svals = np.logspace(0.0, -np.log10(noise_cond), dim)
     svals *= np.sqrt(dim / np.sum(svals * svals))  # keep E[|noise|^2] = dim
-    mixing = q * svals  # equals q @ diag(svals) bit for bit: one nonzero product per entry
+    mixing *= svals  # equals Q @ diag(svals) bit for bit: one nonzero product per entry
 
     # Every large buffer is made here, on the calling thread: memory freed by
     # a pool thread stays with the process and adds to its peak.

@@ -68,8 +68,8 @@ def test_semantic_validation():
         parse_config_text("seeds = ")
     with pytest.raises(ConfigError, match="mnist_dir"):
         parse_config_text("dataset = mnist")
-    with pytest.raises(ConfigError, match="scope"):
-        parse_config_text("scope = everything")
+    with pytest.raises(ConfigError, match="scope must be one of"):
+        parse_config_text("method = rewc\nscope = everything")
     # Method and Hyper check these ranges; the message still names the key.
     for line in ("lambda = -1", "epochs = 0", "batch = 0", "lr = 0", "fim_samples = 0",
                  "fim_mode = exact"):
@@ -78,29 +78,34 @@ def test_semantic_validation():
 
 
 def test_config_builds_the_method_and_hyper_it_runs():
-    cfg = parse_config_text("method = ft\nlambda = 5\nbatch = 7\nepochs = 2\nlr = 0.5\n"
+    cfg = parse_config_text("method = rewc\nlambda = 5\nbatch = 7\nepochs = 2\nlr = 0.5\n"
                             "fim_mode = expected\nfim_samples = 9\nscope = fc_only")
-    assert cfg.method() == Method("ft", lam=0.0, scope="fc_only", fim_samples=9,
+    assert cfg.method() == Method("rewc", lam=5.0, scope="fc_only", fim_samples=9,
                                   fim_mode="expected")
     assert cfg.hyper(4) == Hyper(epochs=2, batch_size=7, lr=0.5, seed=4)
     cfg = parse_config_text("method = rewc\nlambda = 5\ndiag_layers = 2,0\n"
                             "store_fim_blocks = true")
     assert cfg.method() == Method("rewc", lam=5.0)
     assert cfg.hyper(0) == Hyper(diag_layers=(2, 0), store_fim_blocks=True)
+    # Fine-tuning has no penalty: it runs at lambda = 0, which it never reads.
+    assert parse_config_text("method = ft").method() == Method("ft", lam=0.0)
 
 
 def test_scope_aliases_rejected_at_parse_time(tmp_path, capsys):
     # The head is never rotated, so ``all`` is ``all_no_last``; and conv_only
     # on a network without convolutions rotates nothing, which is plain EWC.
     with pytest.raises(ConfigError, match="use scope = all_no_last"):
-        parse_config_text("scope = all")
+        parse_config_text("method = rewc\nscope = all")
     for arch, stream in (("mlp-custom", ""), ("mlp-784-10-10-10", "synth_image = 28x28\n")):
         with pytest.raises(ConfigError, match="use method = ewc"):
             parse_config_text(f"method = rewc\narch = {arch}\n{stream}scope = conv_only")
-    # Scopes that select a layer, and scopes that no method reads, still parse.
+    # Scopes that select a layer parse; a scope that the method does not read,
+    # alias or not, is named as unread.
     parse_config_text("method = rewc\narch = lenet\nsynth_image = 16x16\nscope = conv_only")
     parse_config_text("method = rewc\nscope = fc_only")
-    parse_config_text("method = ewc\nscope = conv_only")
+    for scope in ("conv_only", "all"):
+        with pytest.raises(ConfigError, match="scope not read under method = ewc; remove scope"):
+            parse_config_text(f"method = ewc\nscope = {scope}")
     out = tmp_path / "results"
     cfgp = tmp_path / "alias.cfg"
     cfgp.write_text(SMALL_RUN.format(out=out).replace("method = ft", "method = rewc")
@@ -156,11 +161,18 @@ def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
      "classes_per_task not read under dataset = mnist"),
     ("mnist_dir = d", "mnist_dir not read under dataset = synthetic"),
     ("dataset = synthetic\nmnist_pad = false", "remove mnist_pad"),
+    ("method = ft\nlambda = 5", "lambda not read under method = ft; remove lambda"),
+    ("method = ft\nscope = fc_only", "scope not read under method = ft; remove scope"),
+    ("method = ft\nfim_samples = 50",
+     "fim_samples not read under method = ft; remove fim_samples"),
+    ("method = ft\nfim_mode = expected", "fim_mode not read under method = ft; remove fim_mode"),
+    ("method = ewc\nscope = fc_only", "scope not read under method = ewc; remove scope"),
 ], ids=["ft-diag-layers", "ewc-diag-layers", "ewc-empty-diag-layers", "blocks-without-layers",
         "no-blocks-without-layers", "no-blocks-under-ewc", "seed-twice", "seed-twice-apart",
         "diag-layer-twice", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
         "synth-dim-under-mnist", "synth-under-mnist", "classes-per-task-under-mnist",
-        "mnist-dir-under-synthetic", "mnist-pad-under-synthetic"])
+        "mnist-dir-under-synthetic", "mnist-pad-under-synthetic", "ft-lambda", "ft-scope",
+        "ft-fim-samples", "ft-fim-mode", "ewc-scope"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
     # overwrites its record and counts it twice in the aggregate, or (a
@@ -222,8 +234,8 @@ def test_settings_the_run_would_fail_on_rejected_at_parse_time(text, message):
         parse_config_text(text)
     # The Fisher budget binds only where a task is consolidated; 16x16 is
     # the smallest image lenet takes.
-    for ok in ("classes_per_task = 5\nfim_samples = 1000", "method = ft\nfim_samples = 5000",
-               "tasks = 1\nfim_samples = 5000", "arch = lenet\nsynth_image = 16x16",
+    for ok in ("classes_per_task = 5\nfim_samples = 1000", "tasks = 1\nfim_samples = 5000",
+               "arch = lenet\nsynth_image = 16x16",
                "dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10"):
         parse_config_text(ok)
 
