@@ -30,7 +30,6 @@ from .network import (
 from .optim import AdamState, adam_step
 from .rotation import (
     CorrelationStats,
-    RotationScope,
     accumulate_correlations,
     combine_network,
     rotate_network,
@@ -47,7 +46,6 @@ __all__ = [
     "Hyper",
     "Method",
     "Network",
-    "RotationScope",
     "SequenceResult",
     "TaskDataset",
     "accumulate_correlations",

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_network
-from .config import parse_config, parse_config_text
+from .config import parse_config
 from .errors import ConfigError, RewcError
 from .fim import estimate_full_fim_layer
 from .linalg import diag_energy_ratio
@@ -34,8 +34,9 @@ def _build_parser():
     p_probe = sub.add_parser("fim-probe", help="full-FIM heatmap for one layer")
     p_probe.add_argument("checkpoint", help="path to a .rewc checkpoint")
     p_probe.add_argument("--layer", type=int, required=True, help="layer index to probe")
-    p_probe.add_argument("--data-config", default=None,
-                         help="config file describing the probe dataset (defaults used otherwise)")
+    p_probe.add_argument("--data-config", required=True,
+                         help="config of the run that saved the checkpoint: its task stream "
+                              "is probed")
     p_probe.add_argument("--samples", type=int, default=200)
     p_probe.add_argument("--out", default="fim-layer.svg")
     return parser
@@ -108,11 +109,7 @@ def cmd_fim_probe(args):
     """Probe on the stream and with the seed of the run that saved the
     checkpoint: its network's ``rng_seed`` is that run's seed."""
     net = load_network(args.checkpoint)
-    if args.data_config:
-        cfg = parse_config(args.data_config)
-    else:
-        cfg = parse_config_text("", source="<defaults>")
-    seq = build_tasks(cfg, net.rng_seed)
+    seq = build_tasks(parse_config(args.data_config), net.rng_seed)
     inputs = np.concatenate([t.train_x for t in seq])
     labels = np.concatenate([t.train_y for t in seq])
     if inputs.shape[1:] != net.input_shape:

@@ -54,9 +54,9 @@ _SCHEMA = {
     "tasks": (int, 2, None),
     "arch": (str, "mlp-custom", None),
     "mlp_hidden": (_parse_int_list, [32], ("arch", lambda arch: arch == "mlp-custom")),
-    "method": (str, "ewc", None),
+    "method": (str, "ewc", ("tasks", lambda tasks: tasks > 1)),
     "lambda": (_parse_float, Method.lam, _CONSOLIDATES),
-    "scope": (str, Method.scope.value, ("method", lambda m: m == "rewc")),
+    "scope": (str, Method.scope, ("method", lambda m: m == "rewc")),
     "epochs": (int, Hyper.epochs, None),
     "batch": (int, Hyper.batch_size, None),
     "lr": (_parse_float, Hyper.lr, None),
@@ -178,11 +178,13 @@ def _validate(cfg, source, written):
     for key, allowed in (("dataset", _DATASETS), ("arch", _ARCHS), ("method", METHODS)):
         if v[key] not in allowed:
             bad(f"{key} must be one of {allowed}, got {v[key]!r}")
+    if v["tasks"] < 1:
+        bad("tasks must be >= 1")
     unread = [(s, k) for k in sorted(written) if (s := _unread_under(v, k))]
     if unread:
         setting = unread[0][0]
         keys = ", ".join(k for s, k in unread if s == setting)
-        shown = v[setting] if isinstance(v[setting], str) else ",".join(map(str, v[setting]))
+        shown = ",".join(map(str, v[setting])) if isinstance(v[setting], list) else v[setting]
         where = f"under {setting} = {shown}" if shown else f"with {setting} empty"
         bad(f"{keys} not read {where}; remove {keys}")
     if v["scope"] == "all":
@@ -205,8 +207,6 @@ def _validate(cfg, source, written):
     if outside:
         # rng_for keeps a seed's low 32 bits: such a seed reruns another's streams.
         bad(f"seeds {outside} are outside [0, 2^32), where each seed draws its own streams")
-    if v["tasks"] < 1:
-        bad("tasks must be >= 1")
     if v["dataset"] == "mnist" and MNIST_CLASSES % v["tasks"]:
         divisors = [d for d in range(1, MNIST_CLASSES + 1) if MNIST_CLASSES % d == 0]
         bad(f"tasks = {v['tasks']} does not split MNIST's {MNIST_CLASSES} classes into "
@@ -233,7 +233,7 @@ def _validate(cfg, source, written):
         if len(dims) not in (2, 3) or not all(p.isdigit() and int(p) > 0 for p in dims):
             bad(f"synth_image must look like 8x8 or 8x8x1, got {v['synth_image']!r}")
     input_shape, first_classes = cfg.stream_shape()
-    if v["dataset"] == "synthetic" and v["method"] != "ft" and v["tasks"] > 1:
+    if v["dataset"] == "synthetic" and not _unread_under(v, "fim_samples"):
         rows = first_classes * SYNTH_TRAIN_PER_CLASS  # in every task
         if v["fim_samples"] > rows:
             bad(f"fim_samples {v['fim_samples']} exceeds the {rows} training rows of a "

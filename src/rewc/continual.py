@@ -19,7 +19,7 @@ from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_pena
 from .linalg import diag_energy_ratio
 from .network import CHUNK, Network, backward, forward, grow_head
 from .optim import AdamState, adam_step
-from .rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
+from .rotation import SCOPES, accumulate_correlations, combine_network, rotate_network
 from .util import rng_for
 
 METHODS = ("ft", "ewc", "rewc")
@@ -31,18 +31,15 @@ class Method:
 
     name: str
     lam: float = 100.0
-    scope: RotationScope = RotationScope.ALL_NO_LAST
+    scope: str = "all_no_last"
     fim_samples: int = 200
     fim_mode: str = "sampled"
 
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.name!r}")
-        try:
-            self.scope = RotationScope(self.scope)
-        except ValueError:
-            scopes = tuple(s.value for s in RotationScope)
-            raise ValueError(f"scope must be one of {scopes}, got {self.scope!r}") from None
+        if self.scope not in SCOPES:
+            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.name == "ft" and self.lam != 0.0:

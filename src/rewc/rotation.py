@@ -20,7 +20,6 @@ map.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,12 +30,6 @@ from .linalg import jacobi_eigh
 # tracer wraps them in this module's namespace.
 from .network import Network, backward, forward, layout_signature  # noqa: F401
 from .util import rng_for
-
-
-class RotationScope(Enum):
-    CONV_ONLY = "conv_only"
-    FC_ONLY = "fc_only"
-    ALL_NO_LAST = "all_no_last"
 
 
 @dataclass
@@ -90,16 +83,19 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
 
 
+SCOPES = ("conv_only", "fc_only", "all_no_last")
+
+
 def scope_selects(net, scope):
     """The scope's layers; never the classification head, which keeps growing."""
     ids = [i for i in rotatable_indices(net) if i != net.head_index]
-    if scope == RotationScope.CONV_ONLY:
+    if scope == "conv_only":
         return [i for i in ids if net.layers[i].kind == "conv2d"]
-    if scope == RotationScope.FC_ONLY:
+    if scope == "fc_only":
         return [i for i in ids if net.layers[i].kind == "dense"]
-    if scope == RotationScope.ALL_NO_LAST:
+    if scope == "all_no_last":
         return ids
-    raise ValueError(f"unknown rotation scope {scope!r}")
+    raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
 
 
 def rotation_matrices(stats, layer_index):
@@ -126,8 +122,6 @@ def rotate_network(net, stats, scope):
         raise StateError("network is already rotated; combine it first")
     if stats.net_signature != layout_signature(net):
         raise AlignmentError("correlation stats were computed on a different network")
-    if isinstance(scope, str):
-        scope = RotationScope(scope)
     selected = set(scope_selects(net, scope))
     layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in selected else l.clone()
               for i, l in enumerate(net.layers)]

@@ -17,7 +17,7 @@ from rewc.continual import Hyper, Method, run_sequence, train_task
 from rewc.fim import estimate_diag_fim, estimate_full_fim_layer, ewc_penalty, make_anchor
 from rewc.linalg import diag_energy_ratio, jacobi_eigh
 from rewc.network import backward, build_network, forward, grow_head, label_gradient, softmax
-from rewc.rotation import RotationScope, accumulate_correlations, combine_network, rotate_network
+from rewc.rotation import accumulate_correlations, combine_network, rotate_network
 from rewc.util import rng_for
 
 
@@ -26,11 +26,11 @@ def random_convnet_with_hidden_dense(rng):
 
 
 # The (network, scope) pairs a config accepts: conv_only needs a convolution.
-CASES = [(random_mlp, RotationScope.FC_ONLY),
-         (random_convnet_with_hidden_dense, RotationScope.CONV_ONLY),
-         (random_mlp, RotationScope.ALL_NO_LAST),
-         (random_convnet_with_hidden_dense, RotationScope.FC_ONLY),
-         (random_convnet_with_hidden_dense, RotationScope.ALL_NO_LAST)]
+CASES = [(random_mlp, "fc_only"),
+         (random_convnet_with_hidden_dense, "conv_only"),
+         (random_mlp, "all_no_last"),
+         (random_convnet_with_hidden_dense, "fc_only"),
+         (random_convnet_with_hidden_dense, "all_no_last")]
 
 
 def test_criterion_1_rotation_equivalence():
@@ -150,7 +150,7 @@ def test_criterion_4_factored_fim_diagonalization():
         y = rng.integers(0, net.head_classes, 40)
         stats = accumulate_correlations(net, x, sample_budget=40, rng=rng,
                                         labels=y, use_true_labels=True)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+        rot = rotate_network(net, stats, "all_no_last")
         _, cache = forward(rot, x)
         deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
         for i, layer in enumerate(rot.layers):
@@ -192,7 +192,7 @@ def test_criterion_5_diag_energy_improvement_mnist():
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
         stats = accumulate_correlations(net, x, 200, rng_for(seed, "rot"), labels=y)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+        rot = rotate_network(net, stats, "all_no_last")
         after = estimate_full_fim_layer(rot, x, 3, 200, "expected",
                                         rng_for(seed, "diag-after"), y)
         rb = diag_energy_ratio(before)
@@ -220,7 +220,7 @@ def test_criterion_6_disjoint_mnist_t2():
         for seed in (0, 1, 2):
             tasks = rewc.disjoint_split(raw, 2, seed)
             net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=seed)
-            method = Method(name, lam=lam, scope=RotationScope.ALL_NO_LAST,
+            method = Method(name, lam=lam, scope="all_no_last",
                             fim_samples=200, fim_mode="sampled")
             final = run_sequence(net, tasks, method,
                                  Hyper(epochs=5, batch_size=64, lr=1e-3, seed=seed)).eval_matrix[-1]
@@ -248,7 +248,7 @@ def test_criterion_7_four_task_sequence():
             tasks = rewc.synthetic_tasks(seed=seed, T=4, classes_per_task=2, dim=8,
                                          separation=10.0, noise_cond=20.0)
             net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
-            method = Method(name, lam=lam, scope=RotationScope.ALL_NO_LAST)
+            method = Method(name, lam=lam, scope="all_no_last")
             matrix = run_sequence(net, tasks, method,
                                   Hyper(epochs=10, batch_size=32, seed=seed)).eval_matrix
             rows.append([np.mean(row) for row in matrix])

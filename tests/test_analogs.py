@@ -12,7 +12,7 @@ from rewc.continual import Hyper, Method, run_sequence, train_task
 from rewc.fim import estimate_full_fim_layer
 from rewc.linalg import diag_energy_ratio
 from rewc.network import build_network, forward
-from rewc.rotation import RotationScope, accumulate_correlations, rotate_network
+from rewc.rotation import accumulate_correlations, rotate_network
 from rewc.util import rng_for
 
 
@@ -28,7 +28,7 @@ def test_diag_energy_improvement_synthetic():
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
                                         labels=t.train_y)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+        rot = rotate_network(net, stats, "all_no_last")
         after = estimate_full_fim_layer(rot, t.train_x, 2, 200, "expected",
                                         rng_for(seed, "diag-after"), t.train_y)
         gains.append(diag_energy_ratio(after) - diag_energy_ratio(before))
@@ -41,7 +41,7 @@ def test_conv_continual_cycle_synthetic():
     tasks = rewc.synthetic_tasks(seed=5, T=2, classes_per_task=2, separation=12.0,
                                  image_shape=(16, 16, 1), noise_cond=10.0)
     net = build_network("lenet", head_classes=2, input_shape=(16, 16, 1), seed=1)
-    method = Method("rewc", lam=100.0, scope=RotationScope.ALL_NO_LAST, fim_samples=100)
+    method = Method("rewc", lam=100.0, scope="all_no_last", fim_samples=100)
     result = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32, seed=2))
     net, matrix = result.net, result.eval_matrix
     assert net.is_rotated()

@@ -167,12 +167,26 @@ def test_mnist_tasks_that_do_not_split_the_classes_rejected_at_parse_time():
      "fim_samples not read under method = ft; remove fim_samples"),
     ("method = ft\nfim_mode = expected", "fim_mode not read under method = ft; remove fim_mode"),
     ("method = ewc\nscope = fc_only", "scope not read under method = ewc; remove scope"),
+    ("tasks = 1\nmethod = ft", "method not read under tasks = 1; remove method"),
+    ("tasks = 1\nlambda = 5", "lambda not read under tasks = 1; remove lambda"),
+    ("tasks = 1\nfim_samples = 7", "fim_samples not read under tasks = 1; remove fim_samples"),
+    ("tasks = 1\nfim_mode = expected", "fim_mode not read under tasks = 1; remove fim_mode"),
+    ("tasks = 1\nscope = fc_only", "scope not read under tasks = 1; remove scope"),
+    ("tasks = 1\ndiag_layers = 0", "diag_layers not read under tasks = 1; remove diag_layers"),
+    ("tasks = 1\nstore_fim_blocks = true",
+     "store_fim_blocks not read under tasks = 1; remove store_fim_blocks"),
+    ("tasks = 1\nmethod = rewc\nlambda = 5\nfim_samples = 7\nscope = fc_only\n"
+     "diag_layers = 0\nstore_fim_blocks = true",
+     "diag_layers, fim_samples, lambda, method, scope, store_fim_blocks not read under "
+     "tasks = 1"),
 ], ids=["ft-diag-layers", "ewc-diag-layers", "ewc-empty-diag-layers", "blocks-without-layers",
         "no-blocks-without-layers", "no-blocks-under-ewc", "seed-twice", "seed-twice-apart",
         "diag-layer-twice", "lenet-mlp-hidden", "mlp-784-mlp-hidden", "synth-dim-and-image",
         "synth-dim-under-mnist", "synth-under-mnist", "classes-per-task-under-mnist",
         "mnist-dir-under-synthetic", "mnist-pad-under-synthetic", "ft-lambda", "ft-scope",
-        "ft-fim-samples", "ft-fim-mode", "ewc-scope"])
+        "ft-fim-samples", "ft-fim-mode", "ewc-scope", "one-task-method", "one-task-lambda",
+        "one-task-fim-samples", "one-task-fim-mode", "one-task-scope", "one-task-diag-layers",
+        "one-task-fim-blocks", "one-task-rewc"])
 def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     # Each is dropped without a word at run time, or (a repeated seed)
     # overwrites its record and counts it twice in the aggregate, or (a
@@ -232,10 +246,12 @@ def test_settings_the_run_would_fail_on_rejected_at_parse_time(text, message):
     # Each used to parse and fail only once the task stream had been made.
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
-    # The Fisher budget binds only where a task is consolidated; 16x16 is
+    # The Fisher budget binds only where a task is consolidated: one task is
+    # never consolidated, so there fim_samples is not read at all.  16x16 is
     # the smallest image lenet takes.
-    for ok in ("classes_per_task = 5\nfim_samples = 1000", "tasks = 1\nfim_samples = 5000",
-               "arch = lenet\nsynth_image = 16x16",
+    with pytest.raises(ConfigError, match="fim_samples not read under tasks = 1"):
+        parse_config_text("tasks = 1\nfim_samples = 5000")
+    for ok in ("classes_per_task = 5\nfim_samples = 1000", "arch = lenet\nsynth_image = 16x16",
                "dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10"):
         parse_config_text(ok)
 
@@ -389,6 +405,13 @@ def run_cli(args):
     return main(args)
 
 
+def empty_config(tmp_path):
+    """An empty config file: it describes the default stream."""
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    return str(path)
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as f:
         return json.load(f)
@@ -511,11 +534,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     net = build_network("mlp-custom", input_shape=(8,), hidden=[4, 2], seed=0)
     ck = tmp_path / "net.rewc"
     save_network(net, str(ck))
-    assert run_cli(["fim-probe", str(ck), "--layer", "99"]) == 2
+    data = empty_config(tmp_path)
+    assert run_cli(["fim-probe", str(ck), "--layer", "99", "--data-config", data]) == 2
     capsys.readouterr()
+    # the probe reads the stream of a config it is given, never a default one
+    assert run_cli(["fim-probe", str(ck), "--layer", "0"]) == 1
+    assert "the following arguments are required: --data-config" in capsys.readouterr().err
     # a truncated checkpoint: the reader names the truncation, no traceback
     ck.write_bytes(ck.read_bytes()[:-5])
-    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4",
+                    "--data-config", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "checkpoint truncated" in err
     assert "Traceback" not in err
@@ -527,7 +555,8 @@ def test_cli_probe_rejects_a_version_1_checkpoint(tmp_path, capsys):
     data = ck.read_bytes()
     assert data[:8] == b"REWC" + (3).to_bytes(4, "little")
     ck.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
-    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4",
+                    "--data-config", empty_config(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: unsupported checkpoint version 1 (this build reads version 3)\n"
 
@@ -546,7 +575,8 @@ def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, kern
     net.layers[0].K = np.zeros(kernel)
     ck = tmp_path / "corrupt.rewc"
     save_network(net, str(ck))
-    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4"]) == 2
+    assert run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "4",
+                    "--data-config", empty_config(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
@@ -641,7 +671,7 @@ def test_cli_plot_and_probe(tmp_path, capsys):
     save_network(net, str(ck))
     svg_out = tmp_path / "fim.svg"
     rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
-                  "--out", str(svg_out)])
+                  "--data-config", empty_config(tmp_path), "--out", str(svg_out)])
     assert rc == 0
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert 0.0 <= probe["diag_energy_ratio"] <= 1.0
@@ -656,8 +686,9 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     from rewc.runner import build_tasks
     from rewc.util import rng_for
 
-    cfg = parse_config_text("", source="<defaults>")
-    tasks = build_tasks(cfg, 1)  # the stream of the net's seed, which the probe reads
+    # The stream the probe reads: the config's, at the net's seed.
+    data = empty_config(tmp_path)
+    tasks = build_tasks(parse_config(data), 1)
     inputs = np.concatenate([t.train_x for t in tasks])
     labels = np.concatenate([t.train_y for t in tasks])
     net = build_network("mlp-custom", input_shape=inputs.shape[1:], hidden=[6, 4], seed=1)
@@ -665,7 +696,7 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     ck = tmp_path / "rotated.rewc"
     save_network(rotate_network(net, stats, "all_no_last"), str(ck))
     rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
-                  "--out", str(tmp_path / "fim.svg")])
+                  "--data-config", data, "--out", str(tmp_path / "fim.svg")])
     assert rc == 0, capsys.readouterr().err
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40,
@@ -737,7 +768,8 @@ def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
     ck = tmp_path / "probe.rewc"
     save_network(build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1), str(ck))
     svg_out = tmp_path / "fim.svg"
-    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "0", "--out", str(svg_out)])
+    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "0",
+                  "--data-config", empty_config(tmp_path), "--out", str(svg_out)])
     assert rc == 2
     assert "sample budget must be at least 1" in capsys.readouterr().err
     assert not svg_out.exists()

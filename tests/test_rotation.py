@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -26,12 +27,13 @@ from rewc.network import (
     softmax,
 )
 from rewc.rotation import (
+    SCOPES,
     CorrelationStats,
-    RotationScope,
     accumulate_correlations,
     combine_network,
     rotate_network,
     rotation_matrices,
+    scope_selects,
 )
 
 
@@ -86,7 +88,7 @@ def test_conv_1x1_degenerate_matches_dense():
 def test_identity_correlations_leave_network_unchanged():
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
     stats = identity_stats(net)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     x = np.random.default_rng(4).normal(size=(12, 5))
     l0, _ = forward(net, x)
     l1, _ = forward(rot, x)
@@ -108,7 +110,7 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
         cx[i] = np.diag(rng.permutation(np.arange(1.0, d1 + 1.0)))
         cz[i] = np.diag(rng.permutation(np.arange(1.0, d2 + 1.0)))
     stats = CorrelationStats(cx, cz, 1, layout_signature(net))
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     for layer in rot.layers:
         if not layer.rotated:
             continue
@@ -130,9 +132,9 @@ SCOPE_NETS = {
 
 
 @pytest.mark.parametrize("scope,expected_kinds", [
-    (RotationScope.CONV_ONLY, {"conv2d"}),
-    (RotationScope.FC_ONLY, {"dense"}),
-    (RotationScope.ALL_NO_LAST, {"conv2d", "dense"}),
+    ("conv_only", {"conv2d"}),
+    ("fc_only", {"dense"}),
+    ("all_no_last", {"conv2d", "dense"}),
 ])
 @pytest.mark.parametrize("name", sorted(SCOPE_NETS))
 def test_scope_selection(name, scope, expected_kinds):
@@ -146,11 +148,20 @@ def test_scope_selection(name, scope, expected_kinds):
     expected = [i for i, l in enumerate(net.layers)
                 if l.kind in expected_kinds and i != net.head_index]
     assert [i for i, l in enumerate(rot.layers) if l.rotated] == expected
-    assert (len(expected) == 0) == (name == "mlp" and scope == RotationScope.CONV_ONLY)
+    assert (len(expected) == 0) == (name == "mlp" and scope == "conv_only")
     assert not rot.layers[rot.head_index].rotated
     l0, _ = forward(net, x[:5])
     l1, _ = forward(rot, x[:5])
     assert np.max(np.abs(l0 - l1)) < 1e-8
+
+
+def test_unknown_scope_names_the_scopes():
+    net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
+    message = re.escape(f"scope must be one of {SCOPES}, got 'bogus'")
+    with pytest.raises(ValueError, match=message):
+        scope_selects(net, "bogus")
+    with pytest.raises(ValueError, match=message):
+        rotate_network(net, identity_stats(net), "bogus")
 
 
 def test_rotated_space_correlations_are_diagonal():
@@ -160,7 +171,7 @@ def test_rotated_space_correlations_are_diagonal():
     y = rng.integers(0, 3, 50)
     stats = accumulate_correlations(net, x, sample_budget=50, rng=rng,
                                     labels=y, use_true_labels=True)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     # re-accumulate empirically inside the rotated network, same samples/labels
     _, cache = forward(rot, x)
     deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
@@ -180,7 +191,7 @@ def test_combine_inverts_rotation_exactly():
     for net in (random_mlp(rng), random_convnet(rng, hidden_dense=True)):
         x = rng.normal(size=(30,) + net.input_shape)
         stats = accumulate_correlations(net, x, sample_budget=30, rng=rng)
-        rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+        rot = rotate_network(net, stats, "all_no_last")
         back = combine_network(rot)
         for la, lb in zip(net.layers, back.layers):
             assert la.kind == lb.kind
@@ -205,7 +216,7 @@ def test_combine_after_training_preserves_function():
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 4, 40)
     stats = accumulate_correlations(net, x, sample_budget=40, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     state = rewc.AdamState(rot)
     for _ in range(25):
         _, cache = forward(rot, x)
@@ -257,7 +268,7 @@ def test_trainable_parameter_count_preserved():
     net = random_convnet(rng)
     x = rng.normal(size=(20,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     count = sum(net.get_param(k).size for k, _, _ in net.trainable_keys())
     assert sum(rot.get_param(k).size for k, _, _ in rot.trainable_keys()) == count
 
@@ -267,7 +278,7 @@ def test_rotated_layers_keep_their_places():
     net = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(20,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     assert [l.kind for l in rot.layers] == [l.kind for l in net.layers]
     assert [k for k, _, _ in rot.trainable_keys()] == [k for k, _, _ in net.trainable_keys()]
     for i, (la, lb) in enumerate(zip(net.layers, rot.layers)):
@@ -282,14 +293,14 @@ def test_state_and_alignment_errors():
     net = random_mlp(rng)
     x = rng.normal(size=(15, net.input_shape[0]))
     stats = accumulate_correlations(net, x, sample_budget=15, rng=rng)
-    rot = rotate_network(net, stats, RotationScope.ALL_NO_LAST)
+    rot = rotate_network(net, stats, "all_no_last")
     with pytest.raises(StateError):
         accumulate_correlations(rot, x, sample_budget=5, rng=rng)
     with pytest.raises(StateError):
-        rotate_network(rot, stats, RotationScope.ALL_NO_LAST)
+        rotate_network(rot, stats, "all_no_last")
     other = random_mlp(np.random.default_rng(99))
     with pytest.raises(AlignmentError):
-        rotate_network(other, stats, RotationScope.ALL_NO_LAST)
+        rotate_network(other, stats, "all_no_last")
 
 
 def test_rotation_pair_orthogonality_enforced():
@@ -400,7 +411,7 @@ def with_rotated_head(net, stats):
 
 
 @pytest.mark.parametrize("head_rotated", [True, False], ids=["head-rotated", "head-plain"])
-@pytest.mark.parametrize("scope", list(RotationScope), ids=lambda s: s.value)
+@pytest.mark.parametrize("scope", SCOPES)
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rotated):
     # A rotated layer's parameter is W' with W = U2 W' U1 (per kernel slice
@@ -433,7 +444,7 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rota
 
 
 @settings(max_examples=60)
-@given(name=st.sampled_from(sorted(DRAWN_NETS)), scope=st.sampled_from(list(RotationScope)),
+@given(name=st.sampled_from(sorted(DRAWN_NETS)), scope=st.sampled_from(SCOPES),
        seed=st.integers(0, 2**32 - 1))
 def test_rotation_folds_back_and_round_trips(name, scope, seed):
     rng = np.random.default_rng(seed)
