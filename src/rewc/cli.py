@@ -35,8 +35,8 @@ def _build_parser():
     p_probe.add_argument("checkpoint", help="path to a .rewc checkpoint")
     p_probe.add_argument("--layer", type=int, required=True, help="layer index to probe")
     p_probe.add_argument("--data-config", required=True,
-                         help="config of the run that saved the checkpoint: its task stream "
-                              "is probed")
+                         help="config of the run that saved the checkpoint: the tasks of its "
+                              "stream that the checkpoint has trained on are probed")
     p_probe.add_argument("--samples", type=int, default=200)
     p_probe.add_argument("--out", default="fim-layer.svg")
     return parser
@@ -106,10 +106,14 @@ def cmd_plot(args):
 
 
 def cmd_fim_probe(args):
-    """Probe on the stream and with the seed of the run that saved the
-    checkpoint: its network's ``rng_seed`` is that run's seed."""
+    """Probe at the seed of the run that saved the checkpoint (the network's ``rng_seed``),
+    on the tasks of that run's stream the checkpoint has trained on: those its head covers."""
     net = load_network(args.checkpoint)
-    seq = build_tasks(parse_config(args.data_config), net.rng_seed)
+    seq = [t for t in build_tasks(parse_config(args.data_config), net.rng_seed)
+           if max(t.class_ids) < net.head_classes]
+    if not seq:
+        raise ConfigError(f"the checkpoint's {net.head_classes}-class head covers no task of "
+                          "the stream")
     inputs = np.concatenate([t.train_x for t in seq])
     labels = np.concatenate([t.train_y for t in seq])
     if inputs.shape[1:] != net.input_shape:

@@ -195,9 +195,6 @@ def _validate(cfg, source, written):
         cfg.hyper(seed=0)
     except ValueError as e:
         bad(str(e))
-    if len(set(v["diag_layers"])) != len(v["diag_layers"]):
-        bad(f"diag_layers {v['diag_layers']} repeat a layer, whose Fisher block would be "
-            "estimated twice and recorded once; list each layer once")
     if not v["seeds"]:
         bad("seeds must be non-empty")
     if len(set(v["seeds"])) != len(v["seeds"]):

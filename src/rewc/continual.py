@@ -70,6 +70,10 @@ class Hyper:
             raise ValueError("batch_size must be at least 1")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if len(set(self.diag_layers)) != len(self.diag_layers):
+            raise ValueError(f"diag_layers {list(self.diag_layers)} repeat a layer, whose Fisher "
+                             "block would be estimated twice and recorded once; list each "
+                             "layer once")
 
 
 @dataclass

@@ -149,6 +149,9 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
         raise DimensionError("separation must be positive")
     if noise_cond < 1:
         raise DimensionError("noise_cond must be >= 1")
+    shape = (dim,) if image_shape is None else tuple(image_shape)
+    if any(d < 1 for d in shape):
+        raise DimensionError(f"sample shape {shape} has a dimension below 1")
     if image_shape is not None:
         dim = int(np.prod(image_shape))
     n_classes = T * classes_per_task

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import parallel
 from .errors import AlignmentError, CapacityError, DimensionError
-from .network import CHUNK, backward, forward, label_gradient, layout_signature, softmax
+from .network import CHUNK, backward, forward, label_gradient, layout_signature, param_key, softmax
 from .util import rng_for
 
 
@@ -184,15 +184,14 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
 def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
     rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
-    trainable = [(i, l) for i, l in enumerate(net.layers) if l.trainable]
 
     def squares(cache, deltas):
         """One unit's sums of squared per-example gradients."""
-        return {f"{i}.{name}": term for i, layer in trainable
-                for name, term in layer.fisher_terms(cache.inputs[i], deltas[i],
-                                                     cache.aux[i]).items()}
+        return {param_key(i, name): term for i, delta in deltas.items()
+                for name, term in net.layers[i].fisher_terms(cache.inputs[i], delta,
+                                                             cache.aux[i]).items()}
 
-    acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
+    acc = {k: np.zeros_like(p) for k, p in net.params().items()}
     for terms in _fim_pass(net, inputs, sample_budget, mode, rng, labels, squares):
         for key, term in terms.items():
             acc[key] += term
@@ -235,7 +234,7 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
 def make_anchor(net, fim, lam):
     if fim.layout_hash != layout_signature(net):
         raise AlignmentError("anchor FIM was computed on a different layout")
-    return EwcAnchor(theta_star=net.parameter_snapshot(), fim=fim, lam=float(lam))
+    return EwcAnchor({k: p.copy() for k, p in net.params().items()}, fim, float(lam))
 
 
 def ewc_penalty(net, anchor):
@@ -252,8 +251,8 @@ def ewc_penalty(net, anchor):
         return 0.0, {}
     penalty = 0.0
     grads = {}
-    for key, theta0 in anchor.theta_star.items():
-        theta = net.get_param(key)
+    for key, theta in net.params().items():
+        theta0 = anchor.theta_star[key]
         f = anchor.fim.values[key]
         delta = theta[: len(theta0)] - theta0
         penalty += 0.5 * anchor.lam * float(np.sum(f * delta * delta))

@@ -43,27 +43,21 @@ class Network:
     def head_index(self):
         return len(self.layers) - 1
 
-    def trainable_keys(self):
-        """Ordered ``(key, layer_index, name)`` for every trainable parameter."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            if layer.trainable:
-                for name in layer.params():
-                    out.append((f"{i}.{name}", i, name))
-        return out
-
-    def get_param(self, key):
-        idx, name = key.split(".")
-        return self.layers[int(idx)].params()[name]
-
-    def parameter_snapshot(self):
-        return {key: self.get_param(key).copy() for key, _, _ in self.trainable_keys()}
+    def params(self):
+        """The live trainable parameter arrays, keyed by ``param_key``, in layer order."""
+        return {param_key(i, name): p for i, layer in enumerate(self.layers)
+                for name, p in layer.params().items()}
 
     def is_rotated(self):
         return any(l.rotated for l in self.layers)
 
     def clone(self):
         return Network([l.clone() for l in self.layers], self.rng_seed, self.input_shape)
+
+
+def param_key(layer_index, name):
+    """A parameter's key in ``Network.params()`` and every dict keyed like it."""
+    return f"{layer_index}.{name}"
 
 
 def layout_signature(net):
@@ -74,21 +68,20 @@ def layout_signature(net):
     parameters in rotated coordinates align only with a network rotated by
     the same matrices."""
     parts = []
-    for key, i, name in net.trainable_keys():
-        shape = net.get_param(key).shape[1 if i == net.head_index else 0 :]
-        shape = "x".join(str(d) for d in shape)
-        layer = net.layers[i]
+    for i, layer in enumerate(net.layers):
         kind = layer.kind + (f"@{layer.rotation_digest}" if layer.rotated else "")
-        parts.append(f"{key}:{kind}:{shape}")
+        for name, p in layer.params().items():
+            shape = "x".join(str(d) for d in p.shape[1 if i == net.head_index else 0 :])
+            parts.append(f"{param_key(i, name)}:{kind}:{shape}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
 
 def parameter_digest(net):
-    """SHA-256 over the bytes of every trainable array, in ``trainable_keys()``
+    """SHA-256 over the bytes of every trainable array, in ``params()``
     order: equal digests mean bit-identical parameters."""
     h = hashlib.sha256()
-    for key, _, _ in net.trainable_keys():
-        h.update(net.get_param(key).tobytes())
+    for p in net.params().values():
+        h.update(p.tobytes())
     return h.hexdigest()
 
 
@@ -155,8 +148,8 @@ def backward(net, cache, target, record_only=False):
     The pass records the gradient at each trainable layer's output, taking
     input gradients down to the lowest trainable layer and no further.
     ``target`` holds the labels, and the pass returns ``(loss, grads)``: the
-    mean cross-entropy, and each trainable parameter's gradient keyed as in
-    ``trainable_keys()``, its layer's ``param_grads`` of the record.  With
+    mean cross-entropy, and each trainable parameter's gradient keyed like
+    ``params()``, its layer's ``param_grads`` of the record.  With
     ``record_only``, ``target`` is a gradient at the logits, ``(n, classes)``,
     such as ``label_gradient``'s, and the pass returns the records, keyed by
     layer index: all that the curvature estimators read besides the cache.
@@ -185,7 +178,7 @@ def backward(net, cache, target, record_only=False):
     grads = {}
     for i, delta in records.items():
         pgrads = net.layers[i].param_grads(cache.inputs[i], delta, cache.aux[i])
-        grads.update((f"{i}.{name}", g) for name, g in pgrads.items())
+        grads.update((param_key(i, name), g) for name, g in pgrads.items())
     return loss, grads
 
 

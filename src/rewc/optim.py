@@ -13,7 +13,7 @@ class AdamState:
     """First/second moment buffers keyed like the network's parameters."""
 
     def __init__(self, net):
-        self.m = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
+        self.m = {k: np.zeros_like(p) for k, p in net.params().items()}
         self.v = {k: np.zeros_like(v) for k, v in self.m.items()}
         self.t = 0
 
@@ -27,11 +27,10 @@ def adam_step(net, grads, state, lr):
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for key, _, _ in net.trainable_keys():
+    for key, p in net.params().items():
         g = grads.get(key)
         if g is None:
             continue
-        p = net.get_param(key)
         if g.shape != p.shape or state.m[key].shape != p.shape:
             raise AlignmentError(f"gradient/state shape mismatch for {key}")
         m = state.m[key]

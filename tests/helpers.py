@@ -27,25 +27,36 @@ from rewc.network import (
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
-def mean_xent(net, x, y):
-    logits, _ = forward(net, x)
-    return -float(log_softmax(logits)[np.arange(len(y)), y].mean())
+def xent_and_masks(net, x, y):
+    """The mean cross-entropy and every ReLU's mask: the loss is smooth
+    wherever the masks stay the same."""
+    logits, cache = forward(net, x)
+    masks = [a for layer, a in zip(net.layers, cache.aux) if isinstance(layer, ReLU)]
+    return -float(log_softmax(logits)[np.arange(len(y)), y].mean()), masks
 
 
 def fd_param_gradient(net, x, y, key, h=1e-5):
-    """Central-difference gradient of the mean cross-entropy wrt one parameter."""
-    p = net.get_param(key)
+    """Central-difference gradient of the mean cross-entropy wrt one parameter.
+    An entry whose step flips a ReLU is differenced again with steps ten and a
+    hundred times shorter, so each difference stays on one smooth piece of the
+    loss where it can."""
+    p = net.params()[key]
     g = np.zeros_like(p)
     flat = p.ravel()
     gflat = g.ravel()
+    _, at = xent_and_masks(net, x, y)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        up = mean_xent(net, x, y)
-        flat[i] = orig - h
-        dn = mean_xent(net, x, y)
+        for step in (h, h / 10, h / 100):
+            flat[i] = orig + step
+            up, up_masks = xent_and_masks(net, x, y)
+            flat[i] = orig - step
+            dn, dn_masks = xent_and_masks(net, x, y)
+            if all(np.array_equal(m, u) and np.array_equal(m, d)
+                   for m, u, d in zip(at, up_masks, dn_masks)):
+                break
         flat[i] = orig
-        gflat[i] = (up - dn) / (2.0 * h)
+        gflat[i] = (up - dn) / (2.0 * step)
     return g
 
 
@@ -72,7 +83,7 @@ def per_sample_fim_terms(net, inputs, budget, mode, rng, labels=None):
 
 
 def per_sample_diag_fim(net, inputs, budget, mode, rng, labels=None):
-    acc = {k: np.zeros_like(net.get_param(k)) for k, _, _ in net.trainable_keys()}
+    acc = {k: np.zeros_like(p) for k, p in net.params().items()}
     for w, grads in per_sample_fim_terms(net, inputs, budget, mode, rng, labels):
         for key, g in grads.items():
             acc[key] += w * (g * g)
@@ -80,7 +91,7 @@ def per_sample_diag_fim(net, inputs, budget, mode, rng, labels=None):
 
 
 def per_sample_full_fim(net, inputs, weight_key, budget, mode, rng, labels=None):
-    size = net.get_param(weight_key).size
+    size = net.params()[weight_key].size
     acc = np.zeros((size, size))
     for w, grads in per_sample_fim_terms(net, inputs, budget, mode, rng, labels):
         g = grads[weight_key].ravel()

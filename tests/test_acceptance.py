@@ -73,19 +73,17 @@ def test_criterion_2_gradient_correctness():
         y = rng.integers(0, net.head_classes, 3)
         _, cache = forward(net, x)
         _, grads = backward(net, cache, y)
-        for key, _, _ in net.trainable_keys():
+        for key in net.params():
             fd = fd_param_gradient(net, x, y, key)
             worst = max(worst, max_rel_error(grads[key], fd))
         # penalty gradient against the same oracle
         fim = estimate_diag_fim(net, x, sample_budget=3, rng=rng)
         anchor = make_anchor(net, fim, 13.0)
-        for key, _, _ in net.trainable_keys():
-            p = net.get_param(key)
+        for p in net.params().values():
             p += rng.normal(0, 0.05, p.shape)
         _, pgrads = ewc_penalty(net, anchor)
         h = 1e-5
-        for key, _, _ in net.trainable_keys():
-            p = net.get_param(key)
+        for key, p in net.params().items():
             flat = p.ravel()
             j = int(rng.integers(flat.size))
             orig = flat[j]

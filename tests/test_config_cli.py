@@ -764,6 +764,43 @@ def test_cli_probe_reads_the_stream_and_seed_of_its_checkpoint(tmp_path, capsys,
         assert ratio(raw.train_x, raw.train_y, 1) != ratios[1]
 
 
+def test_cli_probe_reads_only_the_tasks_its_checkpoint_has_seen(tmp_path, capsys):
+    # A task-0 checkpoint once drew half its probe samples from task 1, whose
+    # classes its head has never been trained on.
+    from rewc.fim import estimate_full_fim_layer
+    from rewc.runner import build_tasks
+    from rewc.util import rng_for
+
+    cfgp = tmp_path / "seed0.cfg"
+    cfgp.write_text(SMALL_RUN.format(out=tmp_path / "r").replace("seeds = 0,1", "seeds = 0")
+                    + "checkpoints = true\n")
+    assert run_cli(["run", str(cfgp)]) == 0
+    capsys.readouterr()
+    (ck,) = (tmp_path / "r").glob("*-seed0-task0.rewc")
+    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
+                  "--data-config", str(cfgp), "--out", str(tmp_path / "fim.svg")])
+    assert rc == 0, capsys.readouterr().err
+    probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    net = load_network(str(ck))
+    tasks = build_tasks(parse_config(str(cfgp)), 0)
+
+    def ratio(seen):
+        return diag_energy_ratio(estimate_full_fim_layer(
+            net, np.concatenate([t.train_x for t in seen]), 0, 40,
+            rng=rng_for(0, "fim-probe"), labels=np.concatenate([t.train_y for t in seen])))
+
+    assert probe["diag_energy_ratio"] == ratio(tasks[:1])
+    assert probe["diag_energy_ratio"] != ratio(tasks)
+
+    # A head narrower than the first task's classes has seen no task.
+    narrow = tmp_path / "narrow.rewc"
+    save_network(build_network("mlp-custom", input_shape=(6,), hidden=[16, 1], seed=0),
+                 str(narrow))
+    assert run_cli(["fim-probe", str(narrow), "--layer", "0", "--data-config", str(cfgp),
+                    "--out", str(tmp_path / "none.svg")]) == 1
+    assert "the checkpoint's 1-class head covers no task of the stream" in capsys.readouterr().err
+
+
 def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
     ck = tmp_path / "probe.rewc"
     save_network(build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1), str(ck))

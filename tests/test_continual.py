@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_empty_fim_budget_rejected_at_construction():
     # Otherwise the first consolidation divides the Fisher by zero after a whole task.
     with pytest.raises(ValueError, match="fim_samples"):
         Method("ewc", fim_samples=0)
+
+
+def test_repeated_diag_layer_rejected_at_construction():
+    # Otherwise layer 3's block is estimated twice and recorded once.
+    with pytest.raises(ValueError, match=re.escape(
+            "diag_layers [3, 3] repeat a layer, whose Fisher block would be estimated twice "
+            "and recorded once; list each layer once")):
+        Hyper(diag_layers=(3, 3))
 
 
 def test_single_task_equals_plain_training():
@@ -140,11 +149,11 @@ def test_finalize_task_leaves_the_trained_network_as_it_is():
 def test_ft_finalize_is_noop():
     tasks = synthetic_tasks(seed=19, T=2, classes_per_task=2, dim=6)
     net = small_net(9)
-    snap = net.parameter_snapshot()
+    snap = {k: p.copy() for k, p in net.params().items()}
     net2, anchor = finalize_task(net, tasks[0], Method("ft", lam=0.0), Hyper(seed=0), 0)
     assert anchor is None
     assert net2 is net
-    for k, v in net2.parameter_snapshot().items():
+    for k, v in net2.params().items():
         assert np.array_equal(v, snap[k])
 
 

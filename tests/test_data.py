@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,16 @@ def test_synthetic_stream_needs_two_classes():
     with pytest.raises(DimensionError, match="at least 2 classes"):
         synthetic_tasks(seed=0, T=1, classes_per_task=1)
     synthetic_tasks(seed=0, T=2, classes_per_task=1, dim=3)  # two classes are enough
+
+
+@pytest.mark.parametrize("shape", [{"dim": 0}, {"dim": -1}, {"image_shape": (0, 4, 1)},
+                                   {"image_shape": (4, -2, 1)}],
+                         ids=["dim-0", "dim-negative", "image-0", "image-negative"])
+def test_synthetic_rejects_a_dimension_below_one(shape):
+    # dim 0 once failed as "degenerate class means", a negative one in numpy.
+    want = (shape["dim"],) if "dim" in shape else shape["image_shape"]
+    with pytest.raises(DimensionError, match=re.escape(f"sample shape {want} has a dimension")):
+        synthetic_tasks(seed=0, T=2, **shape)
 
 
 # SHA-256 of every array of two streams, recorded with this numpy/BLAS build

@@ -213,8 +213,23 @@ def test_parameter_digest_tracks_every_bit():
     net = build_network("lenet", head_classes=5, seed=2)
     digest = parameter_digest(net)
     assert len(digest) == 64 and digest == parameter_digest(net.clone())
-    K = net.get_param("0.K")
+    K = net.params()["0.K"]
     K[0, 0, 0, 0] = np.nextafter(K[0, 0, 0, 0], np.inf)
+    assert parameter_digest(net) != digest
+
+
+def test_params_are_the_live_arrays_in_layer_order():
+    net = build_network("lenet", head_classes=5, seed=2)
+    params = net.params()
+    assert list(params) == ["0.K", "0.b", "3.K", "3.b", "7.W", "7.b", "9.W", "9.b",
+                            "11.W", "11.b"]
+    assert all(params[f"{i}.{name}"] is p for i, layer in enumerate(net.layers)
+               for name, p in layer.params().items())
+    x = np.random.default_rng(3).normal(size=(4,) + net.input_shape)
+    logits, _ = forward(net, x)
+    digest = parameter_digest(net)
+    params["7.W"] *= 2.0
+    assert not np.array_equal(forward(net, x)[0], logits)
     assert parameter_digest(net) != digest
 
 
@@ -240,7 +255,7 @@ def test_build_determinism():
 
 def test_custom_mlp_param_count():
     net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
-    count = sum(net.get_param(k).size for k, _, _ in net.trainable_keys())
+    count = sum(p.size for p in net.params().values())
     assert count == 4 * 3 + 3 + 3 * 2 + 2
 
 

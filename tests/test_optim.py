@@ -54,7 +54,7 @@ def test_fixed_layers_untouched():
     u_before = [u.copy() for l in rot.layers if l.rotated for u in (l.U1, l.U2)]
     assert len(u_before) == 2
     state = AdamState(rot)
-    grads = {k: np.ones_like(rot.get_param(k)) for k, _, _ in rot.trainable_keys()}
+    grads = {k: np.ones_like(p) for k, p in rot.params().items()}
     adam_step(rot, grads, state, 0.1)
     u_after = [u for l in rot.layers if l.rotated for u in (l.U1, l.U2)]
     for b, a in zip(u_before, u_after):

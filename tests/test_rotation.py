@@ -269,8 +269,8 @@ def test_trainable_parameter_count_preserved():
     x = rng.normal(size=(20,) + net.input_shape)
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
     rot = rotate_network(net, stats, "all_no_last")
-    count = sum(net.get_param(k).size for k, _, _ in net.trainable_keys())
-    assert sum(rot.get_param(k).size for k, _, _ in rot.trainable_keys()) == count
+    count = sum(p.size for p in net.params().values())
+    assert sum(p.size for p in rot.params().values()) == count
 
 
 def test_rotated_layers_keep_their_places():
@@ -280,7 +280,7 @@ def test_rotated_layers_keep_their_places():
     stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
     rot = rotate_network(net, stats, "all_no_last")
     assert [l.kind for l in rot.layers] == [l.kind for l in net.layers]
-    assert [k for k, _, _ in rot.trainable_keys()] == [k for k, _, _ in net.trainable_keys()]
+    assert list(rot.params()) == list(net.params())
     for i, (la, lb) in enumerate(zip(net.layers, rot.layers)):
         assert lb.rotated == (isinstance(la, (Dense, Conv2D)) and i != net.head_index)
         if lb.rotated:
