@@ -121,8 +121,8 @@ def cmd_fim_probe(args):
             f"probe data shape {inputs.shape[1:]} does not match network {net.input_shape}"
         )
     block = estimate_full_fim_layer(
-        net, inputs, args.layer, min(args.samples, inputs.shape[0]),
-        rng=rng_for(net.rng_seed, "fim-probe"), labels=labels,
+        net, inputs, args.layer, min(args.samples, inputs.shape[0]), "sampled",
+        rng_for(net.rng_seed, "fim-probe"), labels,
     )
     ratio = diag_energy_ratio(block)
     heatmap_svg(block, args.out, title=f"layer {args.layer} FIM")

@@ -184,9 +184,9 @@ def finalize_task(net, task, method, hyper, task_index):
             net = combine_network(net)
         rng_rot = rng_for(hyper.seed, "rotate", task_index)
         stats = accumulate_correlations(
-            net, task.train_x, method.fim_samples, rng_rot, labels=task.train_y
+            net, task.train_x, method.fim_samples, rng_rot, task.train_y, scope=method.scope
         )
-        net = rotate_network(net, stats, method.scope)
+        net = rotate_network(net, stats)
     rng_fim = rng_for(hyper.seed, "fim", task_index)
     fim = estimate_diag_fim(
         net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y

@@ -22,7 +22,7 @@ rotated, coordinates: into per-example gradients (Goodfellow, arXiv
 1510.01799) for the full block, ``example_grads``, and into the diagonal's
 sums of squares, ``fisher_terms``.  ``rotation.accumulate_correlations``
 reduces the same records into the input and output-gradient correlations
-(sampled labels, or the true ones).
+of the layers its scope selects, under sampled or true labels.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,6 @@ import numpy as np
 from . import parallel
 from .errors import AlignmentError, CapacityError, DimensionError
 from .network import CHUNK, backward, forward, label_gradient, layout_signature, param_key, softmax
-from .util import rng_for
 
 
 @dataclass
@@ -61,6 +60,7 @@ class EwcAnchor:
 
 FULL_FIM_PARAM_CAP = 2000
 FIM_MODES = ("sampled", "expected")
+LABEL_SOURCES = FIM_MODES + ("true",)
 
 
 def select_samples(n, budget, rng, labels=None):
@@ -124,7 +124,7 @@ def _softmax_fisher_factor(p):
     return v
 
 
-def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False):
+def _fim_pass(net, inputs, budget, source, rng, labels, reduce):
     """Yield ``reduce(forward_cache, deltas)`` per chunk of up to ``CHUNK``
     chosen inputs and logit-gradient set, in that order; the one pass behind
     the diagonal and full-block estimators and the rotation's correlations.
@@ -132,37 +132,37 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
     each trainable layer's output gradient, keyed by layer index.  Every
     example's squared gradients, summed over the sets, are its Fisher.
 
-    A set is the gradient of the chunk's mean cross-entropy at its logits,
-    ``(p - onehot) / n``, for one label per input drawn in sample order
-    (``sampled``) or, with ``true_labels``, the given ``labels`` (no draw);
-    or, ``expected``, ``v_k / n`` for each of the ``C - 1`` columns of
-    ``_softmax_fisher_factor(p)``, whose outer products sum to the softmax's
-    output Fisher: the expectation over every class, ``sum_c p_c (p - e_c)
-    (p - e_c)^T``, in one backward pass fewer than there are classes.  Every
-    random number is drawn here, on the calling thread.  Chunks run in waves
-    of ``parallel.WORKERS``: the wave's forwards, then each (chunk, set)'s
-    record-only backward and ``reduce``, on the pool.  So at most one wave's
-    forward caches are alive at once, and ``reduce`` should return no more
-    than per-example-sized data.
+    The label ``source`` decides the sets.  A set is the gradient of the
+    chunk's mean cross-entropy at its logits, ``(p - onehot) / n``, for one
+    label per input drawn in sample order (``sampled``) or the given
+    ``labels`` (``true``, no draw); or, ``expected``, ``v_k / n`` for each of
+    the ``C - 1`` columns of ``_softmax_fisher_factor(p)``, whose outer
+    products sum to the softmax's output Fisher: the expectation over every
+    class, ``sum_c p_c (p - e_c) (p - e_c)^T``, in one backward pass fewer
+    than there are classes.  Every random number is drawn here, on the
+    calling thread.  Chunks run in waves of ``parallel.WORKERS``: the wave's
+    forwards, then each (chunk, set)'s record-only backward and ``reduce``,
+    on the pool.  So at most one wave's forward caches are alive at once,
+    and ``reduce`` should return no more than per-example-sized data.
     """
-    if mode not in FIM_MODES:
-        raise ValueError(f"unknown FIM mode {mode!r}")
-    if true_labels and labels is None:
-        raise DimensionError("use_true_labels requires labels")
+    if source not in LABEL_SOURCES:
+        raise ValueError(f"unknown label source {source!r}")
+    if source == "true" and labels is None:
+        raise DimensionError("the true label source requires labels")
     inputs = np.asarray(inputs, dtype=np.float64)
     n = inputs.shape[0]
     if n == 0:
         raise DimensionError("empty dataset")
     idx = select_samples(n, budget, rng, labels)
-    u = rng.random(len(idx)) if mode == "sampled" and not true_labels else None
+    u = rng.random(len(idx)) if source == "sampled" else None
 
     def gradient_sets(start):
         part = slice(start, start + CHUNK)
         logits, cache = forward(net, inputs[idx[part]])
         p = softmax(logits)
-        if true_labels:
+        if source == "true":
             sets = [label_gradient(p, np.asarray(labels)[idx[part]])]
-        elif mode == "sampled":
+        elif source == "sampled":
             sets = [label_gradient(p, _sample_labels(p, u[part]))]
         else:
             sets = _softmax_fisher_factor(p) / len(p)
@@ -181,9 +181,8 @@ def _fim_pass(net, inputs, budget, mode, rng, labels, reduce, true_labels=False)
         yield from wave(range(first, min(first + step, len(idx)), CHUNK))
 
 
-def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, labels=None):
+def estimate_diag_fim(net, inputs, sample_budget, mode, rng, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
-    rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
 
     def squares(cache, deltas):
         """One unit's sums of squared per-example gradients."""
@@ -200,8 +199,7 @@ def estimate_diag_fim(net, inputs, sample_budget=200, mode="sampled", rng=None, 
     return FimDiagonal(values=acc, layout_hash=layout_signature(net))
 
 
-def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="sampled",
-                            rng=None, labels=None):
+def estimate_full_fim_layer(net, inputs, layer_index, sample_budget, mode, rng, labels=None):
     """Full FIM over one layer's flattened weights, as a ``size x size``
     matrix; diagnostic scale only."""
     if not 0 <= layer_index < len(net.layers):
@@ -214,7 +212,6 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget=200, mode="s
         raise CapacityError(
             f"layer has {size} weights; full-FIM diagnostics capped at {FULL_FIM_PARAM_CAP}"
         )
-    rng = rng if rng is not None else rng_for(net.rng_seed, "fim")
 
     def weight_grads(cache, deltas):
         """One unit's per-example weight gradients; the caller multiplies

@@ -1,16 +1,16 @@
 """Layer-space rotations that make diagonal curvature estimates more faithful.
 
-For each rotatable layer we accumulate the self-correlation of its inputs and
-of the backpropagated gradients at its (pre-activation) output: the two
-Kronecker factors of the layer's Fisher.  They are read from the same pass
-and label sampler as the Fisher estimators (``fim._fim_pass``), the inputs
-from its forward cache and the gradients from its record-only backward, so
-this module draws no labels and runs no forward or backward pass of its own.
-The eigenbases of those two correlations give an orthogonal change of
-coordinates on each side of the layer.  Each rotated layer carries its rotation
-``(U1, U2)`` as part of its state (``rewc.layers``): the forward function is
-untouched while the weight's coordinates decorrelate the factors that drive
-the layer's curvature.
+For each layer the rotation scope selects we take the mean self-correlation
+of its inputs and of the backpropagated gradients at its (pre-activation)
+output: the two Kronecker factors of the layer's Fisher.  They are read from
+the same pass and label sampler as the Fisher estimators (``fim._fim_pass``),
+the inputs from its forward cache and the gradients from its record-only
+backward, so this module draws no labels and runs no forward or backward pass
+of its own.  The eigenbases of those two correlations give an orthogonal
+change of coordinates on each side of the layer.  Each rotated layer carries
+its rotation ``(U1, U2)`` as part of its state (``rewc.layers``): the forward
+function is untouched while the weight's coordinates decorrelate the factors
+that drive the layer's curvature.
 
 Conventions: ``U1`` acts on the layer's input (``x' = U1 x``) and ``U2`` on
 its output (``y = U2 y'``).  With the input-correlation eigenbasis ``Q1`` and
@@ -29,21 +29,15 @@ from .linalg import jacobi_eigh
 # forward and backward are unused here but stay importable: the benchmark's
 # tracer wraps them in this module's namespace.
 from .network import Network, backward, forward, layout_signature  # noqa: F401
-from .util import rng_for
 
 
 @dataclass
 class CorrelationStats:
-    """Summed input/gradient self-correlations per rotatable layer."""
+    """Mean input/gradient self-correlations of the layers a scope selects."""
 
     input_corr: dict
     grad_corr: dict
-    count: int
     net_signature: str
-
-
-def rotatable_indices(net):
-    return [i for i, l in enumerate(net.layers) if l.trainable]
 
 
 def _self_correlation(a):
@@ -53,9 +47,10 @@ def _self_correlation(a):
     return flat.T @ flat / (flat.shape[0] // a.shape[0])
 
 
-def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=None,
+def accumulate_correlations(net, inputs, sample_budget, rng, labels=None, *, scope,
                             use_true_labels=False):
-    """Input and output-gradient self-correlations for every rotatable layer.
+    """Mean input and output-gradient self-correlations over ``sample_budget``
+    inputs, for each layer ``scope`` selects (``scope_selects``).
 
     Gradients come from backpropagating the loss under labels drawn from the
     model's own softmax (or the provided ground-truth labels when
@@ -64,8 +59,7 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
     """
     if net.is_rotated():
         raise StateError("correlations must be accumulated on an unrotated network")
-    rng = rng if rng is not None else rng_for(net.rng_seed, "rotate")
-    ids = rotatable_indices(net)
+    ids = scope_selects(net, scope)
 
     def correlations(cache, deltas):
         """One unit's input and output-gradient correlations per layer."""
@@ -75,12 +69,14 @@ def accumulate_correlations(net, inputs, sample_budget=200, rng=None, labels=Non
 
     cx = dict.fromkeys(ids, 0.0)
     cz = dict.fromkeys(ids, 0.0)
-    for terms in _fim_pass(net, inputs, sample_budget, "sampled", rng, labels, correlations,
-                           true_labels=use_true_labels):
+    source = "true" if use_true_labels else "sampled"
+    for terms in _fim_pass(net, inputs, sample_budget, source, rng, labels, correlations):
         for i, (x, z) in zip(ids, terms):
             cx[i] += x
             cz[i] += z
-    return CorrelationStats(cx, cz, sample_budget, layout_signature(net))
+    return CorrelationStats({i: c / sample_budget for i, c in cx.items()},
+                            {i: c / sample_budget for i, c in cz.items()},
+                            layout_signature(net))
 
 
 SCOPES = ("conv_only", "fc_only", "all_no_last")
@@ -88,7 +84,7 @@ SCOPES = ("conv_only", "fc_only", "all_no_last")
 
 def scope_selects(net, scope):
     """The scope's layers; never the classification head, which keeps growing."""
-    ids = [i for i in rotatable_indices(net) if i != net.head_index]
+    ids = [i for i, l in enumerate(net.layers) if l.trainable and i != net.head_index]
     if scope == "conv_only":
         return [i for i in ids if net.layers[i].kind == "conv2d"]
     if scope == "fc_only":
@@ -100,8 +96,8 @@ def scope_selects(net, scope):
 
 def rotation_matrices(stats, layer_index):
     """Eigenbasis rotation matrices (U1, U2) for one layer's correlations."""
-    cx = stats.input_corr[layer_index] / stats.count
-    cz = stats.grad_corr[layer_index] / stats.count
+    cx = stats.input_corr[layer_index]
+    cz = stats.grad_corr[layer_index]
     if not (np.all(np.isfinite(cx)) and np.all(np.isfinite(cz))):
         raise DimensionError(f"non-finite correlations at layer {layer_index}")
     e1 = jacobi_eigh(cx)
@@ -109,21 +105,23 @@ def rotation_matrices(stats, layer_index):
     return e1.U.T.copy(), e2.U.copy()
 
 
-def rotate_network(net, stats, scope):
-    """Give each layer the scope selects the rotation of its correlations.
+def rotate_network(net, stats):
+    """Give each layer the stats hold the rotation of its correlations.
 
-    Returns the rotated network: the same layer list, each selected layer's
+    Returns the rotated network: the same layer list, each rotated layer's
     weight in rotated coordinates and its bias outside the output rotation,
-    so the forward function is preserved up to roundoff.  No scope selects
-    the classification head: it grows between tasks, and a rotated head
-    cannot grow.
+    so the forward function is preserved up to roundoff.  Stats that hold
+    the classification head are refused: it grows between tasks, and a
+    rotated head cannot grow.
     """
     if net.is_rotated():
         raise StateError("network is already rotated; combine it first")
     if stats.net_signature != layout_signature(net):
         raise AlignmentError("correlation stats were computed on a different network")
-    selected = set(scope_selects(net, scope))
-    layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in selected else l.clone()
+    if net.head_index in stats.input_corr:
+        raise AlignmentError(f"correlation stats hold the head, layer {net.head_index}, "
+                             "which grows between tasks and so is never rotated")
+    layers = [l.rotated_by(*rotation_matrices(stats, i)) if i in stats.input_corr else l.clone()
               for i, l in enumerate(net.layers)]
     return Network(layers, net.rng_seed, net.input_shape)
 

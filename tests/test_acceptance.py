@@ -42,8 +42,8 @@ def test_criterion_1_rotation_equivalence():
         maker, scope = CASES[i % len(CASES)]
         net = maker(rng)
         x = rng.normal(size=(20,) + net.input_shape)
-        stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-        rot = rotate_network(net, stats, scope)
+        stats = accumulate_correlations(net, x, sample_budget=20, rng=rng, scope=scope)
+        rot = rotate_network(net, stats)
         assert rot.is_rotated(), (maker.__name__, scope)
         l0, _ = forward(net, x)
         l1, _ = forward(rot, x)
@@ -77,7 +77,7 @@ def test_criterion_2_gradient_correctness():
             fd = fd_param_gradient(net, x, y, key)
             worst = max(worst, max_rel_error(grads[key], fd))
         # penalty gradient against the same oracle
-        fim = estimate_diag_fim(net, x, sample_budget=3, rng=rng)
+        fim = estimate_diag_fim(net, x, sample_budget=3, mode="sampled", rng=rng)
         anchor = make_anchor(net, fim, 13.0)
         for p in net.params().values():
             p += rng.normal(0, 0.05, p.shape)
@@ -147,8 +147,8 @@ def test_criterion_4_factored_fim_diagonalization():
             x = x @ mix  # correlate the inputs
         y = rng.integers(0, net.head_classes, 40)
         stats = accumulate_correlations(net, x, sample_budget=40, rng=rng,
-                                        labels=y, use_true_labels=True)
-        rot = rotate_network(net, stats, "all_no_last")
+                                        labels=y, use_true_labels=True, scope="all_no_last")
+        rot = rotate_network(net, stats)
         _, cache = forward(rot, x)
         deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
         for i, layer in enumerate(rot.layers):
@@ -189,8 +189,9 @@ def test_criterion_5_diag_energy_improvement_mnist():
         # layer 3 is the second dense layer (10x10 weights)
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
-        stats = accumulate_correlations(net, x, 200, rng_for(seed, "rot"), labels=y)
-        rot = rotate_network(net, stats, "all_no_last")
+        stats = accumulate_correlations(net, x, 200, rng_for(seed, "rot"), labels=y,
+                                        scope="all_no_last")
+        rot = rotate_network(net, stats)
         after = estimate_full_fim_layer(rot, x, 3, 200, "expected",
                                         rng_for(seed, "diag-after"), y)
         rb = diag_energy_ratio(before)

@@ -27,8 +27,8 @@ def test_diag_energy_improvement_synthetic():
         before = estimate_full_fim_layer(net, t.train_x, 2, 200, "expected",
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
-                                        labels=t.train_y)
-        rot = rotate_network(net, stats, "all_no_last")
+                                        labels=t.train_y, scope="all_no_last")
+        rot = rotate_network(net, stats)
         after = estimate_full_fim_layer(rot, t.train_x, 2, 200, "expected",
                                         rng_for(seed, "diag-after"), t.train_y)
         gains.append(diag_energy_ratio(after) - diag_energy_ratio(before))

@@ -7,7 +7,9 @@ fields.  A rename here breaks the benchmark, and no other test would fail.
 
 import inspect
 
-from rewc import continual, fim, layers, rotation, runner
+import numpy as np
+
+from rewc import continual, fim, layers, network, rotation, runner
 from rewc.config import parse_config_text
 
 # (module, attribute, the parameter names the harness binds)
@@ -98,3 +100,39 @@ def test_a_run_reaches_every_bound_attribute_through_its_module(monkeypatch):
         net, anchor = out
         assert net.layers and anchor.lam >= 0
         assert anchor.theta_star.keys() == anchor.fim.values.keys()
+
+
+def test_the_harness_set_up_and_layer_table_calls_run_on_a_lenet():
+    # The set-up warms up with forward, unpacked as (logits, cache), and a
+    # label-mode backward.  The per-layer table, on the network finalize_task
+    # returns, feeds each timed layer's cached input back into the layer.
+    cfg = parse_config_text(RUN)
+    tasks = runner.build_tasks(cfg, 0)
+    plain = runner.build_net(cfg, tasks, 0)
+    rotated, _ = continual.finalize_task(plain, tasks[0], cfg.method(), cfg.hyper(0), 0)
+    assert rotated.is_rotated()
+    timed = ("Conv2D", "Dense", "MeanPool2D")
+    for net in (plain, rotated):
+        batch = tasks[0].train_x[:cfg["batch"]]
+        logits, cache = network.forward(net, batch)
+        assert logits.shape == (len(batch), net.head_classes)
+        loss, grads = network.backward(net, cache, tasks[0].train_y[:cfg["batch"]])
+        assert np.isfinite(loss) and grads.keys() == net.params().keys()
+        network.forward(net, tasks[0].test_x[:512])
+
+        _, cache = network.forward(net, tasks[0].train_x[:64])
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for i, layer in enumerate(net.layers):
+            if type(layer).__name__ not in timed:
+                continue
+            kinds.add(type(layer).__name__)
+            xin = cache.inputs[i]
+            assert xin is not None, f"the forward cache drops layer {i}'s input"
+            y, aux = layer.forward_cached(xin)
+            layer.forward_cached(xin)
+            g = rng.standard_normal(y.shape)
+            grad_in = layer.backward(xin, g, aux=aux, need_input_grad=i > 0)
+            if i > 0:
+                assert grad_in.shape == xin.shape
+        assert kinds == set(timed)

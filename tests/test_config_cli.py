@@ -692,14 +692,15 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     inputs = np.concatenate([t.train_x for t in tasks])
     labels = np.concatenate([t.train_y for t in tasks])
     net = build_network("mlp-custom", input_shape=inputs.shape[1:], hidden=[6, 4], seed=1)
-    stats = accumulate_correlations(net, inputs, 40, np.random.default_rng(0))
+    stats = accumulate_correlations(net, inputs, 40, np.random.default_rng(0),
+                                    scope="all_no_last")
     ck = tmp_path / "rotated.rewc"
-    save_network(rotate_network(net, stats, "all_no_last"), str(ck))
+    save_network(rotate_network(net, stats), str(ck))
     rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "40",
                   "--data-config", data, "--out", str(tmp_path / "fim.svg")])
     assert rc == 0, capsys.readouterr().err
     probe = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40,
+    block = estimate_full_fim_layer(load_network(str(ck)), inputs, 0, 40, "sampled",
                                     rng=rng_for(1, "fim-probe"), labels=labels)
     assert probe["diag_energy_ratio"] == diag_energy_ratio(block)
 
@@ -750,7 +751,7 @@ def test_cli_probe_reads_the_stream_and_seed_of_its_checkpoint(tmp_path, capsys,
 
     def ratio(inputs, labels, seed):
         return diag_energy_ratio(estimate_full_fim_layer(
-            net, inputs, layer, 40, rng=rng_for(seed, "fim-probe"), labels=labels))
+            net, inputs, layer, 40, "sampled", rng=rng_for(seed, "fim-probe"), labels=labels))
 
     ratios = []
     for seed in (0, 1):
@@ -786,7 +787,7 @@ def test_cli_probe_reads_only_the_tasks_its_checkpoint_has_seen(tmp_path, capsys
 
     def ratio(seen):
         return diag_energy_ratio(estimate_full_fim_layer(
-            net, np.concatenate([t.train_x for t in seen]), 0, 40,
+            net, np.concatenate([t.train_x for t in seen]), 0, 40, "sampled",
             rng=rng_for(0, "fim-probe"), labels=np.concatenate([t.train_y for t in seen])))
 
     assert probe["diag_energy_ratio"] == ratio(tasks[:1])

@@ -52,7 +52,8 @@ def bernoulli_net():
 
 def test_expected_mode_matches_bernoulli_fisher():
     net = bernoulli_net()
-    fim = estimate_diag_fim(net, np.array([[1.0]]), sample_budget=1, mode="expected")
+    fim = estimate_diag_fim(net, np.array([[1.0]]), sample_budget=1, mode="expected",
+                            rng=np.random.default_rng(0))
     # closed form: p(1-p) at p = 1/2
     assert fim.values["0.W"][0, 0] == pytest.approx(0.25, abs=1e-12)
     assert fim.values["0.W"][1, 0] == pytest.approx(0.25, abs=1e-12)
@@ -109,7 +110,7 @@ def test_sampled_converges_to_expected():
     rng = np.random.default_rng(2)
     net = build_network("mlp-custom", input_shape=(2,), hidden=[3], seed=5)
     x0 = np.array([[0.7, -0.3]])
-    expected = estimate_diag_fim(net, x0, sample_budget=1, mode="expected")
+    expected = estimate_diag_fim(net, x0, sample_budget=1, mode="expected", rng=rng)
     tiled = np.repeat(x0, 10_000, axis=0)
     sampled = estimate_diag_fim(net, tiled, sample_budget=10_000, mode="sampled",
                                 rng=np.random.default_rng(3))
@@ -124,12 +125,13 @@ def test_sampled_converges_to_expected():
 
 def test_budget_exceeds_dataset():
     net = bernoulli_net()
+    rng = np.random.default_rng(0)
     with pytest.raises(DimensionError):
-        estimate_diag_fim(net, np.ones((3, 1)), sample_budget=4)
+        estimate_diag_fim(net, np.ones((3, 1)), sample_budget=4, mode="sampled", rng=rng)
     with pytest.raises(DimensionError):
-        estimate_diag_fim(net, np.ones((0, 1)), sample_budget=1)
+        estimate_diag_fim(net, np.ones((0, 1)), sample_budget=1, mode="sampled", rng=rng)
     with pytest.raises(DimensionError, match="at least 1"):
-        estimate_diag_fim(net, np.ones((3, 1)), sample_budget=0)
+        estimate_diag_fim(net, np.ones((3, 1)), sample_budget=0, mode="sampled", rng=rng)
 
 
 def test_full_block_diag_consistency():
@@ -137,15 +139,17 @@ def test_full_block_diag_consistency():
     net = random_mlp(rng)
     x = rng.normal(size=(25, net.input_shape[0]))
     layer_idx = next(i for i, layer in enumerate(net.layers) if layer.trainable)
-    diag = estimate_diag_fim(net, x, sample_budget=15, rng=rng_for(9, "t"))
-    block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=15, rng=rng_for(9, "t"))
+    diag = estimate_diag_fim(net, x, sample_budget=15, mode="sampled", rng=rng_for(9, "t"))
+    block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=15, mode="sampled",
+                                    rng=rng_for(9, "t"))
     assert np.max(np.abs(np.diag(block) - diag.values[f"{layer_idx}.W"].ravel())) < 1e-12
 
 
 def test_single_sample_block_rank():
     net = build_network("mlp-custom", input_shape=(3,), hidden=[4, 3], seed=1)
     x = np.random.default_rng(5).normal(size=(1, 3))
-    block = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="expected")
+    block = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="expected",
+                                    rng=np.random.default_rng(0))
     assert np.linalg.matrix_rank(block, tol=1e-12) <= 3
     sampled = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="sampled",
                                       rng=np.random.default_rng(0))
@@ -157,7 +161,7 @@ def test_block_is_psd_under_eigensolver():
     net = random_mlp(rng)
     x = rng.normal(size=(20, net.input_shape[0]))
     layer_idx = next(i for i, layer in enumerate(net.layers) if layer.trainable)
-    block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=10, rng=rng)
+    block = estimate_full_fim_layer(net, x, layer_idx, sample_budget=10, mode="sampled", rng=rng)
     e = jacobi_eigh(block)
     assert np.all(e.S >= -1e-8)
 
@@ -165,14 +169,15 @@ def test_block_is_psd_under_eigensolver():
 def test_capacity_guard():
     net = build_network("mlp-custom", input_shape=(100,), hidden=[50, 3], seed=0)
     with pytest.raises(CapacityError):
-        estimate_full_fim_layer(net, np.zeros((5, 100)), 0, sample_budget=2)
+        estimate_full_fim_layer(net, np.zeros((5, 100)), 0, sample_budget=2, mode="sampled",
+                                rng=np.random.default_rng(0))
 
 
 def test_penalty_zero_at_anchor():
     rng = np.random.default_rng(7)
     net = random_mlp(rng)
     x = rng.normal(size=(12, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=8, rng=rng)
+    fim = estimate_diag_fim(net, x, sample_budget=8, mode="sampled", rng=rng)
     anchor = make_anchor(net, fim, 100.0)
     pen, grads = ewc_penalty(net, anchor)
     assert pen == 0.0
@@ -234,7 +239,7 @@ def test_lambda_fim_rescaling_invariance():
     rng = np.random.default_rng(9)
     net = random_mlp(rng)
     x = rng.normal(size=(10, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
+    fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled", rng=rng)
     a1 = make_anchor(net, fim, 50.0)
     scaled = FimDiagonal(values={k: v / 4.0 for k, v in fim.values.items()},
                          layout_hash=fim.layout_hash)
@@ -250,7 +255,7 @@ def test_lambda_zero_means_no_penalty():
     rng = np.random.default_rng(10)
     net = random_mlp(rng)
     x = rng.normal(size=(10, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
+    fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled", rng=rng)
     anchor = make_anchor(net, fim, 0.0)
     next(iter(net.params().values()))[:] += 1.0
     pen, grads = ewc_penalty(net, anchor)
@@ -262,7 +267,7 @@ def test_alignment_error_on_foreign_network():
     net = random_mlp(rng)
     other = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
     x = rng.normal(size=(10, net.input_shape[0]))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=rng)
+    fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled", rng=rng)
     anchor = make_anchor(net, fim, 10.0)
     with pytest.raises(AlignmentError):
         ewc_penalty(other, anchor)
@@ -273,9 +278,10 @@ def anchored_rotated_mlp(seed):
     rng = np.random.default_rng(seed)
     net = random_mlp(rng)
     x = rng.normal(size=(20, net.input_shape[0]))
-    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng),
-                         "all_no_last")
-    return rot, make_anchor(rot, estimate_diag_fim(rot, x, sample_budget=20, rng=rng), 10.0)
+    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng,
+                                                      scope="all_no_last"))
+    fim = estimate_diag_fim(rot, x, sample_budget=20, mode="sampled", rng=rng)
+    return rot, make_anchor(rot, fim, 10.0)
 
 
 def test_anchor_rejects_the_folded_network():
@@ -296,8 +302,8 @@ def test_anchor_rejects_the_network_rotated_by_other_matrices():
     net = combine_network(rot)
     x = np.random.default_rng(24).normal(size=(20, net.input_shape[0]))
     other = rotate_network(net, accumulate_correlations(net, x, sample_budget=20,
-                                                        rng=np.random.default_rng(25)),
-                           "all_no_last")
+                                                        rng=np.random.default_rng(25),
+                                                        scope="all_no_last"))
     assert np.allclose(forward(other, x)[0], forward(rot, x)[0], rtol=0, atol=1e-10)
     assert not np.allclose(other.layers[0].U1, rot.layers[0].U1)
     with pytest.raises(AlignmentError):
@@ -325,7 +331,8 @@ def test_anchor_on_a_rotated_network_follows_its_grown_head():
 def test_grown_head_rows_carry_no_penalty():
     net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 4], seed=2)
     x = np.random.default_rng(12).normal(size=(15, 6))
-    fim = estimate_diag_fim(net, x, sample_budget=10, rng=np.random.default_rng(1))
+    fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled",
+                            rng=np.random.default_rng(1))
     anchor = make_anchor(net, fim, 25.0)
     grow_head(net, 3)
     head_key = f"{net.head_index}.W"
@@ -344,8 +351,9 @@ def rotated_convnet(seed):
     rng = np.random.default_rng(seed)
     plain = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(160,) + plain.input_shape)
-    stats = accumulate_correlations(plain, x, 120, np.random.default_rng(seed + 1))
-    rotated = rotate_network(plain, stats, "all_no_last")
+    stats = accumulate_correlations(plain, x, 120, np.random.default_rng(seed + 1),
+                                    scope="all_no_last")
+    rotated = rotate_network(plain, stats)
     assert [l.kind for l in rotated.layers if l.rotated] == ["conv2d", "conv2d", "dense"]
     assert all(l.b is not None for l in rotated.layers if l.rotated)
     return plain, rotated, x

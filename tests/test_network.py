@@ -333,8 +333,9 @@ def test_checkpoint_preserves_rotation_pairs(tmp_path):
 
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=2)
     x = np.random.default_rng(3).normal(size=(20, 5))
-    stats = rewc.accumulate_correlations(net, x, sample_budget=20, rng=np.random.default_rng(0))
-    rot = rewc.rotate_network(net, stats, "all_no_last")
+    stats = rewc.accumulate_correlations(net, x, sample_budget=20, rng=np.random.default_rng(0),
+                                         scope="all_no_last")
+    rot = rewc.rotate_network(net, stats)
     path = os.path.join(tmp_path, "rot.rewc")
     save_network(rot, path)
     back = load_network(path)

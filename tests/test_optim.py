@@ -48,8 +48,9 @@ def test_fixed_layers_untouched():
 
     net = rewc.build_network("mlp-custom", input_shape=(4,), hidden=[5, 2], seed=0)
     x = np.random.default_rng(0).normal(size=(10, 4))
-    stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(1))
-    rot = rewc.rotate_network(net, stats, "all_no_last")
+    stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(1),
+                                         scope="all_no_last")
+    rot = rewc.rotate_network(net, stats)
     # A rotated layer's frozen maps are its rotation matrices.
     u_before = [u.copy() for l in rot.layers if l.rotated for u in (l.U1, l.U2)]
     assert len(u_before) == 2

@@ -109,7 +109,7 @@ def test_correlations_are_bit_identical_across_pool_sizes(pools, true_labels):
         def correlate():
             stats = accumulate_correlations(net, x, BUDGET, np.random.default_rng(3),
                                             labels=np.arange(len(x)) % 2,
-                                            use_true_labels=true_labels)
+                                            scope="all_no_last", use_true_labels=true_labels)
             return {**{f"x{i}": c for i, c in stats.input_corr.items()},
                     **{f"z{i}": c for i, c in stats.grad_corr.items()}}
 

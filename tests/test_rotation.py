@@ -32,13 +32,12 @@ from rewc.rotation import (
     accumulate_correlations,
     combine_network,
     rotate_network,
-    rotation_matrices,
     scope_selects,
 )
 
 
 def identity_stats(net, scale=1.0):
-    ids = [i for i, l in enumerate(net.layers) if isinstance(l, (Dense, Conv2D))]
+    ids = scope_selects(net, "all_no_last")
     cx, cz = {}, {}
     for i in ids:
         layer = net.layers[i]
@@ -46,14 +45,15 @@ def identity_stats(net, scale=1.0):
         d2 = layer.W.shape[0] if isinstance(layer, Dense) else layer.K.shape[3]
         cx[i] = np.eye(d1) * scale
         cz[i] = np.eye(d2) * scale
-    return CorrelationStats(cx, cz, count=1, net_signature=layout_signature(net))
+    return CorrelationStats(cx, cz, net_signature=layout_signature(net))
 
 
 def test_whitened_inputs_give_identity_correlation():
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[4], seed=0)
+    net = build_network("mlp-custom", input_shape=(6,), hidden=[4, 3], seed=0)
     x = np.random.default_rng(0).normal(size=(10_000, 6))
-    stats = accumulate_correlations(net, x, sample_budget=10_000, rng=np.random.default_rng(1))
-    cx = stats.input_corr[0] / stats.count
+    stats = accumulate_correlations(net, x, sample_budget=10_000, rng=np.random.default_rng(1),
+                                    scope="all_no_last")
+    cx = stats.input_corr[0]
     assert np.max(np.abs(cx - np.eye(6))) < 0.05
 
 
@@ -62,7 +62,7 @@ def test_accumulators_symmetric():
     for maker in (random_mlp, random_convnet):
         net = maker(rng)
         x = rng.normal(size=(40,) + net.input_shape)
-        stats = accumulate_correlations(net, x, sample_budget=40, rng=rng)
+        stats = accumulate_correlations(net, x, sample_budget=40, rng=rng, scope="all_no_last")
         for c in list(stats.input_corr.values()) + list(stats.grad_corr.values()):
             assert np.max(np.abs(c - c.T)) < 1e-12
 
@@ -71,7 +71,7 @@ def test_conv_1x1_degenerate_matches_dense():
     rng = np.random.default_rng(3)
     d = 5
     w = rng.normal(size=(3, d))
-    dense_net = Network([Dense(w.copy(), np.zeros(3))], 0, (d,))
+    dense_net = Network([Dense(w.copy(), np.zeros(3)), Dense(np.eye(3), np.zeros(3))], 0, (d,))
     conv_net = Network(
         [Conv2D(w.T.reshape(1, 1, d, 3).copy(), np.zeros(3)), Flatten(),
          Dense(np.eye(3), np.zeros(3))],
@@ -79,16 +79,16 @@ def test_conv_1x1_degenerate_matches_dense():
     )
     x = rng.normal(size=(30, d))
     sd = accumulate_correlations(dense_net, x, sample_budget=30,
-                                 rng=np.random.default_rng(9), labels=None)
+                                 rng=np.random.default_rng(9), labels=None, scope="all_no_last")
     sc = accumulate_correlations(conv_net, x.reshape(30, 1, 1, d), sample_budget=30,
-                                 rng=np.random.default_rng(9))
+                                 rng=np.random.default_rng(9), scope="all_no_last")
     assert np.max(np.abs(sd.input_corr[0] - sc.input_corr[0])) < 1e-10
 
 
 def test_identity_correlations_leave_network_unchanged():
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
     stats = identity_stats(net)
-    rot = rotate_network(net, stats, "all_no_last")
+    rot = rotate_network(net, stats)
     x = np.random.default_rng(4).normal(size=(12, 5))
     l0, _ = forward(net, x)
     l1, _ = forward(rot, x)
@@ -101,7 +101,7 @@ def test_identity_correlations_leave_network_unchanged():
 
 def test_distinct_diagonal_correlations_give_signed_permutations():
     net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=2)
-    ids = [i for i, l in enumerate(net.layers) if isinstance(l, Dense)]
+    ids = scope_selects(net, "all_no_last")
     cx, cz = {}, {}
     rng = np.random.default_rng(5)
     for i in ids:
@@ -109,8 +109,8 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
         d2 = net.layers[i].W.shape[0]
         cx[i] = np.diag(rng.permutation(np.arange(1.0, d1 + 1.0)))
         cz[i] = np.diag(rng.permutation(np.arange(1.0, d2 + 1.0)))
-    stats = CorrelationStats(cx, cz, 1, layout_signature(net))
-    rot = rotate_network(net, stats, "all_no_last")
+    stats = CorrelationStats(cx, cz, layout_signature(net))
+    rot = rotate_network(net, stats)
     for layer in rot.layers:
         if not layer.rotated:
             continue
@@ -143,8 +143,8 @@ def test_scope_selection(name, scope, expected_kinds):
     rng = np.random.default_rng(7)
     net = SCOPE_NETS[name](rng)
     x = rng.normal(size=(25,) + net.input_shape)
-    stats = accumulate_correlations(net, x, sample_budget=25, rng=rng)
-    rot = rotate_network(net, stats, scope)
+    stats = accumulate_correlations(net, x, sample_budget=25, rng=rng, scope=scope)
+    rot = rotate_network(net, stats)
     expected = [i for i, l in enumerate(net.layers)
                 if l.kind in expected_kinds and i != net.head_index]
     assert [i for i, l in enumerate(rot.layers) if l.rotated] == expected
@@ -155,13 +155,44 @@ def test_scope_selection(name, scope, expected_kinds):
     assert np.max(np.abs(l0 - l1)) < 1e-8
 
 
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("name", sorted(SCOPE_NETS))
+def test_correlations_and_rotation_cover_exactly_the_scope(name, scope):
+    # The pass reduces only the scope's layers, to the reference engine's
+    # sums divided by the budget; the rotation touches no other layer.
+    rng = np.random.default_rng(8)
+    net = SCOPE_NETS[name](rng)
+    x = rng.normal(size=(30,) + net.input_shape)
+    labels = np.arange(30) % net.head_classes
+    stats = accumulate_correlations(net, x, 24, np.random.default_rng(9), labels, scope=scope)
+    cx, cz = reference_accumulate_correlations(net, x, 24, np.random.default_rng(9), labels)
+    held = scope_selects(net, scope)
+    assert list(stats.input_corr) == list(stats.grad_corr) == held
+    for i in held:
+        assert stats.input_corr[i].tobytes() == (cx[i] / 24).tobytes()
+        assert stats.grad_corr[i].tobytes() == (cz[i] / 24).tobytes()
+    rot = rotate_network(net, stats)
+    after = rot.params()
+    for key, p in net.params().items():
+        if int(key.split(".")[0]) not in held:
+            assert p.tobytes() == after[key].tobytes(), key
+    assert [i for i, l in enumerate(rot.layers) if l.rotated] == held
+    head = net.head_index
+    with_head = CorrelationStats({**stats.input_corr, head: cx[head] / 24},
+                                 {**stats.grad_corr, head: cz[head] / 24},
+                                 stats.net_signature)
+    with pytest.raises(AlignmentError, match="hold the head"):
+        rotate_network(net, with_head)
+
+
 def test_unknown_scope_names_the_scopes():
     net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
     message = re.escape(f"scope must be one of {SCOPES}, got 'bogus'")
     with pytest.raises(ValueError, match=message):
         scope_selects(net, "bogus")
     with pytest.raises(ValueError, match=message):
-        rotate_network(net, identity_stats(net), "bogus")
+        accumulate_correlations(net, np.zeros((5, 5)), 5, np.random.default_rng(0),
+                                scope="bogus")
 
 
 def test_rotated_space_correlations_are_diagonal():
@@ -170,8 +201,8 @@ def test_rotated_space_correlations_are_diagonal():
     x = rng.normal(size=(50, 6)) @ rng.normal(size=(6, 6))  # correlated inputs
     y = rng.integers(0, 3, 50)
     stats = accumulate_correlations(net, x, sample_budget=50, rng=rng,
-                                    labels=y, use_true_labels=True)
-    rot = rotate_network(net, stats, "all_no_last")
+                                    labels=y, use_true_labels=True, scope="all_no_last")
+    rot = rotate_network(net, stats)
     # re-accumulate empirically inside the rotated network, same samples/labels
     _, cache = forward(rot, x)
     deltas = backward(rot, cache, label_gradient(softmax(cache.logits), y), record_only=True)
@@ -190,8 +221,8 @@ def test_combine_inverts_rotation_exactly():
     rng = np.random.default_rng(9)
     for net in (random_mlp(rng), random_convnet(rng, hidden_dense=True)):
         x = rng.normal(size=(30,) + net.input_shape)
-        stats = accumulate_correlations(net, x, sample_budget=30, rng=rng)
-        rot = rotate_network(net, stats, "all_no_last")
+        stats = accumulate_correlations(net, x, sample_budget=30, rng=rng, scope="all_no_last")
+        rot = rotate_network(net, stats)
         back = combine_network(rot)
         for la, lb in zip(net.layers, back.layers):
             assert la.kind == lb.kind
@@ -215,8 +246,8 @@ def test_combine_after_training_preserves_function():
     net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 4], seed=4)
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 4, 40)
-    stats = accumulate_correlations(net, x, sample_budget=40, rng=rng)
-    rot = rotate_network(net, stats, "all_no_last")
+    stats = accumulate_correlations(net, x, sample_budget=40, rng=rng, scope="all_no_last")
+    rot = rotate_network(net, stats)
     state = rewc.AdamState(rot)
     for _ in range(25):
         _, cache = forward(rot, x)
@@ -267,8 +298,8 @@ def test_trainable_parameter_count_preserved():
     rng = np.random.default_rng(14)
     net = random_convnet(rng)
     x = rng.normal(size=(20,) + net.input_shape)
-    stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, "all_no_last")
+    stats = accumulate_correlations(net, x, sample_budget=20, rng=rng, scope="all_no_last")
+    rot = rotate_network(net, stats)
     count = sum(p.size for p in net.params().values())
     assert sum(p.size for p in rot.params().values()) == count
 
@@ -277,8 +308,8 @@ def test_rotated_layers_keep_their_places():
     rng = np.random.default_rng(15)
     net = random_convnet(rng, hidden_dense=True)
     x = rng.normal(size=(20,) + net.input_shape)
-    stats = accumulate_correlations(net, x, sample_budget=20, rng=rng)
-    rot = rotate_network(net, stats, "all_no_last")
+    stats = accumulate_correlations(net, x, sample_budget=20, rng=rng, scope="all_no_last")
+    rot = rotate_network(net, stats)
     assert [l.kind for l in rot.layers] == [l.kind for l in net.layers]
     assert list(rot.params()) == list(net.params())
     for i, (la, lb) in enumerate(zip(net.layers, rot.layers)):
@@ -292,15 +323,15 @@ def test_state_and_alignment_errors():
     rng = np.random.default_rng(16)
     net = random_mlp(rng)
     x = rng.normal(size=(15, net.input_shape[0]))
-    stats = accumulate_correlations(net, x, sample_budget=15, rng=rng)
-    rot = rotate_network(net, stats, "all_no_last")
+    stats = accumulate_correlations(net, x, sample_budget=15, rng=rng, scope="all_no_last")
+    rot = rotate_network(net, stats)
     with pytest.raises(StateError):
-        accumulate_correlations(rot, x, sample_budget=5, rng=rng)
+        accumulate_correlations(rot, x, sample_budget=5, rng=rng, scope="all_no_last")
     with pytest.raises(StateError):
-        rotate_network(rot, stats, "all_no_last")
+        rotate_network(rot, stats)
     other = random_mlp(np.random.default_rng(99))
     with pytest.raises(AlignmentError):
-        rotate_network(other, stats, "all_no_last")
+        rotate_network(other, stats)
 
 
 def test_rotation_pair_orthogonality_enforced():
@@ -350,13 +381,13 @@ def test_correlations_equal_reference_engine_bit_for_bit(maker, labelled):
     labels = None if labelled == "none" else np.arange(160) % net.head_classes
     true = labelled == "true"
     rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    stats = accumulate_correlations(net, x, 130, rng_new, labels, use_true_labels=true)
+    stats = accumulate_correlations(net, x, 130, rng_new, labels, scope="all_no_last",
+                                    use_true_labels=true)
     cx, cz = reference_accumulate_correlations(net, x, 130, rng_ref, labels, true)
-    assert stats.count == 130
-    assert sorted(stats.input_corr) == sorted(cx) == sorted(stats.grad_corr)
-    for i in cx:
-        assert stats.input_corr[i].tobytes() == cx[i].tobytes()
-        assert stats.grad_corr[i].tobytes() == cz[i].tobytes()
+    assert list(stats.input_corr) == list(stats.grad_corr) == scope_selects(net, "all_no_last")
+    for i in stats.input_corr:
+        assert stats.input_corr[i].tobytes() == (cx[i] / 130).tobytes()
+        assert stats.grad_corr[i].tobytes() == (cz[i] / 130).tobytes()
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -364,7 +395,8 @@ def test_true_labels_need_labels():
     net = random_mlp(np.random.default_rng(18))
     x = np.zeros((10, net.input_shape[0]))
     with pytest.raises(DimensionError, match="requires labels"):
-        accumulate_correlations(net, x, 5, np.random.default_rng(0), use_true_labels=True)
+        accumulate_correlations(net, x, 5, np.random.default_rng(0), scope="all_no_last",
+                                use_true_labels=True)
 
 
 def stacked_rectangular_convnet(seed):
@@ -398,15 +430,14 @@ NETS = {
 }
 
 
-def with_rotated_head(net, stats):
-    """``net`` with its head rotated by the head's correlations.  No scope
-    selects the head, but a loaded checkpoint or a hand-built network can
-    carry a rotated one."""
+def with_rotated_head(net, rng):
+    """``net`` with its head under a random rotation.  No scope selects the
+    head, but a loaded checkpoint or a hand-built network can carry a
+    rotated one."""
     i = net.head_index
     head = net.layers[i]
-    u1, u2 = rotation_matrices(stats, i)
     layers = [l.clone() for l in net.layers]
-    layers[i] = Dense(u2.T @ head.W @ u1.T, head.b.copy(), u1, u2)
+    layers[i] = head.rotated_by(*random_rotation(rng, head.W.shape[1], head.W.shape[0]))
     return Network(layers, net.rng_seed, net.input_shape)
 
 
@@ -422,10 +453,9 @@ def test_rotated_gradients_are_the_plain_gradients_mapped(name, scope, head_rota
     net = NETS[name](rng)
     x = rng.normal(size=(24,) + net.input_shape)
     y = np.arange(len(x)) % net.head_classes
-    stats = accumulate_correlations(net, x, 24, rng)
-    rot = rotate_network(net, stats, scope)
+    rot = rotate_network(net, accumulate_correlations(net, x, 24, rng, scope=scope))
     if head_rotated:
-        rot = with_rotated_head(rot, stats)
+        rot = with_rotated_head(rot, rng)
     assert rot.layers[rot.head_index].rotated == head_rotated
     plain = combine_network(rot)
     l_rot, cache = forward(rot, x)
@@ -450,7 +480,8 @@ def test_rotation_folds_back_and_round_trips(name, scope, seed):
     rng = np.random.default_rng(seed)
     net = DRAWN_NETS[name](rng)
     x = rng.normal(size=(20,) + net.input_shape)
-    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng), scope)
+    rot = rotate_network(net, accumulate_correlations(net, x, sample_budget=20, rng=rng,
+                                                      scope=scope))
     # Rotating, then folding, keeps the forward function.
     l0, _ = forward(net, x)
     l1, _ = forward(combine_network(rot), x)
