@@ -183,6 +183,8 @@ def _fim_pass(net, inputs, budget, source, rng, labels, reduce):
 
 def estimate_diag_fim(net, inputs, sample_budget, mode, rng, labels=None):
     """Diagonal FIM estimate over ``sample_budget`` inputs (without replacement)."""
+    if mode not in FIM_MODES:
+        raise ValueError(f"unknown FIM mode {mode!r}")
 
     def squares(cache, deltas):
         """One unit's sums of squared per-example gradients."""
@@ -202,6 +204,8 @@ def estimate_diag_fim(net, inputs, sample_budget, mode, rng, labels=None):
 def estimate_full_fim_layer(net, inputs, layer_index, sample_budget, mode, rng, labels=None):
     """Full FIM over one layer's flattened weights, as a ``size x size``
     matrix; diagnostic scale only."""
+    if mode not in FIM_MODES:
+        raise ValueError(f"unknown FIM mode {mode!r}")
     if not 0 <= layer_index < len(net.layers):
         raise DimensionError(f"layer index {layer_index} out of range")
     layer = net.layers[layer_index]

@@ -173,6 +173,16 @@ def test_capacity_guard():
                                 rng=np.random.default_rng(0))
 
 
+def test_estimators_take_only_the_fim_modes():
+    # The true label source is the correlation pass's alone.
+    net = bernoulli_net()
+    x, labels, rng = np.ones((3, 1)), np.array([0, 1, 0]), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown FIM mode 'true'"):
+        estimate_diag_fim(net, x, 2, "true", rng, labels)
+    with pytest.raises(ValueError, match="unknown FIM mode 'true'"):
+        estimate_full_fim_layer(net, x, 0, 2, "true", rng, labels)
+
+
 def test_penalty_zero_at_anchor():
     rng = np.random.default_rng(7)
     net = random_mlp(rng)

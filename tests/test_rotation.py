@@ -147,42 +147,17 @@ def test_scope_selection(name, scope, expected_kinds):
     rot = rotate_network(net, stats)
     expected = [i for i, l in enumerate(net.layers)
                 if l.kind in expected_kinds and i != net.head_index]
+    assert list(stats.input_corr) == list(stats.grad_corr) == expected
     assert [i for i, l in enumerate(rot.layers) if l.rotated] == expected
+    after = rot.params()
+    for key, p in net.params().items():
+        if int(key.split(".")[0]) not in expected:
+            assert p.tobytes() == after[key].tobytes(), key
     assert (len(expected) == 0) == (name == "mlp" and scope == "conv_only")
     assert not rot.layers[rot.head_index].rotated
     l0, _ = forward(net, x[:5])
     l1, _ = forward(rot, x[:5])
     assert np.max(np.abs(l0 - l1)) < 1e-8
-
-
-@pytest.mark.parametrize("scope", SCOPES)
-@pytest.mark.parametrize("name", sorted(SCOPE_NETS))
-def test_correlations_and_rotation_cover_exactly_the_scope(name, scope):
-    # The pass reduces only the scope's layers, to the reference engine's
-    # sums divided by the budget; the rotation touches no other layer.
-    rng = np.random.default_rng(8)
-    net = SCOPE_NETS[name](rng)
-    x = rng.normal(size=(30,) + net.input_shape)
-    labels = np.arange(30) % net.head_classes
-    stats = accumulate_correlations(net, x, 24, np.random.default_rng(9), labels, scope=scope)
-    cx, cz = reference_accumulate_correlations(net, x, 24, np.random.default_rng(9), labels)
-    held = scope_selects(net, scope)
-    assert list(stats.input_corr) == list(stats.grad_corr) == held
-    for i in held:
-        assert stats.input_corr[i].tobytes() == (cx[i] / 24).tobytes()
-        assert stats.grad_corr[i].tobytes() == (cz[i] / 24).tobytes()
-    rot = rotate_network(net, stats)
-    after = rot.params()
-    for key, p in net.params().items():
-        if int(key.split(".")[0]) not in held:
-            assert p.tobytes() == after[key].tobytes(), key
-    assert [i for i, l in enumerate(rot.layers) if l.rotated] == held
-    head = net.head_index
-    with_head = CorrelationStats({**stats.input_corr, head: cx[head] / 24},
-                                 {**stats.grad_corr, head: cz[head] / 24},
-                                 stats.net_signature)
-    with pytest.raises(AlignmentError, match="hold the head"):
-        rotate_network(net, with_head)
 
 
 def test_unknown_scope_names_the_scopes():
@@ -332,6 +307,13 @@ def test_state_and_alignment_errors():
     other = random_mlp(np.random.default_rng(99))
     with pytest.raises(AlignmentError):
         rotate_network(other, stats)
+    # A rotated head could not grow for a new task.
+    head = net.layers[net.head_index]
+    with_head = CorrelationStats({**stats.input_corr, net.head_index: np.eye(head.W.shape[1])},
+                                 {**stats.grad_corr, net.head_index: np.eye(head.W.shape[0])},
+                                 stats.net_signature)
+    with pytest.raises(AlignmentError, match="hold the head"):
+        rotate_network(net, with_head)
 
 
 def test_rotation_pair_orthogonality_enforced():
@@ -371,20 +353,22 @@ def test_rotated_by_takes_only_a_plain_layer_and_a_rotation_of_its_size(cls, sha
         plain.rotated_by(u2, u2)
 
 
-@pytest.mark.parametrize("maker", [random_mlp, random_convnet])
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("name", sorted(SCOPE_NETS))
 @pytest.mark.parametrize("labelled", ["none", "stratified", "true"])
-def test_correlations_equal_reference_engine_bit_for_bit(maker, labelled):
-    # 130 samples: two full chunks and a partial one.
+def test_correlations_equal_reference_engine_bit_for_bit(name, labelled, scope):
+    # 130 samples: two full chunks and a partial one.  The pass reduces only
+    # the scope's layers, to the reference engine's sums over the budget.
     rng = np.random.default_rng(17)
-    net = maker(rng)
+    net = SCOPE_NETS[name](rng)
     x = rng.normal(size=(160,) + net.input_shape)
     labels = None if labelled == "none" else np.arange(160) % net.head_classes
     true = labelled == "true"
     rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    stats = accumulate_correlations(net, x, 130, rng_new, labels, scope="all_no_last",
+    stats = accumulate_correlations(net, x, 130, rng_new, labels, scope=scope,
                                     use_true_labels=true)
     cx, cz = reference_accumulate_correlations(net, x, 130, rng_ref, labels, true)
-    assert list(stats.input_corr) == list(stats.grad_corr) == scope_selects(net, "all_no_last")
+    assert list(stats.input_corr) == list(stats.grad_corr) == scope_selects(net, scope)
     for i in stats.input_corr:
         assert stats.input_corr[i].tobytes() == (cx[i] / 130).tobytes()
         assert stats.grad_corr[i].tobytes() == (cz[i] / 130).tobytes()
