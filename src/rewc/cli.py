@@ -20,6 +20,13 @@ from .runner import build_tasks, run_experiment
 from .util import rng_for
 
 
+def _at_least_one(text):
+    """An argparse type: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="rewc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,7 +44,7 @@ def _build_parser():
     p_probe.add_argument("--data-config", required=True,
                          help="config of the run that saved the checkpoint: the tasks of its "
                               "stream that the checkpoint has trained on are probed")
-    p_probe.add_argument("--samples", type=int, default=200)
+    p_probe.add_argument("--samples", type=_at_least_one, default=200)
     p_probe.add_argument("--out", default="fim-layer.svg")
     return parser
 

@@ -4,12 +4,11 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .continual import METHODS, Hyper, Method, check_diag_layers
+from .continual import METHODS, Hyper, Method, check_rotation
 from .data import MNIST_CLASSES, SYNTH_TRAIN_PER_CLASS
 from .errors import ConfigError, DimensionError
 from .network import ARCHS as _ARCHS
 from .network import build_network
-from .rotation import scope_selects
 
 _DATASETS = ("synthetic", "mnist")
 
@@ -116,10 +115,10 @@ class ExperimentConfig:
             return build_network(arch, input_shape=input_shape, hidden=hidden, seed=seed)
         return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
 
-    def hyper(self, seed):
-        """The training settings of this config's run at ``seed``."""
+    def hyper(self):
+        """The training settings of this config's runs, at every seed."""
         v = self.values
-        return Hyper(epochs=v["epochs"], batch_size=v["batch"], lr=v["lr"], seed=seed,
+        return Hyper(epochs=v["epochs"], batch_size=v["batch"], lr=v["lr"],
                      diag_layers=tuple(v["diag_layers"]),
                      store_fim_blocks=v["store_fim_blocks"])
 
@@ -192,7 +191,7 @@ def _validate(cfg, source, written):
             "never rotated); use scope = all_no_last")
     try:
         method = cfg.method()
-        cfg.hyper(seed=0)
+        cfg.hyper()
     except ValueError as e:
         bad(str(e))
     if not v["seeds"]:
@@ -240,10 +239,7 @@ def _validate(cfg, source, written):
     except DimensionError as e:
         bad(f"arch = {v['arch']} cannot run on this stream's {input_shape} inputs: {e}")
     if v["method"] == "rewc":
-        if not scope_selects(net, method.scope):
-            bad(f"scope = {v['scope']} selects no layer of arch {v['arch']}, so the run "
-                "would be plain EWC; use method = ewc")
         try:
-            check_diag_layers(net, v["diag_layers"])
+            check_rotation(net, method, v["diag_layers"])
         except DimensionError as e:
-            bad(str(e))
+            bad(f"arch = {v['arch']}: {e}")

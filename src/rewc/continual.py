@@ -19,7 +19,8 @@ from .fim import FIM_MODES, estimate_diag_fim, estimate_full_fim_layer, ewc_pena
 from .linalg import diag_energy_ratio
 from .network import CHUNK, Network, backward, forward, grow_head
 from .optim import AdamState, adam_step
-from .rotation import SCOPES, accumulate_correlations, combine_network, rotate_network
+from .rotation import (SCOPES, accumulate_correlations, combine_network, rotate_network,
+                       scope_selects)
 from .util import rng_for
 
 METHODS = ("ft", "ewc", "rewc")
@@ -54,12 +55,11 @@ class Method:
 
 @dataclass
 class Hyper:
-    """Per-run training knobs."""
+    """Per-run training knobs and diagnostics; the seed is the network's."""
 
     epochs: int = 5
     batch_size: int = 64
     lr: float = 1e-3
-    seed: int = 0
     diag_layers: tuple = ()
     store_fim_blocks: bool = False
 
@@ -115,7 +115,7 @@ def train_task(net, task, hyper, task_index, anchor=None):
     as chance, not as forgetting."""
     _check_split(task.train_x, task.train_y, "training", task_index)
     n = task.train_x.shape[0]
-    rng = rng_for(hyper.seed, "shuffle", task_index)
+    rng = rng_for(net.rng_seed, "shuffle", task_index)
     state = AdamState(net)
     use_penalty = anchor is not None and anchor.lam > 0.0
     first = net.layers[0]
@@ -170,7 +170,7 @@ def evaluate_matrix(net, tasks, upto):
     return [hits[k] / tasks[k].test_x.shape[0] for k in range(upto)]
 
 
-def finalize_task(net, task, method, hyper, task_index):
+def finalize_task(net, task, method, task_index):
     """Post-task consolidation of the trained ``net``, which it leaves as it
     is; returns the training-ready network and the (single) anchor for the
     next task, or None for fine-tuning."""
@@ -182,12 +182,12 @@ def finalize_task(net, task, method, hyper, task_index):
         # fresh, anchor in the rotated space.
         if net.is_rotated():
             net = combine_network(net)
-        rng_rot = rng_for(hyper.seed, "rotate", task_index)
+        rng_rot = rng_for(net.rng_seed, "rotate", task_index)
         stats = accumulate_correlations(
             net, task.train_x, method.fim_samples, rng_rot, task.train_y, scope=method.scope
         )
         net = rotate_network(net, stats)
-    rng_fim = rng_for(hyper.seed, "fim", task_index)
+    rng_fim = rng_for(net.rng_seed, "fim", task_index)
     fim = estimate_diag_fim(
         net, task.train_x, method.fim_samples, method.fim_mode, rng_fim, task.train_y
     )
@@ -204,7 +204,7 @@ def _energy_ratios(before, after, task, method, hyper, task_index):
     for idx in hyper.diag_layers:
         entry = {}
         for stage, net in (("before", before), ("after", after)):
-            rng = rng_for(hyper.seed, "fim-diag", task_index, idx, stage)
+            rng = rng_for(net.rng_seed, "fim-diag", task_index, idx, stage)
             try:
                 block = estimate_full_fim_layer(
                     net, task.train_x, idx, method.fim_samples, method.fim_mode, rng,
@@ -220,9 +220,12 @@ def _energy_ratios(before, after, task, method, hyper, task_index):
     return out
 
 
-def check_diag_layers(net, diag_layers):
-    """Raise ``DimensionError`` unless each of ``diag_layers`` indexes a
-    layer of ``net`` that has weights."""
+def check_rotation(net, method, diag_layers):
+    """Raise ``DimensionError`` unless the rotated ``method``'s scope selects
+    a layer of ``net``, and each of ``diag_layers`` one that has weights."""
+    if not scope_selects(net, method.scope):
+        raise DimensionError(f"scope = {method.scope} selects no layer of this network, so "
+                             "the run would be plain EWC; use method = ewc")
     n = len(net.layers)
     bad = [i for i in diag_layers if not 0 <= i < n]
     if bad:
@@ -262,9 +265,9 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
                     f"fim_samples {method.fim_samples} exceeds the {n} training samples "
                     f"of task {k}"
                 )
+    if method.name == "rewc":
+        check_rotation(net, method, hyper.diag_layers)
     diagnose = method.name == "rewc" and bool(hyper.diag_layers)
-    if diagnose:
-        check_diag_layers(net, hyper.diag_layers)
 
     result = SequenceResult(net)
     anchor = None
@@ -280,7 +283,7 @@ def run_sequence(net, tasks, method, hyper, task_callback=None):
             task_callback(k, net)
         if k + 1 < T:
             trained = net
-            net, anchor = finalize_task(trained, tasks[k], method, hyper, k)
+            net, anchor = finalize_task(trained, tasks[k], method, k)
             if diagnose:
                 plain = combine_network(trained) if trained.is_rotated() else trained
                 result.diag_energy[str(k)] = _energy_ratios(plain, net, tasks[k], method,

@@ -27,9 +27,9 @@ SYNTH_TRAIN_PER_CLASS = 200  # training rows per class of a synthetic stream
 @dataclass
 class TaskDataset:
     """One task's train/test split; labels keep their global class ids.
-    A task stream is a list of these, trained in order."""
+    A task stream is a list of these, trained in order; a task's index is
+    its place in that list."""
 
-    task_id: int
     class_ids: tuple
     train_x: np.ndarray
     train_y: np.ndarray
@@ -98,7 +98,7 @@ def load_mnist(directory, pad_to_32=True):
             raise DataFormatError(f"missing MNIST file {name}[.gz] in {directory}")
     train_x, train_y = load_mnist_idx(paths["train_images"], paths["train_labels"], pad_to_32)
     test_x, test_y = load_mnist_idx(paths["test_images"], paths["test_labels"], pad_to_32)
-    return TaskDataset(0, tuple(range(MNIST_CLASSES)), train_x, train_y, test_x, test_y)
+    return TaskDataset(tuple(range(MNIST_CLASSES)), train_x, train_y, test_x, test_y)
 
 
 def disjoint_split(data, T, seed):
@@ -116,16 +116,8 @@ def disjoint_split(data, T, seed):
         tr = np.isin(data.train_y, group)
         te = np.isin(data.test_y, group)
         order = rng_for(seed, "split", t).permutation(int(tr.sum()))
-        tasks.append(
-            TaskDataset(
-                task_id=t,
-                class_ids=group,
-                train_x=data.train_x[tr][order],
-                train_y=data.train_y[tr][order],
-                test_x=data.test_x[te],
-                test_y=data.test_y[te],
-            )
-        )
+        tasks.append(TaskDataset(group, data.train_x[tr][order], data.train_y[tr][order],
+                                 data.test_x[te], data.test_y[te]))
     return tasks
 
 
@@ -194,7 +186,7 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
         if image_shape is not None:
             train_x = train_x.reshape(-1, *image_shape)
             test_x = test_x.reshape(-1, *image_shape)
-        tasks.append(TaskDataset(t, classes, train_x, train_y, test_x, test_y))
+        tasks.append(TaskDataset(classes, train_x, train_y, test_x, test_y))
 
     # Lanes balanced by row count, longest unit first: a lane runs its units
     # one after another, so no short unit waits on a long one at a barrier.

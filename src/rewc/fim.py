@@ -15,14 +15,14 @@ and reduced on the calling thread in (chunk, set) order.  The backward pass
 is record-only (``network.backward(net, cache, grad, record_only=True)``):
 it starts from the set's gradient at the logits, returns each trainable
 layer's output gradient, keyed by layer index, and forms no parameter
-gradient, since no estimator reads one.  With the layer's input from the
-forward cache, ``cache.inputs[i]``, and its ``cache.aux[i]``, each trainable
-layer reduces these records itself (``rewc.layers``), in its own, possibly
-rotated, coordinates: into per-example gradients (Goodfellow, arXiv
-1510.01799) for the full block, ``example_grads``, and into the diagonal's
-sums of squares, ``fisher_terms``.  ``rotation.accumulate_correlations``
-reduces the same records into the input and output-gradient correlations
-of the layers its scope selects, under sampled or true labels.
+gradient, since no estimator reads one.  With its forward's ``cache.aux[i]``,
+all that it reads of its input, each trainable layer reduces these records
+itself (``rewc.layers``), in its own, possibly rotated, coordinates: into
+per-example gradients (Goodfellow, arXiv 1510.01799) for the full block,
+``example_grads``, and into the diagonal's sums of squares, ``fisher_terms``.
+``rotation.accumulate_correlations`` reduces the same records into the input
+and output-gradient correlations of the layers its scope selects, under
+sampled or true labels.
 """
 
 from dataclasses import dataclass
@@ -189,8 +189,7 @@ def estimate_diag_fim(net, inputs, sample_budget, mode, rng, labels=None):
     def squares(cache, deltas):
         """One unit's sums of squared per-example gradients."""
         return {param_key(i, name): term for i, delta in deltas.items()
-                for name, term in net.layers[i].fisher_terms(cache.inputs[i], delta,
-                                                             cache.aux[i]).items()}
+                for name, term in net.layers[i].fisher_terms(delta, cache.aux[i]).items()}
 
     acc = {k: np.zeros_like(p) for k, p in net.params().items()}
     for terms in _fim_pass(net, inputs, sample_budget, mode, rng, labels, squares):
@@ -220,9 +219,8 @@ def estimate_full_fim_layer(net, inputs, layer_index, sample_budget, mode, rng, 
     def weight_grads(cache, deltas):
         """One unit's per-example weight gradients; the caller multiplies
         them, so no unit holds a ``size x size`` block."""
-        i = layer_index
-        return layer.example_grads(cache.inputs[i], deltas[i], cache.aux[i])[
-            layer.weight_name].reshape(-1, size)
+        ge = layer.example_grads(deltas[layer_index], cache.aux[layer_index])
+        return ge[layer.weight_name].reshape(-1, size)
 
     acc = np.zeros((size, size))
     for ge in _fim_pass(net, inputs, sample_budget, mode, rng, labels, weight_grads):

@@ -12,10 +12,11 @@ sets ``prepares`` (today only ``Conv2D``: its im2col), so that training can
 build a batch's first-layer input while the step before it runs.
 ``forward_cached(x)`` composes the two.  The forward returns the output and
 what the backward pass reads, its ``aux``: a ReLU's mask, a conv layer's
-im2col matrix, a rotated dense layer's rotated input.  ``backward`` must be
-given that ``aux``.  A ReLU's backward needs nothing else, so a network's
-forward cache does not keep its input.  ``backward`` returns the input
-gradient alone, or ``None`` from a weighted layer told ``need_input_grad=False``.
+im2col matrix, a dense layer's input (the array itself), or ``x U1^T`` when
+rotated.  ``backward`` must be given that ``aux``.  A ReLU's backward needs
+nothing else, so a network's forward cache does not keep its input.
+``backward`` returns the input gradient alone, or ``None`` from a weighted
+layer told ``need_input_grad=False``.
 
 Every dense and conv layer has a bias.  A convolution moves its kernel one
 pixel at a time over the unpadded input, and mean pooling averages 2x2
@@ -35,13 +36,14 @@ only a finite orthogonal rotation of the layer's sizes, and builds
 ``rotate(weight, A, B)``.  Each kind maps its gradients into the coordinates
 once (``Dense.weight_grad_factors``, ``Conv2D.weight_grad_rows``) and
 answers for itself in them, so that no other module tests a layer's type:
-``param_grads``, ``example_grads`` and ``fisher_terms(x, grad_out, aux)``,
+``param_grads``, ``example_grads`` and ``fisher_terms(grad_out, aux)``,
 the gradient, the per-example gradients and their summed squares, are three
 reductions of one record, the output gradient of a batch-mean loss (example
-``k``'s is ``n`` times its row), each keyed like ``params()``.  The Fisher's
-sums over the examples are each one BLAS product with a ones vector, not
-``sum(axis=0)``: that fixes the order in which they round, which the
-sampled Fisher's bits depend on.
+``k``'s is ``n`` times its row), and of the ``aux``, all they read of the
+input; each is keyed like ``params()``.  The Fisher's sums over the examples
+are each one BLAS product with a ones vector, not ``sum(axis=0)``: that
+fixes the order in which they round, which the sampled Fisher's bits depend
+on.
 """
 
 import copy
@@ -169,7 +171,7 @@ class WeightedLayer(Layer):
 
 class Dense(WeightedLayer):
     """``y = x W^T + b``; rotated, ``y = ((x U1^T) W^T) U2^T + b``, three GEMMs
-    with ``x U1^T`` kept for the backward pass and the Fisher."""
+    with ``x U1^T`` kept as the ``aux``, which is ``x`` itself when plain."""
 
     kind = "dense"
     weight_name = "W"
@@ -186,38 +188,34 @@ class Dense(WeightedLayer):
     def forward_prepared(self, x):
         if self.rotated:
             h = x @ self.U1.T
-            y = (h @ self.W.T) @ self.U2.T
-        else:
-            h, y = None, x @ self.W.T
-        return y + self.b, h
+            return (h @ self.W.T) @ self.U2.T + self.b, h
+        return x @ self.W.T + self.b, x
 
-    def weight_grad_factors(self, x, grad_out, aux):
+    def weight_grad_factors(self, grad_out, aux):
         """The input and output gradient in the weight's coordinates, so that
         ``g^T x`` is the weight gradient and ``g[k] x[k]^T`` example ``k``'s:
-        rotated, the forward's cached ``x U1^T`` and ``grad_out U2``."""
-        if self.rotated:
-            return aux, grad_out @ self.U2
-        return x, grad_out
+        the ``aux``, and ``grad_out U2`` rotated or ``grad_out`` plain."""
+        return aux, grad_out @ self.U2 if self.rotated else grad_out
 
     def backward(self, x, grad_out, aux=None, need_input_grad=True):
         if not need_input_grad:
             return None
-        gx = self.weight_grad_factors(x, grad_out, aux)[1] @ self.W
+        gx = self.weight_grad_factors(grad_out, aux)[1] @ self.W
         return gx @ self.U1 if self.rotated else gx
 
-    def param_grads(self, x, grad_out, aux):
-        x, g = self.weight_grad_factors(x, grad_out, aux)
+    def param_grads(self, grad_out, aux):
+        x, g = self.weight_grad_factors(grad_out, aux)
         return {"W": g.T @ x, "b": grad_out.sum(axis=0)}
 
-    def example_grads(self, x, grad_out, aux):
+    def example_grads(self, grad_out, aux):
         n = len(grad_out)
-        x, g = self.weight_grad_factors(x, grad_out, aux)
+        x, g = self.weight_grad_factors(grad_out, aux)
         return {"W": (g * n)[:, :, None] * x[:, None, :], "b": grad_out * n}
 
-    def fisher_terms(self, x, grad_out, aux):
+    def fisher_terms(self, grad_out, aux):
         """Factored as ``(g^2)^T x^2``: no per-example gradient is formed."""
         n = len(grad_out)
-        x, g = self.weight_grad_factors(x, grad_out, aux)
+        x, g = self.weight_grad_factors(grad_out, aux)
         g = g * n  # undo the batch-mean scaling
         gb = grad_out * n
         return {"W": (g * g).T @ (x * x), "b": np.ones(n) @ (gb * gb)}
@@ -295,7 +293,7 @@ class Conv2D(WeightedLayer):
                 gx[:, a : a + h2, b_ : b_ + w2, :] += (g2d @ Kt[a, b_]).reshape(n, h2, w2, d1)
         return gx
 
-    def param_grads(self, x, grad_out, aux):
+    def param_grads(self, grad_out, aux):
         # (G^T P)^T lets BLAS read both operands in place; a tensordot over
         # the patches would first copy them transposed.  Its last row, from
         # the patches' ones column, is the bias gradient.
@@ -326,10 +324,10 @@ class Conv2D(WeightedLayer):
         return self.weight_grad_rows(
             np.matmul(cols.transpose(0, 2, 1), g.reshape(n, -1, g.shape[-1])))
 
-    def example_grads(self, x, grad_out, aux):
+    def example_grads(self, grad_out, aux):
         return self._split(self._example_rows(grad_out, aux))
 
-    def fisher_terms(self, x, grad_out, aux):
+    def fisher_terms(self, grad_out, aux):
         ge = self._example_rows(grad_out, aux)
         return self._split(np.tensordot(np.ones(len(ge)), ge * ge, axes=1))
 

@@ -18,7 +18,8 @@ class Network:
     """Ordered layer chain ending in a single trainable dense head.
 
     The head's row count, ``head_classes``, grows as new tasks arrive.
-    Shape compatibility of the whole chain is checked at construction.
+    ``rng_seed`` is the run's seed, that every random stream of training and
+    consolidation is drawn from.  The chain's shapes are checked here.
     """
 
     def __init__(self, layers, rng_seed, input_shape):
@@ -177,7 +178,7 @@ def backward(net, cache, target, record_only=False):
         return records
     grads = {}
     for i, delta in records.items():
-        pgrads = net.layers[i].param_grads(cache.inputs[i], delta, cache.aux[i])
+        pgrads = net.layers[i].param_grads(delta, cache.aux[i])
         grads.update((param_key(i, name), g) for name, g in pgrads.items())
     return loss, grads
 

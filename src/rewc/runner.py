@@ -92,7 +92,7 @@ def run_single(cfg, seed, raw=None):
         def callback(k, net_k):
             save_network(net_k, os.path.join(outdir, f"{cfg.hash()}-seed{seed}-task{k}.rewc"))
 
-    result = run_sequence(net, tasks, cfg.method(), cfg.hyper(seed), task_callback=callback)
+    result = run_sequence(net, tasks, cfg.method(), cfg.hyper(), task_callback=callback)
     matrix = result.eval_matrix
     record = {
         "schema_version": SCHEMA_VERSION,

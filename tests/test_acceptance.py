@@ -184,8 +184,8 @@ def test_criterion_5_diag_energy_improvement_mnist():
         net = build_network("mlp-784-10-10-10", head_classes=10, seed=seed)
         from rewc.data import TaskDataset
 
-        task = TaskDataset(0, tuple(range(10)), x, y, raw.test_x, raw.test_y)
-        train_task(net, task, Hyper(epochs=5, batch_size=64, seed=seed), 0, None)
+        task = TaskDataset(tuple(range(10)), x, y, raw.test_x, raw.test_y)
+        train_task(net, task, Hyper(epochs=5, batch_size=64), 0, None)
         # layer 3 is the second dense layer (10x10 weights)
         before = estimate_full_fim_layer(net, x, 3, 200, "expected",
                                          rng_for(seed, "diag-before"), y)
@@ -222,7 +222,7 @@ def test_criterion_6_disjoint_mnist_t2():
             method = Method(name, lam=lam, scope="all_no_last",
                             fim_samples=200, fim_mode="sampled")
             final = run_sequence(net, tasks, method,
-                                 Hyper(epochs=5, batch_size=64, lr=1e-3, seed=seed)).eval_matrix[-1]
+                                 Hyper(epochs=5, batch_size=64, lr=1e-3)).eval_matrix[-1]
             rows.append(final)
             print(f"  {name} seed {seed}: final {['%.3f' % a for a in final]}")
         finals[name] = np.mean(rows, axis=0)
@@ -249,7 +249,7 @@ def test_criterion_7_four_task_sequence():
             net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
             method = Method(name, lam=lam, scope="all_no_last")
             matrix = run_sequence(net, tasks, method,
-                                  Hyper(epochs=10, batch_size=32, seed=seed)).eval_matrix
+                                  Hyper(epochs=10, batch_size=32)).eval_matrix
             rows.append([np.mean(row) for row in matrix])
         per_step[name] = np.mean(rows, axis=0)
         print(f"  {name}: per-step {['%.3f' % a for a in per_step[name]]}")
@@ -265,12 +265,12 @@ def test_criterion_8_invariant_suite(tmp_path):
     t0 = time.perf_counter()
     # anchor penalty is exactly zero at the anchor point
     tasks = rewc.synthetic_tasks(seed=41, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=7)
+    hyper = Hyper(epochs=2, batch_size=32)
     net = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=7)
     train_task(net, tasks[0], hyper, 0, None)
     from rewc.continual import finalize_task
 
-    net2, anchor = finalize_task(net, tasks[0], Method("rewc", lam=40.0), hyper, 0)
+    net2, anchor = finalize_task(net, tasks[0], Method("rewc", lam=40.0), 0)
     pen, _ = ewc_penalty(net2, anchor)
     assert pen == 0.0
 

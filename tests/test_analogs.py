@@ -23,7 +23,7 @@ def test_diag_energy_improvement_synthetic():
                                      separation=12.0, noise_cond=15.0)
         t = tasks[0]
         net = build_network("mlp-custom", input_shape=(20,), hidden=[10, 10, 10], seed=seed)
-        train_task(net, t, Hyper(epochs=5, batch_size=32, seed=seed), 0, None)
+        train_task(net, t, Hyper(epochs=5, batch_size=32), 0, None)
         before = estimate_full_fim_layer(net, t.train_x, 2, 200, "expected",
                                          rng_for(seed, "diag-before"), t.train_y)
         stats = accumulate_correlations(net, t.train_x, 200, rng_for(seed, "rot"),
@@ -42,7 +42,7 @@ def test_conv_continual_cycle_synthetic():
                                  image_shape=(16, 16, 1), noise_cond=10.0)
     net = build_network("lenet", head_classes=2, input_shape=(16, 16, 1), seed=1)
     method = Method("rewc", lam=100.0, scope="all_no_last", fim_samples=100)
-    result = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32, seed=2))
+    result = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32))
     net, matrix = result.net, result.eval_matrix
     assert net.is_rotated()
     rotated = {l.kind for l in net.layers if l.rotated}
@@ -63,7 +63,7 @@ def test_ft_ewc_rewc_ordering_t2_synthetic():
                                          separation=10.0, noise_cond=20.0)
             net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
             result = run_sequence(net, tasks, Method(name, lam=lam),
-                                  Hyper(epochs=10, batch_size=32, seed=seed))
+                                  Hyper(epochs=10, batch_size=32))
             rows.append(result.eval_matrix[-1])
         finals[name] = np.mean(rows, axis=0)
     assert finals["ft"][0] < 0.3                           # plain tuning forgets
@@ -90,7 +90,7 @@ def test_mnist_pipeline_with_fake_idx(tmp_path):
     assert tasks[0].class_ids == (0, 1, 2, 3, 4)
     net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=0)
     result = run_sequence(net, tasks, Method("rewc", lam=100.0, fim_samples=50),
-                          Hyper(epochs=1, batch_size=64, seed=0))
+                          Hyper(epochs=1, batch_size=64))
     net, matrix = result.net, result.eval_matrix
     assert len(matrix) == 2 and len(matrix[1]) == 2
     assert net.head_classes == 10

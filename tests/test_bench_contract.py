@@ -109,7 +109,7 @@ def test_the_harness_set_up_and_layer_table_calls_run_on_a_lenet():
     cfg = parse_config_text(RUN)
     tasks = runner.build_tasks(cfg, 0)
     plain = runner.build_net(cfg, tasks, 0)
-    rotated, _ = continual.finalize_task(plain, tasks[0], cfg.method(), cfg.hyper(0), 0)
+    rotated, _ = continual.finalize_task(plain, tasks[0], cfg.method(), 0)
     assert rotated.is_rotated()
     timed = ("Conv2D", "Dense", "MeanPool2D")
     for net in (plain, rotated):

@@ -82,11 +82,11 @@ def test_config_builds_the_method_and_hyper_it_runs():
                             "fim_mode = expected\nfim_samples = 9\nscope = fc_only")
     assert cfg.method() == Method("rewc", lam=5.0, scope="fc_only", fim_samples=9,
                                   fim_mode="expected")
-    assert cfg.hyper(4) == Hyper(epochs=2, batch_size=7, lr=0.5, seed=4)
+    assert cfg.hyper() == Hyper(epochs=2, batch_size=7, lr=0.5)
     cfg = parse_config_text("method = rewc\nlambda = 5\ndiag_layers = 2,0\n"
                             "store_fim_blocks = true")
     assert cfg.method() == Method("rewc", lam=5.0)
-    assert cfg.hyper(0) == Hyper(diag_layers=(2, 0), store_fim_blocks=True)
+    assert cfg.hyper() == Hyper(diag_layers=(2, 0), store_fim_blocks=True)
     # Fine-tuning has no penalty: it runs at lambda = 0, which it never reads.
     assert parse_config_text("method = ft").method() == Method("ft", lam=0.0)
 
@@ -212,18 +212,18 @@ def test_build_net_sizes_the_network_from_the_config(text, kwargs):
     from rewc.data import TaskDataset
     from rewc.runner import build_net
 
-    def task(task_id, classes, shape):
+    def task(classes, shape):
         x, y = np.zeros((len(classes),) + shape), np.array(classes)
-        return TaskDataset(task_id, classes, x, y, x, y)
+        return TaskDataset(classes, x, y, x, y)
 
     cfg = parse_config_text(text)
     shape, head = cfg.stream_shape()
     assert shape == kwargs["input_shape"]
     classes = tuple(range(head))
-    net = build_net(cfg, [task(0, classes, shape), task(1, (head,), shape)], seed=4)
+    net = build_net(cfg, [task(classes, shape), task((head,), shape)], seed=4)
     assert parameter_digest(net) == parameter_digest(build_network(seed=4, **kwargs))
     # A stream other than the one the config describes is refused.
-    for tasks in ([task(0, classes + (head,), shape)], [task(0, classes, (3,) + shape)]):
+    for tasks in ([task(classes + (head,), shape)], [task(classes, (3,) + shape)]):
         with pytest.raises(DimensionError, match="the config describes"):
             build_net(cfg, tasks, seed=4)
 
@@ -802,14 +802,17 @@ def test_cli_probe_reads_only_the_tasks_its_checkpoint_has_seen(tmp_path, capsys
     assert "the checkpoint's 1-class head covers no task of the stream" in capsys.readouterr().err
 
 
-def test_cli_probe_rejects_empty_budget(tmp_path, capsys):
-    ck = tmp_path / "probe.rewc"
-    save_network(build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1), str(ck))
+@pytest.mark.parametrize("samples", ["0", "-3", "many"])
+def test_cli_probe_rejects_empty_budget(tmp_path, capsys, samples):
+    # A usage error, found while parsing: the checkpoint, which does not
+    # exist, is never opened, so no runtime error (exit 2) is reached.
     svg_out = tmp_path / "fim.svg"
-    rc = run_cli(["fim-probe", str(ck), "--layer", "0", "--samples", "0",
-                  "--data-config", empty_config(tmp_path), "--out", str(svg_out)])
-    assert rc == 2
-    assert "sample budget must be at least 1" in capsys.readouterr().err
+    rc = run_cli(["fim-probe", str(tmp_path / "missing.rewc"), "--layer", "0",
+                  "--samples", samples, "--data-config", str(tmp_path / "missing.cfg"),
+                  "--out", str(svg_out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"argument --samples: must be an integer of at least 1, got '{samples}'" in err
     assert not svg_out.exists()
 
 

@@ -66,7 +66,7 @@ def test_repeated_diag_layer_rejected_at_construction():
 
 def test_single_task_equals_plain_training():
     tasks = synthetic_tasks(seed=3, T=1, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=3, batch_size=32, seed=1)
+    hyper = Hyper(epochs=3, batch_size=32)
     mat = run_sequence(small_net(1), tasks, Method("ft", lam=0.0), hyper).eval_matrix
     assert len(mat) == 1 and len(mat[0]) == 1
     net2 = small_net(1)
@@ -75,9 +75,31 @@ def test_single_task_equals_plain_training():
     assert mat[0][0] == row[0]
 
 
+def reseeded(net, seed):
+    """A copy of ``net`` whose run seed is ``seed``."""
+    return Network([l.clone() for l in net.layers], seed, net.input_shape)
+
+
+@pytest.mark.parametrize("seed, same", [(6, True), (7, False)])
+def test_training_and_consolidation_draw_from_the_network_seed(seed, same):
+    # Equal weights under one Hyper: the shuffle, rotation and Fisher streams
+    # follow the network's rng_seed alone.
+    tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, dim=6)
+    hyper = Hyper(epochs=1, batch_size=32)
+    a, b = small_net(6), reseeded(small_net(6), seed)
+    for net in (a, b):
+        train_task(net, tasks[0], hyper, 0, None)
+    assert (parameter_digest(a) == parameter_digest(b)) == same
+    anchors = [finalize_task(net, tasks[0], Method("rewc", lam=10.0, fim_samples=50), 0)[1]
+               for net in (a, reseeded(a, seed))]
+    assert all(np.array_equal(anchors[0].theta_star[k], anchors[1].theta_star[k])
+               and np.array_equal(anchors[0].fim.values[k], anchors[1].fim.values[k])
+               for k in anchors[0].theta_star) == same
+
+
 def test_ft_forgets_ewc_retains():
     tasks = synthetic_tasks(seed=7, T=2, classes_per_task=2, dim=8, noise_cond=6.0)
-    hyper = Hyper(epochs=6, batch_size=32, seed=5)
+    hyper = Hyper(epochs=6, batch_size=32)
     ft = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ft", lam=0.0), hyper)
     ewc = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ewc", lam=300.0), hyper)
     assert ft.eval_matrix[1][0] < 0.6  # task 1 collapses under plain fine-tuning
@@ -86,7 +108,7 @@ def test_ft_forgets_ewc_retains():
 
 def test_lambda_zero_ewc_is_bitwise_ft():
     tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=9)
+    hyper = Hyper(epochs=2, batch_size=32)
     ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
     e0 = run_sequence(small_net(4), tasks, Method("ewc", lam=0.0), hyper)
     assert ft.eval_matrix == e0.eval_matrix
@@ -96,7 +118,7 @@ def test_lambda_zero_rewc_matches_ft_evaluation():
     # rotation reparameterizes training coordinates; with lam=0 Adam updates
     # differ, so only the task-1 row (trained before any rotation) must match.
     tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=9)
+    hyper = Hyper(epochs=2, batch_size=32)
     ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
     r0 = run_sequence(small_net(4), tasks, Method("rewc", lam=0.0), hyper)
     assert ft.eval_matrix[0] == r0.eval_matrix[0]
@@ -104,11 +126,11 @@ def test_lambda_zero_rewc_matches_ft_evaluation():
 
 def test_anchor_penalty_zero_after_finalize():
     tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=3)
+    hyper = Hyper(epochs=2, batch_size=32)
     for name in ("ewc", "rewc"):
         net = small_net(6)
         train_task(net, tasks[0], hyper, 0, None)
-        net2, anchor = finalize_task(net, tasks[0], Method(name, lam=50.0), hyper, 0)
+        net2, anchor = finalize_task(net, tasks[0], Method(name, lam=50.0), 0)
         pen, grads = ewc_penalty(net2, anchor)
         assert pen == 0.0
         assert all(np.all(g == 0.0) for g in grads.values())
@@ -119,24 +141,24 @@ def test_anchor_penalty_zero_after_finalize():
 
 def test_rewc_finalize_preserves_function():
     tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=2)
+    hyper = Hyper(epochs=2, batch_size=32)
     net = small_net(8)
     train_task(net, tasks[0], hyper, 0, None)
     before, _ = forward(net, tasks[0].test_x)
-    net2, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), hyper, 0)
+    net2, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), 0)
     after, _ = forward(net2, tasks[0].test_x)
     assert np.max(np.abs(before - after)) < 1e-8
 
 
 def test_finalize_task_leaves_the_trained_network_as_it_is():
     tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=1, batch_size=32, seed=2)
+    hyper = Hyper(epochs=1, batch_size=32)
     net = small_net(8)
     train_task(net, tasks[0], hyper, 0, None)
     for _ in range(2):  # a plain network, then a rotated one, which is combined
         layers = [l.clone() for l in net.layers]
         digest = parameter_digest(net)
-        out, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), hyper, 0)
+        out, _ = finalize_task(net, tasks[0], Method("rewc", lam=10.0), 0)
         assert out is not net and out.is_rotated()
         assert parameter_digest(net) == digest
         for a, b in zip(layers, net.layers):
@@ -150,7 +172,7 @@ def test_ft_finalize_is_noop():
     tasks = synthetic_tasks(seed=19, T=2, classes_per_task=2, dim=6)
     net = small_net(9)
     snap = {k: p.copy() for k, p in net.params().items()}
-    net2, anchor = finalize_task(net, tasks[0], Method("ft", lam=0.0), Hyper(seed=0), 0)
+    net2, anchor = finalize_task(net, tasks[0], Method("ft", lam=0.0), 0)
     assert anchor is None
     assert net2 is net
     for k, v in net2.params().items():
@@ -159,7 +181,7 @@ def test_ft_finalize_is_noop():
 
 def test_rewc_sandwiches_do_not_accumulate():
     tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, dim=6)
-    hyper = Hyper(epochs=2, batch_size=32, seed=4)
+    hyper = Hyper(epochs=2, batch_size=32)
     rotated_counts = []
 
     def spy(k, net):
@@ -185,9 +207,9 @@ def test_memorize_tiny_task():
 
     x = rng.normal(size=(10, 4)) * 3.0
     y = np.array([0, 1] * 5)
-    task = TaskDataset(0, (0, 1), x, y, x, y)
+    task = TaskDataset((0, 1), x, y, x, y)
     tasks = [task]
-    hyper = Hyper(epochs=300, batch_size=10, lr=0.01, seed=0)
+    hyper = Hyper(epochs=300, batch_size=10, lr=0.01)
     result = run_sequence(small_net(12, dim=4, hidden=(32,)), tasks, Method("ft", lam=0.0), hyper)
     assert result.eval_matrix[0][0] == 1.0
 
@@ -198,7 +220,7 @@ def test_argmax_tie_breaks_low():
 
     x = np.ones((6, 4))
     y = np.array([0, 0, 1, 1, 2, 2])
-    tasks = [TaskDataset(0, (0, 1, 2), x, y, x, y)]
+    tasks = [TaskDataset((0, 1, 2), x, y, x, y)]
     row = evaluate_matrix(net, tasks, 1)
     assert row[0] == pytest.approx(2 / 6)  # everything predicted as class 0
 
@@ -211,7 +233,7 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
                            test_per_class=101, image_shape=(16, 16, 1))[0]
     assert task.test_x.shape[0] >= 500
     net = build_network("lenet", head_classes=5, input_shape=(16, 16, 1), seed=3)
-    train_task(net, task, Hyper(epochs=1, batch_size=16, seed=0), 0)
+    train_task(net, task, Hyper(epochs=1, batch_size=16), 0)
     full = np.mean(np.argmax(forward(net, task.test_x)[0], axis=1) == task.test_y)
 
     rows = []
@@ -230,7 +252,7 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
 def test_head_grows_between_tasks():
     tasks = synthetic_tasks(seed=31, T=3, classes_per_task=2, dim=6)
     sizes = []
-    run_sequence(small_net(13), tasks, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=64, seed=0),
+    run_sequence(small_net(13), tasks, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=64),
                  task_callback=lambda k, n: sizes.append(n.head_classes))
     assert sizes == [2, 4, 6]
 
@@ -239,13 +261,13 @@ def test_oversized_initial_head_rejected():
     tasks = synthetic_tasks(seed=31, T=2, classes_per_task=2, dim=6)
     net = small_net(14, head=5)
     with pytest.raises(DimensionError):
-        run_sequence(net, tasks, Method("ft", lam=0.0), Hyper(seed=0))
+        run_sequence(net, tasks, Method("ft", lam=0.0), Hyper())
 
 
 def test_diagnostics_energy_ratios():
     # Three tasks: the second consolidation starts from a rotated network.
     tasks = synthetic_tasks(seed=37, T=3, classes_per_task=2, dim=6, noise_cond=10.0)
-    hyper = Hyper(epochs=2, batch_size=32, seed=1, diag_layers=(0, 2))
+    hyper = Hyper(epochs=2, batch_size=32, diag_layers=(0, 2))
     kept = []
     result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper,
                           task_callback=lambda k, n: kept.append(n))
@@ -284,6 +306,20 @@ BAD_TASKS = {
     "test-label-extra": (lambda t: dataclasses.replace(t, test_y=np.append(t.test_y, 0)),
                          "has 200 test inputs but 201 labels"),
 }
+
+
+@pytest.mark.parametrize("method, hyper, message", [
+    (Method("rewc", scope="conv_only"), Hyper(),
+     "scope = conv_only selects no layer of this network, so the run would be plain EWC"),
+    (Method("rewc"), Hyper(diag_layers=(1,)),
+     r"diag_layers name layers without weights: 1 \(relu\)"),
+], ids=["scope", "diag-layers"])
+def test_rotation_rejected_before_the_first_task_trains(monkeypatch, method, hyper, message):
+    trained = []
+    monkeypatch.setattr(continual, "train_task", lambda *a, **kw: trained.append(a))
+    with pytest.raises(DimensionError, match=message):
+        run_sequence(small_net(0), synthetic_tasks(seed=0, T=2, dim=6), method, hyper)
+    assert trained == []
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_TASKS))

@@ -467,7 +467,7 @@ def full_depth_pass(net, cache, labels):
         layer = net.layers[i]
         if layer.trainable:
             deltas[i] = grad
-            for name, g in layer.param_grads(cache.inputs[i], grad, cache.aux[i]).items():
+            for name, g in layer.param_grads(grad, cache.aux[i]).items():
                 grads[f"{i}.{name}"] = g
         grad = layer.backward(cache.inputs[i], grad, aux=cache.aux[i])
     return grads, deltas

@@ -106,7 +106,7 @@ def test_conv_backward_matches_reference_engine(batch, rotated):
             ref_gx, ref = reference_conv_backward(layer, x, g)
             assert_close_to_largest(layer.backward(x, g, aux), ref_gx)
             assert layer.backward(x, g, aux, need_input_grad=False) is None
-            grads = layer.param_grads(x, g, aux)
+            grads = layer.param_grads(g, aux)
             assert grads.keys() == ref.keys()
             for name in ref:
                 assert_close_to_largest(grads[name], ref[name])
@@ -179,18 +179,20 @@ def test_layer_contract(kind, rotated, n, dims, seed):
     y, aux = layer.forward_cached(x)
     y2, aux2 = layer.forward_prepared(layer.prepare(x))
     assert same_bits(y, y2) and same_bits(aux, aux2)
+    if kind == "dense":  # its aux is the input itself, or x U1^T when rotated
+        assert same_bits(aux, x @ layer.U1.T) if rotated else aux is x
     g = rng.normal(size=y.shape)
     gx = layer.backward(x, g, aux)
     assert gx.shape == x.shape
     if not layer.trainable:
         return
     assert layer.backward(x, g, aux, need_input_grad=False) is None
-    # The three reductions of the record (x, g, aux) leave it as it was, so
-    # the input gradient keeps its bits after them.
+    # The three reductions of the record (g, aux) leave it and the input as
+    # they were, so the input gradient keeps its bits after them.
     record = copy.deepcopy((x, g, aux))
-    grads = layer.param_grads(x, g, aux)
-    ge = layer.example_grads(x, g, aux)
-    terms = layer.fisher_terms(x, g, aux)
+    grads = layer.param_grads(g, aux)
+    ge = layer.example_grads(g, aux)
+    terms = layer.fisher_terms(g, aux)
     assert same_bits((x, g, aux), record)
     assert same_bits(layer.backward(x, g, aux), gx)
     # The input and parameter gradients match the reference's.
