@@ -110,10 +110,8 @@ class ExperimentConfig:
         """The seeded network that this config's run at ``seed`` starts from."""
         arch = self.values["arch"]
         input_shape, head = self.stream_shape()
-        if arch == "mlp-custom":
-            hidden = list(self.values["mlp_hidden"]) + [head]
-            return build_network(arch, input_shape=input_shape, hidden=hidden, seed=seed)
-        return build_network(arch, head_classes=head, input_shape=input_shape, seed=seed)
+        hidden = self.values["mlp_hidden"] if arch == "mlp-custom" else ()
+        return build_network(arch, head, input_shape, hidden, seed)
 
     def hyper(self):
         """The training settings of this config's runs, at every seed."""

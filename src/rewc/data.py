@@ -107,6 +107,8 @@ def disjoint_split(data, T, seed):
 
     The seed shuffles sample order within each task; class assignment is fixed.
     """
+    if T < 1:
+        raise DimensionError(f"a stream needs at least 1 task, got T = {T}")
     if len(data.class_ids) % T != 0:
         raise DimensionError(f"{len(data.class_ids)} classes not divisible into {T} tasks")
     per = len(data.class_ids) // T
@@ -121,13 +123,12 @@ def disjoint_split(data, T, seed):
     return tasks
 
 
-def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
-                    train_per_class=SYNTH_TRAIN_PER_CLASS, test_per_class=100, image_shape=None,
-                    noise_cond=1.0):
+def synthetic_tasks(seed, T, classes_per_task=2, shape=(8,), separation=10.0,
+                    train_per_class=SYNTH_TRAIN_PER_CLASS, test_per_class=100, noise_cond=1.0):
     """Gaussian-blob task stream with well-separated seeded class means.
 
-    With ``image_shape`` set (e.g. ``(8, 8, 1)``), samples are reshaped so
-    convolutional stacks can train on the stream; ``dim`` is then ignored.
+    Each sample has ``shape``: ``(dim,)``, or ``(H, W, C)`` for convolutional
+    stacks, whose samples are the ``H * W * C`` vectors reshaped.
     ``noise_cond`` > 1 gives all classes a shared anisotropic noise covariance
     (condition number ``noise_cond^2``), producing strongly correlated inputs.
 
@@ -141,11 +142,16 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
         raise DimensionError("separation must be positive")
     if noise_cond < 1:
         raise DimensionError("noise_cond must be >= 1")
-    shape = (dim,) if image_shape is None else tuple(image_shape)
+    shape = tuple(shape)
+    if len(shape) not in (1, 3):
+        raise DimensionError(f"sample shape {shape} is neither (dim,) nor (H, W, C)")
     if any(d < 1 for d in shape):
         raise DimensionError(f"sample shape {shape} has a dimension below 1")
-    if image_shape is not None:
-        dim = int(np.prod(image_shape))
+    for name, n in (("T", T), ("classes_per_task", classes_per_task),
+                    ("train_per_class", train_per_class), ("test_per_class", test_per_class)):
+        if n < 1:
+            raise DimensionError(f"{name} must be at least 1, got {n}")
+    dim = int(np.prod(shape))
     n_classes = T * classes_per_task
     if n_classes < 2:
         raise DimensionError(f"a synthetic stream needs at least 2 classes, got {n_classes}")
@@ -183,10 +189,8 @@ def synthetic_tasks(seed, T, classes_per_task=2, dim=8, separation=10.0,
                           slice(k * test_per_class, (k + 1) * test_per_class)))
         train_y = np.repeat(labels, train_per_class)[order]
         test_y = np.repeat(labels, test_per_class)
-        if image_shape is not None:
-            train_x = train_x.reshape(-1, *image_shape)
-            test_x = test_x.reshape(-1, *image_shape)
-        tasks.append(TaskDataset(classes, train_x, train_y, test_x, test_y))
+        tasks.append(TaskDataset(classes, train_x.reshape(-1, *shape), train_y,
+                                 test_x.reshape(-1, *shape), test_y))
 
     # Lanes balanced by row count, longest unit first: a lane runs its units
     # one after another, so no short unit waits on a long one at a barrier.

@@ -201,39 +201,34 @@ def _he_normal(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def build_network(arch, head_classes=None, input_shape=None, hidden=None, seed=0):
-    """Construct a seeded network.
+def build_network(arch, head_classes, input_shape, hidden=(), seed=0):
+    """Construct a seeded network with a ``head_classes``-row head on
+    ``input_shape`` inputs.
 
     Supported ``arch`` values:
-      * ``"mlp-784-10-10-10"`` — flatten + dense 784->10->10->head (28x28x1 input)
-      * ``"lenet"`` — two 5x5 conv/pool stages + dense 120/84 + head (32x32x1 input)
-      * ``"mlp-custom"`` — flatten (if needed) + dense stack from ``hidden``;
-        the last entry of ``hidden`` is the head width unless ``head_classes``
-        overrides it.
+      * ``"mlp-784-10-10-10"`` — flatten + dense 784->10->10->head
+      * ``"lenet"`` — two 5x5 conv/pool stages + dense 120/84 + head (at least 16x16xC input)
+      * ``"mlp-custom"`` — flatten (if needed) + a dense layer of each width in
+        ``hidden`` + head; the only arch that takes ``hidden``.
     """
+    if arch not in ARCHS:
+        raise DimensionError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
+    if hidden and arch != "mlp-custom":
+        raise DimensionError(f"{arch} has fixed widths; only mlp-custom takes hidden widths")
+    widths = [10, 10] if arch == "mlp-784-10-10-10" else [int(w) for w in hidden]
+    if any(w < 1 for w in widths):
+        raise DimensionError(f"hidden width {min(widths)} in {widths} is below 1")
+    if head_classes < 1:
+        raise DimensionError(f"head_classes {head_classes} is below 1")
+    input_shape = tuple(input_shape)
+    if any(d < 1 for d in input_shape):
+        raise DimensionError(f"input shape {input_shape} has a dimension below 1")
     rng = rng_for(seed, "init", arch)
-    if arch == "mlp-784-10-10-10":
-        input_shape = input_shape or (28, 28, 1)
-        if int(np.prod(input_shape)) != 784:
-            raise DimensionError("mlp-784-10-10-10 requires 784 input features")
-        head = 10 if head_classes is None else int(head_classes)
-        widths = [10, 10, head]
-        return _build_mlp(widths, input_shape, rng, seed)
     if arch == "lenet":
-        input_shape = input_shape or (32, 32, 1)
-        if head_classes is None:
-            raise DimensionError("lenet requires head_classes")
         return _build_lenet(int(head_classes), input_shape, rng, seed)
-    if arch == "mlp-custom":
-        if not hidden:
-            raise DimensionError("mlp-custom requires a non-empty width list")
-        if input_shape is None:
-            raise DimensionError("mlp-custom requires input_shape")
-        widths = [int(w) for w in hidden]
-        if head_classes is not None:
-            widths[-1] = int(head_classes)
-        return _build_mlp(widths, tuple(input_shape), rng, seed)
-    raise DimensionError(f"unknown architecture {arch!r}; expected one of {ARCHS}")
+    if arch == "mlp-784-10-10-10" and int(np.prod(input_shape)) != 784:
+        raise DimensionError("mlp-784-10-10-10 requires 784 input features")
+    return _build_mlp(widths + [int(head_classes)], input_shape, rng, seed)
 
 
 def _build_mlp(widths, input_shape, rng, seed):

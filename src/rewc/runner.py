@@ -25,14 +25,12 @@ def output_dir(cfg):
 
 def build_tasks(cfg, seed):
     if cfg["dataset"] == "synthetic":
-        image_shape = cfg.stream_shape()[0] if cfg["synth_image"] else None
         return synthetic_tasks(
             seed=seed,
             T=cfg["tasks"],
             classes_per_task=cfg["classes_per_task"],
-            dim=cfg["synth_dim"],
+            shape=cfg.stream_shape()[0],
             separation=cfg["synth_separation"],
-            image_shape=image_shape,
             noise_cond=cfg["synth_noise_cond"],
         )
     return disjoint_split(load_raw(cfg), cfg["tasks"], seed)

@@ -181,7 +181,7 @@ def test_criterion_5_diag_energy_improvement_mnist():
     for seed in (0, 1, 2):
         order = rng_for(seed, "subset").permutation(raw.train_x.shape[0])[:10_000]
         x, y = raw.train_x[order], raw.train_y[order]
-        net = build_network("mlp-784-10-10-10", head_classes=10, seed=seed)
+        net = build_network("mlp-784-10-10-10", 10, (28, 28, 1), seed=seed)
         from rewc.data import TaskDataset
 
         task = TaskDataset(tuple(range(10)), x, y, raw.test_x, raw.test_y)
@@ -218,7 +218,7 @@ def test_criterion_6_disjoint_mnist_t2():
         rows = []
         for seed in (0, 1, 2):
             tasks = rewc.disjoint_split(raw, 2, seed)
-            net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=seed)
+            net = build_network("lenet", 5, (32, 32, 1), seed=seed)
             method = Method(name, lam=lam, scope="all_no_last",
                             fim_samples=200, fim_mode="sampled")
             final = run_sequence(net, tasks, method,
@@ -244,9 +244,9 @@ def test_criterion_7_four_task_sequence():
     for name, lam in (("ft", 0.0), ("ewc", 300.0), ("rewc", 300.0)):
         rows = []
         for seed in (0, 1, 2):
-            tasks = rewc.synthetic_tasks(seed=seed, T=4, classes_per_task=2, dim=8,
+            tasks = rewc.synthetic_tasks(seed=seed, T=4, classes_per_task=2, shape=(8,),
                                          separation=10.0, noise_cond=20.0)
-            net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
+            net = build_network("mlp-custom", 2, (8,), [64, 32], seed=seed)
             method = Method(name, lam=lam, scope="all_no_last")
             matrix = run_sequence(net, tasks, method,
                                   Hyper(epochs=10, batch_size=32)).eval_matrix
@@ -264,9 +264,9 @@ def test_criterion_7_four_task_sequence():
 def test_criterion_8_invariant_suite(tmp_path):
     t0 = time.perf_counter()
     # anchor penalty is exactly zero at the anchor point
-    tasks = rewc.synthetic_tasks(seed=41, T=2, classes_per_task=2, dim=6)
+    tasks = rewc.synthetic_tasks(seed=41, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=7)
+    net = build_network("mlp-custom", 2, (6,), [16], seed=7)
     train_task(net, tasks[0], hyper, 0, None)
     from rewc.continual import finalize_task
 
@@ -276,8 +276,8 @@ def test_criterion_8_invariant_suite(tmp_path):
 
     # single anchor and a single rotation per layer, never stacked
     counts = []
-    net3 = build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=8)
-    net3 = run_sequence(net3, rewc.synthetic_tasks(seed=43, T=3, classes_per_task=2, dim=6),
+    net3 = build_network("mlp-custom", 2, (6,), [16], seed=8)
+    net3 = run_sequence(net3, rewc.synthetic_tasks(seed=43, T=3, classes_per_task=2, shape=(6,)),
                         Method("rewc", lam=20.0), hyper,
                         task_callback=lambda k, n: counts.append(
                             sum(1 for l in n.layers if l.rotated))).net
@@ -285,15 +285,15 @@ def test_criterion_8_invariant_suite(tmp_path):
     assert len(net3.layers) == 3 and net3.layers[0].rotated
 
     # lam=0 EWC is bitwise fine-tuning under shared seeds
-    t2 = rewc.synthetic_tasks(seed=47, T=2, classes_per_task=2, dim=6)
-    ft = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
+    t2 = rewc.synthetic_tasks(seed=47, T=2, classes_per_task=2, shape=(6,))
+    ft = run_sequence(build_network("mlp-custom", 2, (6,), [16], seed=9),
                       t2, Method("ft", lam=0.0), hyper)
-    e0 = run_sequence(build_network("mlp-custom", input_shape=(6,), hidden=[16, 2], seed=9),
+    e0 = run_sequence(build_network("mlp-custom", 2, (6,), [16], seed=9),
                       t2, Method("ewc", lam=0.0), hyper)
     assert ft.eval_matrix == e0.eval_matrix
 
     # head growth preserves old-class logits bit-exactly
-    net4 = build_network("mlp-custom", input_shape=(6,), hidden=[16, 3], seed=10)
+    net4 = build_network("mlp-custom", 3, (6,), [16], seed=10)
     probe = np.random.default_rng(0).normal(size=(32, 6))
     before, _ = forward(net4, probe)
     grow_head(net4, 4)

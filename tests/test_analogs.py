@@ -19,10 +19,10 @@ from rewc.util import rng_for
 def test_diag_energy_improvement_synthetic():
     gains = []
     for seed in (0, 1, 2):
-        tasks = rewc.synthetic_tasks(seed=seed, T=1, classes_per_task=10, dim=20,
+        tasks = rewc.synthetic_tasks(seed=seed, T=1, classes_per_task=10, shape=(20,),
                                      separation=12.0, noise_cond=15.0)
         t = tasks[0]
-        net = build_network("mlp-custom", input_shape=(20,), hidden=[10, 10, 10], seed=seed)
+        net = build_network("mlp-custom", 10, (20,), [10, 10], seed=seed)
         train_task(net, t, Hyper(epochs=5, batch_size=32), 0, None)
         before = estimate_full_fim_layer(net, t.train_x, 2, 200, "expected",
                                          rng_for(seed, "diag-before"), t.train_y)
@@ -39,8 +39,8 @@ def test_conv_continual_cycle_synthetic():
     # full rotated-EWC cycle through a conv stack: rotate (conv layers
     # included), anchor, train task 2 in rotated coords, evaluate
     tasks = rewc.synthetic_tasks(seed=5, T=2, classes_per_task=2, separation=12.0,
-                                 image_shape=(16, 16, 1), noise_cond=10.0)
-    net = build_network("lenet", head_classes=2, input_shape=(16, 16, 1), seed=1)
+                                 shape=(16, 16, 1), noise_cond=10.0)
+    net = build_network("lenet", 2, (16, 16, 1), seed=1)
     method = Method("rewc", lam=100.0, scope="all_no_last", fim_samples=100)
     result = run_sequence(net, tasks, method, Hyper(epochs=5, batch_size=32))
     net, matrix = result.net, result.eval_matrix
@@ -59,9 +59,9 @@ def test_ft_ewc_rewc_ordering_t2_synthetic():
     for name, lam in (("ft", 0.0), ("ewc", 1000.0), ("rewc", 1000.0)):
         rows = []
         for seed in (0, 1, 2):
-            tasks = rewc.synthetic_tasks(seed=seed, T=2, classes_per_task=2, dim=8,
+            tasks = rewc.synthetic_tasks(seed=seed, T=2, classes_per_task=2, shape=(8,),
                                          separation=10.0, noise_cond=20.0)
-            net = build_network("mlp-custom", input_shape=(8,), hidden=[64, 32, 2], seed=seed)
+            net = build_network("mlp-custom", 2, (8,), [64, 32], seed=seed)
             result = run_sequence(net, tasks, Method(name, lam=lam),
                                   Hyper(epochs=10, batch_size=32))
             rows.append(result.eval_matrix[-1])
@@ -88,7 +88,7 @@ def test_mnist_pipeline_with_fake_idx(tmp_path):
     assert raw.train_x.shape == (400, 32, 32, 1)
     tasks = disjoint_split(raw, 2, seed=0)
     assert tasks[0].class_ids == (0, 1, 2, 3, 4)
-    net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=0)
+    net = build_network("lenet", 5, (32, 32, 1), seed=0)
     result = run_sequence(net, tasks, Method("rewc", lam=100.0, fim_samples=50),
                           Hyper(epochs=1, batch_size=64))
     net, matrix = result.net, result.eval_matrix

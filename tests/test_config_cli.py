@@ -206,7 +206,7 @@ def test_settings_that_do_nothing_rejected_at_parse_time(text, fix):
     ("dataset = mnist\nmnist_dir = d\nmnist_pad = false\narch = mlp-784-10-10-10\ntasks = 2",
      {"arch": "mlp-784-10-10-10", "head_classes": 5, "input_shape": (28, 28, 1)}),
     ("arch = mlp-custom\nmlp_hidden = 6\nsynth_dim = 5",
-     {"arch": "mlp-custom", "input_shape": (5,), "hidden": [6, 2]}),
+     {"arch": "mlp-custom", "head_classes": 2, "input_shape": (5,), "hidden": [6]}),
 ], ids=["lenet", "mlp-784", "mlp-custom"])
 def test_build_net_sizes_the_network_from_the_config(text, kwargs):
     from rewc.data import TaskDataset
@@ -298,6 +298,16 @@ def test_readme_config_table_names_every_key_once():
     keys = [key for row in section.splitlines() if row.startswith("| `")
             for key in re.findall(r"`([a-z_]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(_SCHEMA)
+
+
+def test_readme_minimal_api_example_runs_as_written(capsys):
+    # The example calls the public builders: a change to their signatures
+    # that leaves it stale fails here.
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Minimal API example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 LENET_16 = """\
@@ -531,7 +541,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["run", str(bad)]) == 1
     assert run_cli(["run", str(tmp_path / "missing.cfg")]) == 1
     # runtime error: probe a checkpoint with an out-of-range layer
-    net = build_network("mlp-custom", input_shape=(8,), hidden=[4, 2], seed=0)
+    net = build_network("mlp-custom", 2, (8,), [4], seed=0)
     ck = tmp_path / "net.rewc"
     save_network(net, str(ck))
     data = empty_config(tmp_path)
@@ -551,7 +561,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_probe_rejects_a_version_1_checkpoint(tmp_path, capsys):
     ck = tmp_path / "old.rewc"
-    save_network(build_network("mlp-custom", input_shape=(8,), hidden=[4, 2], seed=0), str(ck))
+    save_network(build_network("mlp-custom", 2, (8,), [4], seed=0), str(ck))
     data = ck.read_bytes()
     assert data[:8] == b"REWC" + (3).to_bytes(4, "little")
     ck.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
@@ -571,7 +581,7 @@ def test_cli_probe_rejects_degenerate_checkpoint_geometry(tmp_path, capsys, kern
     # construction writes a checkpoint that loading must refuse: one larger
     # than the 32x32 input, or a 4x4 one whose 29x29 output the 2x2 pool
     # cannot divide.
-    net = build_network("lenet", head_classes=4, seed=0)
+    net = build_network("lenet", 4, (32, 32, 1), seed=0)
     net.layers[0].K = np.zeros(kernel)
     ck = tmp_path / "corrupt.rewc"
     save_network(net, str(ck))
@@ -666,7 +676,7 @@ def test_cli_plot_and_probe(tmp_path, capsys):
     plotted = capsys.readouterr().out.strip().splitlines()
     assert any(p.endswith("accuracy-vs-tasks.svg") for p in plotted)
 
-    net = build_network("mlp-custom", input_shape=(8,), hidden=[6, 4], seed=1)
+    net = build_network("mlp-custom", 4, (8,), [6], seed=1)
     ck = tmp_path / "probe.rewc"
     save_network(net, str(ck))
     svg_out = tmp_path / "fim.svg"
@@ -691,7 +701,7 @@ def test_cli_probe_takes_the_plain_layer_index_of_a_rotated_checkpoint(tmp_path,
     tasks = build_tasks(parse_config(data), 1)
     inputs = np.concatenate([t.train_x for t in tasks])
     labels = np.concatenate([t.train_y for t in tasks])
-    net = build_network("mlp-custom", input_shape=inputs.shape[1:], hidden=[6, 4], seed=1)
+    net = build_network("mlp-custom", 4, inputs.shape[1:], [6], seed=1)
     stats = accumulate_correlations(net, inputs, 40, np.random.default_rng(0),
                                     scope="all_no_last")
     ck = tmp_path / "rotated.rewc"
@@ -795,8 +805,7 @@ def test_cli_probe_reads_only_the_tasks_its_checkpoint_has_seen(tmp_path, capsys
 
     # A head narrower than the first task's classes has seen no task.
     narrow = tmp_path / "narrow.rewc"
-    save_network(build_network("mlp-custom", input_shape=(6,), hidden=[16, 1], seed=0),
-                 str(narrow))
+    save_network(build_network("mlp-custom", 1, (6,), [16], seed=0), str(narrow))
     assert run_cli(["fim-probe", str(narrow), "--layer", "0", "--data-config", str(cfgp),
                     "--out", str(tmp_path / "none.svg")]) == 1
     assert "the checkpoint's 1-class head covers no task of the stream" in capsys.readouterr().err

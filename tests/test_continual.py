@@ -21,7 +21,7 @@ from rewc.network import Network, build_network, forward, layout_signature, para
 
 
 def small_net(seed, head=2, dim=6, hidden=(16,)):
-    return build_network("mlp-custom", input_shape=(dim,), hidden=list(hidden) + [head], seed=seed)
+    return build_network("mlp-custom", head, (dim,), hidden, seed=seed)
 
 
 def test_method_validation():
@@ -65,7 +65,7 @@ def test_repeated_diag_layer_rejected_at_construction():
 
 
 def test_single_task_equals_plain_training():
-    tasks = synthetic_tasks(seed=3, T=1, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=3, T=1, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=3, batch_size=32)
     mat = run_sequence(small_net(1), tasks, Method("ft", lam=0.0), hyper).eval_matrix
     assert len(mat) == 1 and len(mat[0]) == 1
@@ -84,7 +84,7 @@ def reseeded(net, seed):
 def test_training_and_consolidation_draw_from_the_network_seed(seed, same):
     # Equal weights under one Hyper: the shuffle, rotation and Fisher streams
     # follow the network's rng_seed alone.
-    tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=1, batch_size=32)
     a, b = small_net(6), reseeded(small_net(6), seed)
     for net in (a, b):
@@ -98,7 +98,7 @@ def test_training_and_consolidation_draw_from_the_network_seed(seed, same):
 
 
 def test_ft_forgets_ewc_retains():
-    tasks = synthetic_tasks(seed=7, T=2, classes_per_task=2, dim=8, noise_cond=6.0)
+    tasks = synthetic_tasks(seed=7, T=2, classes_per_task=2, shape=(8,), noise_cond=6.0)
     hyper = Hyper(epochs=6, batch_size=32)
     ft = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ft", lam=0.0), hyper)
     ewc = run_sequence(small_net(2, dim=8, hidden=(32, 16)), tasks, Method("ewc", lam=300.0), hyper)
@@ -107,7 +107,7 @@ def test_ft_forgets_ewc_retains():
 
 
 def test_lambda_zero_ewc_is_bitwise_ft():
-    tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
     ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
     e0 = run_sequence(small_net(4), tasks, Method("ewc", lam=0.0), hyper)
@@ -117,7 +117,7 @@ def test_lambda_zero_ewc_is_bitwise_ft():
 def test_lambda_zero_rewc_matches_ft_evaluation():
     # rotation reparameterizes training coordinates; with lam=0 Adam updates
     # differ, so only the task-1 row (trained before any rotation) must match.
-    tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=11, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
     ft = run_sequence(small_net(4), tasks, Method("ft", lam=0.0), hyper)
     r0 = run_sequence(small_net(4), tasks, Method("rewc", lam=0.0), hyper)
@@ -125,7 +125,7 @@ def test_lambda_zero_rewc_matches_ft_evaluation():
 
 
 def test_anchor_penalty_zero_after_finalize():
-    tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=13, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
     for name in ("ewc", "rewc"):
         net = small_net(6)
@@ -140,7 +140,7 @@ def test_anchor_penalty_zero_after_finalize():
 
 
 def test_rewc_finalize_preserves_function():
-    tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
     net = small_net(8)
     train_task(net, tasks[0], hyper, 0, None)
@@ -151,7 +151,7 @@ def test_rewc_finalize_preserves_function():
 
 
 def test_finalize_task_leaves_the_trained_network_as_it_is():
-    tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=17, T=2, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=1, batch_size=32)
     net = small_net(8)
     train_task(net, tasks[0], hyper, 0, None)
@@ -169,7 +169,7 @@ def test_finalize_task_leaves_the_trained_network_as_it_is():
 
 
 def test_ft_finalize_is_noop():
-    tasks = synthetic_tasks(seed=19, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=19, T=2, classes_per_task=2, shape=(6,))
     net = small_net(9)
     snap = {k: p.copy() for k, p in net.params().items()}
     net2, anchor = finalize_task(net, tasks[0], Method("ft", lam=0.0), 0)
@@ -180,7 +180,7 @@ def test_ft_finalize_is_noop():
 
 
 def test_rewc_sandwiches_do_not_accumulate():
-    tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=23, T=3, classes_per_task=2, shape=(6,))
     hyper = Hyper(epochs=2, batch_size=32)
     rotated_counts = []
 
@@ -195,8 +195,8 @@ def test_rewc_sandwiches_do_not_accumulate():
 
 
 def test_chance_level_untrained_head():
-    tasks = synthetic_tasks(seed=29, T=1, classes_per_task=10, dim=16)
-    net = build_network("mlp-custom", input_shape=(16,), hidden=[32, 10], seed=31)
+    tasks = synthetic_tasks(seed=29, T=1, classes_per_task=10, shape=(16,))
+    net = build_network("mlp-custom", 10, (16,), [32], seed=31)
     row = evaluate_matrix(net, tasks, 1)
     assert abs(row[0] - 0.1) < 0.03
 
@@ -230,9 +230,9 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
     from rewc.network import CHUNK
 
     task = synthetic_tasks(seed=41, T=1, classes_per_task=5, train_per_class=10,
-                           test_per_class=101, image_shape=(16, 16, 1))[0]
+                           test_per_class=101, shape=(16, 16, 1))[0]
     assert task.test_x.shape[0] >= 500
-    net = build_network("lenet", head_classes=5, input_shape=(16, 16, 1), seed=3)
+    net = build_network("lenet", 5, (16, 16, 1), seed=3)
     train_task(net, task, Hyper(epochs=1, batch_size=16), 0)
     full = np.mean(np.argmax(forward(net, task.test_x)[0], axis=1) == task.test_y)
 
@@ -250,7 +250,7 @@ def test_evaluation_streams_test_set_in_chunks(monkeypatch):
 
 
 def test_head_grows_between_tasks():
-    tasks = synthetic_tasks(seed=31, T=3, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=31, T=3, classes_per_task=2, shape=(6,))
     sizes = []
     run_sequence(small_net(13), tasks, Method("ft", lam=0.0), Hyper(epochs=1, batch_size=64),
                  task_callback=lambda k, n: sizes.append(n.head_classes))
@@ -258,7 +258,7 @@ def test_head_grows_between_tasks():
 
 
 def test_oversized_initial_head_rejected():
-    tasks = synthetic_tasks(seed=31, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=31, T=2, classes_per_task=2, shape=(6,))
     net = small_net(14, head=5)
     with pytest.raises(DimensionError):
         run_sequence(net, tasks, Method("ft", lam=0.0), Hyper())
@@ -266,7 +266,7 @@ def test_oversized_initial_head_rejected():
 
 def test_diagnostics_energy_ratios():
     # Three tasks: the second consolidation starts from a rotated network.
-    tasks = synthetic_tasks(seed=37, T=3, classes_per_task=2, dim=6, noise_cond=10.0)
+    tasks = synthetic_tasks(seed=37, T=3, classes_per_task=2, shape=(6,), noise_cond=10.0)
     hyper = Hyper(epochs=2, batch_size=32, diag_layers=(0, 2))
     kept = []
     result = run_sequence(small_net(15), tasks, Method("rewc", lam=10.0), hyper,
@@ -283,7 +283,7 @@ def test_diagnostics_energy_ratios():
 
 
 def test_fim_budget_checked_for_consolidated_tasks_only():
-    tasks = synthetic_tasks(seed=0, T=2, dim=6)
+    tasks = synthetic_tasks(seed=0, T=2, shape=(6,))
     with pytest.raises(DimensionError, match="exceeds the 400 training samples of task 0"):
         run_sequence(small_net(0), tasks, Method("rewc", fim_samples=401), Hyper(epochs=1))
     # Fine-tuning never estimates a Fisher, and the last task is never consolidated.
@@ -318,14 +318,14 @@ def test_rotation_rejected_before_the_first_task_trains(monkeypatch, method, hyp
     trained = []
     monkeypatch.setattr(continual, "train_task", lambda *a, **kw: trained.append(a))
     with pytest.raises(DimensionError, match=message):
-        run_sequence(small_net(0), synthetic_tasks(seed=0, T=2, dim=6), method, hyper)
+        run_sequence(small_net(0), synthetic_tasks(seed=0, T=2, shape=(6,)), method, hyper)
     assert trained == []
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_TASKS))
 @pytest.mark.parametrize("k", [0, 1])
 def test_bad_task_rejected_before_the_first_task_trains(monkeypatch, k, bad):
-    tasks = list(synthetic_tasks(seed=0, T=2, dim=6))
+    tasks = list(synthetic_tasks(seed=0, T=2, shape=(6,)))
     spoil, message = BAD_TASKS[bad]
     tasks[k] = spoil(tasks[k])
     trained = []
@@ -344,7 +344,7 @@ def test_hyper_rejects_degenerate_training_settings(setting):
 
 
 def test_non_finite_loss_fails_the_task_instead_of_recording_chance():
-    tasks = synthetic_tasks(seed=3, T=2, classes_per_task=2, dim=6)
+    tasks = synthetic_tasks(seed=3, T=2, classes_per_task=2, shape=(6,))
     net = small_net(0)
     net.layers[0].W[0, 0] = np.nan
     with pytest.raises(ConvergenceError,

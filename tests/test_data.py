@@ -126,6 +126,13 @@ def test_disjoint_split_requires_divisibility():
         disjoint_split(fake_raw(), T=3, seed=0)
 
 
+@pytest.mark.parametrize("T", [0, -2])
+def test_disjoint_split_rejects_fewer_than_one_task(T):
+    # T = 0 once raised ZeroDivisionError; a negative T gave an empty stream.
+    with pytest.raises(DimensionError, match=f"at least 1 task, got T = {T}"):
+        disjoint_split(fake_raw(), T=T, seed=0)
+
+
 def test_split_seed_changes_order_not_assignment():
     raw = fake_raw()
     a = disjoint_split(raw, T=2, seed=0)
@@ -136,7 +143,7 @@ def test_split_seed_changes_order_not_assignment():
 
 
 def test_synthetic_counts_and_ids():
-    seq = synthetic_tasks(seed=0, T=2, classes_per_task=2, dim=5)
+    seq = synthetic_tasks(seed=0, T=2, classes_per_task=2, shape=(5,))
     assert seq[0].class_ids == (0, 1) and seq[1].class_ids == (2, 3)
     for t in seq:
         assert t.train_x.shape == (400, 5)
@@ -147,8 +154,8 @@ def test_synthetic_counts_and_ids():
 
 
 def test_synthetic_deterministic():
-    a = synthetic_tasks(seed=42, T=2, dim=6)
-    b = synthetic_tasks(seed=42, T=2, dim=6)
+    a = synthetic_tasks(seed=42, T=2, shape=(6,))
+    b = synthetic_tasks(seed=42, T=2, shape=(6,))
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.train_x, tb.train_x)
         assert np.array_equal(ta.test_y, tb.test_y)
@@ -156,7 +163,7 @@ def test_synthetic_deterministic():
 
 def test_synthetic_mean_separation_contract():
     for cond in (1.0, 20.0):
-        seq = synthetic_tasks(seed=3, T=2, classes_per_task=2, dim=8,
+        seq = synthetic_tasks(seed=3, T=2, classes_per_task=2, shape=(8,),
                               separation=10.0, noise_cond=cond)
         means = []
         for t in seq:
@@ -170,7 +177,7 @@ def test_synthetic_mean_separation_contract():
 
 
 def test_synthetic_image_shape():
-    seq = synthetic_tasks(seed=1, T=2, classes_per_task=2, image_shape=(4, 4, 1))
+    seq = synthetic_tasks(seed=1, T=2, classes_per_task=2, shape=(4, 4, 1))
     assert seq[0].train_x.shape == (400, 4, 4, 1)
 
 
@@ -180,8 +187,8 @@ def test_synthetic_linearly_separable_in_50_steps():
     from rewc.optim import AdamState, adam_step
 
     for seed in (0, 1, 2):
-        task = synthetic_tasks(seed=seed, T=1, classes_per_task=2, dim=8, separation=10.0)[0]
-        net = rewc.build_network("mlp-custom", input_shape=(8,), hidden=[16, 2], seed=seed)
+        task = synthetic_tasks(seed=seed, T=1, classes_per_task=2, shape=(8,), separation=10.0)[0]
+        net = rewc.build_network("mlp-custom", 2, (8,), [16], seed=seed)
         state = AdamState(net)
         for _ in range(50):
             logits, cache = forward(net, task.train_x)
@@ -194,17 +201,30 @@ def test_synthetic_linearly_separable_in_50_steps():
 def test_synthetic_stream_needs_two_classes():
     with pytest.raises(DimensionError, match="at least 2 classes"):
         synthetic_tasks(seed=0, T=1, classes_per_task=1)
-    synthetic_tasks(seed=0, T=2, classes_per_task=1, dim=3)  # two classes are enough
+    synthetic_tasks(seed=0, T=2, classes_per_task=1, shape=(3,))  # two classes are enough
+    # A count below 1 once passed: T = -1 with -2 classes per task made an
+    # empty stream, and a per-class count of 0 made empty splits.
+    for name, counts in [("T", {"T": -1, "classes_per_task": -2}), ("T", {"T": 0}),
+                         ("classes_per_task", {"T": 4, "classes_per_task": 0}),
+                         ("train_per_class", {"T": 2, "train_per_class": 0}),
+                         ("test_per_class", {"T": 2, "test_per_class": -1})]:
+        with pytest.raises(DimensionError, match=f"{name} must be at least 1"):
+            synthetic_tasks(seed=0, **counts)
 
 
-@pytest.mark.parametrize("shape", [{"dim": 0}, {"dim": -1}, {"image_shape": (0, 4, 1)},
-                                   {"image_shape": (4, -2, 1)}],
+@pytest.mark.parametrize("shape", [(0,), (-1,), (0, 4, 1), (4, -2, 1)],
                          ids=["dim-0", "dim-negative", "image-0", "image-negative"])
 def test_synthetic_rejects_a_dimension_below_one(shape):
     # dim 0 once failed as "degenerate class means", a negative one in numpy.
-    want = (shape["dim"],) if "dim" in shape else shape["image_shape"]
-    with pytest.raises(DimensionError, match=re.escape(f"sample shape {want} has a dimension")):
-        synthetic_tasks(seed=0, T=2, **shape)
+    with pytest.raises(DimensionError, match=re.escape(f"sample shape {shape} has a dimension")):
+        synthetic_tasks(seed=0, T=2, shape=shape)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 4), (2, 2, 2, 1)])
+def test_synthetic_rejects_a_shape_of_another_rank(shape):
+    # The empty shape once made a stream of scalar samples that no network takes.
+    with pytest.raises(DimensionError, match=re.escape(f"sample shape {shape} is neither")):
+        synthetic_tasks(seed=0, T=2, shape=shape)
 
 
 # SHA-256 of every array of two streams, recorded with this numpy/BLAS build
@@ -248,7 +268,7 @@ STREAM_PINS = {
 def pinned_stream(name):
     if name == "lenet":
         return synthetic_tasks(seed=0, T=2, classes_per_task=5, separation=30.0,
-                               image_shape=(32, 32, 1), noise_cond=20.0)
+                               shape=(32, 32, 1), noise_cond=20.0)
     from rewc.config import parse_config
     from rewc.runner import build_tasks
 

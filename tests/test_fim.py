@@ -108,7 +108,7 @@ def test_entries_nonnegative_everywhere():
 
 def test_sampled_converges_to_expected():
     rng = np.random.default_rng(2)
-    net = build_network("mlp-custom", input_shape=(2,), hidden=[3], seed=5)
+    net = build_network("mlp-custom", 3, (2,), seed=5)
     x0 = np.array([[0.7, -0.3]])
     expected = estimate_diag_fim(net, x0, sample_budget=1, mode="expected", rng=rng)
     tiled = np.repeat(x0, 10_000, axis=0)
@@ -146,7 +146,7 @@ def test_full_block_diag_consistency():
 
 
 def test_single_sample_block_rank():
-    net = build_network("mlp-custom", input_shape=(3,), hidden=[4, 3], seed=1)
+    net = build_network("mlp-custom", 3, (3,), [4], seed=1)
     x = np.random.default_rng(5).normal(size=(1, 3))
     block = estimate_full_fim_layer(net, x, 2, sample_budget=1, mode="expected",
                                     rng=np.random.default_rng(0))
@@ -167,7 +167,7 @@ def test_block_is_psd_under_eigensolver():
 
 
 def test_capacity_guard():
-    net = build_network("mlp-custom", input_shape=(100,), hidden=[50, 3], seed=0)
+    net = build_network("mlp-custom", 3, (100,), [50], seed=0)
     with pytest.raises(CapacityError):
         estimate_full_fim_layer(net, np.zeros((5, 100)), 0, sample_budget=2, mode="sampled",
                                 rng=np.random.default_rng(0))
@@ -275,7 +275,7 @@ def test_lambda_zero_means_no_penalty():
 def test_alignment_error_on_foreign_network():
     rng = np.random.default_rng(11)
     net = random_mlp(rng)
-    other = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
+    other = build_network("mlp-custom", 2, (4,), [3], seed=0)
     x = rng.normal(size=(10, net.input_shape[0]))
     fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled", rng=rng)
     anchor = make_anchor(net, fim, 10.0)
@@ -339,7 +339,7 @@ def test_anchor_on_a_rotated_network_follows_its_grown_head():
 
 
 def test_grown_head_rows_carry_no_penalty():
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 4], seed=2)
+    net = build_network("mlp-custom", 4, (6,), [8], seed=2)
     x = np.random.default_rng(12).normal(size=(15, 6))
     fim = estimate_diag_fim(net, x, sample_budget=10, mode="sampled",
                             rng=np.random.default_rng(1))

@@ -92,7 +92,7 @@ def test_loss_decreases_on_separable_batch(seed):
     y = np.array([0] * 16 + [1] * 16)
     import rewc
 
-    net = rewc.build_network("mlp-custom", input_shape=(4,), hidden=[8, 2], seed=seed)
+    net = rewc.build_network("mlp-custom", 2, (4,), [8], seed=seed)
     state = AdamState(net)
     _, cache = forward(net, x)
     first, _ = backward(net, cache, y)

@@ -28,7 +28,7 @@ def test_canonical_mnist_shapes():
 def test_trained_fim_median_magnitude():
     raw = rewc.load_mnist(locate_mnist(), pad_to_32=True)
     tasks = rewc.disjoint_split(raw, 2, seed=0)
-    net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=0)
+    net = build_network("lenet", 5, (32, 32, 1), seed=0)
     train_task(net, tasks[0], Hyper(epochs=2, batch_size=64), 0, None)
     fim = estimate_diag_fim(net, tasks[0].train_x, 200, "sampled",
                             rng_for(0, "fim-median"), tasks[0].train_y)

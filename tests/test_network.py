@@ -29,7 +29,7 @@ def test_identity_dense_forward():
 
 
 def test_lenet_shape_contract():
-    net = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=1)
+    net = build_network("lenet", 5, (32, 32, 1), seed=1)
     x = np.random.default_rng(1).random((3, 32, 32, 1))
     logits, cache = forward(net, x)
     assert logits.shape == (3, 5)
@@ -37,7 +37,7 @@ def test_lenet_shape_contract():
 
 
 def test_forward_shape_mismatch():
-    net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
+    net = build_network("mlp-custom", 2, (4,), [3], seed=0)
     with pytest.raises(DimensionError):
         forward(net, np.zeros((2, 5)))
 
@@ -131,7 +131,7 @@ def test_relu_backward_reads_the_forward_mask_and_the_cache_drops_its_input():
     g = rng.normal(size=x.shape)
     assert np.array_equal(mask, x > 0.0)
     assert relu.backward(None, g, mask).tobytes() == (g * (x > 0.0)).tobytes()
-    net = build_network("lenet", head_classes=5, seed=2)
+    net = build_network("lenet", 5, (32, 32, 1), seed=2)
     _, cache = forward(net, rng.normal(size=(3, 32, 32, 1)))
     for layer, kept in zip(net.layers, cache.inputs):
         assert (kept is None) == isinstance(layer, ReLU)
@@ -212,7 +212,7 @@ def test_layer_contract(kind, rotated, n, dims, seed):
 
 
 def test_parameter_digest_tracks_every_bit():
-    net = build_network("lenet", head_classes=5, seed=2)
+    net = build_network("lenet", 5, (32, 32, 1), seed=2)
     digest = parameter_digest(net)
     assert len(digest) == 64 and digest == parameter_digest(net.clone())
     K = net.params()["0.K"]
@@ -221,7 +221,7 @@ def test_parameter_digest_tracks_every_bit():
 
 
 def test_params_are_the_live_arrays_in_layer_order():
-    net = build_network("lenet", head_classes=5, seed=2)
+    net = build_network("lenet", 5, (32, 32, 1), seed=2)
     params = net.params()
     assert list(params) == ["0.K", "0.b", "3.K", "3.b", "7.W", "7.b", "9.W", "9.b",
                             "11.W", "11.b"]
@@ -242,28 +242,46 @@ def test_rotations_are_not_parameters():
 
 
 def test_build_mlp_784_widths():
-    net = build_network("mlp-784-10-10-10", seed=0)
+    net = build_network("mlp-784-10-10-10", 10, (28, 28, 1), seed=0)
     dense = [l for l in net.layers if isinstance(l, Dense)]
     assert [d.W.shape for d in dense] == [(10, 784), (10, 10), (10, 10)]
 
 
 def test_build_determinism():
-    a = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=9)
-    b = build_network("lenet", head_classes=5, input_shape=(32, 32, 1), seed=9)
+    a = build_network("lenet", 5, (32, 32, 1), seed=9)
+    b = build_network("lenet", 5, (32, 32, 1), seed=9)
     for la, lb in zip(a.layers, b.layers):
         for k, v in la.params().items():
             assert np.array_equal(v, lb.params()[k])
 
 
 def test_custom_mlp_param_count():
-    net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
+    net = build_network("mlp-custom", 2, (4,), [3], seed=0)
     count = sum(p.size for p in net.params().values())
     assert count == 4 * 3 + 3 + 3 * 2 + 2
 
 
 def test_unknown_arch():
     with pytest.raises(DimensionError, match="mlp-custom"):
-        build_network("resnet-50")
+        build_network("resnet-50", 2, (4,))
+
+
+@pytest.mark.parametrize("arch, head, shape, hidden, message", [
+    ("mlp-custom", 2, (4,), [4, 0], r"hidden width 0 in \[4, 0\] is below 1"),
+    ("mlp-custom", 2, (4,), [-3], r"hidden width -3 in \[-3\] is below 1"),
+    ("mlp-custom", 0, (4,), [4], "head_classes 0 is below 1"),
+    ("mlp-784-10-10-10", -1, (28, 28, 1), (), "head_classes -1 is below 1"),
+    ("lenet", 0, (32, 32, 1), (), "head_classes 0 is below 1"),
+    ("mlp-custom", 2, (0,), [4], r"input shape \(0,\) has a dimension below 1"),
+    ("lenet", 2, (32, 32, 0), (), r"input shape \(32, 32, 0\) has a dimension below 1"),
+    ("lenet", 2, (32, 32, 1), [8], "lenet has fixed widths; only mlp-custom takes hidden widths"),
+    ("mlp-784-10-10-10", 2, (28, 28, 1), [8], "only mlp-custom takes hidden widths"),
+])
+def test_build_network_rejects_a_size_it_cannot_build(arch, head, shape, hidden, message):
+    # A size below 1 once failed inside numpy, in Dense's generic check or,
+    # for an input dimension, dividing by zero in the initial weights' scale.
+    with pytest.raises(DimensionError, match=message):
+        build_network(arch, head, shape, hidden)
 
 
 def test_forward_deterministic():
@@ -275,7 +293,7 @@ def test_forward_deterministic():
 
 
 def test_grow_head_preserves_old_logits():
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 5], seed=3)
+    net = build_network("mlp-custom", 5, (6,), [8], seed=3)
     x = np.random.default_rng(6).normal(size=(10, 6))
     before, _ = forward(net, x)
     grow_head(net, 5)
@@ -285,7 +303,7 @@ def test_grow_head_preserves_old_logits():
 
 
 def test_grow_head_new_row_scale():
-    net = build_network("mlp-custom", input_shape=(512,), hidden=[512, 4], seed=3)
+    net = build_network("mlp-custom", 4, (512,), [512], seed=3)
     grow_head(net, 1)
     new_row = net.layers[-1].W[-1]
     # chi concentration: |w| ~ 0.01 * sqrt(512) = 0.226, very tight
@@ -294,7 +312,7 @@ def test_grow_head_new_row_scale():
 
 
 def test_grow_head_rejects_nonpositive():
-    net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=0)
+    net = build_network("mlp-custom", 2, (4,), [3], seed=0)
     with pytest.raises(DimensionError):
         grow_head(net, 0)
     with pytest.raises(DimensionError):
@@ -304,7 +322,7 @@ def test_grow_head_rejects_nonpositive():
 def test_grow_head_deterministic():
     nets = []
     for _ in range(2):
-        net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 5], seed=3)
+        net = build_network("mlp-custom", 5, (6,), [8], seed=3)
         grow_head(net, 5)
         nets.append(net)
     assert np.array_equal(nets[0].layers[-1].W, nets[1].layers[-1].W)
@@ -333,7 +351,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_preserves_rotation_pairs(tmp_path):
     import rewc
 
-    net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=2)
+    net = build_network("mlp-custom", 3, (5,), [6], seed=2)
     x = np.random.default_rng(3).normal(size=(20, 5))
     stats = rewc.accumulate_correlations(net, x, sample_budget=20, rng=np.random.default_rng(0),
                                          scope="all_no_last")

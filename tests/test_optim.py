@@ -46,7 +46,7 @@ def test_two_step_hand_recurrence():
 def test_fixed_layers_untouched():
     import rewc
 
-    net = rewc.build_network("mlp-custom", input_shape=(4,), hidden=[5, 2], seed=0)
+    net = rewc.build_network("mlp-custom", 2, (4,), [5], seed=0)
     x = np.random.default_rng(0).normal(size=(10, 4))
     stats = rewc.accumulate_correlations(net, x, sample_budget=10, rng=np.random.default_rng(1),
                                          scope="all_no_last")

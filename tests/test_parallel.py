@@ -215,7 +215,7 @@ def test_many_threads_with_frequent_switches_give_the_same_bits(monkeypatch):
 
     def estimate():
         values = estimate_diag_fim(net, x, BUDGET, "expected", np.random.default_rng(8)).values
-        stream = synthetic_tasks(seed=9, T=3, classes_per_task=3, dim=16, train_per_class=23,
+        stream = synthetic_tasks(seed=9, T=3, classes_per_task=3, shape=(16,), train_per_class=23,
                                  test_per_class=7)
         return dict(values, **{f"{k}.{name}": getattr(t, name) for k, t in enumerate(stream)
                                for name in ("train_x", "train_y", "test_x", "test_y")})
@@ -234,9 +234,9 @@ def test_many_threads_with_frequent_switches_give_the_same_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(T=2, classes_per_task=3, image_shape=(6, 6, 1), train_per_class=37,
+    dict(T=2, classes_per_task=3, shape=(6, 6, 1), train_per_class=37,
          test_per_class=11, noise_cond=20.0),
-    dict(T=3, classes_per_task=2, dim=9, train_per_class=13, test_per_class=29),
+    dict(T=3, classes_per_task=2, shape=(9,), train_per_class=13, test_per_class=29),
 ], ids=["image", "mlp"])
 def test_synthetic_tasks_are_bit_identical_across_pool_sizes(pools, kwargs):
     # train_per_class != test_per_class, so the lanes carry unequal rows.

@@ -49,7 +49,7 @@ def identity_stats(net, scale=1.0):
 
 
 def test_whitened_inputs_give_identity_correlation():
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[4, 3], seed=0)
+    net = build_network("mlp-custom", 3, (6,), [4], seed=0)
     x = np.random.default_rng(0).normal(size=(10_000, 6))
     stats = accumulate_correlations(net, x, sample_budget=10_000, rng=np.random.default_rng(1),
                                     scope="all_no_last")
@@ -86,7 +86,7 @@ def test_conv_1x1_degenerate_matches_dense():
 
 
 def test_identity_correlations_leave_network_unchanged():
-    net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
+    net = build_network("mlp-custom", 3, (5,), [6], seed=1)
     stats = identity_stats(net)
     rot = rotate_network(net, stats)
     x = np.random.default_rng(4).normal(size=(12, 5))
@@ -100,7 +100,7 @@ def test_identity_correlations_leave_network_unchanged():
 
 
 def test_distinct_diagonal_correlations_give_signed_permutations():
-    net = build_network("mlp-custom", input_shape=(4,), hidden=[3, 2], seed=2)
+    net = build_network("mlp-custom", 2, (4,), [3], seed=2)
     ids = scope_selects(net, "all_no_last")
     cx, cz = {}, {}
     rng = np.random.default_rng(5)
@@ -126,7 +126,7 @@ def test_distinct_diagonal_correlations_give_signed_permutations():
 
 SCOPE_NETS = {
     "convnet": lambda rng: random_convnet(rng, hidden_dense=True),
-    "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
+    "lenet": lambda rng: build_network("lenet", 3, (16, 16, 1), seed=5),
     "mlp": lambda rng: random_mlp(rng),
 }
 
@@ -161,7 +161,7 @@ def test_scope_selection(name, scope, expected_kinds):
 
 
 def test_unknown_scope_names_the_scopes():
-    net = build_network("mlp-custom", input_shape=(5,), hidden=[6, 3], seed=1)
+    net = build_network("mlp-custom", 3, (5,), [6], seed=1)
     message = re.escape(f"scope must be one of {SCOPES}, got 'bogus'")
     with pytest.raises(ValueError, match=message):
         scope_selects(net, "bogus")
@@ -172,7 +172,7 @@ def test_unknown_scope_names_the_scopes():
 
 def test_rotated_space_correlations_are_diagonal():
     rng = np.random.default_rng(8)
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[7, 5, 3], seed=3)
+    net = build_network("mlp-custom", 3, (6,), [7, 5], seed=3)
     x = rng.normal(size=(50, 6)) @ rng.normal(size=(6, 6))  # correlated inputs
     y = rng.integers(0, 3, 50)
     stats = accumulate_correlations(net, x, sample_budget=50, rng=rng,
@@ -218,7 +218,7 @@ def test_combine_after_training_preserves_function():
     import rewc
 
     rng = np.random.default_rng(11)
-    net = build_network("mlp-custom", input_shape=(6,), hidden=[8, 4], seed=4)
+    net = build_network("mlp-custom", 4, (6,), [8], seed=4)
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 4, 40)
     stats = accumulate_correlations(net, x, sample_budget=40, rng=rng, scope="all_no_last")
@@ -406,9 +406,8 @@ def assert_close_to_largest(actual, expected, what, rtol=1e-12):
 NETS = {
     "mlp": lambda rng: random_mlp(rng),
     "convnet": lambda rng: random_convnet(rng, hidden_dense=True),
-    "lenet": lambda rng: build_network("lenet", head_classes=3, input_shape=(16, 16, 1), seed=5),
-    "lenet-3-channels": lambda rng: build_network("lenet", head_classes=3,
-                                                  input_shape=(16, 16, 3), seed=6),
+    "lenet": lambda rng: build_network("lenet", 3, (16, 16, 1), seed=5),
+    "lenet-3-channels": lambda rng: build_network("lenet", 3, (16, 16, 3), seed=6),
     "convnet-unpooled": lambda rng: random_convnet(rng, size=7),
     "stacked-rectangular-convs": lambda rng: stacked_rectangular_convnet(7),
 }
